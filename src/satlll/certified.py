@@ -77,17 +77,6 @@ def certified_compare_ge(x, y, what: str = "comparison") -> bool:
     raise CertificationError(f"{what} not certifiable at current precision")
 
 
-def fraction_from_mpf(x) -> Fraction:
-    """Exact rational value of an mpf (always dyadic)."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        if exp != 0:
-            raise CertificationError("cannot convert non-finite mpf to Fraction")
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
-
-
 def midpoint_float(x) -> float:
     lo, hi = endpoints(x)
     return float((lo + hi) / 2)

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from . import hj_family, moser_tardos, sat_model, shearer
 from .certified import DEFAULT_PRECISION
 from .errors import (CertificationError, DimacsError, DomainError,
                      SatLllError, SizeGuardError)
-from .events_graph import events_from_formula, lopsidependency_graph
+from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 
 EXIT_DOMAIN = 3
 EXIT_GUARD = 4
@@ -35,18 +34,22 @@ class Config:
     guard_vertices: int = 40
     guard_clauses: int = 200_000
     output_format: str = "tsv"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.precision < 64:
             raise DomainError(f"precision must be >= 64, got {self.precision}")
-        if self.guard_vertices <= 0 or self.guard_clauses <= 0 or self.jobs <= 0:
-            raise DomainError("guards and parallelism degree must be positive")
+        if self.guard_vertices <= 0 or self.guard_clauses <= 0:
+            raise DomainError("guards must be positive")
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else fallback
+    if not value:
+        return fallback
+    try:
+        return int(value)
+    except ValueError:
+        parser.error(f"{name} must be an integer, got {value!r}")
 
 
 def _emit(args, text: str):
@@ -57,21 +60,12 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _table_cell(k: int, precision: int):
-    return (k, bounds_mod.f_lll(k, precision),
-            hj_family.shearer_upper_bound(k, precision),
-            bounds_mod.f_mt(k))
-
-
 def cmd_table(args, config: Config) -> int:
     if not 2 <= args.kmin <= args.kmax:
         raise DomainError(f"need 2 <= kmin <= kmax, got {args.kmin}..{args.kmax}")
-    ks = list(range(args.kmin, args.kmax + 1))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_table_cell, ks, [config.precision] * len(ks)))
-    else:
-        rows = [_table_cell(k, config.precision) for k in ks]
+    rows = [(k, bounds_mod.f_lll(k, config.precision),
+             hj_family.shearer_upper_bound(k, config.precision), bounds_mod.f_mt(k))
+            for k in range(args.kmin, args.kmax + 1)]
     if config.output_format == "json":
         payload = [{"k": k, "F_LLL": a, "F_Shearer": b, "F_MT": c} for k, a, b, c in rows]
         _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -88,17 +82,26 @@ def cmd_construct(args, config: Config) -> int:
     return 0
 
 
+def _read_input(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_formula(path: str, width: int | None = None):
-    with open(path) as handle:
-        return sat_model.dimacs_import(handle.read(), width=width)
+    return sat_model.dimacs_import(_read_input(path), width=width)
 
 
 def _graph_from_json(path: str):
-    from .events_graph import DepGraph
-    with open(path) as handle:
-        data = json.load(handle)
-    graph = DepGraph.from_edges(data["n"], [tuple(e) for e in data["edges"]])
-    p = [Fraction(x) for x in data["p"]]
+    text = _read_input(path)
+    try:
+        data = json.loads(text)
+        graph = DepGraph.from_edges(data["n"], [tuple(e) for e in data["edges"]])
+        p = [Fraction(x) for x in data["p"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
     return graph, p
 
 
@@ -226,17 +229,16 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool):
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--precision", type=int,
-                        default=default(_env_int("SATLLL_PRECISION", DEFAULT_PRECISION)),
+                        default=default(_env_int(parser, "SATLLL_PRECISION",
+                                                 DEFAULT_PRECISION)),
                         help="working precision in bits (default 256)")
     parser.add_argument("--format", choices=("tsv", "json"), default=default("tsv"))
     parser.add_argument("--out", default=default(None),
                         help="output file (default stdout)")
     parser.add_argument("--guard-vertices", type=int,
-                        default=default(_env_int("SATLLL_GUARD_VERTICES", 40)))
+                        default=default(_env_int(parser, "SATLLL_GUARD_VERTICES", 40)))
     parser.add_argument("--guard-clauses", type=int,
-                        default=default(_env_int("SATLLL_GUARD_CLAUSES", 200_000)))
-    parser.add_argument("--jobs", type=int, default=default(1),
-                        help="parallelism degree for table rows")
+                        default=default(_env_int(parser, "SATLLL_GUARD_CLAUSES", 200_000)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,8 +310,7 @@ def main(argv=None) -> int:
         config = Config(precision=args.precision,
                         guard_vertices=args.guard_vertices,
                         guard_clauses=args.guard_clauses,
-                        output_format=args.format,
-                        jobs=args.jobs)
+                        output_format=args.format)
         return args.func(args, config)
     except DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)

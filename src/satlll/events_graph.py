@@ -9,7 +9,6 @@ between events sharing any variable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -63,6 +62,8 @@ class DepGraph:
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(tuple(frozenset(s) for s in nbrs), tuple(payloads))
@@ -109,14 +110,6 @@ class DepGraph:
             seen |= comp
             components.append(frozenset(comp))
         return components
-
-    def to_adjacency_text(self) -> str:
-        lines = [f"{v}: {' '.join(map(str, sorted(self.adjacency[v])))}".rstrip()
-                 for v in range(self.n)]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_edge_list_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": sorted(self.edges())})
 
 
 def event_from_clause(clause: Clause) -> BadEvent:

@@ -11,6 +11,28 @@ obey a mutual recurrence whose normalized form a_j = r_j / s_{j-1}^{k-1}
 is a pure first-order iteration a_j = g(a_{j-1}).  Once a_j falls to
 2^{-2/(2L-2)} the Shearer condition fails for some H_j, hence for the
 extremal formula's lopsidependency graph.
+
+The threshold curve is ell(t) = 1 - ln(2-t) / ln u(t) with
+u(t) = 1 - c t^{1-k}, c = 2^{-k}, on the open domain (2^{-k/(k-1)}, 2),
+and F_Shearer(k) = floor(max ell).  It is certified from three facts:
+
+1. Since ln u < 0, ell(t) >= N+1 iff phi_N(t) = ln(2-t) + N ln u(t) >= 0.
+   So F_Shearer(k) = max{L : max phi_{L-1} >= 0}, a condition monotone
+   in L because phi_{N+1} = phi_N + ln u < phi_N.  L = 1 holds (ell(1) = 1)
+   and L = 2^k + 1 fails: ell <= 1 for t >= 1, and for t < 1,
+   -ln u > c gives ell < 1 + ln 2 / c.
+2. phi_N is concave: ln(2-t) is, and with m = k-1,
+   (ln(1 - c t^{-m}))'' = -cm((m+1)t^m - c) / (t^{m+1} - ct)^2 < 0.
+   phi_N' has the sign of q_N(t) = N c (k-1)(2-t) + c t - t^k, a rational
+   polynomial that for N >= 1 is concave and decreasing, positive at the
+   lower end and negative at 2; its one root is the maximizer t*.
+3. For dyadic a < b with q_N(a) > 0 >= q_N(b), checked exactly,
+   concavity gives max phi_N in [phi_N(a), phi_N(a) + phi_N'(a)(b-a)],
+   where phi_N'(a) = q_N(a) / ((2-a)(a^k - ca)) is rational.  One interval
+   evaluation of phi_N(a) decides the sign, or CertificationError is raised.
+
+Substituting t = 2 - a^{-(L-1)} turns the fixed point a = g(a) into
+phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).
 """
 
 from __future__ import annotations
@@ -23,8 +45,8 @@ import mpmath
 from mpmath import iv, mp
 
 from .certified import (DEFAULT_PRECISION, certainly_gt, certainly_le,
-                        certified_floor, endpoints, fraction_from_mpf,
-                        interval_precision, iv_from_fraction, midpoint_float)
+                        certified_compare_ge, endpoints, interval_precision,
+                        iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import ExpansionTree, Formula, build_extremal_formula
@@ -188,24 +210,28 @@ def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
     return RecurrenceState(j=j, k=k, L=L, p=p, s_values=tuple(s), r_values=tuple(r))
 
 
+def _u(t, p, k: int):
+    """u = 1 - p / t^(k-1), the same expression on Fraction, mpf and iv."""
+    return 1 - p / t ** (k - 1)
+
+
 def g_function(a, k: int, L: int, p=None):
-    """g(a) = 1 - p / (2 - a^{-(L-1)})^{k-1}; exact on Fraction, mpf otherwise.
+    """g(a) = u(2 - a^{-(L-1)}); exact on Fraction, mpf otherwise.
 
     Requires a > 2^{-1/(L-1)} so that the denominator base is positive.
     """
     _check_params(k, L)
-    if p is None:
-        p = Fraction(1, 2 ** k)
+    p = Fraction(1, 2 ** k) if p is None else Fraction(p)
     if isinstance(a, (Fraction, int)):
         a = Fraction(a)
         if a <= 0 or 2 * a ** (L - 1) <= 1:
             raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
-        return 1 - Fraction(p) / (2 - a ** -(L - 1)) ** (k - 1)
+        return _u(2 - a ** -(L - 1), p, k)
     a = mpmath.mpf(a)
     base = 2 - a ** (-(L - 1))
     if not (a > 0 and base > 0):
         raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
-    return 1 - mpmath.mpf(Fraction(p).numerator) / mpmath.mpf(Fraction(p).denominator) / base ** (k - 1)
+    return _u(base, mpmath.mpf(p.numerator) / p.denominator, k)
 
 
 def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
@@ -238,7 +264,7 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
         trajectory = [1.0]
         verdict = None
         for j in range(1, max_iter + 1):
-            a_new = 1 - p / (2 - a ** (-(L - 1))) ** (k - 1)
+            a_new = _u(2 - a ** (-(L - 1)), p, k)
             trajectory.append(midpoint_float(a_new))
             if certainly_le(a_new, threshold):
                 verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))
@@ -261,26 +287,15 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
                             verdict=verdict, threshold=threshold_mid)
 
 
-def threshold_domain(k: int) -> tuple[Fraction, int]:
-    """Open domain of the threshold curve: (2^{-k/(k-1)}, 2).
-
-    Returned as a convenience pair (approximate rational lower bound is not
-    needed; we return the exact exponent data instead).
-    """
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    return Fraction(-k, k - 1), 2
-
-
 def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
-    """ell(t) = 1 - ln(2-t) / ln(1 - 2^{-k} t^{1-k}) as an mpf at the given precision."""
+    """ell(t) = 1 - ln(2-t) / ln u(t) as an mpf at the given precision."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     with mp.workprec(precision):
-        t = mpmath.mpf(t)
+        t = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
         if not (0 < t < 2):
             raise DomainError(f"t={t} outside (0, 2)")
-        inner = 1 - mpmath.mpf(2) ** (-k) * t ** (1 - k)
+        inner = _u(t, mpmath.mpf(2) ** (-k), k)
         if inner <= 0:
             raise DomainError(f"t={t} below the domain lower bound 2^(-k/(k-1))")
         denom = mpmath.log(inner)
@@ -289,80 +304,57 @@ def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
         return 1 - mpmath.log(2 - t) / denom
 
 
-def _threshold_ell_interval(t: Fraction, k: int):
-    """Interval enclosure of ell(t) at an exactly representable rational t."""
-    t_iv = iv_from_fraction(t)
-    inner = 1 - iv_from_fraction(Fraction(1, 2 ** k)) / t_iv ** (k - 1)
-    lo, _ = endpoints(inner)
-    if lo <= 0:
-        raise DomainError(f"t={t} too close to the domain lower bound")
-    return 1 - iv.log(2 - t_iv) / iv.log(inner)
+def _q(t, N: int, c, k: int):
+    """q_N(t) = N c (k-1) (2-t) + c t - t^k, which has the sign of phi_N'(t)."""
+    return N * c * (k - 1) * (2 - t) + c * t - t ** k
 
 
-def _maximize_ell(k: int, precision: int, grid: int) -> Fraction:
-    """Locate a near-maximizer of ell on the open domain; returns a dyadic rational."""
+def _max_phi_nonnegative(N: int, k: int, precision: int) -> bool:
+    """Certified max_t phi_N(t) >= 0 for N >= 1 (facts 2 and 3 of the module docstring)."""
+    c = Fraction(1, 2 ** k)
     with mp.workprec(precision):
-        lo = mpmath.mpf(2) ** (mpmath.mpf(-k) / (k - 1))
-        hi = mpmath.mpf(2)
-        best_t, best_v = None, mpmath.mpf("-inf")
-        for i in range(1, grid):
-            t = lo + (hi - lo) * i / grid
-            inner = 1 - mpmath.mpf(2) ** (-k) * t ** (1 - k)
-            if inner <= 0 or t >= 2:
-                continue
-            v = 1 - mpmath.log(2 - t) / mpmath.log(inner)
-            if v > best_v:
-                best_t, best_v = t, v
-        if best_t is None:
-            raise CertificationError(f"no valid grid point for k={k}")
-        a = max(lo, best_t - (hi - lo) / grid)
-        b = min(hi, best_t + (hi - lo) / grid)
-        golden = (mpmath.sqrt(5) - 1) / 2
-
-        def f(t):
-            inner = 1 - mpmath.mpf(2) ** (-k) * t ** (1 - k)
-            if inner <= 0:
-                return mpmath.mpf("-inf")
-            return 1 - mpmath.log(2 - t) / mpmath.log(inner)
-
-        c = b - golden * (b - a)
-        d = a + golden * (b - a)
-        for _ in range(160):
-            if f(c) > f(d):
-                b = d
-            else:
-                a = c
-            c = b - golden * (b - a)
-            d = a + golden * (b - a)
-        mid = (a + b) / 2
-    # Snap to a dyadic rational so the interval re-evaluation is exact in t.
-    return fraction_from_mpf(mid)
+        # Newton from t = 2 descends monotonically onto the root of the
+        # concave, decreasing q_N; stop once rounding halts the descent.
+        c_mp = mpmath.mpf(2) ** (-k)
+        t = mpmath.mpf(2)
+        for _ in range(k + precision):
+            slope = c_mp * (1 - N * (k - 1)) - k * t ** (k - 1)
+            t_next = t - _q(t, N, c_mp, k) / slope
+            if t_next >= t:
+                break
+            t = t_next
+        scale = 2 ** (precision // 2)
+        n = int(t * scale)
+    a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
+    q_a = _q(a, N, c, k)
+    if not (a > 0 and a ** (k - 1) > c and q_a > 0 >= _q(b, N, c, k)):
+        raise CertificationError(
+            f"no certified bracket of the maximizer of phi_{N} for k={k}: "
+            f"[{float(a)}, {float(b)}]")
+    dphi_a = q_a / ((2 - a) * (a ** k - c * a))
+    with interval_precision(precision):
+        a_iv = iv_from_fraction(a)
+        phi_a = iv.log(2 - a_iv) + N * iv.log(_u(a_iv, iv_from_fraction(c), k))
+        enclosure = phi_a + iv.mpf([0, 1]) * iv_from_fraction(dphi_a * (b - a))
+        return certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}")
 
 
-def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION,
-                        grid: int = 2000) -> int:
-    """Largest integer below the maximum of the threshold curve.
+def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
+    """F_Shearer(k) = floor(max ell), certified by facts 1-3 of the module docstring.
 
-    Computed by grid search plus golden-section refinement, floored via
-    interval arithmetic, and required to be stable when both the working
-    precision and the grid density are doubled.
+    Binary search for the largest L in [1, 2^k] with max phi_{L-1} >= 0;
+    each probe is decided exactly or raises CertificationError.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-
-    def one_pass(prec: int, n: int) -> int:
-        t_star = _maximize_ell(k, prec, n)
-        with interval_precision(prec):
-            value = _threshold_ell_interval(t_star, k)
-            return certified_floor(value, what=f"max ell for k={k}")
-
-    first = one_pass(precision, grid)
-    second = one_pass(2 * precision, 2 * grid)
-    if first != second:
-        raise CertificationError(
-            f"shearer upper bound for k={k} unstable under precision/grid doubling: "
-            f"{first} vs {second}")
-    return first
+    lo, hi = 1, 2 ** k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _max_phi_nonnegative(mid - 1, k, precision):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @dataclass(frozen=True)

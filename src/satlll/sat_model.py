@@ -218,6 +218,9 @@ def dimacs_import(text: str, width: int | None = None) -> Formula:
                 value = int(token)
             except ValueError:
                 raise DimacsError(f"malformed literal token {token!r}", line=lineno) from None
+            if abs(value) > variable_count:
+                raise DimacsError(f"literal {value} exceeds the declared {variable_count} "
+                                  f"variables", line=lineno)
             if value == 0:
                 clauses.append(_clause_from_ints(pending, pending_line or lineno))
                 pending = []

@@ -106,14 +106,17 @@ def test_criterion_04_shearer_small_case_verdicts():
     report(4, "small-case verdicts and explicit/fixed-point consistency")
 
 
-def test_criterion_05_fixed_point_k9_boundary():
-    violated = fixed_point_iteration(9, 22)
-    assert violated.verdict.kind == "violated"
-    assert violated.verdict.step is not None
-    converged = fixed_point_iteration(9, 21)
-    assert converged.verdict.kind == "converged"
-    assert shearer_upper_bound(9) == 21
-    report(5, "fixed point violated at (9,22), converged at (9,21)")
+def test_criterion_05_fixed_point_boundary():
+    # a = g(a) is phi_{L-1}(2 - a^{-(L-1)}) = 0: the iteration and the
+    # threshold-curve certificate must put the boundary at the same L
+    for k in EXPECTED_TABLE:
+        sh = shearer_upper_bound(k)
+        converged = fixed_point_iteration(k, sh)
+        assert converged.verdict.kind == "converged", k
+        violated = fixed_point_iteration(k, sh + 1)
+        assert violated.verdict.kind == "violated", k
+        assert violated.verdict.step is not None
+    report(5, "fixed point converged at F_Shearer, violated at F_Shearer+1, k=9..20")
 
 
 def test_criterion_06_construction_invariants():
@@ -152,9 +155,10 @@ def test_criterion_08_lopsidependency_property():
 
 
 def test_criterion_09_harris_agreement_and_boundary():
-    _, sat22 = harris_ksat_alpha(9, 22)
-    _, sat23 = harris_ksat_alpha(9, 23)
-    assert sat22 and not sat23
+    for k in EXPECTED_TABLE:
+        mt = f_mt(k)
+        assert harris_ksat_alpha(k, mt)[1], k
+        assert not harris_ksat_alpha(k, mt + 1)[1], k
 
     # whenever the closed-form alpha criterion holds, the generic enumeration
     # with mu == alpha must accept the generated instances as well
@@ -167,7 +171,7 @@ def test_criterion_09_harris_agreement_and_boundary():
         events = events_from_formula(formula)
         p = [Fraction(1, 2 ** k)] * len(events)
         assert harris_check(events, [mu] * len(events), p).satisfied, (k, L, r)
-    report(9, "generic checker agrees with closed-form alpha; boundary at k=9")
+    report(9, "generic checker agrees with closed-form alpha; boundary at F_MT, k=9..20")
 
 
 def test_criterion_10_moser_tardos_termination():

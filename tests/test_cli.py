@@ -180,13 +180,6 @@ def test_common_flags_after_subcommand(capsys):
     assert json.loads(out)[0]["k"] == 9
 
 
-def test_parallel_table_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "table", "9", "11")
-    code, parallel, _ = run_cli(capsys, "--jobs", "3", "table", "9", "11")
-    assert code == 0
-    assert parallel == serial
-
-
 def test_precision_floor(capsys):
     code, _, err = run_cli(capsys, "--precision", "16", "table", "9", "9")
     assert code == EXIT_DOMAIN
@@ -197,3 +190,35 @@ def test_usage_error_exit_code(capsys):
         main(["no-such-command"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+K2_GRAPH = {"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("option,content,precision_env,expected,message", [
+    ("--graph", json.dumps({**K2_GRAPH, "edges": [[0, 2]]}), None,
+     EXIT_DOMAIN, "out of range"),
+    ("--graph", json.dumps({"n": 2, "p": ["1/2", "1/2"]}), None, EXIT_DOMAIN, "'edges'"),
+    ("--graph", json.dumps({**K2_GRAPH, "p": ["x", "1/2"]}), None, EXIT_DOMAIN, "'x'"),
+    ("--graph", "{not json", None, EXIT_DOMAIN, "malformed graph JSON"),
+    ("--graph", None, None, EXIT_DOMAIN, "cannot read"),
+    ("--cnf", None, None, EXIT_DOMAIN, "cannot read"),
+    ("--cnf", "p cnf 6 2\n1 2 3 0\n4 5 6 0\n", "abc", 2, "SATLLL_PRECISION"),
+    ("--cnf", "p cnf 2 1\n1 3 0\n", None, EXIT_DIMACS, "line 2"),
+], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
+        "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count"])
+def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, option, content,
+                                          precision_env, expected, message):
+    target = tmp_path / "input"
+    if content is not None:
+        target.write_text(content)
+    if precision_env is not None:
+        monkeypatch.setenv("SATLLL_PRECISION", precision_env)
+    try:
+        code = main(["check-shearer", option, str(target)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert message in err
+    assert "Traceback" not in err

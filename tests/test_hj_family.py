@@ -151,6 +151,10 @@ def test_fixed_point_report_json():
 
 def test_threshold_ell_values():
     assert threshold_ell(1, 9) == 1
+    # ell(1/2) = 1 - ln(3/2) / ln(1/2) at k = 9
+    assert threshold_ell(Fraction(1, 2), 9) == pytest.approx(1 + mpmath.log(1.5, 2), rel=1e-15)
+    # near the k = 9 maximizer ell is 21.9977..., 0.0022 below the next integer
+    assert 21.997 < threshold_ell(Fraction(894, 1000), 9) < 22
     value = threshold_ell(mpmath.mpf(1) - mpmath.mpf(1) / 9, 9)
     assert 21 < value < 22
     assert float(value) == pytest.approx(21.9718720951, rel=1e-9)
@@ -163,10 +167,22 @@ def test_threshold_ell_domain():
         threshold_ell(2 ** (-9 / 8) / 2, 9)  # below the domain lower bound
 
 
+SHEARER_SAMPLES = {
+    2: 1, 3: 1, 4: 2, 5: 3, 6: 4, 7: 7, 8: 12, 9: 21, 12: 126,
+    21: 36779, 22: 70207, 23: 134297, 24: 257383, 25: 494143,
+    26: 950220, 27: 1829958, 28: 3529041, 29: 6814417, 30: 13174046,
+}
+
+
 def test_shearer_upper_bound_table_samples():
-    assert shearer_upper_bound(9) == 21
-    assert shearer_upper_bound(12) == 126
-    assert shearer_upper_bound(2) == 1
+    for precision in (64, 256):
+        for k, expected in SHEARER_SAMPLES.items():
+            assert shearer_upper_bound(k, precision) == expected, (k, precision)
+
+
+def test_shearer_upper_bound_refuses_without_precision():
+    with pytest.raises(CertificationError):
+        shearer_upper_bound(30, precision=8)
 
 
 def test_embed_j0_trivial():
