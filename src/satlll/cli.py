@@ -94,11 +94,21 @@ def _load_formula(path: str, width: int | None = None):
     return sat_model.dimacs_import(_read_input(path), width=width)
 
 
-def _graph_from_json(path: str):
+def _check_vertex_guard(n: int, config: Config):
+    # Called before the graph is built, so the guard bounds work, not only size.
+    if n > config.guard_vertices:
+        raise SizeGuardError(f"graph has {n} vertices, guard is {config.guard_vertices}")
+
+
+def _graph_from_json(path: str, config: Config):
     text = _read_input(path)
     try:
         data = json.loads(text)
-        graph = DepGraph.from_edges(data["n"], [tuple(e) for e in data["edges"]])
+        n = data["n"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        _check_vertex_guard(n, config)
+        graph = DepGraph.from_edges(n, [tuple(e) for e in data["edges"]])
         p = [Fraction(x) for x in data["p"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
@@ -108,11 +118,12 @@ def _graph_from_json(path: str):
 def cmd_check_shearer(args, config: Config) -> int:
     if args.cnf:
         formula = _load_formula(args.cnf)
+        _check_vertex_guard(len(formula.clauses), config)
         events = events_from_formula(formula)
         graph = lopsidependency_graph(events)
         p = [Fraction(1, 2 ** formula.width)] * graph.n
     else:
-        graph, p = _graph_from_json(args.graph)
+        graph, p = _graph_from_json(args.graph, config)
     verdict = shearer.shearer_check(graph, p, vertex_guard=config.guard_vertices)
     if config.output_format == "json":
         payload = {"satisfied": verdict.satisfied,
@@ -155,7 +166,6 @@ def cmd_hj(args, config: Config) -> int:
 
 def cmd_fixedpoint(args, config: Config) -> int:
     report = hj_family.fixed_point_iteration(args.k, args.L, max_iter=args.max_iter,
-                                             tolerance_bits=args.tolerance_bits,
                                              precision=config.precision)
     if config.output_format == "json":
         _emit(args, json.dumps(report.to_json_dict(max_trajectory=args.max_trajectory),
@@ -280,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--k", type=int, required=True)
     p_fp.add_argument("--L", type=int, required=True)
     p_fp.add_argument("--max-iter", type=int, default=100_000)
-    p_fp.add_argument("--tolerance-bits", type=int, default=80)
     p_fp.add_argument("--max-trajectory", type=int, default=1000,
                       help="cap on trajectory entries in JSON output")
     _add_common_options(p_fp, suppress=True)

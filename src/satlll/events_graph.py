@@ -93,10 +93,14 @@ class DepGraph:
         payloads = tuple(self.payloads[v] for v in kept) if self.payloads else ()
         return DepGraph(adjacency, payloads)
 
-    def connected_components(self) -> list[frozenset[int]]:
+    def connected_components(self, within: Optional[frozenset[int]] = None
+                             ) -> list[frozenset[int]]:
+        """Components of the subgraph induced on within (default: every vertex)."""
+        vertices = range(self.n) if within is None else within
+        allowed = frozenset(vertices)
         seen: set[int] = set()
         components = []
-        for start in range(self.n):
+        for start in vertices:
             if start in seen:
                 continue
             stack = [start]
@@ -106,7 +110,7 @@ class DepGraph:
                 if v in comp:
                     continue
                 comp.add(v)
-                stack.extend(self.adjacency[v] - comp)
+                stack.extend((self.adjacency[v] & allowed) - comp)
             seen |= comp
             components.append(frozenset(comp))
         return components

@@ -32,7 +32,14 @@ and F_Shearer(k) = floor(max ell).  It is certified from three facts:
    evaluation of phi_N(a) decides the sign, or CertificationError is raised.
 
 Substituting t = 2 - a^{-(L-1)} turns the fixed point a = g(a) into
-phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).
+phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).  So the same certificate
+decides the fixed-point verdict:
+
+4. Let N = L-1, t in (0, 1] with phi_N(t) >= 0, and c = (2-t)^{-1/N}.  Then
+   g(c) = u(t), and u(t) >= c iff N ln u(t) >= -ln(2-t), i.e. phi_N(t) >= 0.
+   t > 0 gives c > 2^{-1/N}, the threshold, and t <= 1 gives c <= 1 = a_0.
+   g is increasing, so a_j >= c implies a_{j+1} = g(a_j) >= g(c) >= c: every
+   iterate stays above the threshold, and "converged" needs no iteration.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .certified import (DEFAULT_PRECISION, certainly_gt, certainly_le,
-                        certified_compare_ge, endpoints, interval_precision,
+                        certified_compare_ge, interval_precision,
                         iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
@@ -98,13 +105,14 @@ class FixedPointReport:
     k: int
     L: int
     precision: int
-    tolerance_bits: int
     max_iter: int
     trajectory: tuple[float, ...]  # midpoints a_0 .. a_J
     verdict: FixedPointVerdict
     threshold: float = 0.0
 
     def to_json_dict(self, max_trajectory: int | None = None) -> dict:
+        if max_trajectory is not None and max_trajectory < 0:
+            raise DomainError(f"max_trajectory must be >= 0, got {max_trajectory}")
         traj = list(self.trajectory)
         truncated = False
         if max_trajectory is not None and len(traj) > max_trajectory:
@@ -112,7 +120,6 @@ class FixedPointReport:
             truncated = True
         return {
             "parameters": {"k": self.k, "L": self.L, "precision": self.precision,
-                           "tolerance_bits": self.tolerance_bits,
                            "max_iter": self.max_iter},
             "threshold": self.threshold,
             "trajectory": traj,
@@ -248,43 +255,44 @@ def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
 
 
 def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
-                          tolerance_bits: int = 80,
                           precision: int = DEFAULT_PRECISION) -> FixedPointReport:
-    """Iterate a_j = g(a_{j-1}) from a_0 = 1 with certified interval arithmetic.
+    """Decide whether a_j = g(a_{j-1}) from a_0 = 1 stays above 2^{-1/(L-1)}.
 
-    Verdicts are emitted only when the comparison margin exceeds the
-    accumulated interval width; otherwise the outcome is inconclusive.
+    "converged" is certified without iterating by fact 4 of the module
+    docstring; its value is the lower bound c on every a_j.  Otherwise the
+    iteration runs in interval arithmetic until a comparison certifies
+    "violated"; a straddling comparison or max_iter steps give "inconclusive".
     """
     _check_params(k, L)
+    t = _phi_witness(L - 1, k, precision)
+    if t is not None and t > 1:
+        raise CertificationError(
+            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
     with interval_precision(precision):
-        p = iv_from_fraction(Fraction(1, 2 ** k))
         threshold = iv.mpf(2) ** (iv.mpf(-2) / (2 * L - 2))
-        tolerance = iv.mpf(2) ** (-tolerance_bits)
-        a = iv.mpf(1)
-        trajectory = [1.0]
-        verdict = None
-        for j in range(1, max_iter + 1):
-            a_new = _u(2 - a ** (-(L - 1)), p, k)
-            trajectory.append(midpoint_float(a_new))
-            if certainly_le(a_new, threshold):
-                verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))
-                break
-            if not certainly_gt(a_new, threshold):
-                verdict = FixedPointVerdict("inconclusive", step=j, value=midpoint_float(a_new))
-                break
-            diff_sup = max(abs(e) for e in endpoints(a_new - a))
-            tol_inf = endpoints(tolerance)[0]
-            if diff_sup <= tol_inf:
-                verdict = FixedPointVerdict("converged", step=j, value=midpoint_float(a_new))
-                break
-            a = a_new
-        if verdict is None:
-            verdict = FixedPointVerdict("inconclusive", step=max_iter,
-                                        value=midpoint_float(a))
         threshold_mid = midpoint_float(threshold)
-    return FixedPointReport(k=k, L=L, precision=precision, tolerance_bits=tolerance_bits,
-                            max_iter=max_iter, trajectory=tuple(trajectory),
-                            verdict=verdict, threshold=threshold_mid)
+        trajectory = [1.0]
+        if t is not None:
+            c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
+            verdict = FixedPointVerdict("converged", value=midpoint_float(c))
+        else:
+            p = iv_from_fraction(Fraction(1, 2 ** k))
+            a = iv.mpf(1)
+            for j in range(1, max_iter + 1):
+                a_new = _u(2 - a ** (-(L - 1)), p, k)
+                trajectory.append(midpoint_float(a_new))
+                if certainly_le(a_new, threshold):
+                    verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))
+                    break
+                if not certainly_gt(a_new, threshold):
+                    verdict = FixedPointVerdict("inconclusive", step=j, value=midpoint_float(a_new))
+                    break
+                a = a_new
+            else:
+                verdict = FixedPointVerdict("inconclusive", step=max_iter, value=midpoint_float(a))
+    return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
+                            trajectory=tuple(trajectory), verdict=verdict,
+                            threshold=threshold_mid)
 
 
 def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
@@ -309,8 +317,12 @@ def _q(t, N: int, c, k: int):
     return N * c * (k - 1) * (2 - t) + c * t - t ** k
 
 
-def _max_phi_nonnegative(N: int, k: int, precision: int) -> bool:
-    """Certified max_t phi_N(t) >= 0 for N >= 1 (facts 2 and 3 of the module docstring)."""
+def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
+    """A dyadic t with phi_N(t) >= 0 if max_t phi_N(t) >= 0, else None, for N >= 1.
+
+    Certified by facts 2 and 3 of the module docstring: the enclosure's lower
+    end is that of phi_N(a), so the returned bracket end a has phi_N(a) >= 0.
+    """
     c = Fraction(1, 2 ** k)
     with mp.workprec(precision):
         # Newton from t = 2 descends monotonically onto the root of the
@@ -336,7 +348,9 @@ def _max_phi_nonnegative(N: int, k: int, precision: int) -> bool:
         a_iv = iv_from_fraction(a)
         phi_a = iv.log(2 - a_iv) + N * iv.log(_u(a_iv, iv_from_fraction(c), k))
         enclosure = phi_a + iv.mpf([0, 1]) * iv_from_fraction(dphi_a * (b - a))
-        return certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}")
+        if certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}"):
+            return a
+        return None
 
 
 def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
@@ -350,7 +364,7 @@ def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
     lo, hi = 1, 2 ** k
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _max_phi_nonnegative(mid - 1, k, precision):
+        if _phi_witness(mid - 1, k, precision) is not None:
             lo = mid
         else:
             hi = mid - 1

@@ -106,9 +106,6 @@ class ExpansionTree:
     parent: Mapping[int, int]
     added: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
-    def expanded_variables(self) -> list[int]:
-        return sorted(self.added)
-
 
 def occurrences(formula: Formula) -> OccurrenceProfile:
     m = formula.variable_count

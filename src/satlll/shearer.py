@@ -55,7 +55,7 @@ class _QEngine:
     """Memoized deletion-recursion evaluator for Q(G[active], empty, p)."""
 
     def __init__(self, graph: DepGraph, probs: list[Fraction]):
-        self.adjacency = graph.adjacency
+        self.graph = graph
         self.probs = probs
         self.memo: dict[frozenset[int], Fraction] = {}
 
@@ -66,7 +66,7 @@ class _QEngine:
         if cached is not None:
             return cached
         result = Fraction(1)
-        for comp in self._components(active):
+        for comp in self.graph.connected_components(within=active):
             result *= self._q_connected(comp)
         self.memo[active] = result
         return result
@@ -80,28 +80,10 @@ class _QEngine:
             return cached
         v = min(comp)
         without_v = comp - {v}
-        without_nbhd = without_v - self.adjacency[v]
+        without_nbhd = without_v - self.graph.adjacency[v]
         result = self.q(without_v) - self.probs[v] * self.q(without_nbhd)
         self.memo[comp] = result
         return result
-
-    def _components(self, active: frozenset[int]) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in active:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend((self.adjacency[v] & active) - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
 
 
 def independence_polynomial(graph: DepGraph, base: Iterable[int], p: ProbabilityVector,
@@ -136,32 +118,16 @@ def independence_polynomial_bruteforce(graph: DepGraph, base: Iterable[int],
         raise SizeGuardError(f"graph has {graph.n} vertices, brute-force guard is {vertex_guard}")
     probs = _check_probabilities(graph, p)
     base_set = frozenset(base)
-    if not _is_independent(graph, base_set):
-        return Fraction(0)
-
     total = Fraction(0)
     base_size = len(base_set)
-    for t in _independent_supersets(graph, base_set):
+    for t in enumerate_independent_sets(graph):
+        if not base_set.issubset(t):
+            continue
         term = Fraction(1)
         for v in t:
             term *= probs[v]
         total += term if (len(t) - base_size) % 2 == 0 else -term
     return total
-
-
-def _independent_supersets(graph: DepGraph, base: frozenset[int]):
-    """All independent T with base <= T, grown over the non-base vertices."""
-    candidates = [v for v in range(graph.n)
-                  if v not in base and not (graph.adjacency[v] & base)]
-
-    def extend(current: frozenset[int], start: int):
-        yield current
-        for idx in range(start, len(candidates)):
-            v = candidates[idx]
-            if not (graph.adjacency[v] & current):
-                yield from extend(current | {v}, idx + 1)
-
-    yield from extend(base, 0)
 
 
 def enumerate_independent_sets(graph: DepGraph):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from satlll import cli
 from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
+from satlll.events_graph import DepGraph
 
 
 def run_cli(capsys, *argv):
@@ -193,29 +195,50 @@ def test_usage_error_exit_code(capsys):
 
 
 K2_GRAPH = {"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}
+CHECK_GRAPH, CHECK_CNF = ["check-shearer", "--graph"], ["check-shearer", "--cnf"]
 
 
-@pytest.mark.parametrize("option,content,precision_env,expected,message", [
-    ("--graph", json.dumps({**K2_GRAPH, "edges": [[0, 2]]}), None,
+def _build_nothing(*args, **kwargs):
+    raise AssertionError("a graph was built before the vertex guard was checked")
+
+
+@pytest.mark.parametrize("argv,content,precision_env,expected,message", [
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "edges": [[0, 2]]}), None,
      EXIT_DOMAIN, "out of range"),
-    ("--graph", json.dumps({"n": 2, "p": ["1/2", "1/2"]}), None, EXIT_DOMAIN, "'edges'"),
-    ("--graph", json.dumps({**K2_GRAPH, "p": ["x", "1/2"]}), None, EXIT_DOMAIN, "'x'"),
-    ("--graph", "{not json", None, EXIT_DOMAIN, "malformed graph JSON"),
-    ("--graph", None, None, EXIT_DOMAIN, "cannot read"),
-    ("--cnf", None, None, EXIT_DOMAIN, "cannot read"),
-    ("--cnf", "p cnf 6 2\n1 2 3 0\n4 5 6 0\n", "abc", 2, "SATLLL_PRECISION"),
-    ("--cnf", "p cnf 2 1\n1 3 0\n", None, EXIT_DIMACS, "line 2"),
+    (CHECK_GRAPH, json.dumps({"n": 2, "p": ["1/2", "1/2"]}), None, EXIT_DOMAIN, "'edges'"),
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "p": ["x", "1/2"]}), None, EXIT_DOMAIN, "'x'"),
+    (CHECK_GRAPH, "{not json", None, EXIT_DOMAIN, "malformed graph JSON"),
+    (CHECK_GRAPH, None, None, EXIT_DOMAIN, "cannot read"),
+    (CHECK_CNF, None, None, EXIT_DOMAIN, "cannot read"),
+    (CHECK_CNF, "p cnf 6 2\n1 2 3 0\n4 5 6 0\n", "abc", 2, "SATLLL_PRECISION"),
+    (CHECK_CNF, "p cnf 2 1\n1 3 0\n", None, EXIT_DIMACS, "line 2"),
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "n": -5}), None, EXIT_DOMAIN, "non-negative"),
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "n": True}), None, EXIT_DOMAIN, "non-negative"),
+    (["--format", "json", "fixedpoint", "--k", "2", "--L", "2", "--max-trajectory", "-1"],
+     None, None, EXIT_DOMAIN, "max_trajectory"),
+    (CHECK_GRAPH, json.dumps({"n": 41, "edges": [], "p": ["1/2"] * 41}), None,
+     EXIT_GUARD, "graph has 41 vertices, guard is 40"),
+    (CHECK_CNF, "p cnf 123 41\n" + "".join(f"{3 * i + 1} {3 * i + 2} {3 * i + 3} 0\n"
+                                          for i in range(41)), None,
+     EXIT_GUARD, "graph has 41 vertices, guard is 40"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
-        "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count"])
-def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, option, content,
+        "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
+        "negative-n", "boolean-n", "negative-max-trajectory", "graph-over-guard",
+        "cnf-over-guard"])
+def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, content,
                                           precision_env, expected, message):
     target = tmp_path / "input"
     if content is not None:
         target.write_text(content)
     if precision_env is not None:
         monkeypatch.setenv("SATLLL_PRECISION", precision_env)
+    if expected == EXIT_GUARD:
+        monkeypatch.setattr(DepGraph, "from_edges", _build_nothing)
+        monkeypatch.setattr(cli, "lopsidependency_graph", _build_nothing)
+    if argv[0] == "check-shearer":
+        argv = argv + [str(target)]
     try:
-        code = main(["check-shearer", option, str(target)])
+        code = main(argv)
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err

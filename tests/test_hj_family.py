@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from satlll.bounds import f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.hj_family import (a_b_sequence, build_H, build_Hprime, embed_H_in_G,
                               fixed_point_iteration, g_function, h_vertex_count,
@@ -132,13 +133,34 @@ def test_fixed_point_trajectory_decreases_when_not_converged():
     assert all(traj[i] > traj[i + 1] for i in range(len(traj) - 1))
 
 
+def point_iteration_minimum(k, L, steps=2000):
+    """min a_j over a plain 512-bit iteration a_j = g(a_{j-1}) from a_0 = 1."""
+    with mpmath.mp.workprec(512):
+        p = mpmath.mpf(2) ** -k
+        a = lowest = mpmath.mpf(1)
+        for _ in range(steps):
+            a_next = 1 - p / (2 - a ** (-(L - 1))) ** (k - 1)
+            if a_next == a:  # an exact fixed point repeats for the remaining steps
+                break
+            a = a_next
+            lowest = min(lowest, a)
+        return lowest
+
+
 def test_fixed_point_k9_boundary():
-    violated = fixed_point_iteration(9, 22)
-    assert violated.verdict.kind == "violated"
-    converged = fixed_point_iteration(9, 21)
-    assert converged.verdict.kind == "converged"
-    threshold = 2 ** (-2 / 42)
-    assert threshold < converged.verdict.value <= 1
+    # "converged" (certified without iterating) holds exactly for L <= F_Shearer;
+    # every L in [2, F_MT + 1] for k = 2..12, plus the slowest boundary, k = 17
+    cases = [(k, L) for k in range(2, 13) for L in range(2, f_mt(k) + 2)] + [(17, 2842)]
+    sh = {k: shearer_upper_bound(k) for k, _ in cases}
+    for k, L in cases:
+        report = fixed_point_iteration(k, L)
+        if L > sh[k]:
+            assert report.verdict.kind == "violated", (k, L)
+            continue
+        assert report.verdict.kind == "converged", (k, L)
+        assert report.verdict.step is None and report.trajectory == (1.0,)
+        assert 2 ** (-1 / (L - 1)) < report.verdict.value <= 1, (k, L)
+        assert point_iteration_minimum(k, L) >= report.verdict.value - 1e-12, (k, L)
 
 
 def test_fixed_point_report_json():
@@ -147,6 +169,8 @@ def test_fixed_point_report_json():
     assert payload["verdict"]["kind"] == "violated"
     assert payload["trajectory_truncated"]
     assert payload["parameters"]["k"] == 2
+    with pytest.raises(DomainError):
+        report.to_json_dict(max_trajectory=-1)
 
 
 def test_threshold_ell_values():
