@@ -54,8 +54,11 @@ def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -88,6 +91,8 @@ def _read_input(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read {path}: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_formula(path: str, width: int | None = None):
@@ -110,7 +115,7 @@ def _graph_from_json(path: str, config: Config):
         _check_vertex_guard(n, config)
         graph = DepGraph.from_edges(n, [tuple(e) for e in data["edges"]])
         p = [Fraction(x) for x in data["p"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
     return graph, p
 
@@ -140,11 +145,12 @@ def cmd_check_shearer(args, config: Config) -> int:
 
 
 def cmd_hj(args, config: Config) -> int:
+    # The graphs are built first: their vertex guard also bounds the recurrence.
+    h = hj_family.build_H(args.j, args.k, args.L, vertex_guard=config.guard_vertices)
+    hp = hj_family.build_Hprime(args.j, args.k, args.L, vertex_guard=config.guard_vertices)
     state = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = state.s(args.j), state.r(args.j)
     p = Fraction(1, 2 ** args.k)
-    h = hj_family.build_H(args.j, args.k, args.L, vertex_guard=config.guard_vertices)
-    hp = hj_family.build_Hprime(args.j, args.k, args.L, vertex_guard=config.guard_vertices)
     s_bf = shearer.independence_polynomial(h.graph, (), [p] * h.graph.n,
                                            vertex_guard=config.guard_vertices)
     r_bf = shearer.independence_polynomial(hp.graph, (), [p] * hp.graph.n,

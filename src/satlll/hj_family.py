@@ -142,6 +142,20 @@ def hprime_vertex_count(j: int, k: int, L: int) -> int:
     return 1 + (k - 1) * h_vertex_count(j - 1, k, L)
 
 
+def _guarded_vertex_count(label: str, j: int, count, vertex_guard: int) -> int:
+    """count(), or SizeGuardError when it exceeds vertex_guard.
+
+    Both H_j and H'_j have at least j vertices, so j > vertex_guard is over
+    the guard without counting: the guard bounds the counting work too.
+    """
+    if j > vertex_guard:
+        raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
+    n = count()
+    if n > vertex_guard:
+        raise SizeGuardError(f"{label} has {n} vertices, guard is {vertex_guard}")
+    return n
+
+
 def _check_params(k: int, L: int):
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -171,9 +185,8 @@ def build_H(j: int, k: int, L: int,
     _check_params(k, L)
     if j < 0:
         raise DomainError(f"j must be >= 0, got {j}")
-    n = h_vertex_count(j, k, L)
-    if n > vertex_guard:
-        raise SizeGuardError(f"H_{j}(k={k},L={L}) has {n} vertices, guard is {vertex_guard}")
+    n = _guarded_vertex_count(f"H_{j}(k={k},L={L})", j,
+                              lambda: h_vertex_count(j, k, L), vertex_guard)
     edges: list[tuple[int, int]] = []
     left, right, size = _h_structure(j, k, L, 0, edges)
     assert size == n
@@ -185,9 +198,8 @@ def build_Hprime(j: int, k: int, L: int,
     _check_params(k, L)
     if j < 0:
         raise DomainError(f"j must be >= 0, got {j}")
-    n = hprime_vertex_count(j, k, L)
-    if n > vertex_guard:
-        raise SizeGuardError(f"H'_{j}(k={k},L={L}) has {n} vertices, guard is {vertex_guard}")
+    n = _guarded_vertex_count(f"H'_{j}(k={k},L={L})", j,
+                              lambda: hprime_vertex_count(j, k, L), vertex_guard)
     if j == 0:
         return HGraph(DepGraph.from_edges(0, []), (), (), j, k, L)
     edges: list[tuple[int, int]] = []

@@ -8,6 +8,34 @@ deletion recursion
 
 with connected-component factorization and memoization on vertex subsets.
 A direct subset-enumeration evaluator is kept as an independent oracle.
+
+Shearer verdicts are decided along one chain of vertex sets.  Write
+Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
+so Q(G, S, p) = prod_{i in S} p_i * Z_{V - S - N(S)}.  For p in (0,1)^n
+these are equivalent (Scott & Sokal, J. Stat. Phys. 118 (2005), Thm 2.10;
+used by Kolipaka & Szegedy, STOC 2011):
+
+  (a) Q(G, S, p) > 0 for every independent S;
+  (b) Z_W > 0 for every W <= V;
+  (c) Z_{W_i} > 0 for the suffixes W_i = {i, ..., n-1}, i = 0..n-1.
+
+(b) => (a) since V - S - N(S) is some W; (b) => (c) trivially.
+(a) => (b): expanding Q(G, S, p) and summing over S gives
+Z_W = sum over independent S <= V - W of Q(G, S, p), a sum of positive
+terms that includes S = empty.
+(c) => (b), by induction on n.  The suffixes W_1 > W_2 > ... are a chain
+of G[W_1], so Z_U > 0 for every U <= W_1.  For U = U' + {0}, deleting 0
+gives Z_U = Z_{U'} * (1 - p_0 * r(U')), r(X) = Z_{X - N(0)} / Z_X.  The
+ratio r is monotone, r(U') <= r(W_1), because Z_{A - T} / Z_A grows as A
+grows inside a set whose subsets all have Z > 0: adding u in T shrinks
+Z_A only, and adding u not in T multiplies the ratio by
+(1 - p_u r_u(A - T)) / (1 - p_u r_u(A)) >= 1, where r_u(X) = Z_{X - N(u)} / Z_X
+and r_u(A - T) <= r_u(A) is the claim for the pair A - T <= A (induction on
+the larger set's size).  Hence 1 - p_0 r(U') >= 1 - p_0 r(W_1) = Z_V / Z_{W_1} > 0.
+
+So a SATISFIED verdict costs n evaluations on one memoized engine, and
+the deletion of the minimum vertex computes most suffixes on the way to
+Z_V.  Only a violation enumerates independent sets, to find its witness.
 """
 
 from __future__ import annotations
@@ -16,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, SizeGuardError
+from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph
 
 DEFAULT_VERTEX_GUARD = 40
@@ -192,13 +220,19 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
                   vertex_guard: int = DEFAULT_VERTEX_GUARD) -> ShearerVerdict:
     """Satisfied iff Q(G, S, p) > 0 for every independent S (p in the open interval).
 
-    On violation, the witness is the first failing S in lexicographic order
-    of sorted vertex lists.
+    Decided by the suffix chain: satisfied iff Z_{W_i} > 0 for every
+    W_i = {i, ..., n-1}, evaluated from W_0 = V on one memoized engine
+    (Scott & Sokal 2005, Thm 2.10; Kolipaka & Szegedy 2011; proof sketch
+    in the module docstring).  On violation, the witness is the first
+    failing S in lexicographic order of sorted vertex lists, found by
+    enumerating independent sets; it is () exactly when Z_V <= 0.
     """
     if graph.n > vertex_guard:
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p, open_interval=True)
     engine = _QEngine(graph, probs)
+    if all(engine.q(frozenset(range(i, graph.n))) > 0 for i in range(graph.n)):
+        return ShearerVerdict(True)
     all_vertices = frozenset(range(graph.n))
     for s in enumerate_independent_sets(graph):
         remaining = all_vertices - frozenset(s)
@@ -209,4 +243,5 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
         value = prefactor * engine.q(remaining)
         if value <= 0:
             return ShearerVerdict(False, witness=s, witness_value=value)
-    return ShearerVerdict(True)
+    raise CertificationError("the suffix chain has Z <= 0 but no independent set "
+                             "violates Shearer's condition")

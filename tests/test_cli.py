@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satlll import cli
+from satlll import cli, hj_family
 from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
 from satlll.events_graph import DepGraph
@@ -195,11 +200,12 @@ def test_usage_error_exit_code(capsys):
 
 
 K2_GRAPH = {"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}
-CHECK_GRAPH, CHECK_CNF = ["check-shearer", "--graph"], ["check-shearer", "--cnf"]
+INPUT = "{input}"  # replaced by the path of the case's input file
+CHECK_GRAPH, CHECK_CNF = ["check-shearer", "--graph", INPUT], ["check-shearer", "--cnf", INPUT]
 
 
 def _build_nothing(*args, **kwargs):
-    raise AssertionError("a graph was built before the vertex guard was checked")
+    raise AssertionError("work ran before the vertex guard was checked")
 
 
 @pytest.mark.parametrize("argv,content,precision_env,expected,message", [
@@ -221,22 +227,31 @@ def _build_nothing(*args, **kwargs):
     (CHECK_CNF, "p cnf 123 41\n" + "".join(f"{3 * i + 1} {3 * i + 2} {3 * i + 3} 0\n"
                                           for i in range(41)), None,
      EXIT_GUARD, "graph has 41 vertices, guard is 40"),
+    (["hj", "--j", "5", "--k", "2", "--L", "2"], None, None,
+     EXIT_GUARD, "H_5(k=2,L=2) has 62 vertices, guard is 40"),
+    (["mt", "--cnf", INPUT], b"\xff\xfe", None, EXIT_DOMAIN, "cannot read"),
+    (["--out", INPUT + "/x", "table", "2", "2"], None, None, EXIT_DOMAIN, "cannot write"),
+    (CHECK_GRAPH, json.dumps({"n": 1, "edges": [], "p": [float("inf")]}), None,
+     EXIT_DOMAIN, "OverflowError"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
         "negative-n", "boolean-n", "negative-max-trajectory", "graph-over-guard",
-        "cnf-over-guard"])
+        "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
+        "infinite-probability"])
 def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, content,
                                           precision_env, expected, message):
     target = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, bytes):
+        target.write_bytes(content)
+    elif content is not None:
         target.write_text(content)
     if precision_env is not None:
         monkeypatch.setenv("SATLLL_PRECISION", precision_env)
     if expected == EXIT_GUARD:
         monkeypatch.setattr(DepGraph, "from_edges", _build_nothing)
         monkeypatch.setattr(cli, "lopsidependency_graph", _build_nothing)
-    if argv[0] == "check-shearer":
-        argv = argv + [str(target)]
+        monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)
+    argv = [arg.replace(INPUT, str(target)) for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -245,3 +260,68 @@ def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, c
     assert code == expected
     assert message in err
     assert "Traceback" not in err
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(["n", "edges", "p", ""]), children)),
+    max_leaves=8)
+DIMACS_LIKE = st.builds(
+    lambda variables, declared, clauses: f"p cnf {variables} {declared}\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses),
+    st.integers(-1, 12), st.integers(-1, 12),
+    st.lists(st.lists(st.integers(-12, 12), max_size=4), max_size=12))
+
+
+@st.composite
+def graph_json_values(draw):
+    """A well-formed graph, or one with a field or a list entry replaced by any JSON value."""
+    n = draw(st.integers(0, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    probability = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
+    graph = {"n": n, "edges": draw(st.lists(edge, max_size=3 * n)) if n > 1 else [],
+             "p": draw(st.lists(probability.map(str), min_size=n, max_size=n))}
+    key = draw(st.sampled_from([None, "n", "edges", "p"]))
+    if key in ("edges", "p") and graph[key] and draw(st.booleans()):
+        graph[key][draw(st.integers(0, len(graph[key]) - 1))] = draw(JSON_VALUES)
+    elif key is not None:
+        graph[key] = draw(JSON_VALUES)
+    return graph
+
+
+@st.composite
+def well_formed_dimacs(draw):
+    width = draw(st.integers(1, 4))
+    variables = draw(st.integers(width, 12))
+    clause = st.lists(st.integers(1, variables), min_size=width, max_size=width, unique=True)
+    clauses = [[v if draw(st.booleans()) else -v for v in c]
+               for c in draw(st.lists(clause, max_size=12))]
+    return f"p cnf {variables} {len(clauses)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in clauses)
+
+
+# A 12-vertex guard keeps every accepted input small enough to decide quickly.
+FUZZ_FLAGS = ["--guard-vertices", "12"]
+
+
+def _exit_code_for(tmp_path_factory, flag: str, content: bytes) -> int:
+    target = tmp_path_factory.mktemp("fuzz") / "input"
+    target.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(FUZZ_FLAGS + ["check-shearer", flag, str(target)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(max_size=200) | (DIMACS_LIKE | well_formed_dimacs()).map(str.encode))
+def test_fuzz_cnf_input_exits_with_documented_code(tmp_path_factory, content):
+    assert _exit_code_for(tmp_path_factory, "--cnf", content) in {0, 2, 3, 4, 5, 6}
+
+
+@settings(max_examples=80, deadline=None)
+@given(JSON_VALUES | graph_json_values())
+def test_fuzz_graph_input_exits_with_documented_code(tmp_path_factory, value):
+    content = json.dumps(value).encode()
+    assert _exit_code_for(tmp_path_factory, "--graph", content) in {0, 2, 3, 4, 5, 6}

@@ -232,3 +232,7 @@ def test_embed_j2():
 def test_build_guard():
     with pytest.raises(SizeGuardError):
         build_H(3, 3, 3, vertex_guard=50)
+    # j beyond the guard is refused without counting 2^j-sized vertex sets.
+    for build in (build_H, build_Hprime):
+        with pytest.raises(SizeGuardError, match="at least 10000000 vertices, guard is 40"):
+            build(10 ** 7, 2, 2, vertex_guard=40)

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import DepGraph
-from satlll.shearer import (component_factorization,
+from satlll import shearer
+from satlll.errors import CertificationError, DomainError, SizeGuardError
+from satlll.events_graph import (DepGraph, events_from_formula,
+                                 lopsidependency_graph)
+from satlll.sat_model import build_extremal_formula
+from satlll.shearer import (ShearerVerdict, component_factorization,
                             enumerate_independent_sets, expansion_identity,
                             independence_polynomial,
                             independence_polynomial_bruteforce, shearer_check)
@@ -143,3 +146,46 @@ def test_scaling_up_never_flips_violated_to_satisfied(rng):
         after = shearer_check(graph, scaled).satisfied
         if not before:
             assert not after
+
+
+def shearer_check_by_enumeration(graph, p):
+    """Oracle: Q(G, S, p) for every independent S, stopping at the first S with Q <= 0."""
+    for s in enumerate_independent_sets(graph):
+        value = independence_polynomial(graph, s, p)
+        if value <= 0:
+            return ShearerVerdict(False, witness=s, witness_value=value)
+    return ShearerVerdict(True)
+
+
+def test_suffix_chain_matches_enumeration(rng):
+    kinds = {"satisfied": 0, "empty witness": 0, "non-empty witness": 0}
+    for i in range(600):
+        graph = random_graph(rng, max_vertices=11)
+        if i % 2:
+            p = [Fraction(rng.randint(3, 20), 60)] * graph.n
+        else:
+            p = random_probabilities(rng, graph.n)
+        verdict = shearer_check(graph, p)
+        assert verdict == shearer_check_by_enumeration(graph, p)
+        if verdict.satisfied:
+            kinds["satisfied"] += 1
+        else:
+            kinds["empty witness" if verdict.witness == () else "non-empty witness"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
+    formula, _ = build_extremal_formula(3, 3, 9)
+    graph = lopsidependency_graph(events_from_formula(formula))
+    assert graph.n == 36
+    p = [Fraction(1, 8)] * graph.n
+    assert shearer_check(graph, p).satisfied
+    # The same verdict by the other chain, {0} < {0, 1} < ... < V.
+    for i in range(1, graph.n + 1):
+        assert independence_polynomial(graph.induced_subgraph(range(i)), (), p[:i]) > 0
+
+
+def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
+    monkeypatch.setattr(shearer, "enumerate_independent_sets", lambda graph: iter(()))
+    with pytest.raises(CertificationError):
+        shearer_check(k2(), [HALF, HALF])
