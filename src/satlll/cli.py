@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,14 +96,36 @@ def _read_input(path: str) -> str:
         raise DomainError(f"cannot read {path}: {exc.reason} at byte {exc.start}") from None
 
 
-def _load_formula(path: str, width: int | None = None):
-    return sat_model.dimacs_import(_read_input(path), width=width)
+def _load_formula(path: str, config: Config):
+    # Checked before any work that grows with these counts: mt draws every
+    # declared variable, and both graphs have a vertex per clause.
+    formula = sat_model.dimacs_import(_read_input(path))
+    for count, noun in ((formula.variable_count, "variables"),
+                        (len(formula.clauses), "clauses")):
+        if count > config.guard_clauses:
+            raise SizeGuardError(f"formula declares {count} {noun}, "
+                                 f"guard is {config.guard_clauses}")
+    return formula
 
 
 def _check_vertex_guard(n: int, config: Config):
     # Called before the graph is built, so the guard bounds work, not only size.
     if n > config.guard_vertices:
         raise SizeGuardError(f"graph has {n} vertices, guard is {config.guard_vertices}")
+
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
+def _probability(entry) -> Fraction:
+    # Fraction expands a decimal exponent exactly, so bound it by the same
+    # int-string limit that already refuses long numerators.
+    if isinstance(entry, str):
+        exponent = _DECIMAL_EXPONENT.search(entry)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise ValueError(f"probability exponent above {limit} in magnitude")
+    return Fraction(entry)
 
 
 def _graph_from_json(path: str, config: Config):
@@ -114,7 +137,7 @@ def _graph_from_json(path: str, config: Config):
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         _check_vertex_guard(n, config)
         graph = DepGraph.from_edges(n, [tuple(e) for e in data["edges"]])
-        p = [Fraction(x) for x in data["p"]]
+        p = [_probability(x) for x in data["p"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
     return graph, p
@@ -122,7 +145,7 @@ def _graph_from_json(path: str, config: Config):
 
 def cmd_check_shearer(args, config: Config) -> int:
     if args.cnf:
-        formula = _load_formula(args.cnf)
+        formula = _load_formula(args.cnf, config)
         _check_vertex_guard(len(formula.clauses), config)
         events = events_from_formula(formula)
         graph = lopsidependency_graph(events)
@@ -184,7 +207,7 @@ def cmd_fixedpoint(args, config: Config) -> int:
 
 
 def cmd_mt(args, config: Config) -> int:
-    formula = _load_formula(args.cnf)
+    formula = _load_formula(args.cnf, config)
     events = events_from_formula(formula)
     rule = moser_tardos.SelectionRule(args.rule)
     assignment, stats = moser_tardos.run_mt(events, formula.variable_count,

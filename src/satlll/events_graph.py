@@ -4,13 +4,15 @@ A bad event is the unique falsifying assignment of a clause: a set of
 (variable, value) atoms.  Two events disagree when they force different
 values on a shared variable; the canonical lopsidependency graph has an
 edge exactly between disagreeing events, the canonical dependency graph
-between events sharing any variable.
+between events sharing any variable.  Both are built from the atom index,
+so the cost is O(sum over variables v of R(v)^2), not O(n^2) pair tests.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, SizeGuardError
@@ -141,15 +143,51 @@ def disagree(b1: BadEvent, b2: BadEvent) -> bool:
     return bool(disagreement_witness(b1, b2))
 
 
+def atom_index(events: Sequence[BadEvent], m: int) -> tuple[array, array]:
+    """The events holding each atom, in CSR layout over the slots 2v + value.
+
+    Returns (start, entries): the events with atom (v, value) are
+    entries[start[2v + value]:start[2v + value + 1]] in increasing order,
+    so the events on variable v are entries[start[2v]:start[2v + 2]].
+    Variables must lie in [1, m].  Two flat arrays cost one machine word
+    per slot and per atom, which matters at tens of thousands of variables.
+    """
+    start = array("q", [0]) * (2 * m + 3)
+    for event in events:
+        for v, value in event.atoms:
+            start[2 * v + value] += 1  # the size of each slot
+    start = array("q", accumulate(start))  # the end of each slot, for now
+    entries = array("q", [0]) * start[-1]
+    for i in reversed(range(len(events))):
+        for v, value in events[i].atoms:
+            slot = 2 * v + value
+            start[slot] -= 1
+            entries[start[slot]] = i
+    return start, entries
+
+
+def _slots(events: Sequence[BadEvent]):
+    """(events with atom (v, False), events with (v, True)) for every variable v."""
+    variables = [v for event in events for v, _ in event.atoms]
+    if min(variables, default=1) < 1:
+        raise DomainError("event mentions a variable below 1")
+    m = max(variables, default=0)
+    start, entries = atom_index(events, m)
+    for slot in range(2, 2 * m + 2, 2):
+        yield (entries[start[slot]:start[slot + 1]],
+               entries[start[slot + 1]:start[slot + 2]])
+
+
 def lopsidependency_graph(events: Sequence[BadEvent]) -> DepGraph:
-    edges = [(i, j) for i, j in combinations(range(len(events)), 2)
-             if disagree(events[i], events[j])]
+    """Two events disagree iff, for some v, one has (v, False), the other (v, True)."""
+    edges = [edge for with_false, with_true in _slots(events)
+             for edge in product(with_false, with_true)]
     return DepGraph.from_edges(len(events), edges, payloads=tuple(events))
 
 
 def dependency_graph(events: Sequence[BadEvent]) -> DepGraph:
-    edges = [(i, j) for i, j in combinations(range(len(events)), 2)
-             if events[i].variables & events[j].variables]
+    edges = [edge for with_false, with_true in _slots(events)
+             for edge in combinations(with_false + with_true, 2)]
     return DepGraph.from_edges(len(events), edges, payloads=tuple(events))
 
 

@@ -10,13 +10,15 @@ comparing an integer draw below the denominator against the numerator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError
-from .events_graph import BadEvent
+from .events_graph import BadEvent, atom_index
 
 
 class SelectionRule(Enum):
@@ -56,21 +58,32 @@ def event_probability(event: BadEvent, bias: Sequence[Fraction]) -> Fraction:
     return prob
 
 
+def _select(true_events: list[int], rule: SelectionRule, rng: random.Random,
+            probability: Callable[[int], Fraction] | None) -> int:
+    """The event that rule picks from true_events, a nonempty increasing list.
+
+    min returns the first of equal keys, so lowest-probability ties go to
+    the lowest index.
+    """
+    if rule is SelectionRule.FIRST_INDEX:
+        return true_events[0]
+    if rule is SelectionRule.UNIFORM_RANDOM:
+        return true_events[rng.randrange(len(true_events))]
+    if rule is SelectionRule.LOWEST_PROBABILITY:
+        if probability is None:
+            raise DomainError("lowest-probability rule needs event probabilities")
+        return min(true_events, key=probability)
+    raise DomainError(f"unknown selection rule {rule!r}")
+
+
 def find_true_bad_event(assignment: dict[int, bool], events: Sequence[BadEvent],
                         rule: SelectionRule, rng: random.Random,
                         probabilities: Sequence[Fraction] | None = None) -> Optional[int]:
     true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
     if not true_events:
         return None
-    if rule is SelectionRule.FIRST_INDEX:
-        return true_events[0]
-    if rule is SelectionRule.UNIFORM_RANDOM:
-        return true_events[rng.randrange(len(true_events))]
-    if rule is SelectionRule.LOWEST_PROBABILITY:
-        if probabilities is None:
-            raise DomainError("lowest-probability rule needs event probabilities")
-        return min(true_events, key=lambda i: (probabilities[i], i))
-    raise DomainError(f"unknown selection rule {rule!r}")
+    return _select(true_events, rule, rng,
+                   None if probabilities is None else probabilities.__getitem__)
 
 
 def run_mt(events: Sequence[BadEvent], m: int,
@@ -83,17 +96,23 @@ def run_mt(events: Sequence[BadEvent], m: int,
     bias is indexed 1..m (slot 0 ignored) and defaults to the uniform 1/2.
     Non-termination within max_steps surfaces as terminated=False, never
     as an exception.
+
+    The true events are kept as an increasing list.  A resample changes
+    only the events on the variables whose value it flipped: those with
+    the old value become false, those with the new value are re-tested.
+    So a step costs O(sum of R(v) over its k variables) plus the list
+    update, and the selection is the one a full rescan would make.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
-    if bias is None:
-        bias = [Fraction(1, 2)] * (m + 1)
-    bias = [Fraction(x) for x in bias]
+    uniform = bias is None
+    bias = [Fraction(1, 2)] * (m + 1) if uniform else [Fraction(x) for x in bias]
     if len(bias) != m + 1:
         raise DomainError(f"bias must have m+1={m + 1} entries (slot 0 unused)")
-    for i in range(1, m + 1):
-        if not 0 <= bias[i] <= 1:
-            raise DomainError(f"bias[{i}]={bias[i]} outside [0,1]")
+    if not uniform:  # the default 1/2 needs no range check
+        for i in range(1, m + 1):
+            if not 0 <= bias[i] <= 1:
+                raise DomainError(f"bias[{i}]={bias[i]} outside [0,1]")
     for event in events:
         if any(v < 1 or v > m for v in event.variables):
             raise DomainError("event mentions a variable outside [1, m]")
@@ -101,26 +120,38 @@ def run_mt(events: Sequence[BadEvent], m: int,
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
     select_rng = random.Random(f"{seed}:select")
-    probabilities = [event_probability(e, bias) for e in events]
+    # Computed once per event, the first time the event is true.
+    probability = (cache(lambda i: event_probability(events[i], bias))
+                   if rule is SelectionRule.LOWEST_PROBABILITY else None)
 
     assignment = {i: _draw(init_rng, bias[i]) for i in range(1, m + 1)}
+    start, entries = atom_index(events, m)
+    true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
     per_event = [0] * len(events)
     steps = 0
-    terminated = False
-    while True:
-        chosen = find_true_bad_event(assignment, events, rule, select_rng, probabilities)
-        if chosen is None:
-            terminated = True
-            break
-        if steps >= max_steps:
-            break
+    while true_events and steps < max_steps:
+        chosen = _select(true_events, rule, select_rng, probability)
+        flipped = []
         for variable in sorted(events[chosen].variables):
-            assignment[variable] = _draw(resample_rng, bias[variable])
+            value = _draw(resample_rng, bias[variable])
+            if value != assignment[variable]:
+                assignment[variable] = value
+                flipped.append(2 * variable + value)
         per_event[chosen] += 1
         steps += 1
+        for slot in flipped:  # the atom (v, new value); slot ^ 1 is (v, old value)
+            for i in entries[start[slot ^ 1]:start[(slot ^ 1) + 1]]:
+                at = bisect_left(true_events, i)
+                if at < len(true_events) and true_events[at] == i:
+                    del true_events[at]
+            for i in entries[start[slot]:start[slot + 1]]:
+                if events[i].holds(assignment):
+                    at = bisect_left(true_events, i)
+                    if at == len(true_events) or true_events[at] != i:
+                        true_events.insert(at, i)
 
     stats = RunStats(total_resamples=sum(per_event),
                      per_event_resamples=tuple(per_event),
-                     terminated=terminated, steps=steps, seed=seed,
+                     terminated=not true_events, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
     return assignment, stats

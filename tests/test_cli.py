@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satlll import cli, hj_family
+from satlll import cli, hj_family, moser_tardos
 from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
 from satlll.events_graph import DepGraph
@@ -205,7 +205,7 @@ CHECK_GRAPH, CHECK_CNF = ["check-shearer", "--graph", INPUT], ["check-shearer", 
 
 
 def _build_nothing(*args, **kwargs):
-    raise AssertionError("work ran before the vertex guard was checked")
+    raise AssertionError("work ran before the guard was checked")
 
 
 @pytest.mark.parametrize("argv,content,precision_env,expected,message", [
@@ -233,11 +233,18 @@ def _build_nothing(*args, **kwargs):
     (["--out", INPUT + "/x", "table", "2", "2"], None, None, EXIT_DOMAIN, "cannot write"),
     (CHECK_GRAPH, json.dumps({"n": 1, "edges": [], "p": [float("inf")]}), None,
      EXIT_DOMAIN, "OverflowError"),
+    (["mt", "--cnf", INPUT], "p cnf 300000 1\n1 2 3 0\n", None,
+     EXIT_GUARD, "formula declares 300000 variables, guard is 200000"),
+    (["--guard-clauses", "2", "mt", "--cnf", INPUT], "p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n",
+     None, EXIT_GUARD, "formula declares 3 clauses, guard is 2"),
+    (CHECK_GRAPH, json.dumps({"n": 1, "edges": [], "p": ["1e-3000000"]}), None,
+     EXIT_DOMAIN, "probability exponent above 4300"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
         "negative-n", "boolean-n", "negative-max-trajectory", "graph-over-guard",
         "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
-        "infinite-probability"])
+        "infinite-probability", "mt-variables-over-guard", "mt-clauses-over-guard",
+        "exponent-probability"])
 def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, content,
                                           precision_env, expected, message):
     target = tmp_path / "input"
@@ -251,6 +258,8 @@ def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, c
         monkeypatch.setattr(DepGraph, "from_edges", _build_nothing)
         monkeypatch.setattr(cli, "lopsidependency_graph", _build_nothing)
         monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)
+        monkeypatch.setattr(cli, "events_from_formula", _build_nothing)
+        monkeypatch.setattr(moser_tardos, "run_mt", _build_nothing)
     argv = [arg.replace(INPUT, str(target)) for arg in argv]
     try:
         code = main(argv)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import (BadEvent, DepGraph, atom_hits,
+from satlll.events_graph import (BadEvent, DepGraph, atom_hits, atom_index,
                                  dependency_graph, disagree,
                                  disagreement_witness, event_from_clause,
                                  events_from_formula, lopsidependency_graph,
@@ -82,6 +82,40 @@ def test_lopsi_subgraph_of_dependency(rng):
         lopsi = set(lopsidependency_graph(events).edges())
         dep = set(dependency_graph(events).edges())
         assert lopsi <= dep
+
+
+def _pairwise_edges(events, adjacent):
+    return {(i, j) for i in range(len(events)) for j in range(i + 1, len(events))
+            if adjacent(events[i], events[j])}
+
+
+def test_indexed_builders_match_pairwise_definitions(rng):
+    formulas = [random_formula(rng, rng.randint(2, 4), rng.randint(4, 14), rng.randint(0, 20))
+                for _ in range(200)]
+    formulas += [build_extremal_formula(k, L, r)[0]
+                 for k, L, r in ((2, 2, 8), (3, 2, 6), (3, 3, 5), (4, 3, 4), (2, 4, 3))]
+    for formula in formulas:
+        events = events_from_formula(formula)
+        lopsided = lopsidependency_graph(events)
+        dependent = dependency_graph(events)
+        assert lopsided.n == dependent.n == len(events)
+        assert set(lopsided.edges()) == _pairwise_edges(events, disagree)
+        assert set(dependent.edges()) == _pairwise_edges(
+            events, lambda b1, b2: bool(b1.variables & b2.variables))
+        assert lopsided.payloads == dependent.payloads == tuple(events)
+        start, entries = atom_index(events, formula.variable_count)
+        for v in range(1, formula.variable_count + 1):
+            for value in (False, True):
+                slot = 2 * v + value
+                assert list(entries[start[slot]:start[slot + 1]]) == [
+                    i for i, e in enumerate(events) if (v, value) in e.atoms]
+
+
+def test_graph_builders_reject_variables_below_one():
+    for events in ([ev((0, True)), ev((0, False))], [ev((-1, True))]):
+        for build in (lopsidependency_graph, dependency_graph):
+            with pytest.raises(DomainError):
+                build(events)
 
 
 def test_graph_utils():

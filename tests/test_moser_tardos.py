@@ -8,11 +8,75 @@ from satlll.events_graph import BadEvent, events_from_formula
 from satlll.moser_tardos import (RunStats, SelectionRule, event_probability,
                                  find_true_bad_event, run_mt)
 
-from conftest import random_low_occurrence_formula
+from conftest import random_formula, random_low_occurrence_formula
 
 
 def ev(*atoms):
     return BadEvent(frozenset(atoms))
+
+
+def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
+    """The resampling loop that rescans every event on every step: the oracle."""
+    init_rng = random.Random(f"{seed}:init")
+    resample_rng = random.Random(f"{seed}:resample")
+    select_rng = random.Random(f"{seed}:select")
+
+    def draw(rng, p):
+        return rng.randrange(p.denominator) < p.numerator
+
+    probabilities = [event_probability(e, bias) for e in events]
+    assignment = {i: draw(init_rng, bias[i]) for i in range(1, m + 1)}
+    per_event = [0] * len(events)
+    steps = 0
+    while True:
+        true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
+        if not true_events or steps >= max_steps:
+            break
+        if rule is SelectionRule.FIRST_INDEX:
+            chosen = true_events[0]
+        elif rule is SelectionRule.UNIFORM_RANDOM:
+            chosen = true_events[select_rng.randrange(len(true_events))]
+        else:
+            chosen = min(true_events, key=lambda i: (probabilities[i], i))
+        for variable in sorted(events[chosen].variables):
+            assignment[variable] = draw(resample_rng, bias[variable])
+        per_event[chosen] += 1
+        steps += 1
+    stats = RunStats(total_resamples=sum(per_event), per_event_resamples=tuple(per_event),
+                     terminated=not true_events, steps=steps, seed=seed,
+                     max_steps=max_steps, rule=rule)
+    return assignment, stats
+
+
+def _random_bias(rng, m):
+    """Non-uniform bias; 0 and 1 occur, so some runs can never terminate."""
+    return [Fraction(0)] + [Fraction(rng.choice([0, 1, 1, 2, 3, 5, 7, 8]), 8)
+                            for _ in range(m)]
+
+
+def test_incremental_run_matches_rescan():
+    seen = set()
+    for case in range(1200):
+        rng = random.Random(case)
+        k = rng.randint(2, 4)
+        m = rng.randint(k, 14)  # often more variables than the clauses use
+        formula = random_formula(rng, k, m, rng.choice([0, 1, rng.randint(2, 16)]))
+        events = events_from_formula(formula)
+        bias = [Fraction(1, 2)] * (m + 1) if case % 2 else _random_bias(rng, m)
+        rule = list(SelectionRule)[case % 3]
+        max_steps = rng.choice([0, 1, 5, 60])
+        expected = run_mt_by_rescan(events, m, bias, rule, case, max_steps)
+        assignment, stats = run_mt(events, m, bias=None if case % 2 else bias,
+                                   rule=rule, seed=case, max_steps=max_steps)
+        assert assignment == expected[0], case
+        assert stats.to_json_dict() == expected[1].to_json_dict(), case
+        seen.add((rule, case % 2, not events, stats.terminated,
+                  stats.steps == max_steps))
+    for rule in SelectionRule:
+        for uniform in (0, 1):
+            assert (rule, uniform, True, True, False) in seen  # zero events
+            assert (rule, uniform, False, True, False) in seen  # terminated
+            assert (rule, uniform, False, False, True) in seen  # limit reached
 
 
 def satisfies(formula, assignment):
