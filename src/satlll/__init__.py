@@ -13,8 +13,8 @@ from .hj_family import (EmbeddingResult, FixedPointReport, HGraph,
                         RecurrenceState, a_b_sequence, build_H, build_Hprime,
                         embed_H_in_G, fixed_point_iteration, g_function,
                         recurrence_sr, shearer_upper_bound, threshold_ell)
-from .moser_tardos import RunStats, SelectionRule, find_true_bad_event, run_mt
-from .sat_model import (Clause, ExpansionTree, Formula, Literal,
+from .moser_tardos import RunStats, SelectionRule, run_mt
+from .sat_model import (ExpansionTree, Formula,
                         OccurrenceProfile, build_extremal_formula, dimacs_export,
                         dimacs_import, occurrences, validate_occurrences)
 from .shearer import (ShearerVerdict, component_factorization,

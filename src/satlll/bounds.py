@@ -77,13 +77,15 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
                    max_size: int | None = None) -> Iterator[frozenset[int]]:
     """All Y that are orderable to events[b_index], as frozensets of indices.
 
-    Yields the singleton {B} first, then every subset of events disagreeing
+    Yields the empty set first (its product is the term 1 of the criterion),
+    then the singleton {B}, then every nonempty subset of events disagreeing
     with B that admits an ordering in which each element is hit by a fresh
     atom of B.
     """
     if len(events) > event_guard:
         raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {event_guard}")
     b = events[b_index]
+    yield frozenset()
     yield frozenset({b_index})
 
     candidates = [i for i in range(len(events))
@@ -118,7 +120,11 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
 def harris_check(events: Sequence[BadEvent], mu: Sequence[Fraction],
                  p: Sequence[Fraction],
                  event_guard: int = DEFAULT_EVENT_GUARD) -> CriterionReport:
-    """Exact test of mu(B) >= P(B) * sum over orderable Y of prod mu, for every B."""
+    """Exact test of mu(B) >= P(B) * sum over orderable Y of prod mu, for every B.
+
+    The sum runs over every Y that orderable_sets yields, the empty Y (term
+    1) included, so mu = 0 fails wherever P(B) > 0.
+    """
     if len(mu) != len(events) or len(p) != len(events):
         raise DomainError("mu and p must have one entry per event")
     mu = [Fraction(x) for x in mu]

@@ -101,7 +101,7 @@ def _load_formula(path: str, config: Config):
     # declared variable, and both graphs have a vertex per clause.
     formula = sat_model.dimacs_import(_read_input(path))
     for count, noun in ((formula.variable_count, "variables"),
-                        (len(formula.clauses), "clauses")):
+                        (formula.clause_count, "clauses")):
         if count > config.guard_clauses:
             raise SizeGuardError(f"formula declares {count} {noun}, "
                                  f"guard is {config.guard_clauses}")
@@ -146,7 +146,7 @@ def _graph_from_json(path: str, config: Config):
 def cmd_check_shearer(args, config: Config) -> int:
     if args.cnf:
         formula = _load_formula(args.cnf, config)
-        _check_vertex_guard(len(formula.clauses), config)
+        _check_vertex_guard(formula.clause_count, config)
         events = events_from_formula(formula)
         graph = lopsidependency_graph(events)
         p = [Fraction(1, 2 ** formula.width)] * graph.n

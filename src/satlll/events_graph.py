@@ -16,7 +16,6 @@ from itertools import accumulate, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, SizeGuardError
-from .sat_model import Clause
 
 Atom = tuple[int, bool]
 
@@ -28,8 +27,7 @@ class BadEvent:
     def __post_init__(self):
         if not self.atoms:
             raise DomainError("bad event must have at least one atom")
-        variables = [v for v, _ in self.atoms]
-        if len(set(variables)) != len(variables):
+        if len(dict(self.atoms)) != len(self.atoms):  # dict keeps one value per variable
             raise DomainError(f"bad event assigns a variable twice: {sorted(self.atoms)}")
 
     @property
@@ -118,13 +116,18 @@ class DepGraph:
         return components
 
 
-def event_from_clause(clause: Clause) -> BadEvent:
-    """The atomic event that the clause is false: every literal negated."""
-    return BadEvent(frozenset((l.variable, not l.polarity) for l in clause.literals))
+def event_from_clause(clause: Sequence[int]) -> BadEvent:
+    """The atomic event that the clause of signed DIMACS literals is false.
+
+    Every literal is negated: x_v false is the atom (v, False), ~x_v false is
+    (v, True).
+    """
+    return BadEvent(frozenset((abs(v), v < 0) for v in clause))
 
 
 def events_from_formula(formula) -> list[BadEvent]:
-    return [event_from_clause(c) for c in formula.clauses]
+    lits, w = formula.literals, formula.width
+    return [event_from_clause(lits[i:i + w]) for i in range(0, len(lits), w)]
 
 
 def atom_hits(atom: Atom, event: BadEvent) -> bool:
@@ -149,12 +152,15 @@ def atom_index(events: Sequence[BadEvent], m: int) -> tuple[array, array]:
     Returns (start, entries): the events with atom (v, value) are
     entries[start[2v + value]:start[2v + value + 1]] in increasing order,
     so the events on variable v are entries[start[2v]:start[2v + 2]].
-    Variables must lie in [1, m].  Two flat arrays cost one machine word
-    per slot and per atom, which matters at tens of thousands of variables.
+    Variables must lie in [1, m]; the counting pass raises DomainError
+    otherwise.  Two flat arrays cost one machine word per slot and per atom,
+    which matters at tens of thousands of variables.
     """
     start = array("q", [0]) * (2 * m + 3)
     for event in events:
         for v, value in event.atoms:
+            if not 0 < v <= m:
+                raise DomainError(f"event mentions variable {v}, outside [1, {m}]")
             start[2 * v + value] += 1  # the size of each slot
     start = array("q", accumulate(start))  # the end of each slot, for now
     entries = array("q", [0]) * start[-1]
@@ -168,10 +174,7 @@ def atom_index(events: Sequence[BadEvent], m: int) -> tuple[array, array]:
 
 def _slots(events: Sequence[BadEvent]):
     """(events with atom (v, False), events with (v, True)) for every variable v."""
-    variables = [v for event in events for v, _ in event.atoms]
-    if min(variables, default=1) < 1:
-        raise DomainError("event mentions a variable below 1")
-    m = max(variables, default=0)
+    m = max((v for event in events for v, _ in event.atoms), default=0)
     start, entries = atom_index(events, m)
     for slot in range(2, 2 * m + 2, 2):
         yield (entries[start[slot]:start[slot + 1]],

@@ -423,10 +423,9 @@ def embed_H_in_G(j: int, k: int, L: int,
         if depth == 1:
             return
         for clause_idx in root_clauses:
-            clause = formula.clauses[clause_idx]
-            fresh = [l.variable for l in clause.literals if l.variable != variable]
-            for child in fresh:
-                place(depth - 1, child)
+            for child in map(abs, formula.clause(clause_idx)):
+                if child != variable:
+                    place(depth - 1, child)
 
     place(j, 1)
     if len(clause_order) != hgraph.graph.n:

@@ -14,8 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Optional, Sequence
+from math import prod
+from typing import Sequence
 
 from .errors import DomainError
 from .events_graph import BadEvent, atom_index
@@ -47,43 +47,18 @@ class RunStats:
                 "rule": self.rule.value}
 
 
-def _draw(rng: random.Random, bias: Fraction) -> bool:
-    return rng.randrange(bias.denominator) < bias.numerator
+def _probability_keys(events: Sequence[BadEvent], bias: Sequence[Fraction],
+                      uniform: bool) -> list[int]:
+    """rank(P(event i)) * n + i for each event i: ints that sort by (probability, index).
 
-
-def event_probability(event: BadEvent, bias: Sequence[Fraction]) -> Fraction:
-    prob = Fraction(1)
-    for variable, value in event.atoms:
-        prob *= bias[variable] if value else 1 - bias[variable]
-    return prob
-
-
-def _select(true_events: list[int], rule: SelectionRule, rng: random.Random,
-            probability: Callable[[int], Fraction] | None) -> int:
-    """The event that rule picks from true_events, a nonempty increasing list.
-
-    min returns the first of equal keys, so lowest-probability ties go to
-    the lowest index.
+    Under the uniform bias P(B) = 2^-|B|, so -|B| orders the events as their
+    probabilities do, and no Fraction is built.
     """
-    if rule is SelectionRule.FIRST_INDEX:
-        return true_events[0]
-    if rule is SelectionRule.UNIFORM_RANDOM:
-        return true_events[rng.randrange(len(true_events))]
-    if rule is SelectionRule.LOWEST_PROBABILITY:
-        if probability is None:
-            raise DomainError("lowest-probability rule needs event probabilities")
-        return min(true_events, key=probability)
-    raise DomainError(f"unknown selection rule {rule!r}")
-
-
-def find_true_bad_event(assignment: dict[int, bool], events: Sequence[BadEvent],
-                        rule: SelectionRule, rng: random.Random,
-                        probabilities: Sequence[Fraction] | None = None) -> Optional[int]:
-    true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
-    if not true_events:
-        return None
-    return _select(true_events, rule, rng,
-                   None if probabilities is None else probabilities.__getitem__)
+    probability = ([-len(event.atoms) for event in events] if uniform else
+                   [prod(bias[v] if value else 1 - bias[v] for v, value in event.atoms)
+                    for event in events])
+    rank = {p: r for r, p in enumerate(sorted(set(probability)))}
+    return [rank[p] * len(events) + i for i, p in enumerate(probability)]
 
 
 def run_mt(events: Sequence[BadEvent], m: int,
@@ -97,14 +72,18 @@ def run_mt(events: Sequence[BadEvent], m: int,
     Non-termination within max_steps surfaces as terminated=False, never
     as an exception.
 
-    The true events are kept as an increasing list.  A resample changes
-    only the events on the variables whose value it flipped: those with
-    the old value become false, those with the new value are re-tested.
-    So a step costs O(sum of R(v) over its k variables) plus the list
-    update, and the selection is the one a full rescan would make.
+    The true events are kept as an increasing list of keys: the event index
+    itself, or for lowest-probability a key that sorts by (probability,
+    index), so every rule picks by position.  A resample changes only the
+    events on the variables whose value it flipped: those with the old
+    value become false, those with the new value are re-tested.  So a step
+    costs O(sum of R(v) over its k variables) plus the list update, and the
+    selection is the one a full rescan would make.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
+    if not isinstance(rule, SelectionRule):
+        raise DomainError(f"unknown selection rule {rule!r}")
     uniform = bias is None
     bias = [Fraction(1, 2)] * (m + 1) if uniform else [Fraction(x) for x in bias]
     if len(bias) != m + 1:
@@ -113,45 +92,51 @@ def run_mt(events: Sequence[BadEvent], m: int,
         for i in range(1, m + 1):
             if not 0 <= bias[i] <= 1:
                 raise DomainError(f"bias[{i}]={bias[i]} outside [0,1]")
-    for event in events:
-        if any(v < 1 or v > m for v in event.variables):
-            raise DomainError("event mentions a variable outside [1, m]")
+    # For bias[i] = num/den, X_i = True iff randrange(den) < num, read from plain ints.
+    odds = [(1, 2)] * (m + 1) if uniform else [(b.numerator, b.denominator) for b in bias]
+    start, entries = atom_index(events, m)  # also checks every variable is in [1, m]
 
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
     select_rng = random.Random(f"{seed}:select")
-    # Computed once per event, the first time the event is true.
-    probability = (cache(lambda i: event_probability(events[i], bias))
-                   if rule is SelectionRule.LOWEST_PROBABILITY else None)
+    n = len(events)
+    key = (_probability_keys(events, bias, uniform) if rule is SelectionRule.LOWEST_PROBABILITY
+           else range(n))
 
-    assignment = {i: _draw(init_rng, bias[i]) for i in range(1, m + 1)}
-    start, entries = atom_index(events, m)
-    true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
-    per_event = [0] * len(events)
+    draw = init_rng.randrange
+    assignment = {i: draw(den) < num for i, (num, den) in enumerate(odds[1:], start=1)}
+    holding = set(assignment.items())  # the atoms that hold; an event holds iff atoms <= holding
+    true_keys = sorted(key[i] for i, e in enumerate(events) if e.atoms <= holding)
+    per_event = [0] * n
     steps = 0
-    while true_events and steps < max_steps:
-        chosen = _select(true_events, rule, select_rng, probability)
+    while true_keys and steps < max_steps:
+        at = (select_rng.randrange(len(true_keys))
+              if rule is SelectionRule.UNIFORM_RANDOM else 0)
+        chosen = true_keys[at] % n
         flipped = []
-        for variable in sorted(events[chosen].variables):
-            value = _draw(resample_rng, bias[variable])
+        for variable, _ in sorted(events[chosen].atoms):
+            num, den = odds[variable]
+            value = resample_rng.randrange(den) < num
             if value != assignment[variable]:
                 assignment[variable] = value
+                holding.remove((variable, not value))
+                holding.add((variable, value))
                 flipped.append(2 * variable + value)
         per_event[chosen] += 1
         steps += 1
         for slot in flipped:  # the atom (v, new value); slot ^ 1 is (v, old value)
             for i in entries[start[slot ^ 1]:start[(slot ^ 1) + 1]]:
-                at = bisect_left(true_events, i)
-                if at < len(true_events) and true_events[at] == i:
-                    del true_events[at]
+                at = bisect_left(true_keys, key[i])
+                if at < len(true_keys) and true_keys[at] == key[i]:
+                    del true_keys[at]
             for i in entries[start[slot]:start[slot + 1]]:
-                if events[i].holds(assignment):
-                    at = bisect_left(true_events, i)
-                    if at == len(true_events) or true_events[at] != i:
-                        true_events.insert(at, i)
+                if events[i].atoms <= holding:
+                    at = bisect_left(true_keys, key[i])
+                    if at == len(true_keys) or true_keys[at] != key[i]:
+                        true_keys.insert(at, key[i])
 
     stats = RunStats(total_resamples=sum(per_event),
                      per_event_resamples=tuple(per_event),
-                     terminated=not true_events, steps=steps, seed=seed,
+                     terminated=not true_keys, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
     return assignment, stats

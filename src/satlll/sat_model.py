@@ -1,16 +1,17 @@
 """CNF data model, occurrence accounting, recursive extremal construction, DIMACS I/O.
 
-Formulas are width-k CNF with per-variable positive/negative occurrence
-counts (R0, R1).  The extremal instances are built by repeatedly
-"expanding" a variable i: appending L-1 clauses containing the literal x_i
-and L-1 containing ~x_i, all other slots filled by fresh, positively
-occurring variables.
+Formulas are width-k CNF, stored as one flat array of signed DIMACS
+literals, with per-variable positive/negative occurrence counts (R0, R1).
+The extremal instances are built by repeatedly "expanding" a variable i:
+appending L-1 clauses containing the literal x_i and L-1 containing ~x_i,
+all other slots filled by fresh, positively occurring variables.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DimacsError, DomainError, SizeGuardError
@@ -18,58 +19,56 @@ from .errors import DimacsError, DomainError, SizeGuardError
 DEFAULT_CLAUSE_GUARD = 200_000
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    variable: int
-    polarity: bool  # True = positive occurrence of the variable
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise DomainError(f"variable index must be >= 1, got {self.variable}")
-
-    def to_dimacs(self) -> int:
-        return self.variable if self.polarity else -self.variable
-
-
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        variables = [lit.variable for lit in self.literals]
-        if len(set(variables)) != len(variables):
-            raise DomainError(f"clause has repeated variables: {variables}")
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(lit.variable for lit in self.literals)
-
-    def is_true(self, assignment: Mapping[int, bool]) -> bool:
-        return any(assignment[l.variable] == l.polarity for l in self.literals)
-
-
 @dataclass(frozen=True)
 class Formula:
+    """A width-k CNF stored as one flat array of signed DIMACS literals.
+
+    Clause i is literals[i*width:(i+1)*width]: v stands for x_v and -v for
+    ~x_v.  Every clause has the same width, so no offsets are stored, and a
+    formula costs one machine word per literal.  An array("q") is kept as
+    given; any other iterable of ints is copied into one.  Every formula,
+    however built, is checked here: no literal is 0 or above variable_count
+    in absolute value, the literal count is a multiple of width, and no
+    clause repeats a variable.
+    """
+
     width: int
     variable_count: int
-    clauses: tuple[Clause, ...]
+    literals: array
 
     def __post_init__(self):
         if self.width < 2:
             raise DomainError(f"formula width must be >= 2, got {self.width}")
         if self.variable_count < 0:
             raise DomainError("variable_count must be nonnegative")
-        for idx, clause in enumerate(self.clauses):
-            if len(clause.literals) != self.width:
-                raise DomainError(
-                    f"clause {idx} has {len(clause.literals)} literals, expected width {self.width}")
-            for lit in clause.literals:
-                if lit.variable > self.variable_count:
-                    raise DomainError(
-                        f"clause {idx} uses variable {lit.variable} > variable_count {self.variable_count}")
+        if not isinstance(self.literals, array) or self.literals.typecode != "q":
+            try:
+                object.__setattr__(self, "literals", array("q", self.literals))
+            except OverflowError:
+                raise DomainError("a literal does not fit in 64 bits") from None
+        literals, m, w = self.literals, self.variable_count, self.width
+        if len(literals) % w:
+            raise DomainError(f"{len(literals)} literals do not make clauses of width {w}")
+        if 0 in literals or (literals and (max(literals) > m or min(literals) < -m)):
+            at = next(at for at, v in enumerate(literals) if not 0 < abs(v) <= m)
+            raise DomainError(f"clause {at // w} uses variable {abs(literals[at])}, "
+                              f"outside [1, {m}]")
+        for idx, variables in enumerate(zip(*[map(abs, literals)] * w)):  # clause by clause
+            if len(set(variables)) < w:
+                raise DomainError(f"clause {idx} has repeated variables: {list(variables)}")
+
+    @property
+    def clause_count(self) -> int:
+        return len(self.literals) // self.width
+
+    def clause(self, i: int) -> array:
+        return self.literals[i * self.width:(i + 1) * self.width]
 
     def is_satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        return all(clause.is_true(assignment) for clause in self.clauses)
+        """Every clause has a true literal; a variable left out makes none true."""
+        true_literals = {v if value else -v for v, value in assignment.items()}
+        truth = map(true_literals.__contains__, self.literals)
+        return all(map(any, zip(*[truth] * self.width)))  # any over each clause
 
 
 @dataclass(frozen=True)
@@ -108,16 +107,10 @@ class ExpansionTree:
 
 
 def occurrences(formula: Formula) -> OccurrenceProfile:
-    m = formula.variable_count
-    r0 = [0] * (m + 1)
-    r1 = [0] * (m + 1)
-    for clause in formula.clauses:
-        for lit in clause.literals:
-            if lit.polarity:
-                r0[lit.variable] += 1
-            else:
-                r1[lit.variable] += 1
-    return OccurrenceProfile(tuple(r0), tuple(r1))
+    counts = Counter(formula.literals)
+    slots = range(formula.variable_count + 1)  # no literal is 0, so slot 0 counts 0
+    return OccurrenceProfile(tuple(counts[v] for v in slots),
+                             tuple(counts[-v] for v in slots))
 
 
 def build_extremal_formula(k: int, L: int, r: int,
@@ -142,27 +135,25 @@ def build_extremal_formula(k: int, L: int, r: int,
         raise SizeGuardError(
             f"construction would produce {total_clauses} clauses, guard is {clause_guard}")
 
-    clauses: list[Clause] = []
+    literals = array("q")
     parent: dict[int, int] = {}
     added: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     next_var = 1 if r == 0 else 2  # stage 1 introduces variable 1 itself
+    clause_count = 0
 
     for i in range(1, r + 1):
-        pos_indices: list[int] = []
-        neg_indices: list[int] = []
-        for polarity, indices in ((True, pos_indices), (False, neg_indices)):
+        parent.update(dict.fromkeys(range(next_var, next_var + (2 * L - 2) * (k - 1)), i))
+        for literal in (i, -i):
             for _ in range(L - 1):
-                lits = [Literal(i, polarity)]
-                for _ in range(k - 1):
-                    parent[next_var] = i
-                    lits.append(Literal(next_var, True))
-                    next_var += 1
-                indices.append(len(clauses))
-                clauses.append(Clause(tuple(lits)))
-        added[i] = (tuple(pos_indices), tuple(neg_indices))
+                literals.append(literal)
+                literals.extend(range(next_var, next_var + k - 1))
+                next_var += k - 1
+        added[i] = (tuple(range(clause_count, clause_count + L - 1)),
+                    tuple(range(clause_count + L - 1, clause_count + 2 * L - 2)))
+        clause_count += 2 * L - 2
 
     variable_count = next_var - 1 if r > 0 else 0
-    formula = Formula(width=k, variable_count=variable_count, clauses=tuple(clauses))
+    formula = Formula(width=k, variable_count=variable_count, literals=literals)
     return formula, ExpansionTree(parent=parent, added=added)
 
 
@@ -174,31 +165,39 @@ def validate_occurrences(formula: Formula, tree: ExpansionTree, L: int) -> bool:
 
 
 def dimacs_export(formula: Formula) -> str:
-    out = io.StringIO()
-    out.write(f"p cnf {formula.variable_count} {len(formula.clauses)}\n")
-    for clause in formula.clauses:
-        out.write(" ".join(str(l.to_dimacs()) for l in clause.literals))
-        out.write(" 0\n")
-    return out.getvalue()
+    n = formula.clause_count
+    clause_line = " ".join(["%d"] * formula.width) + " 0\n"
+    return f"p cnf {formula.variable_count} {n}\n" + (clause_line * n) % tuple(formula.literals)
+
+
+# A DIMACS file carries no width, so a file without clauses gets the least
+# width a Formula takes; no output depends on the width of an empty formula.
+EMPTY_WIDTH = 2
 
 
 def dimacs_import(text: str, width: int | None = None) -> Formula:
     """Parse DIMACS CNF.  All clauses must share one width.
 
     If width is given it is demanded; otherwise it is inferred from the
-    first clause (an empty formula then needs an explicit width).
+    first clause, and is EMPTY_WIDTH when there is none.  Each line is
+    converted with one map(int) and appended to one flat literal list.  The
+    bounds and repeated-variable checks that Formula makes again are made
+    here too, line by line, so that an error names the line of the
+    offending token, or of the first literal of its clause.
     """
     variable_count = None
     declared_clauses = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
+    literals: list[int] = []
+    widths: set[int] = set()
+    clause_count = 0
+    pending: list[int] = []  # a clause continued on the next line
     pending_line = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line[0] in "c%":
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"bad problem line {line!r}", line=lineno)
@@ -210,48 +209,62 @@ def dimacs_import(text: str, width: int | None = None) -> Formula:
             continue
         if variable_count is None:
             raise DimacsError("clause before 'p cnf' header", line=lineno)
-        for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                raise DimacsError(f"malformed literal token {token!r}", line=lineno) from None
-            if abs(value) > variable_count:
-                raise DimacsError(f"literal {value} exceeds the declared {variable_count} "
-                                  f"variables", line=lineno)
-            if value == 0:
-                clauses.append(_clause_from_ints(pending, pending_line or lineno))
-                pending = []
-                pending_line = None
-            else:
-                if not pending:
-                    pending_line = lineno
-                pending.append(value)
+        values, error = _line_literals(line.split(), variable_count, lineno)
+        start = 0
+        for _ in range(values.count(0)):
+            end = values.index(0, start)
+            clause = pending + values[start:end]
+            if not clause:
+                raise DimacsError("empty clause", line=lineno)
+            if len(set(map(abs, clause))) != len(clause):
+                raise DimacsError(f"clause has repeated variables: {list(map(abs, clause))}",
+                                  line=pending_line if pending else lineno)
+            literals += clause
+            widths.add(len(clause))
+            clause_count += 1
+            pending = []
+            start = end + 1
+        if start < len(values):
+            if not pending:
+                pending_line = lineno
+            pending += values[start:]
+        if error is not None:
+            raise error
 
     if variable_count is None:
         raise DimacsError("missing 'p cnf' header")
     if pending:
         raise DimacsError("unterminated clause at end of input", line=pending_line)
-    if declared_clauses is not None and declared_clauses != len(clauses):
-        raise DimacsError(
-            f"header declares {declared_clauses} clauses, found {len(clauses)}")
+    if declared_clauses is not None and declared_clauses != clause_count:
+        raise DimacsError(f"header declares {declared_clauses} clauses, found {clause_count}")
 
-    widths = {len(c.literals) for c in clauses}
     if width is None:
-        if not clauses:
-            raise DimacsError("cannot infer width of an empty formula; pass width explicitly")
         if len(widths) > 1:
             raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
-        width = len(clauses[0].literals)
+        width = widths.pop() if widths else EMPTY_WIDTH
     elif widths - {width}:
         raise DimacsError(f"clause width mismatch: demanded {width}, found {sorted(widths)}")
+    return Formula(width=width, variable_count=variable_count, literals=literals)
 
-    return Formula(width=width, variable_count=variable_count, clauses=tuple(clauses))
 
-
-def _clause_from_ints(values: list[int], lineno: int) -> Clause:
-    if not values:
-        raise DimacsError("empty clause", line=lineno)
+def _line_literals(tokens: list[str], variable_count: int,
+                   lineno: int) -> tuple[list[int], DimacsError | None]:
+    """The line's literals before its first bad token, and the error that token raises."""
     try:
-        return Clause(tuple(Literal(abs(v), v > 0) for v in values))
-    except DomainError as exc:
-        raise DimacsError(str(exc), line=lineno) from None
+        values = list(map(int, tokens))
+    except ValueError:
+        pass
+    else:
+        if max(values) <= variable_count and min(values) >= -variable_count:
+            return values, None
+    values = []
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            return values, DimacsError(f"malformed literal token {token!r}", line=lineno)
+        if abs(value) > variable_count:
+            return values, DimacsError(f"literal {value} exceeds the declared "
+                                       f"{variable_count} variables", line=lineno)
+        values.append(value)
+    return values, None

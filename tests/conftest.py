@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from satlll.events_graph import DepGraph
-from satlll.sat_model import Clause, Formula, Literal
+from satlll.sat_model import Formula
 
 
 def random_graph(rng: random.Random, max_vertices: int = 12,
@@ -21,11 +21,11 @@ def random_probabilities(rng: random.Random, n: int) -> list[Fraction]:
 
 def random_formula(rng: random.Random, k: int, m: int, n_clauses: int) -> Formula:
     """Random width-k formula on m variables (distinct variables per clause)."""
-    clauses = []
+    literals = []
     for _ in range(n_clauses):
         variables = rng.sample(range(1, m + 1), k)
-        clauses.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in variables)))
-    return Formula(width=k, variable_count=m, clauses=tuple(clauses))
+        literals += [v if rng.random() < 0.5 else -v for v in variables]
+    return Formula(width=k, variable_count=m, literals=literals)
 
 
 def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
@@ -33,7 +33,7 @@ def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
     """Random width-k formula where every literal occurs at most once."""
     available = [(v, pol) for v in range(1, m + 1) for pol in (True, False)]
     rng.shuffle(available)
-    clauses = []
+    literals = []
     for _ in range(n_clauses):
         picked = []
         used_vars = set()
@@ -48,8 +48,8 @@ def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
                 continue
             picked.append(candidate)
             used_vars.add(candidate[0])
-        clauses.append(Clause(tuple(Literal(v, pol) for v, pol in sorted(picked))))
-    return Formula(width=k, variable_count=m, clauses=tuple(clauses))
+        literals += [v if pol else -v for v, pol in sorted(picked)]
+    return Formula(width=k, variable_count=m, literals=literals)
 
 
 @pytest.fixture

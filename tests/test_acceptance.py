@@ -162,15 +162,19 @@ def test_criterion_09_harris_agreement_and_boundary():
 
     # whenever the closed-form alpha criterion holds, the generic enumeration
     # with mu == alpha must accept the generated instances as well
-    for k, L, r in ((3, 2, 1), (3, 2, 2), (4, 3, 1), (5, 4, 1)):
+    checked = 0
+    for k, L, r in ((3, 2, 1), (3, 2, 2), (4, 3, 1), (5, 4, 1),
+                    (5, 2, 3), (6, 3, 1), (6, 4, 1), (6, 2, 4)):
         alpha, satisfied = harris_ksat_alpha(k, L)
         if not satisfied:
             continue
+        checked += 1
         mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
         formula, _ = build_extremal_formula(k, L, r)
         events = events_from_formula(formula)
         p = [Fraction(1, 2 ** k)] * len(events)
         assert harris_check(events, [mu] * len(events), p).satisfied, (k, L, r)
+    assert checked == 4  # the first four are closed-form violated
     report(9, "generic checker agrees with closed-form alpha; boundary at F_MT, k=9..20")
 
 
@@ -189,8 +193,8 @@ def test_criterion_10_moser_tardos_termination():
         assignment, stats = run_mt(events, formula.variable_count, seed=seed + trial)
         assert stats.terminated
         assert not any(e.holds(assignment) for e in events)
-        assert all(any(assignment[l.variable] == l.polarity for l in c.literals)
-                   for c in formula.clauses)
+        assert all(any(assignment[abs(v)] == (v > 0) for v in formula.clause(i))
+                   for i in range(formula.clause_count))
         successes += 1
     assert successes == 100
 

@@ -59,7 +59,7 @@ def test_symmetric_lll_domain():
 
 def test_orderable_isolated_event():
     events = [ev((1, False)), ev((2, False))]  # no disagreement anywhere
-    assert list(orderable_sets(0, events)) == [frozenset({0})]
+    assert list(orderable_sets(0, events)) == [frozenset(), frozenset({0})]
 
 
 def test_orderable_two_independent_hitters():
@@ -68,7 +68,7 @@ def test_orderable_two_independent_hitters():
     b1 = ev((1, True), (3, False))
     b2 = ev((2, True), (4, False))
     found = set(orderable_sets(0, [b, b1, b2]))
-    assert found == {frozenset({0}), frozenset({1}), frozenset({2}),
+    assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
                      frozenset({1, 2})}
 
 
@@ -79,7 +79,7 @@ def test_orderable_shared_atom_pair_not_orderable():
     b1_prime = ev((1, True), (4, False))
     found = set(orderable_sets(0, [b, b1, b1_prime]))
     assert frozenset({1, 2}) not in found
-    assert found == {frozenset({0}), frozenset({1}), frozenset({2})}
+    assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2})}
 
 
 def test_orderable_never_contains_b_in_composite_set():
@@ -104,27 +104,28 @@ def test_harris_isolated_event():
     assert report.satisfied
 
 
-def test_harris_zero_mu_vacuous():
+def test_harris_zero_mu_refused():
     events = [ev((1, False)), ev((1, True))]
     report = harris_check(events, [Fraction(0)] * 2, [Fraction(1, 2)] * 2)
-    assert report.satisfied
+    assert not report.satisfied  # 0 >= 1/2 * (1 + 0 + 0) fails
+    assert report.witness == 0
+    assert report.details == {"margin": "-1/2"}
 
 
 def test_harris_violated_witness():
     events = [ev((1, False))]
     report = harris_check(events, [Fraction(1, 10)], [Fraction(1, 2)])
-    # 1/10 < 1/2 * 1/10 is false; pick mu small relative to p * (1 + mu) terms
-    assert report.satisfied  # singleton: 1/10 >= 1/2 * 1/10 holds
-    report = harris_check(events, [Fraction(1, 10)], [Fraction(1)])
-    assert report.satisfied  # equality at p = 1
-    # genuine violation needs a disagreeing partner inflating the sum
+    assert not report.satisfied  # 1/10 < 1/2 * (1 + 1/10)
+    assert report.details == {"margin": "-9/20"}
+    report = harris_check(events, [Fraction(1)], [Fraction(1, 2)])
+    assert report.satisfied  # equality: 1 = 1/2 * (1 + 1)
+    # a disagreeing partner adds its own term to the sum
     events = [ev((1, False)), ev((1, True))]
-    report = harris_check(events, [Fraction(1, 10)] * 2, [Fraction(1, 2)] * 2)
-    # mu = 1/10 vs p*(mu + mu^2) = 1/2 * 11/100 = 11/200 -- satisfied; push p up
-    assert report.satisfied
-    report = harris_check(events, [Fraction(1, 10)] * 2, [Fraction(99, 100)] * 2)
-    assert not report.satisfied
+    report = harris_check(events, [Fraction(1)] * 2, [Fraction(1, 2)] * 2)
+    assert not report.satisfied  # 1 < 1/2 * (1 + 1 + 1)
     assert report.witness == 0
+    report = harris_check(events, [Fraction(1)] * 2, [Fraction(1, 3)] * 2)
+    assert report.satisfied and report.details == {"min_margin": "0"}
 
 
 def test_harris_phi1_with_alpha():
@@ -134,7 +135,43 @@ def test_harris_phi1_with_alpha():
     # closed-form alpha is not quite a Fraction; a nearby rational suffices
     mu = Fraction(str(alpha)).limit_denominator(10 ** 12)
     report = harris_check(events, [mu] * len(events), [Fraction(1, 8)] * len(events))
-    assert report.satisfied
+    assert not satisfied and not report.satisfied  # alpha < 1/8 * (1 + 2 alpha)
+
+
+def star_events(k: int, L: int) -> list[BadEvent]:
+    """B on variables 1..k, and per variable of B, L events that disagree with B there.
+
+    Each of the L events on variable v forces v the other way and puts k-1
+    fresh variables in its other atoms, so the sets orderable to B pick at
+    most one event per variable: their sum is alpha + (1 + L alpha)^k, the
+    closed form of harris_ksat_alpha.
+    """
+    events = [BadEvent(frozenset((v, False) for v in range(1, k + 1)))]
+    fresh = k + 1
+    for v in range(1, k + 1):
+        for _ in range(L):
+            events.append(BadEvent(frozenset(
+                [(v, True)] + [(u, False) for u in range(fresh, fresh + k - 1)])))
+            fresh += k - 1
+    return events
+
+
+@pytest.mark.parametrize("k,L,satisfied", [(3, 1, True), (4, 1, True), (3, 2, False),
+                                           (4, 2, False), (4, 3, False)])
+def test_harris_check_agrees_with_closed_form_on_star(k, L, satisfied):
+    alpha, closed_form = harris_ksat_alpha(k, L)
+    assert closed_form == satisfied
+    mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
+    events = star_events(k, L)
+    report = harris_check(events, [mu] * len(events), [Fraction(1, 2 ** k)] * len(events))
+    # B has the least margin, and the generic sum is the closed form exactly.
+    margin = str(mu - Fraction(1, 2 ** k) * (mu + (1 + L * mu) ** k))
+    assert report.satisfied == satisfied
+    if satisfied:
+        assert report.details == {"min_margin": margin}
+    else:
+        assert report.witness == 0
+        assert report.details == {"margin": margin}
 
 
 def test_harris_alpha_boundary_k9():

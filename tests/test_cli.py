@@ -162,6 +162,22 @@ def test_mt_json(capsys, tmp_path):
     assert payload["stats"]["rule"] == "uniform-random"
 
 
+def test_mt_empty_formula(capsys, tmp_path):
+    target = tmp_path / "empty.cnf"
+    target.write_text("c no clauses\np cnf 5 0\n")
+    code, out, err = run_cli(capsys, "mt", "--cnf", str(target), "--seed", "3")
+    assert (code, err) == (0, "")
+    first, second = out.splitlines()
+    assert first == "terminated=True resamples=0 satisfies=True"
+    assert [token.split("=")[0] for token in second.split()] == ["1", "2", "3", "4", "5"]
+
+
+def test_check_shearer_empty_formula(capsys, tmp_path):
+    target = tmp_path / "empty.cnf"
+    target.write_text("p cnf 5 0\n")
+    assert run_cli(capsys, "check-shearer", "--cnf", str(target)) == (0, "SATISFIED\n", "")
+
+
 def test_bounds_text(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--k", "9")
     assert code == 0

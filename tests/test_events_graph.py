@@ -8,7 +8,7 @@ from satlll.events_graph import (BadEvent, DepGraph, atom_hits, atom_index,
                                  disagreement_witness, event_from_clause,
                                  events_from_formula, lopsidependency_graph,
                                  verify_lopsidependency)
-from satlll.sat_model import Clause, Literal, build_extremal_formula
+from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
 
@@ -18,9 +18,8 @@ def ev(*atoms):
 
 
 def test_event_from_clause_negates_literals():
-    clause = Clause((Literal(1, True), Literal(2, False)))
-    assert event_from_clause(clause) == ev((1, False), (2, True))
-    assert event_from_clause(Clause((Literal(1, False),))) == ev((1, True))
+    assert event_from_clause([1, -2]) == ev((1, False), (2, True))
+    assert event_from_clause([-1]) == ev((1, True))
 
 
 def test_events_of_phi1():
@@ -68,10 +67,7 @@ def test_same_polarity_sharing_no_lopsi_edge():
 
 
 def test_monotone_formula_edgeless(rng):
-    clauses = tuple(Clause((Literal(2 * i + 1, True), Literal(2 * i + 2, True)))
-                    for i in range(3))
-    from satlll.sat_model import Formula
-    formula = Formula(width=2, variable_count=6, clauses=clauses)
+    formula = Formula(width=2, variable_count=6, literals=range(1, 7))
     assert lopsidependency_graph(events_from_formula(formula)).edges() == []
 
 

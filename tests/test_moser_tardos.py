@@ -5,14 +5,21 @@ import pytest
 
 from satlll.errors import DomainError
 from satlll.events_graph import BadEvent, events_from_formula
-from satlll.moser_tardos import (RunStats, SelectionRule, event_probability,
-                                 find_true_bad_event, run_mt)
+from satlll.moser_tardos import RunStats, SelectionRule, run_mt
 
 from conftest import random_formula, random_low_occurrence_formula
 
 
 def ev(*atoms):
     return BadEvent(frozenset(atoms))
+
+
+def event_probability(event, bias):
+    """P(event) as a product of exact Fractions, for the rescan oracle."""
+    prob = Fraction(1)
+    for variable, value in event.atoms:
+        prob *= bias[variable] if value else 1 - bias[variable]
+    return prob
 
 
 def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
@@ -79,9 +86,32 @@ def test_incremental_run_matches_rescan():
             assert (rule, uniform, False, False, True) in seen  # limit reached
 
 
+def test_lowest_probability_on_events_of_mixed_sizes():
+    # Under the uniform bias the keys come from event sizes, otherwise from
+    # exact Fractions; both must pick what the rescan oracle picks.
+    rule = SelectionRule.LOWEST_PROBABILITY
+    for case in range(400):
+        rng = random.Random(case)
+        m = rng.randint(1, 10)
+        events = [ev(*((v, rng.random() < 0.5)
+                       for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m)))))
+                  for _ in range(rng.randint(1, 12))]
+        bias = [Fraction(1, 2)] * (m + 1) if case % 2 else _random_bias(rng, m)
+        expected = run_mt_by_rescan(events, m, bias, rule, case, 40)
+        assignment, stats = run_mt(events, m, bias=None if case % 2 else bias,
+                                   rule=rule, seed=case, max_steps=40)
+        assert assignment == expected[0], case
+        assert stats.to_json_dict() == expected[1].to_json_dict(), case
+
+
+def test_unknown_rule_is_refused():
+    with pytest.raises(DomainError, match="unknown selection rule"):
+        run_mt([ev((1, True))], 1, rule="first-index")
+
+
 def satisfies(formula, assignment):
-    return all(any(assignment[l.variable] == l.polarity for l in c.literals)
-               for c in formula.clauses)
+    return all(any(assignment[abs(v)] == (v > 0) for v in formula.clause(i))
+               for i in range(formula.clause_count))
 
 
 def test_zero_events_returns_initial_assignment():
@@ -122,6 +152,20 @@ def test_different_seeds_differ_eventually():
     assignments = {tuple(sorted(run_mt(events, 4, seed=s)[0].items()))
                    for s in range(30)}
     assert len(assignments) > 1
+
+
+def find_true_bad_event(assignment, events, rule, rng, probabilities=None):
+    """The true event that rule picks from a rescan of every event, or None."""
+    true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
+    if not true_events:
+        return None
+    if rule is SelectionRule.FIRST_INDEX:
+        return true_events[0]
+    if rule is SelectionRule.UNIFORM_RANDOM:
+        return true_events[rng.randrange(len(true_events))]
+    if probabilities is None:
+        raise DomainError("lowest-probability rule needs event probabilities")
+    return min(true_events, key=probabilities.__getitem__)  # ties: the lowest index
 
 
 def test_selection_rules():

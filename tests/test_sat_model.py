@@ -3,28 +3,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError, SizeGuardError
-from satlll.sat_model import (Clause, Formula, Literal, build_extremal_formula,
+from satlll.sat_model import (EMPTY_WIDTH, Formula, build_extremal_formula,
                               dimacs_export, dimacs_import, occurrences,
                               validate_occurrences)
 
 from conftest import random_formula
 
 
-def test_literal_requires_positive_variable():
-    with pytest.raises(DomainError):
-        Literal(0, True)
+def test_formula_refuses_variable_zero():
+    with pytest.raises(DomainError, match=r"clause 1 uses variable 0, outside \[1, 3\]"):
+        Formula(width=2, variable_count=3, literals=[1, 2, 0, 3])
 
 
-def test_clause_rejects_repeated_variable():
-    with pytest.raises(DomainError):
-        Clause((Literal(1, True), Literal(1, False)))
+def test_formula_refuses_repeated_variable():
+    with pytest.raises(DomainError, match=r"clause 1 has repeated variables: \[2, 2\]"):
+        Formula(width=2, variable_count=3, literals=[1, 2, 2, -2])
+    with pytest.raises(DimacsError, match=r"line 3: clause has repeated variables: \[1, 1\]"):
+        dimacs_import("p cnf 2 2\n1 2 0\n1 -1 0\n")
+
+
+def test_formula_refuses_bad_layout():
+    with pytest.raises(DomainError, match=r"clause 0 uses variable 4, outside \[1, 3\]"):
+        Formula(width=2, variable_count=3, literals=[1, -4])
+    with pytest.raises(DomainError, match="3 literals do not make clauses of width 2"):
+        Formula(width=2, variable_count=3, literals=[1, 2, 3])
+    with pytest.raises(DomainError, match="width must be >= 2"):
+        Formula(width=1, variable_count=3, literals=[1])
+    with pytest.raises(DomainError, match="64 bits"):
+        Formula(width=2, variable_count=2 ** 70, literals=[1, 2 ** 65])
+
+
+def test_formula_layout_and_satisfaction():
+    formula = Formula(width=2, variable_count=3, literals=(1, -2, 2, 3))
+    assert formula.clause_count == 2
+    assert list(formula.clause(1)) == [2, 3]
+    assert formula == Formula(2, 3, [1, -2, 2, 3])
+    assert formula.is_satisfied_by({1: False, 2: False, 3: True})
+    assert not formula.is_satisfied_by({1: False, 2: True, 3: False})
+    assert Formula(width=3, variable_count=0, literals=[]).is_satisfied_by({})
 
 
 def test_occurrences_direct_count():
-    formula = Formula(width=2, variable_count=3, clauses=(
-        Clause((Literal(1, True), Literal(2, True))),
-        Clause((Literal(1, False), Literal(3, True))),
-    ))
+    formula = Formula(width=2, variable_count=3, literals=[1, 2, -1, 3])
     profile = occurrences(formula)
     assert profile.R0(1) == 1 and profile.R1(1) == 1
     assert profile.R0(2) == 1 and profile.R1(2) == 0
@@ -34,24 +54,22 @@ def test_occurrences_direct_count():
 
 def test_occurrences_empty_formula():
     formula, _ = build_extremal_formula(3, 2, 0)
-    assert formula.clauses == ()
+    assert formula.clause_count == 0
     assert occurrences(formula).variable_count == 0
 
 
 def test_construction_first_stage():
     formula, tree = build_extremal_formula(3, 2, 1)
-    assert len(formula.clauses) == 2
+    assert formula.clause_count == 2
     assert formula.variable_count == 5
-    first, second = formula.clauses
-    assert [l.to_dimacs() for l in first.literals] == [1, 2, 3]
-    assert [l.to_dimacs() for l in second.literals] == [-1, 4, 5]
+    assert list(formula.literals) == [1, 2, 3, -1, 4, 5]
     assert tree.parent == {2: 1, 3: 1, 4: 1, 5: 1}
     assert tree.added[1] == ((0,), (1,))
 
 
 def test_construction_k2_L3_r2_counts():
     formula, _ = build_extremal_formula(2, 3, 2)
-    assert len(formula.clauses) == 8
+    assert formula.clause_count == 8
     profile = occurrences(formula)
     # variable 2 gains one positive occurrence at stage 1 and L-1 = 2 at stage 2
     assert profile.R0(2) == 3
@@ -68,9 +86,7 @@ def test_construction_occurrence_bounds_hold():
 
 def test_validate_occurrences_detects_violation():
     # variable 1 occurs positively L + 1 = 3 times with L = 2
-    clauses = tuple(
-        Clause((Literal(1, True), Literal(v, True))) for v in (2, 3, 4))
-    formula = Formula(width=2, variable_count=4, clauses=clauses)
+    formula = Formula(width=2, variable_count=4, literals=[1, 2, 1, 3, 1, 4])
     assert not validate_occurrences(formula, None, 2)
 
 
@@ -106,6 +122,23 @@ def test_dimacs_width_mismatch():
     text = "p cnf 3 1\n1 2 3 0\n"
     with pytest.raises(DimacsError, match="width mismatch"):
         dimacs_import(text, width=2)
+
+
+def test_dimacs_empty_formula_has_the_empty_width():
+    formula = dimacs_import("c nothing\np cnf 5 0\n")
+    assert (formula.width, formula.variable_count, formula.clause_count) == (EMPTY_WIDTH, 5, 0)
+    assert dimacs_import("p cnf 5 0\n", width=4).width == 4
+    assert dimacs_export(formula) == "p cnf 5 0\n"
+
+
+def test_dimacs_literal_beyond_64_bits():
+    with pytest.raises(DomainError, match="a literal does not fit in 64 bits"):
+        dimacs_import("p cnf 99999999999999999999999 1\n99999999999999999999 1 0\n")
+
+
+def test_dimacs_clause_may_span_lines():
+    formula = dimacs_import("p cnf 3 2\n1 -2\n3 0 -1\n2 -3 0\n")
+    assert list(formula.literals) == [1, -2, 3, -1, 2, -3]
 
 
 def test_dimacs_rejects_nonuniform_width():
