@@ -2,7 +2,7 @@
 on bounded-occurrence k-SAT."""
 
 from .bounds import (CriterionReport, f_lll, f_mt, gap_inequality, harris_check,
-                     harris_ksat_alpha, orderable_sets, symmetric_lll_check)
+                     harris_ksat_alpha, orderable_sets)
 from .errors import (CertificationError, DimacsError, DomainError, SatLllError,
                      SizeGuardError)
 from .events_graph import (BadEvent, DepGraph, dependency_graph, disagree,
@@ -10,16 +10,14 @@ from .events_graph import (BadEvent, DepGraph, dependency_graph, disagree,
                            events_from_formula, lopsidependency_graph,
                            verify_lopsidependency)
 from .hj_family import (EmbeddingResult, FixedPointReport, HGraph,
-                        RecurrenceState, a_b_sequence, build_H, build_Hprime,
+                        RecurrenceState, build_H, build_Hprime,
                         embed_H_in_G, fixed_point_iteration, g_function,
                         recurrence_sr, shearer_upper_bound, threshold_ell)
 from .moser_tardos import RunStats, SelectionRule, run_mt
 from .sat_model import (ExpansionTree, Formula,
                         OccurrenceProfile, build_extremal_formula, dimacs_export,
-                        dimacs_import, occurrences, validate_occurrences)
-from .shearer import (ShearerVerdict, component_factorization,
-                      enumerate_independent_sets, expansion_identity,
-                      independence_polynomial, independence_polynomial_bruteforce,
-                      shearer_check)
+                        dimacs_import, occurrences)
+from .shearer import (ShearerVerdict, enumerate_independent_sets,
+                      independence_polynomial, shearer_check)
 
 __version__ = "0.1.0"

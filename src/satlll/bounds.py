@@ -1,5 +1,4 @@
-"""Closed-form bound functions, the symmetric LLL test, and the resampling
-convergence criterion.
+"""Closed-form bound functions and the resampling convergence criterion.
 
 f_lll and f_mt are the per-literal occurrence bounds provable from the
 symmetric LLL and from the resampling-convergence criterion; their gap
@@ -55,21 +54,6 @@ def f_mt(k: int) -> int:
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     return (2 ** k - 1) * (k - 1) ** (k - 1) // k ** k
-
-
-def symmetric_lll_check(p: Fraction, d: int,
-                        precision: int = DEFAULT_PRECISION) -> bool:
-    """Certified test of e * p * (d + 1) <= 1."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise DomainError(f"p={p} must lie in [0,1]")
-    if d < 0:
-        raise DomainError(f"d must be >= 0, got {d}")
-    if p == 0:
-        return True
-    with interval_precision(precision):
-        lhs = iv.e * iv_from_fraction(p) * (d + 1)
-        return certified_compare_ge(iv.mpf(1), lhs, what="symmetric LLL comparison")
 
 
 def orderable_sets(b_index: int, events: Sequence[BadEvent],

@@ -81,9 +81,6 @@ class DepGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
-    def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency), default=0)
-
     def induced_subgraph(self, vertices: Iterable[int]) -> "DepGraph":
         """Subgraph on the given vertices, relabeled 0..len-1 in sorted order."""
         kept = sorted(set(vertices))

@@ -44,7 +44,7 @@ decides the fixed-point verdict:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -56,7 +56,8 @@ from .certified import (DEFAULT_PRECISION, certainly_gt, certainly_le,
                         iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from .sat_model import ExpansionTree, Formula, build_extremal_formula
+from .sat_model import (DEFAULT_CLAUSE_GUARD, ExpansionTree, Formula,
+                        build_extremal_formula)
 
 DEFAULT_H_VERTEX_GUARD = 200
 
@@ -253,19 +254,6 @@ def g_function(a, k: int, L: int, p=None):
     return _u(base, mpmath.mpf(p.numerator) / p.denominator, k)
 
 
-def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
-    """Exact a_j = r_j / s_{j-1}^{k-1} and b_j = 2 a_j^{L-1} - 1 from the recurrence."""
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
-    state = recurrence_sr(j, k, L)
-    denom = state.s(j - 1) ** (k - 1)
-    if denom == 0:
-        raise DomainError(f"a_{j} undefined: s_{j-1} = 0")
-    a_j = state.r(j) / denom
-    b_j = 2 * a_j ** (L - 1) - 1
-    return a_j, b_j
-
-
 def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
                           precision: int = DEFAULT_PRECISION) -> FixedPointReport:
     """Decide whether a_j = g(a_{j-1}) from a_0 = 1 stays above 2^{-1/(L-1)}.
@@ -395,7 +383,7 @@ class EmbeddingResult:
 
 def embed_H_in_G(j: int, k: int, L: int,
                  h_vertex_guard: int = DEFAULT_H_VERTEX_GUARD,
-                 clause_guard: int = 200_000) -> EmbeddingResult:
+                 clause_guard: int = DEFAULT_CLAUSE_GUARD) -> EmbeddingResult:
     """Constructively embed H_j into the lopsidependency graph of the extremal formula.
 
     Variables are expanded breadth-first to tree-depth j from variable 1;

@@ -157,13 +157,6 @@ def build_extremal_formula(k: int, L: int, r: int,
     return formula, ExpansionTree(parent=parent, added=added)
 
 
-def validate_occurrences(formula: Formula, tree: ExpansionTree, L: int) -> bool:
-    """True iff R0(i) <= L and R1(i) <= L-1 for every variable i."""
-    profile = occurrences(formula)
-    return all(profile.R0(i) <= L and profile.R1(i) <= L - 1
-               for i in range(1, formula.variable_count + 1))
-
-
 def dimacs_export(formula: Formula) -> str:
     n = formula.clause_count
     clause_line = " ".join(["%d"] * formula.width) + " 0\n"

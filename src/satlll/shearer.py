@@ -7,7 +7,8 @@ deletion recursion
     Q(G) = Q(G - v) - p_v * Q(G - v - N(v))
 
 with connected-component factorization and memoization on vertex subsets.
-A direct subset-enumeration evaluator is kept as an independent oracle.
+A direct subset-enumeration evaluator is kept in the tests as an
+independent oracle.
 
 Shearer verdicts are decided along one chain of vertex sets.  Write
 Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
@@ -48,7 +49,6 @@ from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph
 
 DEFAULT_VERTEX_GUARD = 40
-BRUTE_FORCE_GUARD = 20
 
 ProbabilityVector = Sequence[Fraction]
 
@@ -138,26 +138,6 @@ def independence_polynomial(graph: DepGraph, base: Iterable[int], p: Probability
     return prefactor * engine.q(remaining)
 
 
-def independence_polynomial_bruteforce(graph: DepGraph, base: Iterable[int],
-                                       p: ProbabilityVector,
-                                       vertex_guard: int = BRUTE_FORCE_GUARD) -> Fraction:
-    """Independent oracle: direct signed sum over independent supersets of S."""
-    if graph.n > vertex_guard:
-        raise SizeGuardError(f"graph has {graph.n} vertices, brute-force guard is {vertex_guard}")
-    probs = _check_probabilities(graph, p)
-    base_set = frozenset(base)
-    total = Fraction(0)
-    base_size = len(base_set)
-    for t in enumerate_independent_sets(graph):
-        if not base_set.issubset(t):
-            continue
-        term = Fraction(1)
-        for v in t:
-            term *= probs[v]
-        total += term if (len(t) - base_size) % 2 == 0 else -term
-    return total
-
-
 def enumerate_independent_sets(graph: DepGraph):
     """All independent sets, in lexicographic order of their sorted vertex lists."""
 
@@ -168,52 +148,6 @@ def enumerate_independent_sets(graph: DepGraph):
                 yield from extend(current + (v,), v + 1)
 
     yield from extend((), 0)
-
-
-def component_factorization(graph: DepGraph, p: ProbabilityVector,
-                            vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
-    """Q(G, empty, p) as the product of Q over connected components."""
-    if graph.n > vertex_guard:
-        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
-    probs = _check_probabilities(graph, p)
-    result = Fraction(1)
-    for comp in graph.connected_components():
-        sub = graph.induced_subgraph(comp)
-        sub_p = [probs[v] for v in sorted(comp)]
-        result *= independence_polynomial(sub, (), sub_p, vertex_guard)
-    return result
-
-
-def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
-                       vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
-    """Q(G, empty, p) expanded over a pivot set X:
-
-    sum over independent U <= X of Q(G[V - X - N(U)], empty, p) * prod_{i in U} (-p_i)
-    """
-    if graph.n > vertex_guard:
-        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
-    probs = _check_probabilities(graph, p)
-    x_set = frozenset(x)
-    if not x_set <= frozenset(range(graph.n)):
-        raise DomainError(f"pivot set {sorted(x_set)} not within vertex range")
-
-    all_vertices = frozenset(range(graph.n))
-    total = Fraction(0)
-    x_graph = graph.induced_subgraph(x_set)
-    x_sorted = sorted(x_set)
-    for u_local in enumerate_independent_sets(x_graph):
-        u = frozenset(x_sorted[i] for i in u_local)
-        removed = set(x_set)
-        for v in u:
-            removed |= graph.adjacency[v]
-        residual = sorted(all_vertices - removed)
-        sub = graph.induced_subgraph(residual)
-        sub_p = [probs[v] for v in residual]
-        term = independence_polynomial(sub, (), sub_p, vertex_guard)
-        for v in u:
-            term *= -probs[v]
-        total += term
-    return total
 
 
 def shearer_check(graph: DepGraph, p: ProbabilityVector,

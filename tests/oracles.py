@@ -1,0 +1,131 @@
+"""Independent oracles and identities that only the tests use.
+
+Each recomputes a quantity by a route other than the one ``satlll`` takes
+(direct subset enumeration, component factorization, expansion over a
+pivot set, the normalized recurrence, an occurrence count), so that tests
+can cross-check the production code against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+from mpmath import iv
+
+from satlll.certified import (DEFAULT_PRECISION, certified_compare_ge,
+                              interval_precision, iv_from_fraction)
+from satlll.errors import DomainError, SizeGuardError
+from satlll.events_graph import DepGraph
+from satlll.hj_family import recurrence_sr
+from satlll.sat_model import Formula, occurrences
+from satlll.shearer import (DEFAULT_VERTEX_GUARD, ProbabilityVector,
+                            _check_probabilities, enumerate_independent_sets,
+                            independence_polynomial)
+
+BRUTE_FORCE_GUARD = 20
+
+
+def independence_polynomial_bruteforce(graph: DepGraph, base: Iterable[int],
+                                       p: ProbabilityVector,
+                                       vertex_guard: int = BRUTE_FORCE_GUARD) -> Fraction:
+    """Independent oracle: direct signed sum over independent supersets of S."""
+    if graph.n > vertex_guard:
+        raise SizeGuardError(f"graph has {graph.n} vertices, brute-force guard is {vertex_guard}")
+    probs = _check_probabilities(graph, p)
+    base_set = frozenset(base)
+    total = Fraction(0)
+    base_size = len(base_set)
+    for t in enumerate_independent_sets(graph):
+        if not base_set.issubset(t):
+            continue
+        term = Fraction(1)
+        for v in t:
+            term *= probs[v]
+        total += term if (len(t) - base_size) % 2 == 0 else -term
+    return total
+
+
+def component_factorization(graph: DepGraph, p: ProbabilityVector,
+                            vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
+    """Q(G, empty, p) as the product of Q over connected components."""
+    if graph.n > vertex_guard:
+        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
+    probs = _check_probabilities(graph, p)
+    result = Fraction(1)
+    for comp in graph.connected_components():
+        sub = graph.induced_subgraph(comp)
+        sub_p = [probs[v] for v in sorted(comp)]
+        result *= independence_polynomial(sub, (), sub_p, vertex_guard)
+    return result
+
+
+def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
+                       vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
+    """Q(G, empty, p) expanded over a pivot set X:
+
+    sum over independent U <= X of Q(G[V - X - N(U)], empty, p) * prod_{i in U} (-p_i)
+    """
+    if graph.n > vertex_guard:
+        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
+    probs = _check_probabilities(graph, p)
+    x_set = frozenset(x)
+    if not x_set <= frozenset(range(graph.n)):
+        raise DomainError(f"pivot set {sorted(x_set)} not within vertex range")
+
+    all_vertices = frozenset(range(graph.n))
+    total = Fraction(0)
+    x_graph = graph.induced_subgraph(x_set)
+    x_sorted = sorted(x_set)
+    for u_local in enumerate_independent_sets(x_graph):
+        u = frozenset(x_sorted[i] for i in u_local)
+        removed = set(x_set)
+        for v in u:
+            removed |= graph.adjacency[v]
+        residual = sorted(all_vertices - removed)
+        sub = graph.induced_subgraph(residual)
+        sub_p = [probs[v] for v in residual]
+        term = independence_polynomial(sub, (), sub_p, vertex_guard)
+        for v in u:
+            term *= -probs[v]
+        total += term
+    return total
+
+
+def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
+    """Exact a_j = r_j / s_{j-1}^{k-1} and b_j = 2 a_j^{L-1} - 1 from the recurrence."""
+    if j < 0:
+        raise DomainError(f"j must be >= 0, got {j}")
+    state = recurrence_sr(j, k, L)
+    denom = state.s(j - 1) ** (k - 1)
+    if denom == 0:
+        raise DomainError(f"a_{j} undefined: s_{j-1} = 0")
+    a_j = state.r(j) / denom
+    b_j = 2 * a_j ** (L - 1) - 1
+    return a_j, b_j
+
+
+def symmetric_lll_check(p: Fraction, d: int,
+                        precision: int = DEFAULT_PRECISION) -> bool:
+    """Certified test of e * p * (d + 1) <= 1."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise DomainError(f"p={p} must lie in [0,1]")
+    if d < 0:
+        raise DomainError(f"d must be >= 0, got {d}")
+    if p == 0:
+        return True
+    with interval_precision(precision):
+        lhs = iv.e * iv_from_fraction(p) * (d + 1)
+        return certified_compare_ge(iv.mpf(1), lhs, what="symmetric LLL comparison")
+
+
+def validate_occurrences(formula: Formula, L: int) -> bool:
+    """True iff R0(i) <= L and R1(i) <= L-1 for every variable i."""
+    profile = occurrences(formula)
+    return all(profile.R0(i) <= L and profile.R1(i) <= L - 1
+               for i in range(1, formula.variable_count + 1))
+
+
+def max_degree(graph: DepGraph) -> int:
+    return max((len(nbrs) for nbrs in graph.adjacency), default=0)

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
-                           harris_ksat_alpha, orderable_sets,
-                           symmetric_lll_check)
+                           harris_ksat_alpha, orderable_sets)
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import BadEvent, events_from_formula
 from satlll.sat_model import build_extremal_formula
+
+from oracles import symmetric_lll_check
 
 
 def ev(*atoms):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll import cli, hj_family, moser_tardos
-from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
-                        EXIT_GUARD, main)
+from satlll.certified import DEFAULT_PRECISION
+from satlll.cli import EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD, main
 from satlll.events_graph import DepGraph
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD
+from satlll.shearer import DEFAULT_VERTEX_GUARD
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,12 @@ def test_construct_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "p cnf 5 2\n1 2 3 0\n-1 4 5 0\n"
+
+
+def test_construct_prints_dimacs_under_json_format(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json",
+                           "construct", "--k", "3", "--L", "2", "--r", "1")
+    assert (code, out) == (0, "p cnf 5 2\n1 2 3 0\n-1 4 5 0\n")
 
 
 def test_construct_guard_exit(capsys):
@@ -208,6 +217,20 @@ def test_precision_floor(capsys):
     assert code == EXIT_DOMAIN
 
 
+SUBCOMMANDS = ["table", "construct", "check-shearer", "hj", "fixedpoint", "mt", "bounds"]
+SHARED_FLAGS = ["--precision", "--format", "--out", "--guard-vertices", "--guard-clauses"]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS],
+                         ids=["satlll"] + SUBCOMMANDS)
+def test_help_lists_shared_flags(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert [flag for flag in SHARED_FLAGS if not re.search(rf"^  {flag} ", out, re.M)] == []
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
@@ -285,6 +308,52 @@ def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, c
     assert code == expected
     assert message in err
     assert "Traceback" not in err
+
+
+# Each setting with its variable, its default, three distinct values and a run that
+# reports the value in force: in fixedpoint's JSON parameters, or in the message of a
+# guard that the run exceeds (H_5 has 62 vertices; the input declares 300000 variables).
+SETTINGS = [
+    ("--precision", "SATLLL_PRECISION", DEFAULT_PRECISION, (300, 320, 340),
+     ["--format", "json", "fixedpoint", "--k", "2", "--L", "2", "--max-trajectory", "0"]),
+    ("--guard-vertices", "SATLLL_GUARD_VERTICES", DEFAULT_VERTEX_GUARD, (10, 20, 30),
+     ["hj", "--j", "5", "--k", "2", "--L", "2"]),
+    ("--guard-clauses", "SATLLL_GUARD_CLAUSES", DEFAULT_CLAUSE_GUARD, (10, 20, 30),
+     ["mt", "--cnf", INPUT]),
+]
+
+
+def _value_in_force(capsys, argv) -> int:
+    code, out, err = run_cli(capsys, *argv)
+    if code == 0:
+        return json.loads(out)["parameters"]["precision"]
+    assert code == EXIT_GUARD
+    return int(re.fullmatch(r"error: .*, guard is (\d+)\n", err).group(1))
+
+
+@pytest.mark.parametrize("flag,variable,default,values,command", SETTINGS,
+                         ids=[setting[0] for setting in SETTINGS])
+def test_setting_resolution_order(capsys, monkeypatch, tmp_path, flag, variable, default,
+                                  values, command):
+    target = tmp_path / "input"
+    target.write_text("p cnf 300000 1\n1 2 3 0\n")
+    command = [arg.replace(INPUT, str(target)) for arg in command]
+    env, before, after = values
+    monkeypatch.delenv(variable, raising=False)
+    assert _value_in_force(capsys, command) == default
+    monkeypatch.setenv(variable, str(env))
+    assert _value_in_force(capsys, command) == env
+    assert _value_in_force(capsys, [flag, str(before), *command]) == before
+    assert _value_in_force(capsys, [flag, str(before), *command, flag, str(after)]) == after
+    # Each call reads the environment anew.
+    monkeypatch.setenv(variable, str(env + 1))
+    assert _value_in_force(capsys, command) == env + 1
+    # A malformed variable is a usage error even when the flag is given.
+    monkeypatch.setenv(variable, "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        main([flag, str(before), *command])
+    assert excinfo.value.code == 2
+    assert f"{variable} must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from satlll.errors import DomainError, SizeGuardError
@@ -11,6 +9,7 @@ from satlll.events_graph import (BadEvent, DepGraph, atom_hits, atom_index,
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
+from oracles import max_degree
 
 
 def ev(*atoms):
@@ -121,7 +120,7 @@ def test_graph_utils():
     assert sub.n == 3 and sub.edges() == [(0, 1)]
     components = graph.connected_components()
     assert sorted(map(sorted, components)) == [[0, 1], [2, 3], [4]]
-    assert graph.max_degree() == 1
+    assert max_degree(graph) == 1
     assert graph.neighborhood(0) == frozenset({1})
 
 
@@ -136,7 +135,7 @@ def test_lopsi_max_degree_bound_on_construction():
         graph = lopsidependency_graph(events_from_formula(formula))
         # positive literals meet <= L-1 opposite occurrences, the single
         # negative literal meets <= L, so degree <= (k-1)(L-1) + L
-        assert graph.max_degree() <= (k - 1) * (L - 1) + L
+        assert max_degree(graph) <= (k - 1) * (L - 1) + L
 
 
 def test_verify_lopsidependency_on_canonical_graph():

@@ -5,11 +5,13 @@ import pytest
 
 from satlll.bounds import f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
-from satlll.hj_family import (a_b_sequence, build_H, build_Hprime, embed_H_in_G,
+from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
                               fixed_point_iteration, g_function, h_vertex_count,
                               hprime_vertex_count, recurrence_sr,
                               shearer_upper_bound, threshold_ell)
 from satlll.shearer import independence_polynomial
+
+from oracles import a_b_sequence
 
 
 def q_uniform(hgraph, k):

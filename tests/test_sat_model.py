@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError, SizeGuardError
 from satlll.sat_model import (EMPTY_WIDTH, Formula, build_extremal_formula,
-                              dimacs_export, dimacs_import, occurrences,
-                              validate_occurrences)
+                              dimacs_export, dimacs_import, occurrences)
 
 from conftest import random_formula
+from oracles import validate_occurrences
 
 
 def test_formula_refuses_variable_zero():
@@ -77,8 +77,8 @@ def test_construction_k2_L3_r2_counts():
 
 
 def test_construction_occurrence_bounds_hold():
-    formula, tree = build_extremal_formula(3, 2, 5)
-    assert validate_occurrences(formula, tree, 2)
+    formula, _ = build_extremal_formula(3, 2, 5)
+    assert validate_occurrences(formula, 2)
     profile = occurrences(formula)
     assert all(profile.R0(i) <= 2 and profile.R1(i) <= 1
                for i in range(1, formula.variable_count + 1))
@@ -87,7 +87,7 @@ def test_construction_occurrence_bounds_hold():
 def test_validate_occurrences_detects_violation():
     # variable 1 occurs positively L + 1 = 3 times with L = 2
     formula = Formula(width=2, variable_count=4, literals=[1, 2, 1, 3, 1, 4])
-    assert not validate_occurrences(formula, None, 2)
+    assert not validate_occurrences(formula, 2)
 
 
 def test_construction_fresh_variables_each_in_one_clause():

@@ -7,12 +7,12 @@ from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import (DepGraph, events_from_formula,
                                  lopsidependency_graph)
 from satlll.sat_model import build_extremal_formula
-from satlll.shearer import (ShearerVerdict, component_factorization,
-                            enumerate_independent_sets, expansion_identity,
-                            independence_polynomial,
-                            independence_polynomial_bruteforce, shearer_check)
+from satlll.shearer import (ShearerVerdict, enumerate_independent_sets,
+                            independence_polynomial, shearer_check)
 
 from conftest import random_graph, random_probabilities
+from oracles import (component_factorization, expansion_identity,
+                     independence_polynomial_bruteforce)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
