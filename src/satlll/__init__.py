@@ -17,7 +17,6 @@ from .moser_tardos import RunStats, SelectionRule, run_mt
 from .sat_model import (ExpansionTree, Formula,
                         OccurrenceProfile, build_extremal_formula, dimacs_export,
                         dimacs_import, occurrences)
-from .shearer import (ShearerVerdict, enumerate_independent_sets,
-                      independence_polynomial, shearer_check)
+from .shearer import ShearerVerdict, independence_polynomial, shearer_check
 
 __version__ = "0.1.0"

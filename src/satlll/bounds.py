@@ -57,8 +57,7 @@ def f_mt(k: int) -> int:
 
 
 def orderable_sets(b_index: int, events: Sequence[BadEvent],
-                   event_guard: int = DEFAULT_EVENT_GUARD,
-                   max_size: int | None = None) -> Iterator[frozenset[int]]:
+                   event_guard: int = DEFAULT_EVENT_GUARD) -> Iterator[frozenset[int]]:
     """All Y that are orderable to events[b_index], as frozensets of indices.
 
     Yields the empty set first (its product is the term 1 of the criterion),
@@ -75,7 +74,6 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
     candidates = [i for i in range(len(events))
                   if i != b_index and disagree(events[i], b)]
     atoms = frozenset(b.atoms)
-    limit = len(candidates) if max_size is None else min(max_size, len(candidates))
     memo: dict[tuple[frozenset[int], frozenset], bool] = {}
 
     def can_order(remaining: frozenset[int], alive: frozenset) -> bool:
@@ -95,7 +93,7 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
         memo[key] = result
         return result
 
-    for size in range(1, limit + 1):
+    for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             if can_order(frozenset(subset), atoms):
                 yield frozenset(subset)

@@ -72,23 +72,11 @@ class DepGraph:
     def n(self) -> int:
         return len(self.adjacency)
 
-    def neighborhood(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "DepGraph":
-        """Subgraph on the given vertices, relabeled 0..len-1 in sorted order."""
-        kept = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(kept)}
-        adjacency = tuple(
-            frozenset(index[u] for u in self.adjacency[v] if u in index) for v in kept)
-        payloads = tuple(self.payloads[v] for v in kept) if self.payloads else ()
-        return DepGraph(adjacency, payloads)
 
     def connected_components(self, within: Optional[frozenset[int]] = None
                              ) -> list[frozenset[int]]:
@@ -202,19 +190,17 @@ class LopsidependencyReport:
 
 
 def verify_lopsidependency(events: Sequence[BadEvent], graph: DepGraph, m: int,
-                           variable_guard: int = 16,
-                           subset_cap: int | None = None) -> LopsidependencyReport:
+                           variable_guard: int = 16) -> LopsidependencyReport:
     """Exhaustively check P(B | avoid S) <= P(B) for the uniform space on m variables.
 
-    Exact integer counting over all 2^m assignments.  subset_cap limits |S|;
-    by default all subsets are tried when there are <= 12 events, else |S| <= 3.
+    Exact integer counting over all 2^m assignments.  Every conditioning set
+    S is tried when there are <= 12 events, else every S with |S| <= 3.
     """
     if m > variable_guard:
         raise SizeGuardError(f"m={m} exceeds enumeration guard {variable_guard}")
     if len(events) != graph.n:
         raise DomainError("graph vertex count does not match event count")
-    if subset_cap is None:
-        subset_cap = len(events) if len(events) <= 12 else 3
+    subset_cap = len(events) if len(events) <= 12 else 3
 
     total = 1 << m
     # Bitmask over assignments: bit a is set iff the event holds under assignment a,
@@ -232,7 +218,7 @@ def verify_lopsidependency(events: Sequence[BadEvent], graph: DepGraph, m: int,
     for b in range(len(events)):
         count_b = masks[b].bit_count()
         others = [i for i in range(len(events))
-                  if i != b and i not in graph.neighborhood(b)]
+                  if i != b and i not in graph.adjacency[b]]
         for size in range(1, min(subset_cap, len(others)) + 1):
             for subset in combinations(others, size):
                 avoid = all_assignments

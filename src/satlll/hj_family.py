@@ -235,13 +235,13 @@ def _u(t, p, k: int):
     return 1 - p / t ** (k - 1)
 
 
-def g_function(a, k: int, L: int, p=None):
-    """g(a) = u(2 - a^{-(L-1)}); exact on Fraction, mpf otherwise.
+def g_function(a, k: int, L: int):
+    """g(a) = u(2 - a^{-(L-1)}) at p = 2^{-k}; exact on Fraction, mpf otherwise.
 
     Requires a > 2^{-1/(L-1)} so that the denominator base is positive.
     """
     _check_params(k, L)
-    p = Fraction(1, 2 ** k) if p is None else Fraction(p)
+    p = Fraction(1, 2 ** k)
     if isinstance(a, (Fraction, int)):
         a = Fraction(a)
         if a <= 0 or 2 * a ** (L - 1) <= 1:

@@ -36,7 +36,17 @@ the larger set's size).  Hence 1 - p_0 r(U') >= 1 - p_0 r(W_1) = Z_V / Z_{W_1} >
 
 So a SATISFIED verdict costs n evaluations on one memoized engine, and
 the deletion of the minimum vertex computes most suffixes on the way to
-Z_V.  Only a violation enumerates independent sets, to find its witness.
+Z_V.  Applied to G[R], the same test says whether some independent subset
+of a region R violates, and it also finds a violation's witness.  For
+independent S with region R = V - S - N(S), a vertex v in R and
+R' = R - v - N(v), Q(G, S + {v} + U, p) = prod_{S + {v}} p * Q(G[R'], U, p),
+so some violating set contains S + {v} exactly when the chain of R' fails.
+The descent starts at S = empty and, while Q(G, S, p) > 0, moves to the
+first v > max S whose R' fails.  It never backtracks.  Let T be the
+lexicographically first violating set, inside S's subtree.  A failing R'
+for an earlier v yields a violating S + {v} + U that lies in v's subtree
+or, when U has a vertex below v, before S + {v} (before S, or in an
+earlier child's subtree); either way it precedes T, which is impossible.
 """
 
 from __future__ import annotations
@@ -138,16 +148,13 @@ def independence_polynomial(graph: DepGraph, base: Iterable[int], p: Probability
     return prefactor * engine.q(remaining)
 
 
-def enumerate_independent_sets(graph: DepGraph):
-    """All independent sets, in lexicographic order of their sorted vertex lists."""
+def _chain_fails(engine: _QEngine, region: frozenset[int]) -> bool:
+    """True iff some independent subset of G[region] violates Shearer's condition.
 
-    def extend(current: tuple[int, ...], start: int):
-        yield current
-        for v in range(start, graph.n):
-            if all(not graph.has_edge(v, u) for u in current):
-                yield from extend(current + (v,), v + 1)
-
-    yield from extend((), 0)
+    By (a) <=> (c) on G[region]: some suffix of the sorted region has Z <= 0.
+    """
+    order = sorted(region)
+    return any(engine.q(frozenset(order[i:])) <= 0 for i in range(len(order)))
 
 
 def shearer_check(graph: DepGraph, p: ProbabilityVector,
@@ -158,24 +165,29 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
     W_i = {i, ..., n-1}, evaluated from W_0 = V on one memoized engine
     (Scott & Sokal 2005, Thm 2.10; Kolipaka & Szegedy 2011; proof sketch
     in the module docstring).  On violation, the witness is the first
-    failing S in lexicographic order of sorted vertex lists, found by
-    enumerating independent sets; it is () exactly when Z_V <= 0.
+    failing S in lexicographic order of sorted vertex lists, found by the
+    descent in the module docstring with at most n chain tests per vertex;
+    it is () exactly when Z_V <= 0.
     """
     if graph.n > vertex_guard:
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p, open_interval=True)
     engine = _QEngine(graph, probs)
-    if all(engine.q(frozenset(range(i, graph.n))) > 0 for i in range(graph.n)):
+    region = frozenset(range(graph.n))
+    if not _chain_fails(engine, region):
         return ShearerVerdict(True)
-    all_vertices = frozenset(range(graph.n))
-    for s in enumerate_independent_sets(graph):
-        remaining = all_vertices - frozenset(s)
-        prefactor = Fraction(1)
-        for v in s:
-            remaining -= graph.adjacency[v]
-            prefactor *= probs[v]
-        value = prefactor * engine.q(remaining)
-        if value <= 0:
-            return ShearerVerdict(False, witness=s, witness_value=value)
-    raise CertificationError("the suffix chain has Z <= 0 but no independent set "
-                             "violates Shearer's condition")
+    witness: tuple[int, ...] = ()
+    prefactor = Fraction(1)
+    while (value := prefactor * engine.q(region)) > 0:
+        # A v below max S never qualifies (its violating sets would precede
+        # S), so skipping it only saves chain tests.
+        after = witness[-1] if witness else -1
+        v = next((v for v in sorted(region) if v > after
+                  and _chain_fails(engine, region - graph.adjacency[v] - {v})), None)
+        if v is None:
+            raise CertificationError("the suffix chain has Z <= 0 but no independent set "
+                                     "violates Shearer's condition")
+        witness += (v,)
+        prefactor *= probs[v]
+        region = region - graph.adjacency[v] - {v}
+    return ShearerVerdict(False, witness=witness, witness_value=value)

@@ -1,9 +1,10 @@
 """Independent oracles and identities that only the tests use.
 
 Each recomputes a quantity by a route other than the one ``satlll`` takes
-(direct subset enumeration, component factorization, expansion over a
-pivot set, the normalized recurrence, an occurrence count), so that tests
-can cross-check the production code against it.
+(direct subset enumeration, a Shearer check over every independent set,
+component factorization, expansion over a pivot set, the normalized
+recurrence, an occurrence count), so that tests can cross-check the
+production code against it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,41 @@ from satlll.events_graph import DepGraph
 from satlll.hj_family import recurrence_sr
 from satlll.sat_model import Formula, occurrences
 from satlll.shearer import (DEFAULT_VERTEX_GUARD, ProbabilityVector,
-                            _check_probabilities, enumerate_independent_sets,
+                            ShearerVerdict, _check_probabilities,
                             independence_polynomial)
 
 BRUTE_FORCE_GUARD = 20
+
+
+def enumerate_independent_sets(graph: DepGraph):
+    """All independent sets, in lexicographic order of their sorted vertex lists."""
+
+    def extend(current: tuple[int, ...], start: int):
+        yield current
+        for v in range(start, graph.n):
+            if all(not graph.has_edge(v, u) for u in current):
+                yield from extend(current + (v,), v + 1)
+
+    yield from extend((), 0)
+
+
+def induced_subgraph(graph: DepGraph, vertices: Iterable[int]) -> DepGraph:
+    """Subgraph on the given vertices, relabeled 0..len-1 in sorted order."""
+    kept = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(kept)}
+    adjacency = tuple(
+        frozenset(index[u] for u in graph.adjacency[v] if u in index) for v in kept)
+    payloads = tuple(graph.payloads[v] for v in kept) if graph.payloads else ()
+    return DepGraph(adjacency, payloads)
+
+
+def shearer_check_by_enumeration(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
+    """Q(G, S, p) for every independent S, stopping at the first S with Q <= 0."""
+    for s in enumerate_independent_sets(graph):
+        value = independence_polynomial(graph, s, p)
+        if value <= 0:
+            return ShearerVerdict(False, witness=s, witness_value=value)
+    return ShearerVerdict(True)
 
 
 def independence_polynomial_bruteforce(graph: DepGraph, base: Iterable[int],
@@ -54,7 +86,7 @@ def component_factorization(graph: DepGraph, p: ProbabilityVector,
     probs = _check_probabilities(graph, p)
     result = Fraction(1)
     for comp in graph.connected_components():
-        sub = graph.induced_subgraph(comp)
+        sub = induced_subgraph(graph, comp)
         sub_p = [probs[v] for v in sorted(comp)]
         result *= independence_polynomial(sub, (), sub_p, vertex_guard)
     return result
@@ -75,7 +107,7 @@ def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
 
     all_vertices = frozenset(range(graph.n))
     total = Fraction(0)
-    x_graph = graph.induced_subgraph(x_set)
+    x_graph = induced_subgraph(graph, x_set)
     x_sorted = sorted(x_set)
     for u_local in enumerate_independent_sets(x_graph):
         u = frozenset(x_sorted[i] for i in u_local)
@@ -83,7 +115,7 @@ def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
         for v in u:
             removed |= graph.adjacency[v]
         residual = sorted(all_vertices - removed)
-        sub = graph.induced_subgraph(residual)
+        sub = induced_subgraph(graph, residual)
         sub_p = [probs[v] for v in residual]
         term = independence_polynomial(sub, (), sub_p, vertex_guard)
         for v in u:

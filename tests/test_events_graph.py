@@ -9,7 +9,7 @@ from satlll.events_graph import (BadEvent, DepGraph, atom_hits, atom_index,
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
-from oracles import max_degree
+from oracles import induced_subgraph, max_degree
 
 
 def ev(*atoms):
@@ -115,13 +115,13 @@ def test_graph_builders_reject_variables_below_one():
 
 def test_graph_utils():
     graph = DepGraph.from_edges(5, [(0, 1), (2, 3)])
-    assert graph.induced_subgraph([]).n == 0
-    sub = graph.induced_subgraph([0, 1, 4])
+    assert induced_subgraph(graph, []).n == 0
+    sub = induced_subgraph(graph, [0, 1, 4])
     assert sub.n == 3 and sub.edges() == [(0, 1)]
     components = graph.connected_components()
     assert sorted(map(sorted, components)) == [[0, 1], [2, 3], [4]]
     assert max_degree(graph) == 1
-    assert graph.neighborhood(0) == frozenset({1})
+    assert graph.adjacency[0] == frozenset({1})
 
 
 def test_graph_rejects_self_loop():

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,12 +12,12 @@ from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import (DepGraph, events_from_formula,
                                  lopsidependency_graph)
 from satlll.sat_model import build_extremal_formula
-from satlll.shearer import (ShearerVerdict, enumerate_independent_sets,
-                            independence_polynomial, shearer_check)
+from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import random_graph, random_probabilities
-from oracles import (component_factorization, expansion_identity,
-                     independence_polynomial_bruteforce)
+from oracles import (component_factorization, enumerate_independent_sets,
+                     expansion_identity, independence_polynomial_bruteforce,
+                     induced_subgraph, shearer_check_by_enumeration)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -148,23 +153,50 @@ def test_scaling_up_never_flips_violated_to_satisfied(rng):
             assert not after
 
 
-def shearer_check_by_enumeration(graph, p):
-    """Oracle: Q(G, S, p) for every independent S, stopping at the first S with Q <= 0."""
-    for s in enumerate_independent_sets(graph):
-        value = independence_polynomial(graph, s, p)
-        if value <= 0:
-            return ShearerVerdict(False, witness=s, witness_value=value)
-    return ShearerVerdict(True)
+def violated_component(rng):
+    """A random graph and p with Q(G, empty, p) < 0."""
+    while True:
+        graph = random_graph(rng, max_vertices=7, edge_probability=0.5)
+        p = [Fraction(rng.randint(15, 40), 60) for _ in range(graph.n)]
+        if independence_polynomial(graph, (), p) < 0:
+            return graph, p
+
+
+def two_violated_components(rng):
+    """The disjoint union of two components with Z < 0, so Z_V > 0 and the
+    first violating set is non-empty."""
+    (g1, p1), (g2, p2) = violated_component(rng), violated_component(rng)
+    order = list(range(g1.n + g2.n))
+    rng.shuffle(order)
+    edges = [(order[u], order[v]) for u, v in g1.edges()]
+    edges += [(order[g1.n + u], order[g1.n + v]) for u, v in g2.edges()]
+    p = [None] * len(order)
+    for i, x in enumerate(p1 + p2):
+        p[order[i]] = x
+    return DepGraph.from_edges(len(order), edges), p
+
+
+def late_witness_graph(m):
+    """m low vertices (p = 10^-6), each joined to all of an 8-vertex gadget:
+    two disjoint 4-paths at p = 2/5, each with Z = -3/25.  Z_V > 0, every set
+    holding a low vertex is cleared, and the first violating set is {m}."""
+    gadget = range(m, m + 8)
+    edges = [(v, g) for v in range(m) for g in gadget]
+    edges += [(m + i, m + i + 1) for i in (0, 1, 2, 4, 5, 6)]
+    return DepGraph.from_edges(m + 8, edges), [Fraction(1, 10 ** 6)] * m + [Fraction(2, 5)] * 8
 
 
 def test_suffix_chain_matches_enumeration(rng):
     kinds = {"satisfied": 0, "empty witness": 0, "non-empty witness": 0}
-    for i in range(600):
-        graph = random_graph(rng, max_vertices=11)
-        if i % 2:
-            p = [Fraction(rng.randint(3, 20), 60)] * graph.n
+    for i in range(700):
+        if i >= 600:
+            graph, p = two_violated_components(rng)
         else:
-            p = random_probabilities(rng, graph.n)
+            graph = random_graph(rng, max_vertices=11)
+            if i % 2:
+                p = [Fraction(rng.randint(3, 20), 60)] * graph.n
+            else:
+                p = random_probabilities(rng, graph.n)
         verdict = shearer_check(graph, p)
         assert verdict == shearer_check_by_enumeration(graph, p)
         if verdict.satisfied:
@@ -172,6 +204,35 @@ def test_suffix_chain_matches_enumeration(rng):
         else:
             kinds["empty witness" if verdict.witness == () else "non-empty witness"] += 1
     assert all(kinds.values()), kinds
+    assert kinds["non-empty witness"] >= 100, kinds
+
+
+def test_late_witness_matches_enumeration():
+    graph, p = late_witness_graph(12)
+    verdict = shearer_check(graph, p)
+    assert verdict == shearer_check_by_enumeration(graph, p)
+    assert verdict.witness == (12,)
+
+
+def test_late_witness_at_the_vertex_guard():
+    graph, p = late_witness_graph(32)
+    assert graph.n == 40
+    verdict = shearer_check(graph, p)
+    # Q = p_32 * Z(P_2) * Z(P_4) = 2/5 * 1/5 * (-3/25)
+    assert (verdict.satisfied, verdict.witness, verdict.witness_value) == (
+        False, (32,), Fraction(-6, 625))
+
+
+def test_late_witness_cli_finishes_in_time(tmp_path):
+    graph, p = late_witness_graph(32)
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"n": graph.n, "edges": graph.edges(),
+                                "p": [str(x) for x in p]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-m", "satlll.cli", "check-shearer",
+                             "--graph", str(path)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "VIOLATED witness={32} Q=-6/625\n")
 
 
 def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
@@ -182,10 +243,15 @@ def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
     assert shearer_check(graph, p).satisfied
     # The same verdict by the other chain, {0} < {0, 1} < ... < V.
     for i in range(1, graph.n + 1):
-        assert independence_polynomial(graph.induced_subgraph(range(i)), (), p[:i]) > 0
+        assert independence_polynomial(induced_subgraph(graph, range(i)), (), p[:i]) > 0
 
 
 def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
-    monkeypatch.setattr(shearer, "enumerate_independent_sets", lambda graph: iter(()))
+    # On the edge 0-2 plus the isolated vertex 1, Z_V = Z_{0,2} * Z_{1} never
+    # evaluates the suffix {1, 2}.  Making it non-positive fails the chain
+    # while Z_V > 0 and every child's region ({1}, {0, 2}, {1}) passes.
+    true_q = shearer._QEngine.q
+    monkeypatch.setattr(shearer._QEngine, "q", lambda engine, active: (
+        Fraction(-1) if active == frozenset({1, 2}) else true_q(engine, active)))
     with pytest.raises(CertificationError):
-        shearer_check(k2(), [HALF, HALF])
+        shearer_check(DepGraph.from_edges(3, [(0, 2)]), [QUARTER] * 3)
