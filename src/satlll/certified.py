@@ -40,20 +40,12 @@ def endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     return mpmath.mpf(lo), mpmath.mpf(hi)
 
 
-def certainly_le(x, y) -> bool:
-    return (x <= y) is True
-
-
 def certainly_lt(x, y) -> bool:
     return (x < y) is True
 
 
 def certainly_ge(x, y) -> bool:
     return (x >= y) is True
-
-
-def certainly_gt(x, y) -> bool:
-    return (x > y) is True
 
 
 def certified_floor(x, what: str = "value") -> int:
@@ -64,7 +56,7 @@ def certified_floor(x, what: str = "value") -> int:
     if floor_lo != floor_hi:
         raise CertificationError(
             f"floor of {what} not certified: interval [{mpmath.nstr(lo, 30)}, "
-            f"{mpmath.nstr(hi, 30)}] straddles an integer")
+            f"{mpmath.nstr(hi, 30)}] straddles an integer", retry_precision=2 * iv.prec)
     return floor_lo
 
 
@@ -74,9 +66,15 @@ def certified_compare_ge(x, y, what: str = "comparison") -> bool:
         return True
     if certainly_lt(x, y):
         return False
-    raise CertificationError(f"{what} not certifiable at current precision")
+    raise CertificationError(f"{what} not certifiable at current precision",
+                             retry_precision=2 * iv.prec)
 
 
 def midpoint_float(x) -> float:
-    lo, hi = endpoints(x)
-    return float((lo + hi) / 2)
+    """Midpoint of an interval, or of a raw (lo, hi) pair of libmp values.
+
+    Each endpoint is rounded to the mp context precision before the sum is
+    halved; rounding only the sum would change the last bit of some results.
+    """
+    lo, hi = x if isinstance(x, tuple) else x._mpi_
+    return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)

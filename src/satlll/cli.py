@@ -324,7 +324,9 @@ def main(argv=None) -> int:
         _emit(args, output)
         return code
     except SatLllError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        retry = getattr(exc, "retry_precision", None)
+        hint = f" (retry with --precision {retry})" if retry else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 

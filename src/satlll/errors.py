@@ -16,8 +16,14 @@ class SizeGuardError(SatLllError):
 class CertificationError(SatLllError):
     """An interval comparison or floor could not be certified at the working precision.
 
-    Raised instead of silently rounding; callers may retry at higher precision.
+    Raised instead of silently rounding.  When more precision may help,
+    retry_precision suggests a precision to retry at (twice the one that
+    failed); it is None when the failure does not depend on precision.
     """
+
+    def __init__(self, message, retry_precision=None):
+        super().__init__(message)
+        self.retry_precision = retry_precision
 
 
 class DimacsError(SatLllError):

@@ -40,6 +40,13 @@ decides the fixed-point verdict:
    t > 0 gives c > 2^{-1/N}, the threshold, and t <= 1 gives c <= 1 = a_0.
    g is increasing, so a_j >= c implies a_{j+1} = g(a_j) >= g(c) >= c: every
    iterate stays above the threshold, and "converged" needs no iteration.
+
+For F_Shearer itself, two probes suffice, however F is guessed:
+
+5. By the monotonicity in fact 1, max phi_{F-1} >= 0 (or F = 1) together with
+   max phi_F < 0 proves F_Shearer(k) = F.  An estimate of floor(max ell)
+   only picks which two probes; where one disagrees, binary search over the
+   rest of [1, 2^k] finishes, so no result depends on the estimate.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ from typing import Optional
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import mpi_div, mpi_gt, mpi_le, mpi_pow, mpi_sub
 
-from .certified import (DEFAULT_PRECISION, certainly_gt, certainly_le,
-                        certified_compare_ge, interval_precision,
-                        iv_from_fraction, midpoint_float)
+from .certified import (DEFAULT_PRECISION, certified_compare_ge,
+                        interval_precision, iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import (DEFAULT_CLAUSE_GUARD, ExpansionTree, Formula,
@@ -264,6 +271,8 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
     "violated"; a straddling comparison or max_iter steps give "inconclusive".
     """
     _check_params(k, L)
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     t = _phi_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
@@ -276,20 +285,29 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
             c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
             verdict = FixedPointVerdict("converged", value=midpoint_float(c))
         else:
-            p = iv_from_fraction(Fraction(1, 2 ** k))
-            a = iv.mpf(1)
+            # a_j = u(2 - a_{j-1}^{-(L-1)}) on raw (lo, hi) pairs: the libmp
+            # functions below are those iv's operators dispatch to, with the
+            # operands they convert (1, 2, p and the exponents), at the same
+            # precision, so each enclosure is bit-identical to iv arithmetic.
+            one, two, p, bound, power_a, power_u = (x._mpi_ for x in (
+                iv.mpf(1), iv.mpf(2), iv_from_fraction(Fraction(1, 2 ** k)), threshold,
+                iv.mpf(-(L - 1)), iv.mpf(k - 1)))
+            a = one
             for j in range(1, max_iter + 1):
-                a_new = _u(2 - a ** (-(L - 1)), p, k)
+                base = mpi_sub(two, mpi_pow(a, power_a, precision), precision)
+                a_new = mpi_sub(one, mpi_div(p, mpi_pow(base, power_u, precision),
+                                             precision), precision)
                 trajectory.append(midpoint_float(a_new))
-                if certainly_le(a_new, threshold):
-                    verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))
+                if mpi_le(a_new, bound) is True:
+                    verdict = FixedPointVerdict("violated", step=j, value=trajectory[-1])
                     break
-                if not certainly_gt(a_new, threshold):
-                    verdict = FixedPointVerdict("inconclusive", step=j, value=midpoint_float(a_new))
+                if mpi_gt(a_new, bound) is not True:
+                    verdict = FixedPointVerdict("inconclusive", step=j, value=trajectory[-1])
                     break
                 a = a_new
             else:
-                verdict = FixedPointVerdict("inconclusive", step=max_iter, value=midpoint_float(a))
+                verdict = FixedPointVerdict("inconclusive", step=max_iter,
+                                            value=midpoint_float(a))
     return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
                             trajectory=tuple(trajectory), verdict=verdict,
                             threshold=threshold_mid)
@@ -342,7 +360,7 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
     if not (a > 0 and a ** (k - 1) > c and q_a > 0 >= _q(b, N, c, k)):
         raise CertificationError(
             f"no certified bracket of the maximizer of phi_{N} for k={k}: "
-            f"[{float(a)}, {float(b)}]")
+            f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
     dphi_a = q_a / ((2 - a) * (a ** k - c * a))
     with interval_precision(precision):
         a_iv = iv_from_fraction(a)
@@ -353,15 +371,49 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
         return None
 
 
-def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
-    """F_Shearer(k) = floor(max ell), certified by facts 1-3 of the module docstring.
+def _shearer_estimate(k: int) -> int:
+    """An estimate of F_Shearer(k); it only picks shearer_upper_bound's probes.
 
-    Binary search for the largest L in [1, 2^k] with max phi_{L-1} >= 0;
-    each probe is decided exactly or raises CertificationError.
+    N(t) = (t^k - ct) / (c(k-1)(2-t)) solves q_N(t) = 0, so phi_{N(t)} peaks
+    at t and psi(t) = phi_{N(t)}(t) = max phi_{N(t)}.  N increases and max phi_N
+    decreases in N, so psi decreases, and at its root t0, F = floor(N(t0)) + 1
+    (fact 1).  psi(1) = N(1) ln u(1) < 0, and Newton from t = 1 descends onto
+    t0 (psi' = N' ln u, as phi_{N(t)}' vanishes at t) in under ten steps for
+    k up to 3000; a step out of (2^{-k/(k-1)}, 1] ends it early.
+    """
+    with mp.workprec(k + 64):  # N < 2^k, so this resolves floor(N)
+        c = mpmath.mpf(2) ** -k
+        lower = c ** (mpmath.mpf(1) / (k - 1))
+        t = mpmath.mpf(1)
+        for _ in range(64):
+            tk1 = t ** (k - 1)
+            n = (t * tk1 - c * t) / (c * (k - 1) * (2 - t))
+            log_u = mpmath.log1p(-c / tk1)
+            dn = ((k * tk1 - c) / (c * (k - 1)) + n) / (2 - t)
+            step = (mpmath.log(2 - t) + n * log_u) / (dn * log_u)
+            if abs(step) < c * 2 ** -32 or not lower < t - step <= 1:
+                break  # settled far below what floor(N) needs, or astray
+            t -= step
+        return int(n) + 1
+
+
+def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
+    """F_Shearer(k) = floor(max ell), certified by facts 1-3 and 5 of the module docstring.
+
+    Probes L = F and F + 1 at the estimate F; if either disagrees, binary
+    search over the rest of [1, 2^k].  Each probe is decided exactly or
+    raises CertificationError.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    lo, hi = 1, 2 ** k
+    lo, hi = 1, 2 ** k  # max phi_{lo-1} >= 0 (or lo = 1); max phi_hi < 0
+    estimate = _shearer_estimate(k)
+    for L in (estimate, estimate + 1):
+        if lo < L <= hi:
+            if _phi_witness(L - 1, k, precision) is not None:
+                lo = L
+            else:
+                hi = L - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _phi_witness(mid - 1, k, precision) is not None:

@@ -3,7 +3,8 @@
 Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
-recurrence, an occurrence count), so that tests can cross-check the
+recurrence, an occurrence count, the fixed-point iteration on interval
+objects, a binary search for F_Shearer), so that tests can cross-check the
 production code against it.
 """
 
@@ -14,11 +15,14 @@ from typing import Iterable
 
 from mpmath import iv
 
+from satlll import hj_family
 from satlll.certified import (DEFAULT_PRECISION, certified_compare_ge,
-                              interval_precision, iv_from_fraction)
-from satlll.errors import DomainError, SizeGuardError
+                              interval_precision, iv_from_fraction,
+                              midpoint_float)
+from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
-from satlll.hj_family import recurrence_sr
+from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
+                              _u, recurrence_sr)
 from satlll.sat_model import Formula, occurrences
 from satlll.shearer import (DEFAULT_VERTEX_GUARD, ProbabilityVector,
                             ShearerVerdict, _check_probabilities,
@@ -161,3 +165,59 @@ def validate_occurrences(formula: Formula, L: int) -> bool:
 
 def max_degree(graph: DepGraph) -> int:
     return max((len(nbrs) for nbrs in graph.adjacency), default=0)
+
+
+def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
+                                       precision: int = DEFAULT_PRECISION) -> FixedPointReport:
+    """``fixed_point_iteration`` with its violated loop on ``iv`` interval objects.
+
+    Every operation goes through iv's operators, which convert their operands
+    and wrap each result; the production loop calls the libmp functions behind
+    them on raw endpoint pairs, and must give the same report bit for bit.
+    """
+    _check_params(k, L)
+    t = hj_family._phi_witness(L - 1, k, precision)
+    if t is not None and t > 1:
+        raise CertificationError(
+            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
+    with interval_precision(precision):
+        threshold = iv.mpf(2) ** (iv.mpf(-2) / (2 * L - 2))
+        threshold_mid = midpoint_float(threshold)
+        trajectory = [1.0]
+        if t is not None:
+            c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
+            verdict = FixedPointVerdict("converged", value=midpoint_float(c))
+        else:
+            p = iv_from_fraction(Fraction(1, 2 ** k))
+            a = iv.mpf(1)
+            for j in range(1, max_iter + 1):
+                a_new = _u(2 - a ** (-(L - 1)), p, k)
+                trajectory.append(midpoint_float(a_new))
+                if (a_new <= threshold) is True:
+                    verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))
+                    break
+                if (a_new > threshold) is not True:
+                    verdict = FixedPointVerdict("inconclusive", step=j,
+                                                value=midpoint_float(a_new))
+                    break
+                a = a_new
+            else:
+                verdict = FixedPointVerdict("inconclusive", step=max_iter, value=midpoint_float(a))
+    return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
+                            trajectory=tuple(trajectory), verdict=verdict,
+                            threshold=threshold_mid)
+
+
+def shearer_upper_bound_by_bisection(k: int, precision: int = DEFAULT_PRECISION) -> int:
+    """F_Shearer(k) by binary search over [1, 2^k] for the largest L with
+    max phi_{L-1} >= 0: about k certified probes where the estimate needs two."""
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    lo, hi = 1, 2 ** k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if hj_family._phi_witness(mid - 1, k, precision) is not None:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from satlll import cli, hj_family, moser_tardos
 from satlll.certified import DEFAULT_PRECISION
-from satlll.cli import EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD, main
+from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD,
+                        main)
 from satlll.events_graph import DepGraph
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD
 from satlll.shearer import DEFAULT_VERTEX_GUARD
@@ -39,6 +40,19 @@ def test_table_json(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "table", "9", "9")
     assert code == 0
     assert json.loads(out) == [{"k": 9, "F_LLL": 20, "F_Shearer": 21, "F_MT": 22}]
+
+
+def test_certification_failure_suggests_a_precision(capsys):
+    # F_Shearer(200) needs finer brackets than 256 bits give; twice that suffices.
+    code, out, err = run_cli(capsys, "table", "200", "200")
+    assert (code, out) == (EXIT_CERTIFICATION, "")
+    assert err.startswith("error: max phi_")
+    assert err.endswith("not certifiable at current precision (retry with --precision 512)\n")
+    code, out, _ = run_cli(capsys, "--precision", "512", "table", "200", "200")
+    assert code == 0
+    assert out == ("200\t2955797348595639095468806880191287502439753841221469995008"
+                   "\t2955834144021611738375928619524554769177806039044019000190"
+                   "\t2963208464171792118507639349873253649734994463520121849433\n")
 
 
 def test_table_bad_range(capsys):
@@ -261,6 +275,8 @@ def _build_nothing(*args, **kwargs):
     (CHECK_GRAPH, json.dumps({**K2_GRAPH, "n": True}), None, EXIT_DOMAIN, "non-negative"),
     (["--format", "json", "fixedpoint", "--k", "2", "--L", "2", "--max-trajectory", "-1"],
      None, None, EXIT_DOMAIN, "max_trajectory"),
+    (["fixedpoint", "--k", "5", "--L", "4", "--max-iter", "-3"], None, None,
+     EXIT_DOMAIN, "max_iter must be >= 0, got -3"),
     (CHECK_GRAPH, json.dumps({"n": 41, "edges": [], "p": ["1/2"] * 41}), None,
      EXIT_GUARD, "graph has 41 vertices, guard is 40"),
     (CHECK_CNF, "p cnf 123 41\n" + "".join(f"{3 * i + 1} {3 * i + 2} {3 * i + 3} 0\n"
@@ -280,7 +296,8 @@ def _build_nothing(*args, **kwargs):
      EXIT_DOMAIN, "probability exponent above 4300"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
-        "negative-n", "boolean-n", "negative-max-trajectory", "graph-over-guard",
+        "negative-n", "boolean-n", "negative-max-trajectory", "negative-max-iter",
+        "graph-over-guard",
         "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
         "infinite-probability", "mt-variables-over-guard", "mt-clauses-over-guard",
         "exponent-probability"])

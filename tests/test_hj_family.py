@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from satlll import hj_family
 from satlll.bounds import f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
@@ -11,7 +13,8 @@ from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
                               shearer_upper_bound, threshold_ell)
 from satlll.shearer import independence_polynomial
 
-from oracles import a_b_sequence
+from oracles import (a_b_sequence, fixed_point_iteration_by_intervals,
+                     shearer_upper_bound_by_bisection)
 
 
 def q_uniform(hgraph, k):
@@ -163,6 +166,90 @@ def test_fixed_point_k9_boundary():
         assert report.verdict.step is None and report.trajectory == (1.0,)
         assert 2 ** (-1 / (L - 1)) < report.verdict.value <= 1, (k, L)
         assert point_iteration_minimum(k, L) >= report.verdict.value - 1e-12, (k, L)
+
+
+def outcome(function, *args, **kwargs):
+    """A result, or a refusal with the precision it suggests.
+
+    The message is left out: it names the probe that failed, which differs
+    between routes that probe different L.
+    """
+    try:
+        return function(*args, **kwargs)
+    except CertificationError as exc:
+        return CertificationError, exc.retry_precision
+
+
+def test_fixed_point_matches_interval_objects(monkeypatch):
+    # The endpoint loop against the loop on iv objects, report for report:
+    # every L in [2, F_MT + 1] for k = 2..12, and the benchmark's violated
+    # (k, L) for k = 13..20.  Both call the same phi witness, so it is cached.
+    monkeypatch.setattr(hj_family, "_phi_witness", functools.cache(hj_family._phi_witness))
+    small = [(k, L) for k in range(2, 13) for L in range(2, f_mt(k) + 2)]
+    violated = [(k, L) for k in range(13, 21)
+                for L in sorted({shearer_upper_bound(k) + 1, f_mt(k), f_mt(k) + 1})]
+    runs = [(k, L, precision) for precision in (64, 256, 512) for k, L in small]
+    runs += [(k, L, 256) for k, L in violated]
+    kinds = set()
+    for k, L, precision in runs:
+        for max_iter in (0, 1, 5, 100_000):
+            got, expected = (outcome(route, k, L, max_iter=max_iter, precision=precision)
+                             for route in (fixed_point_iteration,
+                                           fixed_point_iteration_by_intervals))
+            assert got == expected, (k, L, precision, max_iter)
+            if isinstance(got, tuple):  # both refused alike
+                continue
+            assert repr(got.trajectory) == repr(expected.trajectory), (k, L, precision)
+            assert got.to_json_dict() == expected.to_json_dict(), (k, L, precision)
+            kinds.add((got.verdict.kind, max_iter))
+    assert {("converged", 0), ("inconclusive", 0), ("inconclusive", 5),
+            ("violated", 100_000)} <= kinds
+
+
+def test_shearer_upper_bound_matches_bisection():
+    for precision in (64, 256):
+        for k in range(2, 41):
+            assert (outcome(shearer_upper_bound, k, precision)
+                    == outcome(shearer_upper_bound_by_bisection, k, precision)), (k, precision)
+    assert shearer_upper_bound(200, 512) == shearer_upper_bound_by_bisection(200, 512)
+    for route in (shearer_upper_bound, shearer_upper_bound_by_bisection):
+        with pytest.raises(CertificationError) as refused:
+            route(200, 256)
+        assert refused.value.retry_precision == 512
+
+
+def count_probes(monkeypatch) -> list:
+    calls = []
+    probe = hj_family._phi_witness
+
+    def counted(N, k, precision):
+        calls.append(N)
+        return probe(N, k, precision)
+
+    monkeypatch.setattr(hj_family, "_phi_witness", counted)
+    return calls
+
+
+def test_shearer_upper_bound_takes_two_probes(monkeypatch):
+    calls = count_probes(monkeypatch)
+    for k in range(2, 41):
+        calls.clear()
+        F = shearer_upper_bound(k, 256)
+        assert len(calls) <= 2, (k, calls)
+        assert calls[-1] == F, k  # the probe of F + 1, which fails
+
+
+def test_shearer_upper_bound_survives_a_wrong_estimate(monkeypatch):
+    # The estimate only picks the probes: every wrong guess still gives F,
+    # and a guess off by d costs the two probes plus a binary search.
+    calls = count_probes(monkeypatch)
+    for k in (2, 5, 9, 12, 20):
+        F = shearer_upper_bound_by_bisection(k, 256)
+        for guess in (1, 2 ** k, F - 7, F + 7):
+            monkeypatch.setattr(hj_family, "_shearer_estimate", lambda _k: guess)
+            calls.clear()
+            assert shearer_upper_bound(k, 256) == F, (k, guess)
+            assert len(calls) <= k + 2, (k, guess)
 
 
 def test_fixed_point_report_json():
