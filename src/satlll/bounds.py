@@ -23,7 +23,7 @@ from .certified import (DEFAULT_PRECISION, certified_compare_ge,
 from .errors import DomainError, SizeGuardError
 from .events_graph import BadEvent, atom_hits, disagree
 
-DEFAULT_EVENT_GUARD = 16
+EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def f_mt(k: int) -> int:
     return (2 ** k - 1) * (k - 1) ** (k - 1) // k ** k
 
 
-def orderable_sets(b_index: int, events: Sequence[BadEvent],
-                   event_guard: int = DEFAULT_EVENT_GUARD) -> Iterator[frozenset[int]]:
+def orderable_sets(b_index: int, events: Sequence[BadEvent]) -> Iterator[frozenset[int]]:
     """All Y that are orderable to events[b_index], as frozensets of indices.
 
     Yields the empty set first (its product is the term 1 of the criterion),
@@ -65,8 +64,8 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
     with B that admits an ordering in which each element is hit by a fresh
     atom of B.
     """
-    if len(events) > event_guard:
-        raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {event_guard}")
+    if len(events) > EVENT_GUARD:
+        raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {EVENT_GUARD}")
     b = events[b_index]
     yield frozenset()
     yield frozenset({b_index})
@@ -100,8 +99,7 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent],
 
 
 def harris_check(events: Sequence[BadEvent], mu: Sequence[Fraction],
-                 p: Sequence[Fraction],
-                 event_guard: int = DEFAULT_EVENT_GUARD) -> CriterionReport:
+                 p: Sequence[Fraction]) -> CriterionReport:
     """Exact test of mu(B) >= P(B) * sum over orderable Y of prod mu, for every B.
 
     The sum runs over every Y that orderable_sets yields, the empty Y (term
@@ -117,7 +115,7 @@ def harris_check(events: Sequence[BadEvent], mu: Sequence[Fraction],
     margins = []
     for b_index in range(len(events)):
         total = Fraction(0)
-        for y in orderable_sets(b_index, events, event_guard=event_guard):
+        for y in orderable_sets(b_index, events):
             term = Fraction(1)
             for i in y:
                 term *= mu[i]

@@ -40,15 +40,7 @@ def endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     return mpmath.mpf(lo), mpmath.mpf(hi)
 
 
-def certainly_lt(x, y) -> bool:
-    return (x < y) is True
-
-
-def certainly_ge(x, y) -> bool:
-    return (x >= y) is True
-
-
-def certified_floor(x, what: str = "value") -> int:
+def certified_floor(x, what: str) -> int:
     """Floor of an interval, provided both endpoints agree on it."""
     lo, hi = endpoints(x)
     floor_lo = int(mpmath.floor(lo))
@@ -60,11 +52,11 @@ def certified_floor(x, what: str = "value") -> int:
     return floor_lo
 
 
-def certified_compare_ge(x, y, what: str = "comparison") -> bool:
+def certified_compare_ge(x, y, what: str) -> bool:
     """Certified x >= y; raises when the intervals overlap inconclusively."""
-    if certainly_ge(x, y):
+    if (x >= y) is True:
         return True
-    if certainly_lt(x, y):
+    if (x < y) is True:
         return False
     raise CertificationError(f"{what} not certifiable at current precision",
                              retry_precision=2 * iv.prec)

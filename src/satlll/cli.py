@@ -77,6 +77,7 @@ def _emit(args, output):
 def cmd_table(args):
     if not 2 <= args.kmin <= args.kmax:
         raise DomainError(f"need 2 <= kmin <= kmax, got {args.kmin}..{args.kmax}")
+    _check_printable(f"F_MT({args.kmax}) + 1", bounds_mod.f_mt(args.kmax) + 1)
     rows = [(k, bounds_mod.f_lll(k, args.precision),
              hj_family.shearer_upper_bound(k, args.precision), bounds_mod.f_mt(k))
             for k in range(args.kmin, args.kmax + 1)]
@@ -132,6 +133,16 @@ def _probability(entry) -> Fraction:
     return Fraction(entry)
 
 
+def _check_printable(what: str, *values):
+    # str() refuses an integer over the int-string limit with ValueError, so
+    # refuse such output as a size guard instead; 8^limit < 10^limit is cheap.
+    limit = sys.get_int_max_str_digits()
+    for value in map(Fraction, values):
+        for n in (abs(value.numerator), value.denominator):
+            if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+                raise SizeGuardError(f"{what} has more than {limit} digits, the int-string limit")
+
+
 def _graph_from_json(path: str, guard_vertices: int):
     text = _read_input(path)
     try:
@@ -157,6 +168,8 @@ def cmd_check_shearer(args):
     else:
         graph, p = _graph_from_json(args.graph, args.guard_vertices)
     verdict = shearer.shearer_check(graph, p, vertex_guard=args.guard_vertices)
+    if verdict.witness_value is not None:
+        _check_printable("Q", verdict.witness_value)
     if args.format == "json":
         return 0, {"satisfied": verdict.satisfied,
                    "witness": list(verdict.witness) if verdict.witness is not None else None,
@@ -178,6 +191,7 @@ def cmd_hj(args):
     p = Fraction(1, 2 ** args.k)
     s_bf = shearer.independence_polynomial(h.graph, (), [p] * h.graph.n, vertex_guard=guard)
     r_bf = shearer.independence_polynomial(hp.graph, (), [p] * hp.graph.n, vertex_guard=guard)
+    _check_printable(f"s_{args.j} or r_{args.j}", s_rec, s_bf, r_rec, r_bf)
     agree = (s_rec == s_bf) and (r_rec == r_bf)
     code = 0 if agree else EXIT_CERTIFICATION
     if args.format == "json":
@@ -224,8 +238,9 @@ def cmd_mt(args):
 
 def cmd_bounds(args):
     k = args.k
-    lll = bounds_mod.f_lll(k, args.precision)
     mt = bounds_mod.f_mt(k)
+    _check_printable(f"F_MT({k}) + 1", mt + 1)
+    lll = bounds_mod.f_lll(k, args.precision)
     gap = bounds_mod.gap_inequality(k, args.precision)
     alpha_results = {}
     for L in (mt, mt + 1):

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, SizeGuardError
 
 Atom = tuple[int, bool]
+VARIABLE_GUARD = 16  # verify_lopsidependency counts all 2^m assignments
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,11 @@ class DepGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
-    def connected_components(self, within: Optional[frozenset[int]] = None
-                             ) -> list[frozenset[int]]:
-        """Components of the subgraph induced on within (default: every vertex)."""
-        vertices = range(self.n) if within is None else within
-        allowed = frozenset(vertices)
+    def connected_components(self, within: frozenset[int]) -> list[frozenset[int]]:
+        """Components of the subgraph induced on within."""
         seen: set[int] = set()
         components = []
-        for start in vertices:
+        for start in within:
             if start in seen:
                 continue
             stack = [start]
@@ -95,7 +93,7 @@ class DepGraph:
                 if v in comp:
                     continue
                 comp.add(v)
-                stack.extend((self.adjacency[v] & allowed) - comp)
+                stack.extend((self.adjacency[v] & within) - comp)
             seen |= comp
             components.append(frozenset(comp))
         return components
@@ -189,15 +187,15 @@ class LopsidependencyReport:
         return self.ok
 
 
-def verify_lopsidependency(events: Sequence[BadEvent], graph: DepGraph, m: int,
-                           variable_guard: int = 16) -> LopsidependencyReport:
+def verify_lopsidependency(events: Sequence[BadEvent], graph: DepGraph,
+                           m: int) -> LopsidependencyReport:
     """Exhaustively check P(B | avoid S) <= P(B) for the uniform space on m variables.
 
     Exact integer counting over all 2^m assignments.  Every conditioning set
     S is tried when there are <= 12 events, else every S with |S| <= 3.
     """
-    if m > variable_guard:
-        raise SizeGuardError(f"m={m} exceeds enumeration guard {variable_guard}")
+    if m > VARIABLE_GUARD:
+        raise SizeGuardError(f"m={m} exceeds enumeration guard {VARIABLE_GUARD}")
     if len(events) != graph.n:
         raise DomainError("graph vertex count does not match event count")
     subset_cap = len(events) if len(events) <= 12 else 3

@@ -63,8 +63,7 @@ from .certified import (DEFAULT_PRECISION, certified_compare_ge,
                         interval_precision, iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from .sat_model import (DEFAULT_CLAUSE_GUARD, ExpansionTree, Formula,
-                        build_extremal_formula)
+from .sat_model import ExpansionTree, Formula, build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
 
@@ -116,7 +115,7 @@ class FixedPointReport:
     max_iter: int
     trajectory: tuple[float, ...]  # midpoints a_0 .. a_J
     verdict: FixedPointVerdict
-    threshold: float = 0.0
+    threshold: float
 
     def to_json_dict(self, max_trajectory: int | None = None) -> dict:
         if max_trajectory is not None and max_trajectory < 0:
@@ -164,11 +163,13 @@ def _guarded_vertex_count(label: str, j: int, count, vertex_guard: int) -> int:
     return n
 
 
-def _check_params(k: int, L: int):
+def _check_params(k: int, L: int, j: int = 0):
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if L < 2:
         raise DomainError(f"L must be >= 2, got {L}")
+    if j < 0:
+        raise DomainError(f"j must be >= 0, got {j}")
 
 
 def _h_structure(j: int, k: int, L: int, offset: int,
@@ -190,9 +191,7 @@ def _h_structure(j: int, k: int, L: int, offset: int,
 
 def build_H(j: int, k: int, L: int,
             vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    _check_params(k, L)
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
+    _check_params(k, L, j)
     n = _guarded_vertex_count(f"H_{j}(k={k},L={L})", j,
                               lambda: h_vertex_count(j, k, L), vertex_guard)
     edges: list[tuple[int, int]] = []
@@ -203,9 +202,7 @@ def build_H(j: int, k: int, L: int,
 
 def build_Hprime(j: int, k: int, L: int,
                  vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    _check_params(k, L)
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
+    _check_params(k, L, j)
     n = _guarded_vertex_count(f"H'_{j}(k={k},L={L})", j,
                               lambda: hprime_vertex_count(j, k, L), vertex_guard)
     if j == 0:
@@ -221,9 +218,7 @@ def build_Hprime(j: int, k: int, L: int,
 
 def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
     """Exact s_0..s_j and r_0..r_j at p = 2^{-k}, with s_{-1} = s_0 = r_0 = 1."""
-    _check_params(k, L)
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
+    _check_params(k, L, j)
     p = Fraction(1, 2 ** k)
     s = [Fraction(1), Fraction(1)]  # s_{-1}, s_0
     r = [Fraction(1)]  # r_0
@@ -343,10 +338,11 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
     """
     c = Fraction(1, 2 ** k)
     with mp.workprec(precision):
-        # Newton from t = 2 descends monotonically onto the root of the
-        # concave, decreasing q_N; stop once rounding halts the descent.
+        # Newton descends monotonically onto the root t* of the concave,
+        # decreasing q_N from any t >= t*: from t = 1 when q_N(1) <= 0, which
+        # is N (k-1) + 1 <= 2^k, else from t = 2.  Stop once rounding halts it.
         c_mp = mpmath.mpf(2) ** (-k)
-        t = mpmath.mpf(2)
+        t = mpmath.mpf(1 if N * (k - 1) + 1 <= 2 ** k else 2)
         for _ in range(k + precision):
             slope = c_mp * (1 - N * (k - 1)) - k * t ** (k - 1)
             t_next = t - _q(t, N, c_mp, k) / slope
@@ -433,24 +429,21 @@ class EmbeddingResult:
     stages: int
 
 
-def embed_H_in_G(j: int, k: int, L: int,
-                 h_vertex_guard: int = DEFAULT_H_VERTEX_GUARD,
-                 clause_guard: int = DEFAULT_CLAUSE_GUARD) -> EmbeddingResult:
+def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
     """Constructively embed H_j into the lopsidependency graph of the extremal formula.
 
     Variables are expanded breadth-first to tree-depth j from variable 1;
     the H_j root's left/right halves map to the positive/negative clause
     halves added when expanding variable 1, and each child copy recurses
     through the fresh variables of the parent clause.  The mapping is then
-    verified to be an induced-subgraph isomorphism (edges and non-edges).
+    verified to be an induced-subgraph isomorphism: it is one-to-one onto
+    H_j's vertices, and each vertex's neighbours are the pre-image of its
+    clause's lopsidependency neighbours (so edges and non-edges both match).
     """
-    _check_params(k, L)
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
-    hgraph = build_H(j, k, L, vertex_guard=h_vertex_guard)
+    hgraph = build_H(j, k, L)
     branching = (2 * L - 2) * (k - 1)
     stages = sum(branching ** d for d in range(j))
-    formula, tree = build_extremal_formula(k, L, stages, clause_guard=clause_guard)
+    formula, tree = build_extremal_formula(k, L, stages)
     if j == 0:
         return EmbeddingResult(formula, tree, hgraph, {}, True, stages)
 
@@ -468,19 +461,10 @@ def embed_H_in_G(j: int, k: int, L: int,
                     place(depth - 1, child)
 
     place(j, 1)
-    if len(clause_order) != hgraph.graph.n:
-        raise DomainError("internal error: embedding size mismatch")
-    mapping = {h_vertex: clause_order[h_vertex] for h_vertex in range(hgraph.graph.n)}
-
-    events = events_from_formula(formula)
-    lopsi = lopsidependency_graph(events)
-    verified = len(set(mapping.values())) == len(mapping)
-    if verified:
-        for u in range(hgraph.graph.n):
-            for v in range(u + 1, hgraph.graph.n):
-                if hgraph.graph.has_edge(u, v) != lopsi.has_edge(mapping[u], mapping[v]):
-                    verified = False
-                    break
-            if not verified:
-                break
+    mapping = dict(enumerate(clause_order))
+    lopsi = lopsidependency_graph(events_from_formula(formula))
+    vertex_of = {clause: v for v, clause in mapping.items()}
+    verified = len(vertex_of) == len(mapping) == hgraph.graph.n and all(
+        nbrs == {vertex_of[c] for c in lopsi.adjacency[mapping[v]] if c in vertex_of}
+        for v, nbrs in enumerate(hgraph.graph.adjacency))
     return EmbeddingResult(formula, tree, hgraph, mapping, verified, stages)

@@ -104,7 +104,7 @@ class _QEngine:
         if cached is not None:
             return cached
         result = Fraction(1)
-        for comp in self.graph.connected_components(within=active):
+        for comp in self.graph.connected_components(active):
             result *= self._q_connected(comp)
         self.memo[active] = result
         return result

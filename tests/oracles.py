@@ -89,7 +89,7 @@ def component_factorization(graph: DepGraph, p: ProbabilityVector,
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p)
     result = Fraction(1)
-    for comp in graph.connected_components():
+    for comp in graph.connected_components(frozenset(range(graph.n))):
         sub = induced_subgraph(graph, comp)
         sub_p = [probs[v] for v in sorted(comp)]
         result *= independence_polynomial(sub, (), sub_p, vertex_guard)

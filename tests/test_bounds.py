@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
+from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha, orderable_sets)
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import BadEvent, events_from_formula
@@ -93,9 +93,9 @@ def test_orderable_never_contains_b_in_composite_set():
 
 
 def test_orderable_guard():
-    events = [ev((i, False)) for i in range(1, 6)]
-    with pytest.raises(SizeGuardError):
-        list(orderable_sets(0, events, event_guard=4))
+    events = [ev((i, False)) for i in range(1, EVENT_GUARD + 2)]
+    with pytest.raises(SizeGuardError, match=f"{EVENT_GUARD + 1} events exceeds"):
+        list(orderable_sets(0, events))
 
 
 def test_harris_isolated_event():

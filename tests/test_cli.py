@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satlll import cli, hj_family, moser_tardos
+from satlll import bounds, cli, hj_family, moser_tardos
 from satlll.certified import DEFAULT_PRECISION
 from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD,
                         main)
+from satlll.errors import DomainError
 from satlll.events_graph import DepGraph
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD
 from satlll.shearer import DEFAULT_VERTEX_GUARD
@@ -220,6 +221,18 @@ def test_bounds_json(capsys):
     assert payload["harris_alpha"]["23"]["satisfied"] is False
 
 
+def test_bounds_refuses_from_the_first_unprintable_k(capsys, monkeypatch):
+    # F_MT(14299) + 1 has 4300 digits, F_MT(14300) + 1 has 4301.
+    def reached(k, precision):
+        raise DomainError(f"reached f_lll({k})")
+
+    monkeypatch.setattr(bounds, "f_lll", reached)
+    assert run_cli(capsys, "bounds", "--k", "14299") == (
+        EXIT_DOMAIN, "", "error: reached f_lll(14299)\n")
+    assert run_cli(capsys, "bounds", "--k", "14300") == (
+        EXIT_GUARD, "", "error: F_MT(14300) + 1 has more than 4300 digits, the int-string limit\n")
+
+
 def test_common_flags_after_subcommand(capsys):
     code, out, _ = run_cli(capsys, "table", "9", "9", "--format", "json")
     assert code == 0
@@ -261,6 +274,13 @@ def _build_nothing(*args, **kwargs):
     raise AssertionError("work ran before the guard was checked")
 
 
+# Q has 8001 digits: each 0.99...9 has a 4001-digit numerator, which Fraction accepts.
+LONG_Q_GRAPH = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                           "p": ["0." + "9" * 4000, "1/2", "0." + "9" * 4000]})
+# Guards on printed values that exist only once the work is done.
+GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
+
+
 @pytest.mark.parametrize("argv,content,precision_env,expected,message", [
     (CHECK_GRAPH, json.dumps({**K2_GRAPH, "edges": [[0, 2]]}), None,
      EXIT_DOMAIN, "out of range"),
@@ -294,13 +314,23 @@ def _build_nothing(*args, **kwargs):
      None, EXIT_GUARD, "formula declares 3 clauses, guard is 2"),
     (CHECK_GRAPH, json.dumps({"n": 1, "edges": [], "p": ["1e-3000000"]}), None,
      EXIT_DOMAIN, "probability exponent above 4300"),
+    (CHECK_GRAPH, LONG_Q_GRAPH, None, EXIT_GUARD, "Q has more than 4300 digits"),
+    (["--format", "json"] + CHECK_GRAPH, LONG_Q_GRAPH, None,
+     EXIT_GUARD, "Q has more than 4300 digits"),
+    (["bounds", "--k", "14500", "--precision", "14700"], None, None,
+     EXIT_GUARD, "F_MT(14500) + 1 has more than 4300 digits"),
+    (["table", "2", "14300"], None, None,
+     EXIT_GUARD, "F_MT(14300) + 1 has more than 4300 digits"),
+    (["hj", "--j", "1", "--k", "20000", "--L", "2"], None, None,
+     EXIT_GUARD, "s_1 or r_1 has more than 4300 digits"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
         "negative-n", "boolean-n", "negative-max-trajectory", "negative-max-iter",
         "graph-over-guard",
         "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
         "infinite-probability", "mt-variables-over-guard", "mt-clauses-over-guard",
-        "exponent-probability"])
+        "exponent-probability", "long-q", "long-q-json", "bounds-long-f", "table-long-f",
+        "hj-long-s"])
 def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, content,
                                           precision_env, expected, message):
     target = tmp_path / "input"
@@ -310,7 +340,9 @@ def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, c
         target.write_text(content)
     if precision_env is not None:
         monkeypatch.setenv("SATLLL_PRECISION", precision_env)
-    if expected == EXIT_GUARD:
+    if expected == EXIT_GUARD and not message.startswith(GUARDS_AFTER_WORK):
+        monkeypatch.setattr(bounds, "f_lll", _build_nothing)
+        monkeypatch.setattr(hj_family, "shearer_upper_bound", _build_nothing)
         monkeypatch.setattr(DepGraph, "from_edges", _build_nothing)
         monkeypatch.setattr(cli, "lopsidependency_graph", _build_nothing)
         monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)

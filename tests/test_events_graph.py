@@ -118,7 +118,7 @@ def test_graph_utils():
     assert induced_subgraph(graph, []).n == 0
     sub = induced_subgraph(graph, [0, 1, 4])
     assert sub.n == 3 and sub.edges() == [(0, 1)]
-    components = graph.connected_components()
+    components = graph.connected_components(frozenset(range(graph.n)))
     assert sorted(map(sorted, components)) == [[0, 1], [2, 3], [4]]
     assert max_degree(graph) == 1
     assert graph.adjacency[0] == frozenset({1})

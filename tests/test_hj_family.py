@@ -7,6 +7,7 @@ import pytest
 from satlll import hj_family
 from satlll.bounds import f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
+from satlll.events_graph import DepGraph
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
                               fixed_point_iteration, g_function, h_vertex_count,
                               hprime_vertex_count, recurrence_sr,
@@ -316,6 +317,27 @@ def test_embed_j2():
         result = embed_H_in_G(2, k, L)
         assert result.verified, (k, L)
         assert len(set(result.mapping.values())) == result.hgraph.graph.n
+
+
+@pytest.mark.parametrize("h_edge", [True, False], ids=["drop-image-edge", "add-image-non-edge"])
+def test_embed_refuses_a_wrong_lopsidependency_graph(monkeypatch, h_edge):
+    # Toggle one pair of image clauses in the lopsidependency graph: an edge of
+    # H_2's image goes missing, or a non-edge of H_2 gains an image edge.
+    good = embed_H_in_G(2, 3, 2)
+    h = good.hgraph.graph
+    u, v = next((u, v) for u in range(h.n) for v in range(u + 1, h.n)
+                if h.has_edge(u, v) == h_edge)
+    pair = (good.mapping[u], good.mapping[v])
+    build = hj_family.lopsidependency_graph
+
+    def toggled(events):
+        graph = build(events)
+        assert graph.has_edge(*pair) == h_edge
+        edges = [e for e in graph.edges() if set(e) != set(pair)]
+        return DepGraph.from_edges(graph.n, edges if h_edge else edges + [pair])
+
+    monkeypatch.setattr(hj_family, "lopsidependency_graph", toggled)
+    assert embed_H_in_G(2, 3, 2).verified is False
 
 
 def test_build_guard():
