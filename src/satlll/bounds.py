@@ -4,7 +4,8 @@ f_lll and f_mt are the per-literal occurrence bounds provable from the
 symmetric LLL and from the resampling-convergence criterion; their gap
 grows like 2^k / (2 e k^2).  The generic criterion enumerates orderable
 sets of bad events exactly; the k-SAT specialization optimizes a single
-weight alpha in closed form.
+weight alpha in closed form.  Every verdict and integer here is exact:
+f_lll and the gap inequality are decided on rational brackets of e.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-import mpmath
-from mpmath import iv
+from mpmath import fdiv, iv
 
-from .certified import (DEFAULT_PRECISION, certified_compare_ge,
-                        certified_floor, endpoints, interval_precision,
-                        iv_from_fraction, midpoint_float)
+from .certified import DEFAULT_PRECISION, interval_precision, iv_from_fraction, midpoint_float
 from .errors import DomainError, SizeGuardError
 from .events_graph import BadEvent, atom_hits, disagree
 
@@ -40,13 +38,29 @@ class CriterionReport:
                 "details": self.details}
 
 
-def f_lll(k: int, precision: int = DEFAULT_PRECISION) -> int:
-    """floor(2^k / (e k) - 1/k), floored by certified interval evaluation of e."""
+def _decide_at_e(value):
+    """value(p, q) at e = p/q, for value monotone in e, from a bracket of e.
+
+    s/n! < e < (n s + 1)/(n n!) with s = sum over i <= n of n!/i!, as the
+    tail sum over i > n of 1/i! is below 1/(n n!); n doubles until both
+    ends give the same answer, which is then the answer at e.
+    """
+    n = 16
+    while True:
+        s = f = 1
+        for i in range(1, n + 1):
+            s, f = i * s + 1, i * f
+        answer = value(s, f)
+        if answer == value(n * s + 1, n * f):
+            return answer
+        n *= 2
+
+
+def f_lll(k: int) -> int:
+    """floor((2^k / e - 1) / k), exactly."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    with interval_precision(precision):
-        value = iv.mpf(2) ** k / (iv.e * k) - iv.mpf(1) / k
-        return certified_floor(value, what=f"f_lll({k})")
+    return _decide_at_e(lambda p, q: (2 ** k * q - p) // (k * p))
 
 
 def f_mt(k: int) -> int:
@@ -136,9 +150,13 @@ def harris_check(events: Sequence[BadEvent], mu: Sequence[Fraction],
 def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
     """Optimized uniform weight for width-k clauses under occurrence bound L.
 
-    alpha = (((2^k - 1)/(k L))^{1/(k-1)} - 1) / L; the criterion holds iff
-    alpha >= 2^{-k} (alpha + (1 + L alpha)^k), decided by certified comparison.
-    Returns (alpha as an mpf, satisfied).
+    alpha = (((2^k - 1)/(k L))^{1/(k-1)} - 1) / L.  The criterion
+    2^k alpha >= alpha + (1 + L alpha)^k holds exactly when L <= f_mt(k):
+    (1) x = 1 + L alpha has x^{k-1} = (2^k - 1)/(k L), so the criterion,
+    (2^k - 1) alpha >= x^k, reads (x - 1) k x^{k-1} >= x^k; (2) that is
+    x >= k/(k-1); (3) that is L k^k <= (2^k - 1)(k-1)^{k-1}, never with
+    equality, as k^k does not divide 2^k - 1; (4) that is L <= f_mt(k), as
+    L is an integer.  Returns (alpha as a float, satisfied).
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -150,23 +168,19 @@ def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
     with interval_precision(precision):
         ratio = iv_from_fraction(Fraction(2 ** k - 1, k * L))
         alpha = (ratio ** (iv.mpf(1) / (k - 1)) - 1) / L
-        rhs = iv_from_fraction(Fraction(1, 2 ** k)) * (alpha + (1 + L * alpha) ** k)
-        satisfied = certified_compare_ge(alpha, rhs,
-                                         what=f"harris alpha criterion k={k} L={L}")
-        lo, hi = endpoints(alpha)
-    with mpmath.mp.workprec(precision):
-        return (lo + hi) / 2, satisfied
+    return midpoint_float(alpha), L <= f_mt(k)
 
 
-def gap_inequality(k: int, precision: int = DEFAULT_PRECISION) -> CriterionReport:
-    """Certified check of f_mt(k) - f_lll(k) >= 2^k / (2 e k^2) - 1."""
+def gap_inequality(k: int) -> CriterionReport:
+    """Exact check of f_mt(k) - f_lll(k) >= rhs = 2^k / (2 e k^2) - 1."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    lhs = f_mt(k) - f_lll(k, precision)
-    with interval_precision(precision):
-        rhs = iv.mpf(2) ** k / (2 * iv.e * k ** 2) - 1
-        holds = certified_compare_ge(iv.mpf(lhs), rhs, what=f"gap inequality k={k}")
-        rhs_mid = midpoint_float(rhs)
+    lhs = f_mt(k) - f_lll(k)
+    # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): fdiv rounds it once to
+    # a float's 53 bits, and float() is inf past the float range.
+    holds, rhs = _decide_at_e(lambda p, q: (
+        (lhs + 1) * 2 * k * k * p >= 2 ** k * q,
+        float(fdiv(2 ** k * q - 2 * k * k * p, 2 * k * k * p, prec=53))))
     return CriterionReport(criterion="gap_inequality", satisfied=holds,
                            parameters={"k": k},
-                           details={"lhs": lhs, "rhs": rhs_mid})
+                           details={"lhs": lhs, "rhs": rhs})

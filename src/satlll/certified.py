@@ -1,8 +1,9 @@
-"""Thin helpers over mpmath interval arithmetic for certified comparisons.
+"""Thin helpers over mpmath interval arithmetic.
 
-Every verdict that feeds an integer floor or a boolean goes through these
-helpers; when an interval straddles the decision boundary the caller gets
-a CertificationError (or a three-valued None), never a silent rounding.
+certified_compare_ge decides a comparison only when the intervals settle
+it; when they straddle the decision boundary the caller gets a
+CertificationError, never a silent rounding.  midpoint_float turns an
+interval into the float that is printed; no verdict is taken from it.
 """
 
 from __future__ import annotations
@@ -35,23 +36,6 @@ def iv_from_fraction(x: Fraction | int):
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
-def endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
-    lo, hi = x._mpi_
-    return mpmath.mpf(lo), mpmath.mpf(hi)
-
-
-def certified_floor(x, what: str) -> int:
-    """Floor of an interval, provided both endpoints agree on it."""
-    lo, hi = endpoints(x)
-    floor_lo = int(mpmath.floor(lo))
-    floor_hi = int(mpmath.floor(hi))
-    if floor_lo != floor_hi:
-        raise CertificationError(
-            f"floor of {what} not certified: interval [{mpmath.nstr(lo, 30)}, "
-            f"{mpmath.nstr(hi, 30)}] straddles an integer", retry_precision=2 * iv.prec)
-    return floor_lo
-
-
 def certified_compare_ge(x, y, what: str) -> bool:
     """Certified x >= y; raises when the intervals overlap inconclusively."""
     if (x >= y) is True:
@@ -65,7 +49,8 @@ def certified_compare_ge(x, y, what: str) -> bool:
 def midpoint_float(x) -> float:
     """Midpoint of an interval, or of a raw (lo, hi) pair of libmp values.
 
-    Each endpoint is rounded to the mp context precision before the sum is
+    The float is only printed, never decided on: it encloses nothing.  Each
+    endpoint is rounded to the mp context precision before the sum is
     halved; rounding only the sum would change the last bit of some results.
     """
     lo, hi = x if isinstance(x, tuple) else x._mpi_

@@ -78,7 +78,7 @@ def cmd_table(args):
     if not 2 <= args.kmin <= args.kmax:
         raise DomainError(f"need 2 <= kmin <= kmax, got {args.kmin}..{args.kmax}")
     _check_printable(f"F_MT({args.kmax}) + 1", bounds_mod.f_mt(args.kmax) + 1)
-    rows = [(k, bounds_mod.f_lll(k, args.precision),
+    rows = [(k, bounds_mod.f_lll(k),
              hj_family.shearer_upper_bound(k, args.precision), bounds_mod.f_mt(k))
             for k in range(args.kmin, args.kmax + 1)]
     if args.format == "json":
@@ -240,13 +240,13 @@ def cmd_bounds(args):
     k = args.k
     mt = bounds_mod.f_mt(k)
     _check_printable(f"F_MT({k}) + 1", mt + 1)
-    lll = bounds_mod.f_lll(k, args.precision)
-    gap = bounds_mod.gap_inequality(k, args.precision)
+    lll = bounds_mod.f_lll(k)
+    gap = bounds_mod.gap_inequality(k)
     alpha_results = {}
     for L in (mt, mt + 1):
         try:
             alpha, satisfied = bounds_mod.harris_ksat_alpha(k, L, args.precision)
-            alpha_results[L] = {"alpha": float(alpha), "satisfied": satisfied}
+            alpha_results[L] = {"alpha": alpha, "satisfied": satisfied}
         except DomainError:
             alpha_results[L] = None
     if args.format == "json":

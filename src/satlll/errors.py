@@ -14,7 +14,7 @@ class SizeGuardError(SatLllError):
 
 
 class CertificationError(SatLllError):
-    """An interval comparison or floor could not be certified at the working precision.
+    """An interval comparison could not be certified at the working precision.
 
     Raised instead of silently rounding.  When more precision may help,
     retry_precision suggests a precision to retry at (twice the one that

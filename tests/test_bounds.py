@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
@@ -21,9 +23,24 @@ def test_f_lll_values():
     assert f_lll(20) == 19287
 
 
-def test_f_lll_precision_independent():
-    for k in (2, 3, 9, 16, 32, 64):
-        assert f_lll(k, precision=128) == f_lll(k, precision=256)
+def test_f_lll_and_gap_match_high_precision_mpmath():
+    # An independent route: mpmath's e at 4k + 64 bits in the mp context.
+    for k in range(2, 401):
+        with mpmath.mp.workprec(4 * k + 64):
+            lll = int(mpmath.floor((mpmath.mpf(2) ** k / mpmath.e - 1) / k))
+            rhs = mpmath.mpf(2) ** k / (2 * mpmath.e * k * k) - 1
+            holds = f_mt(k) - lll >= rhs
+            rhs = float(rhs)
+        assert f_lll(k) == lll, k
+        report = gap_inequality(k)
+        assert report.details == {"lhs": f_mt(k) - lll, "rhs": rhs}, k
+        assert report.satisfied == holds, k
+
+
+def test_gap_rhs_past_the_float_range_is_inf():
+    report = gap_inequality(1100)
+    assert report.satisfied
+    assert report.details["rhs"] == math.inf
 
 
 def test_f_mt_values():
@@ -187,6 +204,25 @@ def test_harris_alpha_at_f_mt():
         alpha, satisfied = harris_ksat_alpha(k, f_mt(k))
         assert satisfied, k
         assert alpha > 0
+
+
+def test_harris_alpha_verdict_is_l_at_most_f_mt():
+    # Reference: the criterion 2^k alpha >= alpha + (1 + L alpha)^k evaluated
+    # directly at 1024 bits, at every L <= 300 and at F_MT - 1, F_MT, F_MT + 1.
+    pairs = 0
+    for k in range(2, 41):
+        mt = f_mt(k)
+        for L in sorted(set(range(1, 301)) | {mt - 1, mt, mt + 1}):
+            if L < 1 or L * k > 2 ** k - 1:
+                continue
+            with mpmath.mp.workprec(1024):
+                alpha = (mpmath.root(mpmath.mpf(2 ** k - 1) / (k * L), k - 1) - 1) / L
+                direct = 2 ** k * alpha >= alpha + (1 + L * alpha) ** k
+            alpha_float, satisfied = harris_ksat_alpha(k, L)
+            assert satisfied == direct == (L <= mt), (k, L)
+            assert type(alpha_float) is float
+            pairs += 1
+    assert pairs == 9196
 
 
 def test_harris_alpha_domain():

@@ -51,7 +51,7 @@ def test_certification_failure_suggests_a_precision(capsys):
     assert err.endswith("not certifiable at current precision (retry with --precision 512)\n")
     code, out, _ = run_cli(capsys, "--precision", "512", "table", "200", "200")
     assert code == 0
-    assert out == ("200\t2955797348595639095468806880191287502439753841221469995008"
+    assert out == ("200\t2955797348595638953793724035309995746763891678634480330080"
                    "\t2955834144021611738375928619524554769177806039044019000190"
                    "\t2963208464171792118507639349873253649734994463520121849433\n")
 
@@ -221,9 +221,34 @@ def test_bounds_json(capsys):
     assert payload["harris_alpha"]["23"]["satisfied"] is False
 
 
+def test_f_lll_is_exact_past_53_bits(capsys):
+    # F_LLL(61) is the first above 2^53, where a 53-bit rounding goes wrong.
+    assert run_cli(capsys, "table", "61", "61") == (
+        0, "61\t13906102256698535\t13907946342735604\t14021188334996907\n", "")
+    code, out, _ = run_cli(capsys, "bounds", "--k", "61")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "F_LLL(61) = 13906102256698535"
+    assert lines[2].startswith("gap_inequality: True (lhs=115086078298372 rhs=")
+    code, out, _ = run_cli(capsys, "table", "100", "100")
+    assert code == 0
+    assert out.split("\t")[1] == "4663425944126044665174585815"
+
+
+def test_bounds_past_the_float_range(capsys):
+    # rhs of the gap inequality exceeds the largest float at k = 1100.
+    code, out, err = run_cli(capsys, "bounds", "--k", "1100")
+    assert (code, err) == (0, "")
+    assert "gap_inequality: True (lhs=" in out and " rhs=inf)\n" in out
+    code, out, err = run_cli(capsys, "--format", "json", "bounds", "--k", "1100")
+    assert (code, err) == (0, "")
+    assert '"rhs": Infinity' in out
+    assert json.loads(out)["gap_inequality"]["details"]["rhs"] == float("inf")
+
+
 def test_bounds_refuses_from_the_first_unprintable_k(capsys, monkeypatch):
     # F_MT(14299) + 1 has 4300 digits, F_MT(14300) + 1 has 4301.
-    def reached(k, precision):
+    def reached(k):
         raise DomainError(f"reached f_lll({k})")
 
     monkeypatch.setattr(bounds, "f_lll", reached)
