@@ -5,18 +5,15 @@ from .bounds import (CriterionReport, f_lll, f_mt, gap_inequality, harris_check,
                      harris_ksat_alpha, orderable_sets)
 from .errors import (CertificationError, DimacsError, DomainError, SatLllError,
                      SizeGuardError)
-from .events_graph import (BadEvent, DepGraph, dependency_graph, disagree,
-                           disagreement_witness, event_from_clause,
-                           events_from_formula, lopsidependency_graph,
-                           verify_lopsidependency)
+from .events_graph import (DepGraph, dependency_graph, events_from_formula,
+                           lopsidependency_graph, verify_lopsidependency)
 from .hj_family import (EmbeddingResult, FixedPointReport, HGraph,
                         RecurrenceState, build_H, build_Hprime,
                         embed_H_in_G, fixed_point_iteration, g_function,
                         recurrence_sr, shearer_upper_bound, threshold_ell)
 from .moser_tardos import RunStats, SelectionRule, run_mt
-from .sat_model import (ExpansionTree, Formula,
-                        OccurrenceProfile, build_extremal_formula, dimacs_export,
-                        dimacs_import, occurrences)
+from .sat_model import (ExpansionTree, Formula, build_extremal_formula, dimacs_export,
+                        dimacs_import)
 from .shearer import ShearerVerdict, independence_polynomial, shearer_check
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from mpmath import fdiv, iv
 
 from .certified import DEFAULT_PRECISION, interval_precision, iv_from_fraction, midpoint_float
 from .errors import DomainError, SizeGuardError
-from .events_graph import BadEvent, atom_hits, disagree
+from .events_graph import Event
 
 EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
 
@@ -70,13 +70,13 @@ def f_mt(k: int) -> int:
     return (2 ** k - 1) * (k - 1) ** (k - 1) // k ** k
 
 
-def orderable_sets(b_index: int, events: Sequence[BadEvent]) -> Iterator[frozenset[int]]:
+def orderable_sets(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:
     """All Y that are orderable to events[b_index], as frozensets of indices.
 
     Yields the empty set first (its product is the term 1 of the criterion),
     then the singleton {B}, then every nonempty subset of events disagreeing
-    with B that admits an ordering in which each element is hit by a fresh
-    atom of B.
+    with B that admits an ordering in which each element hits a fresh
+    literal of B.  Event A hits the literal z of B iff -z is in A.
     """
     if len(events) > EVENT_GUARD:
         raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {EVENT_GUARD}")
@@ -85,11 +85,11 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent]) -> Iterator[frozens
     yield frozenset({b_index})
 
     candidates = [i for i in range(len(events))
-                  if i != b_index and disagree(events[i], b)]
-    atoms = frozenset(b.atoms)
-    memo: dict[tuple[frozenset[int], frozenset], bool] = {}
+                  if i != b_index and any(-z in events[i] for z in b)]
+    literals = frozenset(b)
+    memo: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
 
-    def can_order(remaining: frozenset[int], alive: frozenset) -> bool:
+    def can_order(remaining: frozenset[int], alive: frozenset[int]) -> bool:
         if not remaining:
             return True
         key = (remaining, alive)
@@ -98,8 +98,8 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent]) -> Iterator[frozens
             return cached
         result = False
         for i in remaining:
-            if any(atom_hits(z, events[i]) for z in alive):
-                new_alive = frozenset(z for z in alive if not atom_hits(z, events[i]))
+            if any(-z in events[i] for z in alive):
+                new_alive = frozenset(z for z in alive if -z not in events[i])
                 if can_order(remaining - {i}, new_alive):
                     result = True
                     break
@@ -108,11 +108,11 @@ def orderable_sets(b_index: int, events: Sequence[BadEvent]) -> Iterator[frozens
 
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
-            if can_order(frozenset(subset), atoms):
+            if can_order(frozenset(subset), literals):
                 yield frozenset(subset)
 
 
-def harris_check(events: Sequence[BadEvent], mu: Sequence[Fraction],
+def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
                  p: Sequence[Fraction]) -> CriterionReport:
     """Exact test of mu(B) >= P(B) * sum over orderable Y of prod mu, for every B.
 

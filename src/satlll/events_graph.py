@@ -1,11 +1,15 @@
-"""Bad events, the disagreement relation, canonical (lopsi)dependency graphs.
+"""Bad events as clauses, and the canonical (lopsi)dependency graphs.
 
-A bad event is the unique falsifying assignment of a clause: a set of
-(variable, value) atoms.  Two events disagree when they force different
-values on a shared variable; the canonical lopsidependency graph has an
-edge exactly between disagreeing events, the canonical dependency graph
-between events sharing any variable.  Both are built from the atom index,
-so the cost is O(sum over variables v of R(v)^2), not O(n^2) pair tests.
+A bad event is the clause it falsifies, kept as the tuple of the clause's
+signed DIMACS literals: clause C is false exactly when x_|l| = (l < 0) for
+each literal l of C, so l stands for the atom (|l|, l < 0).  Event A hits
+the literal z of event B when -z is in A, that is when A forces x_|z| the
+other way; two events disagree when one hits the other.  The canonical
+lopsidependency graph has an edge exactly between disagreeing events, the
+canonical dependency graph between events sharing any variable.  Both are
+built from the atom index, so the cost is O(sum over variables v of
+R(v)^2), not O(n^2) pair tests.  Each event names a variable at most once,
+as every clause of a Formula does.
 """
 
 from __future__ import annotations
@@ -17,26 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, SizeGuardError
 
-Atom = tuple[int, bool]
+Event = tuple[int, ...]
 VARIABLE_GUARD = 16  # verify_lopsidependency counts all 2^m assignments
-
-
-@dataclass(frozen=True)
-class BadEvent:
-    atoms: frozenset[Atom]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise DomainError("bad event must have at least one atom")
-        if len(dict(self.atoms)) != len(self.atoms):  # dict keeps one value per variable
-            raise DomainError(f"bad event assigns a variable twice: {sorted(self.atoms)}")
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.atoms)
-
-    def holds(self, assignment) -> bool:
-        return all(assignment[v] == value for v, value in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -99,40 +85,16 @@ class DepGraph:
         return components
 
 
-def event_from_clause(clause: Sequence[int]) -> BadEvent:
-    """The atomic event that the clause of signed DIMACS literals is false.
-
-    Every literal is negated: x_v false is the atom (v, False), ~x_v false is
-    (v, True).
-    """
-    return BadEvent(frozenset((abs(v), v < 0) for v in clause))
+def events_from_formula(formula) -> list[Event]:
+    """The bad events of formula: its clauses, as tuples of signed literals."""
+    return list(zip(*[iter(formula.literals)] * formula.width))
 
 
-def events_from_formula(formula) -> list[BadEvent]:
-    lits, w = formula.literals, formula.width
-    return [event_from_clause(lits[i:i + w]) for i in range(0, len(lits), w)]
-
-
-def atom_hits(atom: Atom, event: BadEvent) -> bool:
-    """(i,j) ~ B: B forces variable i to some value other than j."""
-    variable, value = atom
-    return any(v == variable and w != value for v, w in event.atoms)
-
-
-def disagreement_witness(b1: BadEvent, b2: BadEvent) -> frozenset[int]:
-    """Variables on which the two events force different values."""
-    values = {v: w for v, w in b1.atoms}
-    return frozenset(v for v, w in b2.atoms if v in values and values[v] != w)
-
-
-def disagree(b1: BadEvent, b2: BadEvent) -> bool:
-    return bool(disagreement_witness(b1, b2))
-
-
-def atom_index(events: Sequence[BadEvent], m: int) -> tuple[array, array]:
+def atom_index(events: Sequence[Event], m: int) -> tuple[array, array]:
     """The events holding each atom, in CSR layout over the slots 2v + value.
 
-    Returns (start, entries): the events with atom (v, value) are
+    Literal l is the atom (|l|, l < 0), in slot 2|l| + (l < 0).  Returns
+    (start, entries): the events with atom (v, value) are
     entries[start[2v + value]:start[2v + value + 1]] in increasing order,
     so the events on variable v are entries[start[2v]:start[2v + 2]].
     Variables must lie in [1, m]; the counting pass raises DomainError
@@ -141,37 +103,37 @@ def atom_index(events: Sequence[BadEvent], m: int) -> tuple[array, array]:
     """
     start = array("q", [0]) * (2 * m + 3)
     for event in events:
-        for v, value in event.atoms:
-            if not 0 < v <= m:
-                raise DomainError(f"event mentions variable {v}, outside [1, {m}]")
-            start[2 * v + value] += 1  # the size of each slot
+        for z in event:
+            if not 0 < abs(z) <= m:
+                raise DomainError(f"event mentions variable {abs(z)}, outside [1, {m}]")
+            start[2 * abs(z) + (z < 0)] += 1  # the size of each slot
     start = array("q", accumulate(start))  # the end of each slot, for now
     entries = array("q", [0]) * start[-1]
     for i in reversed(range(len(events))):
-        for v, value in events[i].atoms:
-            slot = 2 * v + value
+        for z in events[i]:
+            slot = 2 * abs(z) + (z < 0)
             start[slot] -= 1
             entries[start[slot]] = i
     return start, entries
 
 
-def _slots(events: Sequence[BadEvent]):
-    """(events with atom (v, False), events with (v, True)) for every variable v."""
-    m = max((v for event in events for v, _ in event.atoms), default=0)
+def _slots(events: Sequence[Event]):
+    """(events with literal v, events with literal -v) for every variable v."""
+    m = max((abs(z) for event in events for z in event), default=0)
     start, entries = atom_index(events, m)
     for slot in range(2, 2 * m + 2, 2):
         yield (entries[start[slot]:start[slot + 1]],
                entries[start[slot + 1]:start[slot + 2]])
 
 
-def lopsidependency_graph(events: Sequence[BadEvent]) -> DepGraph:
-    """Two events disagree iff, for some v, one has (v, False), the other (v, True)."""
+def lopsidependency_graph(events: Sequence[Event]) -> DepGraph:
+    """Two events disagree iff, for some v, one has the literal v, the other -v."""
     edges = [edge for with_false, with_true in _slots(events)
              for edge in product(with_false, with_true)]
     return DepGraph.from_edges(len(events), edges, payloads=tuple(events))
 
 
-def dependency_graph(events: Sequence[BadEvent]) -> DepGraph:
+def dependency_graph(events: Sequence[Event]) -> DepGraph:
     edges = [edge for with_false, with_true in _slots(events)
              for edge in combinations(with_false + with_true, 2)]
     return DepGraph.from_edges(len(events), edges, payloads=tuple(events))
@@ -187,26 +149,28 @@ class LopsidependencyReport:
         return self.ok
 
 
-def verify_lopsidependency(events: Sequence[BadEvent], graph: DepGraph,
+def verify_lopsidependency(events: Sequence[Event], graph: DepGraph,
                            m: int) -> LopsidependencyReport:
     """Exhaustively check P(B | avoid S) <= P(B) for the uniform space on m variables.
 
     Exact integer counting over all 2^m assignments.  Every conditioning set
     S is tried when there are <= 12 events, else every S with |S| <= 3.
+    Every variable must lie in [1, m]; DomainError otherwise.
     """
     if m > VARIABLE_GUARD:
         raise SizeGuardError(f"m={m} exceeds enumeration guard {VARIABLE_GUARD}")
     if len(events) != graph.n:
         raise DomainError("graph vertex count does not match event count")
+    atom_index(events, m)  # checks that every variable lies in [1, m]
     subset_cap = len(events) if len(events) <= 12 else 3
 
     total = 1 << m
     # Bitmask over assignments: bit a is set iff the event holds under assignment a,
     # where bit i-1 of a is the value of variable i.
-    def truth_mask(event: BadEvent) -> int:
+    def truth_mask(event: Event) -> int:
         mask = 0
         for a in range(total):
-            if all(((a >> (v - 1)) & 1) == int(value) for v, value in event.atoms):
+            if all(((a >> (abs(z) - 1)) & 1) == (z < 0) for z in event):  # each literal false
                 mask |= 1 << a
         return mask
 

@@ -1,5 +1,8 @@
 """The resampling algorithm: draw all variables, resample true bad events.
 
+An event is the tuple of its clause's signed literals and holds when every
+literal is false.  The variable values live in one bytearray.
+
 Reproducibility contract: identical (events, bias, rule, seed, max_steps)
 produce identical traces.  Three independent Mersenne Twister streams are
 derived from the seed: one for the initial draw, one for resampling, one
@@ -18,7 +21,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import DomainError
-from .events_graph import BadEvent, atom_index
+from .events_graph import Event, atom_index
 
 
 class SelectionRule(Enum):
@@ -47,21 +50,22 @@ class RunStats:
                 "rule": self.rule.value}
 
 
-def _probability_keys(events: Sequence[BadEvent], bias: Sequence[Fraction],
+def _probability_keys(events: Sequence[Event], bias: Sequence[Fraction],
                       uniform: bool) -> list[int]:
     """rank(P(event i)) * n + i for each event i: ints that sort by (probability, index).
 
-    Under the uniform bias P(B) = 2^-|B|, so -|B| orders the events as their
-    probabilities do, and no Fraction is built.
+    P(B) is the product over the literals z of B of P(z false): bias[-z] for
+    z < 0, 1 - bias[z] for z > 0.  Under the uniform bias P(B) = 2^-|B|, so
+    -|B| orders the events as their probabilities do, and no Fraction is built.
     """
-    probability = ([-len(event.atoms) for event in events] if uniform else
-                   [prod(bias[v] if value else 1 - bias[v] for v, value in event.atoms)
+    probability = ([-len(event) for event in events] if uniform else
+                   [prod(bias[-z] if z < 0 else 1 - bias[z] for z in event)
                     for event in events])
     rank = {p: r for r, p in enumerate(sorted(set(probability)))}
     return [rank[p] * len(events) + i for i, p in enumerate(probability)]
 
 
-def run_mt(events: Sequence[BadEvent], m: int,
+def run_mt(events: Sequence[Event], m: int,
            bias: Sequence[Fraction] | None = None,
            rule: SelectionRule = SelectionRule.FIRST_INDEX,
            seed: int = 0,
@@ -104,9 +108,12 @@ def run_mt(events: Sequence[BadEvent], m: int,
            else range(n))
 
     draw = init_rng.randrange
-    assignment = {i: draw(den) < num for i, (num, den) in enumerate(odds[1:], start=1)}
-    holding = set(assignment.items())  # the atoms that hold; an event holds iff atoms <= holding
-    true_keys = sorted(key[i] for i, e in enumerate(events) if e.atoms <= holding)
+    value = bytearray([0] + [draw(den) < num for num, den in odds[1:]])  # value[v] is x_v
+
+    def holds(event: Event) -> bool:  # no literal is true
+        return all(value[abs(z)] != (z > 0) for z in event)
+
+    true_keys = sorted(key[i] for i, e in enumerate(events) if holds(e))
     per_event = [0] * n
     steps = 0
     while true_keys and steps < max_steps:
@@ -114,14 +121,12 @@ def run_mt(events: Sequence[BadEvent], m: int,
               if rule is SelectionRule.UNIFORM_RANDOM else 0)
         chosen = true_keys[at] % n
         flipped = []
-        for variable, _ in sorted(events[chosen].atoms):
+        for variable in sorted(map(abs, events[chosen])):
             num, den = odds[variable]
-            value = resample_rng.randrange(den) < num
-            if value != assignment[variable]:
-                assignment[variable] = value
-                holding.remove((variable, not value))
-                holding.add((variable, value))
-                flipped.append(2 * variable + value)
+            new = resample_rng.randrange(den) < num
+            if new != value[variable]:
+                value[variable] = new
+                flipped.append(2 * variable + new)
         per_event[chosen] += 1
         steps += 1
         for slot in flipped:  # the atom (v, new value); slot ^ 1 is (v, old value)
@@ -130,7 +135,7 @@ def run_mt(events: Sequence[BadEvent], m: int,
                 if at < len(true_keys) and true_keys[at] == key[i]:
                     del true_keys[at]
             for i in entries[start[slot]:start[slot + 1]]:
-                if events[i].atoms <= holding:
+                if holds(events[i]):
                     at = bisect_left(true_keys, key[i])
                     if at == len(true_keys) or true_keys[at] != key[i]:
                         true_keys.insert(at, key[i])
@@ -139,4 +144,4 @@ def run_mt(events: Sequence[BadEvent], m: int,
                      per_event_resamples=tuple(per_event),
                      terminated=not true_keys, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
-    return assignment, stats
+    return dict(zip(range(1, m + 1), map(bool, value[1:]))), stats

@@ -1,16 +1,15 @@
-"""CNF data model, occurrence accounting, recursive extremal construction, DIMACS I/O.
+"""CNF data model, recursive extremal construction, DIMACS I/O.
 
 Formulas are width-k CNF, stored as one flat array of signed DIMACS
-literals, with per-variable positive/negative occurrence counts (R0, R1).
-The extremal instances are built by repeatedly "expanding" a variable i:
-appending L-1 clauses containing the literal x_i and L-1 containing ~x_i,
-all other slots filled by fresh, positively occurring variables.
+literals.  The extremal instances are built by repeatedly "expanding" a
+variable i: appending L-1 clauses containing the literal x_i and L-1
+containing ~x_i, all other slots filled by fresh, positively occurring
+variables.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -72,27 +71,6 @@ class Formula:
 
 
 @dataclass(frozen=True)
-class OccurrenceProfile:
-    """Per-variable counts of positive (r0) and negative (r1) literal occurrences."""
-
-    r0: tuple[int, ...]  # indexed 1..m; slot 0 unused
-    r1: tuple[int, ...]
-
-    def R0(self, i: int) -> int:
-        return self.r0[i]
-
-    def R1(self, i: int) -> int:
-        return self.r1[i]
-
-    def R(self, i: int) -> int:
-        return self.r0[i] + self.r1[i]
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.r0) - 1
-
-
-@dataclass(frozen=True)
 class ExpansionTree:
     """Provenance of an extremal construction.
 
@@ -104,13 +82,6 @@ class ExpansionTree:
 
     parent: Mapping[int, int]
     added: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def occurrences(formula: Formula) -> OccurrenceProfile:
-    counts = Counter(formula.literals)
-    slots = range(formula.variable_count + 1)  # no literal is 0, so slot 0 counts 0
-    return OccurrenceProfile(tuple(counts[v] for v in slots),
-                             tuple(counts[-v] for v in slots))
 
 
 def build_extremal_formula(k: int, L: int, r: int,

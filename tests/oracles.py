@@ -10,6 +10,8 @@ production code against it.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -23,7 +25,7 @@ from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
 from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
                               _u, recurrence_sr)
-from satlll.sat_model import Formula, occurrences
+from satlll.sat_model import Formula
 from satlll.shearer import (DEFAULT_VERTEX_GUARD, ProbabilityVector,
                             ShearerVerdict, _check_probabilities,
                             independence_polynomial)
@@ -154,6 +156,34 @@ def symmetric_lll_check(p: Fraction, d: int,
     with interval_precision(precision):
         lhs = iv.e * iv_from_fraction(p) * (d + 1)
         return certified_compare_ge(iv.mpf(1), lhs, what="symmetric LLL comparison")
+
+
+@dataclass(frozen=True)
+class OccurrenceProfile:
+    """Per-variable counts of positive (r0) and negative (r1) literal occurrences."""
+
+    r0: tuple[int, ...]  # indexed 1..m; slot 0 unused
+    r1: tuple[int, ...]
+
+    def R0(self, i: int) -> int:
+        return self.r0[i]
+
+    def R1(self, i: int) -> int:
+        return self.r1[i]
+
+    def R(self, i: int) -> int:
+        return self.r0[i] + self.r1[i]
+
+    @property
+    def variable_count(self) -> int:
+        return len(self.r0) - 1
+
+
+def occurrences(formula: Formula) -> OccurrenceProfile:
+    counts = Counter(formula.literals)
+    slots = range(formula.variable_count + 1)  # no literal is 0, so slot 0 counts 0
+    return OccurrenceProfile(tuple(counts[v] for v in slots),
+                             tuple(counts[-v] for v in slots))
 
 
 def validate_occurrences(formula: Formula, L: int) -> bool:

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha)
-from satlll.events_graph import (BadEvent, events_from_formula,
+from satlll.cli import main
+from satlll.events_graph import (DepGraph, events_from_formula,
                                  lopsidependency_graph, verify_lopsidependency)
 from satlll.hj_family import (build_H, embed_H_in_G, fixed_point_iteration,
                               recurrence_sr, shearer_upper_bound)
 from satlll.moser_tardos import run_mt
-from satlll.sat_model import build_extremal_formula
+from satlll.sat_model import build_extremal_formula, dimacs_import
 from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import (random_formula, random_graph,
@@ -192,7 +193,6 @@ def test_criterion_10_moser_tardos_termination():
         events = events_from_formula(formula)
         assignment, stats = run_mt(events, formula.variable_count, seed=seed + trial)
         assert stats.terminated
-        assert not any(e.holds(assignment) for e in events)
         assert all(any(assignment[abs(v)] == (v > 0) for v in formula.clause(i))
                    for i in range(formula.clause_count))
         successes += 1
@@ -200,7 +200,7 @@ def test_criterion_10_moser_tardos_termination():
 
     total = 0
     n_seeds = 10_000
-    single = [BadEvent(frozenset({(1, True)}))]
+    single = [(-1,)]  # the clause ~x_1, false with probability 1/2
     for s in range(n_seeds):
         _, stats = run_mt(single, 1, seed=s)
         total += stats.total_resamples
@@ -214,3 +214,35 @@ def test_criterion_11_ordering_separation():
         assert f_lll(k) <= shearer_upper_bound(k) < f_mt(k), k
         assert gap_inequality(k).satisfied, k
     report(11, "F_LLL <= F_Shearer < F_MT and gap inequality for k=9..20")
+
+
+SEPARATION_CNF = "p cnf 4 5\n1 4 0\n1 -4 0\n-2 4 0\n-2 -4 0\n3 4 0\n"
+
+
+def test_criterion_12_separation_on_an_explicit_formula(tmp_path, capsys):
+    # A 2-CNF at p = 1/4 on which Shearer's criterion fails on the
+    # lopsidependency graph while the resampling criterion holds.
+    path = tmp_path / "separation.cnf"
+    path.write_text(SEPARATION_CNF)
+    assert main(["check-shearer", "--cnf", str(path)]) == 0
+    assert capsys.readouterr().out == "VIOLATED witness={} Q=-1/64\n"
+
+    formula = dimacs_import(SEPARATION_CNF)
+    events = events_from_formula(formula)
+    graph = lopsidependency_graph(events)
+    edges = graph.edges()
+    assert len(edges) == 6
+    assert verify_lopsidependency(events, graph, formula.variable_count)
+    for edge in edges:  # the graph is minimal: no edge can go
+        fewer = DepGraph.from_edges(graph.n, [e for e in edges if e != edge])
+        assert not verify_lopsidependency(events, fewer, formula.variable_count), edge
+
+    p = [Fraction(1, 4)] * len(events)
+    mu = [Fraction(5, 3), Fraction(2), Fraction(5, 3), Fraction(2), Fraction(5, 3)]
+    at_mu = harris_check(events, mu, p)
+    assert at_mu.satisfied and at_mu.details == {"min_margin": "0"}
+    eps = Fraction(1, 10 ** 9)
+    above = harris_check(events, [x * (1 + eps) for x in mu], p)
+    assert above.satisfied and above.details == {"min_margin": "1/4000000000"}
+    assert not harris_check(events, [x * (1 - eps) for x in mu], p).satisfied
+    report(12, "explicit 2-CNF: Shearer violated, resampling criterion satisfied")

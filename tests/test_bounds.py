@@ -7,14 +7,10 @@ import pytest
 from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha, orderable_sets)
 from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import BadEvent, events_from_formula
+from satlll.events_graph import events_from_formula
 from satlll.sat_model import build_extremal_formula
 
 from oracles import symmetric_lll_check
-
-
-def ev(*atoms):
-    return BadEvent(frozenset(atoms))
 
 
 def test_f_lll_values():
@@ -76,15 +72,15 @@ def test_symmetric_lll_domain():
 
 
 def test_orderable_isolated_event():
-    events = [ev((1, False)), ev((2, False))]  # no disagreement anywhere
+    events = [(1,), (2,)]  # no disagreement anywhere
     assert list(orderable_sets(0, events)) == [frozenset(), frozenset({0})]
 
 
 def test_orderable_two_independent_hitters():
     # B disagrees with B1 on var 1 only and with B2 on var 2 only
-    b = ev((1, False), (2, False))
-    b1 = ev((1, True), (3, False))
-    b2 = ev((2, True), (4, False))
+    b = (1, 2)
+    b1 = (-1, 3)
+    b2 = (-2, 4)
     found = set(orderable_sets(0, [b, b1, b2]))
     assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
                      frozenset({1, 2})}
@@ -92,9 +88,9 @@ def test_orderable_two_independent_hitters():
 
 def test_orderable_shared_atom_pair_not_orderable():
     # both candidates disagree with B only on var 1: no fresh atom for the second
-    b = ev((1, False), (2, False))
-    b1 = ev((1, True), (3, False))
-    b1_prime = ev((1, True), (4, False))
+    b = (1, 2)
+    b1 = (-1, 3)
+    b1_prime = (-1, 4)
     found = set(orderable_sets(0, [b, b1, b1_prime]))
     assert frozenset({1, 2}) not in found
     assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2})}
@@ -110,20 +106,20 @@ def test_orderable_never_contains_b_in_composite_set():
 
 
 def test_orderable_guard():
-    events = [ev((i, False)) for i in range(1, EVENT_GUARD + 2)]
+    events = [(i,) for i in range(1, EVENT_GUARD + 2)]
     with pytest.raises(SizeGuardError, match=f"{EVENT_GUARD + 1} events exceeds"):
         list(orderable_sets(0, events))
 
 
 def test_harris_isolated_event():
     p = Fraction(1, 3)
-    events = [ev((1, False))]
+    events = [(1,)]
     report = harris_check(events, [p / (1 - p)], [p])
     assert report.satisfied
 
 
 def test_harris_zero_mu_refused():
-    events = [ev((1, False)), ev((1, True))]
+    events = [(1,), (-1,)]
     report = harris_check(events, [Fraction(0)] * 2, [Fraction(1, 2)] * 2)
     assert not report.satisfied  # 0 >= 1/2 * (1 + 0 + 0) fails
     assert report.witness == 0
@@ -131,14 +127,14 @@ def test_harris_zero_mu_refused():
 
 
 def test_harris_violated_witness():
-    events = [ev((1, False))]
+    events = [(1,)]
     report = harris_check(events, [Fraction(1, 10)], [Fraction(1, 2)])
     assert not report.satisfied  # 1/10 < 1/2 * (1 + 1/10)
     assert report.details == {"margin": "-9/20"}
     report = harris_check(events, [Fraction(1)], [Fraction(1, 2)])
     assert report.satisfied  # equality: 1 = 1/2 * (1 + 1)
     # a disagreeing partner adds its own term to the sum
-    events = [ev((1, False)), ev((1, True))]
+    events = [(1,), (-1,)]
     report = harris_check(events, [Fraction(1)] * 2, [Fraction(1, 2)] * 2)
     assert not report.satisfied  # 1 < 1/2 * (1 + 1 + 1)
     assert report.witness == 0
@@ -156,20 +152,19 @@ def test_harris_phi1_with_alpha():
     assert not satisfied and not report.satisfied  # alpha < 1/8 * (1 + 2 alpha)
 
 
-def star_events(k: int, L: int) -> list[BadEvent]:
-    """B on variables 1..k, and per variable of B, L events that disagree with B there.
+def star_events(k: int, L: int) -> list[tuple[int, ...]]:
+    """B = (1, ..., k), and per variable v of B, L events that disagree with B there.
 
-    Each of the L events on variable v forces v the other way and puts k-1
-    fresh variables in its other atoms, so the sets orderable to B pick at
-    most one event per variable: their sum is alpha + (1 + L alpha)^k, the
-    closed form of harris_ksat_alpha.
+    B is false when x_1..x_k are all False.  Each of the L events on v has
+    the literal -v, false when x_v is True, and k-1 fresh positive literals,
+    so the sets orderable to B pick at most one event per variable: their
+    sum is alpha + (1 + L alpha)^k, the closed form of harris_ksat_alpha.
     """
-    events = [BadEvent(frozenset((v, False) for v in range(1, k + 1)))]
+    events = [tuple(range(1, k + 1))]
     fresh = k + 1
     for v in range(1, k + 1):
         for _ in range(L):
-            events.append(BadEvent(frozenset(
-                [(v, True)] + [(u, False) for u in range(fresh, fresh + k - 1)])))
+            events.append((-v, *range(fresh, fresh + k - 1)))
             fresh += k - 1
     return events
 

@@ -1,9 +1,7 @@
 import pytest
 
 from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import (BadEvent, DepGraph, atom_hits, atom_index,
-                                 dependency_graph, disagree,
-                                 disagreement_witness, event_from_clause,
+from satlll.events_graph import (DepGraph, atom_index, dependency_graph,
                                  events_from_formula, lopsidependency_graph,
                                  verify_lopsidependency)
 from satlll.sat_model import Formula, build_extremal_formula
@@ -12,45 +10,16 @@ from conftest import random_formula
 from oracles import induced_subgraph, max_degree
 
 
-def ev(*atoms):
-    return BadEvent(frozenset(atoms))
-
-
-def test_event_from_clause_negates_literals():
-    assert event_from_clause([1, -2]) == ev((1, False), (2, True))
-    assert event_from_clause([-1]) == ev((1, True))
-
-
 def test_events_of_phi1():
     formula, _ = build_extremal_formula(3, 2, 1)
     events = events_from_formula(formula)
-    assert events[0] == ev((1, False), (2, False), (3, False))
-    assert events[1] == ev((1, True), (4, False), (5, False))
-
-
-def test_disagree_basic():
-    assert disagreement_witness(ev((1, False)), ev((1, True))) == frozenset({1})
-    assert not disagree(ev((1, False)), ev((1, False), (2, True)))
-    assert disagreement_witness(ev((1, False), (2, False)),
-                                ev((2, True), (3, False))) == frozenset({2})
-
-
-def test_disagree_symmetric(rng):
-    for _ in range(100):
-        atoms1 = {(rng.randint(1, 5), rng.random() < 0.5) for _ in range(rng.randint(1, 4))}
-        atoms2 = {(rng.randint(1, 5), rng.random() < 0.5) for _ in range(rng.randint(1, 4))}
-        try:
-            b1, b2 = BadEvent(frozenset(atoms1)), BadEvent(frozenset(atoms2))
-        except DomainError:
-            continue
-        assert disagree(b1, b2) == disagree(b2, b1)
+    assert events == [(1, 2, 3), (-1, 4, 5)]
 
 
 def test_atom_relation_is_irreflexive_on_clause_events():
     formula, _ = build_extremal_formula(3, 2, 2)
     for event in events_from_formula(formula):
-        assert not disagree(event, event)
-        assert all(not atom_hits(atom, event) for atom in event.atoms)
+        assert all(-z not in event for z in event)  # no event hits its own literals
 
 
 def test_lopsidependency_graph_phi1():
@@ -60,7 +29,7 @@ def test_lopsidependency_graph_phi1():
 
 
 def test_same_polarity_sharing_no_lopsi_edge():
-    events = [ev((1, False), (2, False)), ev((1, False), (3, False))]
+    events = [(1, 2), (1, 3)]
     assert lopsidependency_graph(events).edges() == []
     assert dependency_graph(events).edges() == [(0, 1)]
 
@@ -84,6 +53,16 @@ def _pairwise_edges(events, adjacent):
             if adjacent(events[i], events[j])}
 
 
+def _disagree(a, b):
+    """Some variable is forced True by one event and False by the other."""
+    forced = {abs(z): z < 0 for z in a}
+    return any(abs(z) in forced and forced[abs(z)] != (z < 0) for z in b)
+
+
+def _share_a_variable(a, b):
+    return bool({abs(z) for z in a} & {abs(z) for z in b})
+
+
 def test_indexed_builders_match_pairwise_definitions(rng):
     formulas = [random_formula(rng, rng.randint(2, 4), rng.randint(4, 14), rng.randint(0, 20))
                 for _ in range(200)]
@@ -94,20 +73,20 @@ def test_indexed_builders_match_pairwise_definitions(rng):
         lopsided = lopsidependency_graph(events)
         dependent = dependency_graph(events)
         assert lopsided.n == dependent.n == len(events)
-        assert set(lopsided.edges()) == _pairwise_edges(events, disagree)
-        assert set(dependent.edges()) == _pairwise_edges(
-            events, lambda b1, b2: bool(b1.variables & b2.variables))
+        assert set(lopsided.edges()) == _pairwise_edges(events, _disagree)
+        assert set(dependent.edges()) == _pairwise_edges(events, _share_a_variable)
         assert lopsided.payloads == dependent.payloads == tuple(events)
         start, entries = atom_index(events, formula.variable_count)
         for v in range(1, formula.variable_count + 1):
             for value in (False, True):
                 slot = 2 * v + value
+                literal = -v if value else v  # false exactly when x_v = value
                 assert list(entries[start[slot]:start[slot + 1]]) == [
-                    i for i, e in enumerate(events) if (v, value) in e.atoms]
+                    i for i, e in enumerate(events) if literal in e]
 
 
 def test_graph_builders_reject_variables_below_one():
-    for events in ([ev((0, True)), ev((0, False))], [ev((-1, True))]):
+    for events in ([(0,), (1, 0)], [(0, 2)]):
         for build in (lopsidependency_graph, dependency_graph):
             with pytest.raises(DomainError):
                 build(events)
@@ -146,14 +125,15 @@ def test_verify_lopsidependency_on_canonical_graph():
 
 
 def test_verify_lopsidependency_complete_graph_vacuous():
-    events = [ev((1, True)), ev((1, False)), ev((2, True))]
+    events = [(-1,), (1,), (-2,)]
     complete = DepGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     assert verify_lopsidependency(events, complete, 2)
 
 
 def test_verify_lopsidependency_detects_bad_graph():
-    # avoiding B' = {(1,F),(2,F)} raises P(B) for B = {(1,T)}: 2/3 > 1/2
-    events = [ev((1, True)), ev((1, False), (2, False))]
+    # avoiding B' = (1, 2), false iff x1 = x2 = F, raises P(B) for B = (-1),
+    # false iff x1 = T: 2/3 > 1/2
+    events = [(-1,), (1, 2)]
     edgeless = DepGraph.from_edges(2, [])
     report = verify_lopsidependency(events, edgeless, 2)
     assert not report
@@ -162,7 +142,21 @@ def test_verify_lopsidependency_detects_bad_graph():
 
 
 def test_verify_lopsidependency_guard():
-    events = [ev((1, True))]
+    events = [(-1,)]
     graph = DepGraph.from_edges(1, [])
     with pytest.raises(SizeGuardError):
         verify_lopsidependency(events, graph, 20)
+
+
+def test_verify_lopsidependency_refuses_a_variable_above_m():
+    # x2 would be read as False: the edgeless graph passes at m = 1, fails at m = 2.
+    events = [(-1,), (1, -2)]
+    edgeless = DepGraph.from_edges(2, [])
+    assert not verify_lopsidependency(events, edgeless, 2)
+    with pytest.raises(DomainError, match=r"variable 2, outside \[1, 1\]"):
+        verify_lopsidependency(events, edgeless, 1)
+
+
+def test_verify_lopsidependency_refuses_variable_zero():
+    with pytest.raises(DomainError, match=r"variable 0, outside \[1, 2\]"):
+        verify_lopsidependency([(1, 0)], DepGraph.from_edges(1, []), 2)

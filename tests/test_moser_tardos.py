@@ -4,22 +4,28 @@ from fractions import Fraction
 import pytest
 
 from satlll.errors import DomainError
-from satlll.events_graph import BadEvent, events_from_formula
+from satlll.events_graph import events_from_formula
 from satlll.moser_tardos import RunStats, SelectionRule, run_mt
 
 from conftest import random_formula, random_low_occurrence_formula
 
 
-def ev(*atoms):
-    return BadEvent(frozenset(atoms))
-
-
 def event_probability(event, bias):
-    """P(event) as a product of exact Fractions, for the rescan oracle."""
+    """P(event) as a product of exact Fractions, for the rescan oracle.
+
+    The event is a clause of signed literals and holds when each is false:
+    literal v is false when x_v is False, -v when x_v is True.
+    """
     prob = Fraction(1)
-    for variable, value in event.atoms:
-        prob *= bias[variable] if value else 1 - bias[variable]
+    for z in event:
+        p_true = bias[abs(z)]
+        prob *= p_true if z < 0 else 1 - p_true
     return prob
+
+
+def holds(event, assignment):
+    """Every literal of the clause is false under the assignment."""
+    return all(assignment[abs(z)] == (z < 0) for z in event)
 
 
 def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
@@ -36,7 +42,7 @@ def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
     per_event = [0] * len(events)
     steps = 0
     while True:
-        true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
+        true_events = [i for i, e in enumerate(events) if holds(e, assignment)]
         if not true_events or steps >= max_steps:
             break
         if rule is SelectionRule.FIRST_INDEX:
@@ -45,7 +51,7 @@ def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
             chosen = true_events[select_rng.randrange(len(true_events))]
         else:
             chosen = min(true_events, key=lambda i: (probabilities[i], i))
-        for variable in sorted(events[chosen].variables):
+        for variable in sorted(abs(z) for z in events[chosen]):
             assignment[variable] = draw(resample_rng, bias[variable])
         per_event[chosen] += 1
         steps += 1
@@ -93,8 +99,8 @@ def test_lowest_probability_on_events_of_mixed_sizes():
     for case in range(400):
         rng = random.Random(case)
         m = rng.randint(1, 10)
-        events = [ev(*((v, rng.random() < 0.5)
-                       for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m)))))
+        events = [tuple(-v if rng.random() < 0.5 else v
+                        for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m))))
                   for _ in range(rng.randint(1, 12))]
         bias = [Fraction(1, 2)] * (m + 1) if case % 2 else _random_bias(rng, m)
         expected = run_mt_by_rescan(events, m, bias, rule, case, 40)
@@ -106,7 +112,7 @@ def test_lowest_probability_on_events_of_mixed_sizes():
 
 def test_unknown_rule_is_refused():
     with pytest.raises(DomainError, match="unknown selection rule"):
-        run_mt([ev((1, True))], 1, rule="first-index")
+        run_mt([(-1,)], 1, rule="first-index")
 
 
 def satisfies(formula, assignment):
@@ -123,7 +129,7 @@ def test_zero_events_returns_initial_assignment():
 
 
 def test_single_event_terminates():
-    assignment, stats = run_mt([ev((1, True))], 1, seed=3)
+    assignment, stats = run_mt([(-1,)], 1, seed=3)
     assert stats.terminated
     assert assignment[1] is False
 
@@ -133,7 +139,7 @@ def test_single_event_geometric_mean():
     total = 0
     n = 2000
     for seed in range(n):
-        _, stats = run_mt([ev((1, True))], 1, seed=seed)
+        _, stats = run_mt([(-1,)], 1, seed=seed)
         total += stats.total_resamples
     assert abs(total / n - 1) < 0.08
 
@@ -148,7 +154,7 @@ def test_reproducible_traces():
 
 
 def test_different_seeds_differ_eventually():
-    events = [ev((1, True), (2, True)), ev((3, True), (4, True))]
+    events = [(-1, -2), (-3, -4)]
     assignments = {tuple(sorted(run_mt(events, 4, seed=s)[0].items()))
                    for s in range(30)}
     assert len(assignments) > 1
@@ -156,7 +162,7 @@ def test_different_seeds_differ_eventually():
 
 def find_true_bad_event(assignment, events, rule, rng, probabilities=None):
     """The true event that rule picks from a rescan of every event, or None."""
-    true_events = [i for i, e in enumerate(events) if e.holds(assignment)]
+    true_events = [i for i, e in enumerate(events) if holds(e, assignment)]
     if not true_events:
         return None
     if rule is SelectionRule.FIRST_INDEX:
@@ -170,7 +176,7 @@ def find_true_bad_event(assignment, events, rule, rng, probabilities=None):
 
 def test_selection_rules():
     assignment = {1: True, 2: True}
-    events = [ev((1, True)), ev((2, True))]
+    events = [(-1,), (-2,)]
     rng = random.Random(0)
     assert find_true_bad_event(assignment, events, SelectionRule.FIRST_INDEX, rng) == 0
     probs = [Fraction(1, 2), Fraction(1, 4)]
@@ -182,25 +188,25 @@ def test_selection_rules():
 
 
 def test_find_true_bad_event_none_when_satisfied():
-    assert find_true_bad_event({1: True}, [ev((1, False))],
+    assert find_true_bad_event({1: True}, [(1,)],
                                SelectionRule.FIRST_INDEX, random.Random(0)) is None
 
 
 def test_lowest_probability_requires_probs():
     with pytest.raises(DomainError):
-        find_true_bad_event({1: True}, [ev((1, True))],
+        find_true_bad_event({1: True}, [(-1,)],
                             SelectionRule.LOWEST_PROBABILITY, random.Random(0))
 
 
 def test_event_probability():
     bias = [None, Fraction(1, 3), Fraction(1, 2)]
-    assert event_probability(ev((1, True), (2, False)), bias) == Fraction(1, 3) / 2
-    assert event_probability(ev((1, False)), bias) == Fraction(2, 3)
+    assert event_probability((-1, 2), bias) == Fraction(1, 3) / 2
+    assert event_probability((1,), bias) == Fraction(2, 3)
 
 
 def test_max_steps_gives_unterminated():
     # contradictory pair on one variable can never be satisfied
-    events = [ev((1, True)), ev((1, False))]
+    events = [(-1,), (1,)]
     _, stats = run_mt(events, 1, seed=0, max_steps=25)
     assert not stats.terminated
     assert stats.steps == 25
@@ -213,30 +219,30 @@ def test_terminated_assignment_satisfies_formula(rng):
         assignment, stats = run_mt(events, formula.variable_count, seed=trial)
         assert stats.terminated
         assert satisfies(formula, assignment)
-        assert not any(e.holds(assignment) for e in events)
+        assert not any(holds(e, assignment) for e in events)
 
 
 def test_bias_validation():
     with pytest.raises(DomainError):
-        run_mt([ev((1, True))], 1, bias=[Fraction(0), Fraction(3, 2)])
+        run_mt([(-1,)], 1, bias=[Fraction(0), Fraction(3, 2)])
     with pytest.raises(DomainError):
-        run_mt([ev((1, True))], 1, bias=[Fraction(1, 2)])
+        run_mt([(-1,)], 1, bias=[Fraction(1, 2)])
     with pytest.raises(DomainError):
-        run_mt([ev((2, True))], 1)
+        run_mt([(-2,)], 1)
     with pytest.raises(DomainError):
         run_mt([], 1, max_steps=-1)
 
 
 def test_extreme_bias_is_exact():
     # bias 1 forces X_1 = True deterministically
-    assignment, stats = run_mt([ev((1, False))], 1,
+    assignment, stats = run_mt([(1,)], 1,
                                bias=[Fraction(0), Fraction(1)], seed=11)
     assert assignment[1] is True
     assert stats.total_resamples == 0
 
 
 def test_stats_json_round_trip_fields():
-    _, stats = run_mt([ev((1, True))], 1, seed=9)
+    _, stats = run_mt([(-1,)], 1, seed=9)
     payload = stats.to_json_dict()
     assert payload["rule"] == "first-index"
     assert payload["terminated"] is True

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError, SizeGuardError
 from satlll.sat_model import (EMPTY_WIDTH, Formula, build_extremal_formula,
-                              dimacs_export, dimacs_import, occurrences)
+                              dimacs_export, dimacs_import)
 
 from conftest import random_formula
-from oracles import validate_occurrences
+from oracles import occurrences, validate_occurrences
 
 
 def test_formula_refuses_variable_zero():

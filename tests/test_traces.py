@@ -1,9 +1,11 @@
 """Pinned resampling traces: the sha256 of `mt` stdout on fixed formulas.
 
-The digests were recorded from the object-per-literal formula model.  Any
-later change to how formulas are stored, parsed or turned into events must
-leave every trace byte-identical: the same draws, the same selections, the
-same printed assignment.
+The small-formula digests were recorded from the object-per-literal formula
+model, and the (9,22,100) ones while events were still sets of (variable,
+value) atoms.  Any later change to how formulas are stored, parsed or
+turned into events, or to how the resampling loop tests them, must leave
+every trace byte-identical: the same draws, the same selections, the same
+printed assignment.
 """
 
 import contextlib
@@ -36,6 +38,10 @@ EXTREMAL = {"extremal-3-2-4": (3, 2, 4), "extremal-3-3-6": (3, 3, 6),
 RANDOM = {"random-3sat": (11, 3, 40, 100), "random-4sat": (12, 4, 30, 150),
           "random-2sat": (13, 2, 40, 30)}
 RULES = ("first-index", "uniform-random", "lowest-probability")
+# The 4200-clause extremal formula; its first-index traces are pinned by the
+# benchmark's reference digests.
+LARGE = {"extremal-9-22-100": (9, 22, 100)}
+LARGE_RULES = ("uniform-random", "lowest-probability")
 SEEDS = (0, 7)
 LIMIT = ("--max-steps", "20000")
 
@@ -184,6 +190,22 @@ DIGESTS = {
         "306f31a5ddb687f318a6f4de97a447399bf6540af35cef438f0a99d05dbb5c81",
     "random-2sat lowest-probability 7 json":
         "cafea7a42b0ba6bfd3fb1541e9538c7018afe3780208a0d84655291ed0679205",
+    "extremal-9-22-100 uniform-random 0 tsv":
+        "1c46c9a134dbf503919dda9ae68f8d4196a1ca30a6b27aff1d31e8f063f24c93",
+    "extremal-9-22-100 uniform-random 0 json":
+        "67a97d3fcfa7363d46e4e709eeea6b4d046b7a2d726f6a6cd6a48a13b9750acc",
+    "extremal-9-22-100 uniform-random 7 tsv":
+        "3222204275cc420cc075fbb56fa481ac7373b8491522ead44b633653b152ac73",
+    "extremal-9-22-100 uniform-random 7 json":
+        "7c2ecbb8ae679d05be7be7a75cbf172d50c137226bb82ad5f272105a507646b4",
+    "extremal-9-22-100 lowest-probability 0 tsv":
+        "8d36ea85f4211bd3c9830621a3020c7a1e24f4e1f6fdcdfbb131367465241086",
+    "extremal-9-22-100 lowest-probability 0 json":
+        "fce9df83a6e4d0aa8fc19ffc8e9634a73abb3b7f9ca67469232727dfa2946168",
+    "extremal-9-22-100 lowest-probability 7 tsv":
+        "6469463212c606c3a224a28ad8cadd9e387c495291dcea81089b935af71aa82b",
+    "extremal-9-22-100 lowest-probability 7 json":
+        "025244794fd20004613f694a24088b7f10fb0ff2eb046517279039bfba924dbf",
 }
 
 
@@ -191,7 +213,7 @@ DIGESTS = {
 def formulas(tmp_path_factory):
     directory = tmp_path_factory.mktemp("traces")
     paths = {}
-    for name, (k, L, r) in EXTREMAL.items():
+    for name, (k, L, r) in {**EXTREMAL, **LARGE}.items():
         paths[name] = directory / f"{name}.cnf"
         paths[name].write_text(_stdout("construct", "--k", str(k), "--L", str(L),
                                        "--r", str(r)))
@@ -201,12 +223,21 @@ def formulas(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("name", [*EXTREMAL, *RANDOM])
-def test_mt_traces_are_pinned(formulas, name):
-    for rule in RULES:
+def _check_traces(path, name, rules):
+    for rule in rules:
         for seed in SEEDS:
             for output_format in ("tsv", "json"):
-                out = _stdout("--format", output_format, "mt", "--cnf", str(formulas[name]),
+                out = _stdout("--format", output_format, "mt", "--cnf", str(path),
                               "--rule", rule, "--seed", str(seed), *LIMIT)
                 key = f"{name} {rule} {seed} {output_format}"
                 assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key], key
+
+
+@pytest.mark.parametrize("name", [*EXTREMAL, *RANDOM])
+def test_mt_traces_are_pinned(formulas, name):
+    _check_traces(formulas[name], name, RULES)
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_large_mt_traces_are_pinned(formulas, name):
+    _check_traces(formulas[name], name, LARGE_RULES)
