@@ -77,7 +77,7 @@ def _emit(args, output):
 def cmd_table(args):
     if not 2 <= args.kmin <= args.kmax:
         raise DomainError(f"need 2 <= kmin <= kmax, got {args.kmin}..{args.kmax}")
-    _check_printable(f"F_MT({args.kmax}) + 1", bounds_mod.f_mt(args.kmax) + 1)
+    _printable_f_mt(args.kmax)
     rows = [(k, bounds_mod.f_lll(k),
              hj_family.shearer_upper_bound(k, args.precision), bounds_mod.f_mt(k))
             for k in range(args.kmin, args.kmax + 1)]
@@ -143,6 +143,15 @@ def _check_printable(what: str, *values):
                 raise SizeGuardError(f"{what} has more than {limit} digits, the int-string limit")
 
 
+def _printable_f_mt(k: int) -> int:
+    # k >= 4 * limit gives F_MT(k) >= 10^limit: F_MT(k) + 1 > (2^k - 1)/(ek) > 2^k/(3k) for k >= 4,
+    # which rises in k and at k = 4L is 16^L/(12L) >= 10^L for L >= 11; a nonzero limit is >= 640.
+    limit = sys.get_int_max_str_digits()
+    mt = 10 ** limit if limit and k >= 4 * limit else bounds_mod.f_mt(k)
+    _check_printable(f"F_MT({k}) + 1", mt + 1)
+    return mt
+
+
 def _graph_from_json(path: str, guard_vertices: int):
     text = _read_input(path)
     try:
@@ -189,8 +198,8 @@ def cmd_hj(args):
     state = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = state.s(args.j), state.r(args.j)
     p = Fraction(1, 2 ** args.k)
-    s_bf = shearer.independence_polynomial(h.graph, (), [p] * h.graph.n, vertex_guard=guard)
-    r_bf = shearer.independence_polynomial(hp.graph, (), [p] * hp.graph.n, vertex_guard=guard)
+    s_bf = shearer.independence_polynomial(h.graph, [p] * h.graph.n, vertex_guard=guard)
+    r_bf = shearer.independence_polynomial(hp.graph, [p] * hp.graph.n, vertex_guard=guard)
     _check_printable(f"s_{args.j} or r_{args.j}", s_rec, s_bf, r_rec, r_bf)
     agree = (s_rec == s_bf) and (r_rec == r_bf)
     code = 0 if agree else EXIT_CERTIFICATION
@@ -238,8 +247,7 @@ def cmd_mt(args):
 
 def cmd_bounds(args):
     k = args.k
-    mt = bounds_mod.f_mt(k)
-    _check_printable(f"F_MT({k}) + 1", mt + 1)
+    mt = _printable_f_mt(k)
     lll = bounds_mod.f_lll(k)
     gap = bounds_mod.gap_inequality(k)
     alpha_results = {}

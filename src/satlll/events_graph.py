@@ -59,9 +59,6 @@ class DepGraph:
     def n(self) -> int:
         return len(self.adjacency)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 

@@ -3,11 +3,11 @@
 An event is the tuple of its clause's signed literals and holds when every
 literal is false.  The variable values live in one bytearray.
 
-Reproducibility contract: identical (events, bias, rule, seed, max_steps)
+Reproducibility contract: identical (events, rule, seed, max_steps)
 produce identical traces.  Three independent Mersenne Twister streams are
 derived from the seed: one for the initial draw, one for resampling, one
-for random event selection.  Rational biases are sampled exactly by
-comparing an integer draw below the denominator against the numerator.
+for random event selection.  Each draw is a fair coin, randrange(2) < 1,
+so an event B has probability 2^-|B|.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .errors import DomainError
@@ -50,65 +48,40 @@ class RunStats:
                 "rule": self.rule.value}
 
 
-def _probability_keys(events: Sequence[Event], bias: Sequence[Fraction],
-                      uniform: bool) -> list[int]:
-    """rank(P(event i)) * n + i for each event i: ints that sort by (probability, index).
-
-    P(B) is the product over the literals z of B of P(z false): bias[-z] for
-    z < 0, 1 - bias[z] for z > 0.  Under the uniform bias P(B) = 2^-|B|, so
-    -|B| orders the events as their probabilities do, and no Fraction is built.
-    """
-    probability = ([-len(event) for event in events] if uniform else
-                   [prod(bias[-z] if z < 0 else 1 - bias[z] for z in event)
-                    for event in events])
-    rank = {p: r for r, p in enumerate(sorted(set(probability)))}
-    return [rank[p] * len(events) + i for i, p in enumerate(probability)]
-
-
 def run_mt(events: Sequence[Event], m: int,
-           bias: Sequence[Fraction] | None = None,
            rule: SelectionRule = SelectionRule.FIRST_INDEX,
            seed: int = 0,
            max_steps: int = 1_000_000) -> tuple[dict[int, bool], RunStats]:
-    """Run the resampling loop on m variables; bias[i] = P(X_i = True).
+    """Run the resampling loop on m variables, each drawn as a fair coin.
 
-    bias is indexed 1..m (slot 0 ignored) and defaults to the uniform 1/2.
     Non-termination within max_steps surfaces as terminated=False, never
     as an exception.
 
     The true events are kept as an increasing list of keys: the event index
-    itself, or for lowest-probability a key that sorts by (probability,
-    index), so every rule picks by position.  A resample changes only the
-    events on the variables whose value it flipped: those with the old
-    value become false, those with the new value are re-tested.  So a step
-    costs O(sum of R(v) over its k variables) plus the list update, and the
-    selection is the one a full rescan would make.
+    itself, or for lowest-probability (longest - |B|) * n + i, which sorts
+    by (P(B) = 2^-|B|, index), so every rule picks by position and, on a
+    formula, lowest-probability picks what first-index picks.  A resample
+    changes only the events on the variables whose value it flipped: those
+    with the old value become false, those with the new value are
+    re-tested.  So a step costs O(sum of R(v) over its k variables) plus
+    the list update, and the selection is the one a full rescan would make.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     if not isinstance(rule, SelectionRule):
         raise DomainError(f"unknown selection rule {rule!r}")
-    uniform = bias is None
-    bias = [Fraction(1, 2)] * (m + 1) if uniform else [Fraction(x) for x in bias]
-    if len(bias) != m + 1:
-        raise DomainError(f"bias must have m+1={m + 1} entries (slot 0 unused)")
-    if not uniform:  # the default 1/2 needs no range check
-        for i in range(1, m + 1):
-            if not 0 <= bias[i] <= 1:
-                raise DomainError(f"bias[{i}]={bias[i]} outside [0,1]")
-    # For bias[i] = num/den, X_i = True iff randrange(den) < num, read from plain ints.
-    odds = [(1, 2)] * (m + 1) if uniform else [(b.numerator, b.denominator) for b in bias]
     start, entries = atom_index(events, m)  # also checks every variable is in [1, m]
 
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
     select_rng = random.Random(f"{seed}:select")
     n = len(events)
-    key = (_probability_keys(events, bias, uniform) if rule is SelectionRule.LOWEST_PROBABILITY
-           else range(n))
+    longest = max(map(len, events), default=0)
+    key = ([(longest - len(event)) * n + i for i, event in enumerate(events)]
+           if rule is SelectionRule.LOWEST_PROBABILITY else range(n))
 
     draw = init_rng.randrange
-    value = bytearray([0] + [draw(den) < num for num, den in odds[1:]])  # value[v] is x_v
+    value = bytearray([0] + [draw(2) < 1 for _ in range(m)])  # value[v] is x_v
 
     def holds(event: Event) -> bool:  # no literal is true
         return all(value[abs(z)] != (z > 0) for z in event)
@@ -122,8 +95,7 @@ def run_mt(events: Sequence[Event], m: int,
         chosen = true_keys[at] % n
         flipped = []
         for variable in sorted(map(abs, events[chosen])):
-            num, den = odds[variable]
-            new = resample_rng.randrange(den) < num
+            new = resample_rng.randrange(2) < 1
             if new != value[variable]:
                 value[variable] = new
                 flipped.append(2 * variable + new)

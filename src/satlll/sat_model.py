@@ -4,7 +4,7 @@ Formulas are width-k CNF, stored as one flat array of signed DIMACS
 literals.  The extremal instances are built by repeatedly "expanding" a
 variable i: appending L-1 clauses containing the literal x_i and L-1
 containing ~x_i, all other slots filled by fresh, positively occurring
-variables.
+variables.  DIMACS import infers the width from the clauses.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ def dimacs_export(formula: Formula) -> str:
 EMPTY_WIDTH = 2
 
 
-def dimacs_import(text: str, width: int | None = None) -> Formula:
+def dimacs_import(text: str) -> Formula:
     """Parse DIMACS CNF.  All clauses must share one width.
 
-    If width is given it is demanded; otherwise it is inferred from the
-    first clause, and is EMPTY_WIDTH when there is none.  Each line is
+    The width is that of the first clause, or EMPTY_WIDTH without one.  A
+    line starting with % ends the input, as SATLIB files use it.  Each line is
     converted with one map(int) and appended to one flat literal list.  The
     bounds and repeated-variable checks that Formula makes again are made
     here too, line by line, so that an error names the line of the
@@ -159,8 +159,10 @@ def dimacs_import(text: str, width: int | None = None) -> Formula:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line[0] in "c%":
+        if not line or line[0] == "c":
             continue
+        if line[0] == "%":
+            break
         if line[0] == "p":
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
@@ -202,12 +204,9 @@ def dimacs_import(text: str, width: int | None = None) -> Formula:
     if declared_clauses is not None and declared_clauses != clause_count:
         raise DimacsError(f"header declares {declared_clauses} clauses, found {clause_count}")
 
-    if width is None:
-        if len(widths) > 1:
-            raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
-        width = widths.pop() if widths else EMPTY_WIDTH
-    elif widths - {width}:
-        raise DimacsError(f"clause width mismatch: demanded {width}, found {sorted(widths)}")
+    if len(widths) > 1:
+        raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
+    width = widths.pop() if widths else EMPTY_WIDTH
     return Formula(width=width, variable_count=variable_count, literals=literals)
 
 

@@ -6,9 +6,9 @@ deletion recursion
 
     Q(G) = Q(G - v) - p_v * Q(G - v - N(v))
 
-with connected-component factorization and memoization on vertex subsets.
-A direct subset-enumeration evaluator is kept in the tests as an
-independent oracle.
+with connected-component factorization and memoization on vertex subsets;
+independence_polynomial returns Z_V, defined below.  A direct
+subset-enumeration evaluator is kept in the tests as an independent oracle.
 
 Shearer verdicts are decided along one chain of vertex sets.  Write
 Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph
@@ -82,11 +82,6 @@ def _check_probabilities(graph: DepGraph, p: ProbabilityVector,
         elif not 0 <= x <= 1:
             raise DomainError(f"p[{i}]={x} must lie in [0,1]")
     return probs
-
-
-def _is_independent(graph: DepGraph, vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    return all(not graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
 class _QEngine:
@@ -124,28 +119,12 @@ class _QEngine:
         return result
 
 
-def independence_polynomial(graph: DepGraph, base: Iterable[int], p: ProbabilityVector,
+def independence_polynomial(graph: DepGraph, p: ProbabilityVector,
                             vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
-    """Q(G, S, p) = sum over independent T with S <= T of (-1)^{|T|-|S|} prod p_i.
-
-    Returns 0 when the base set S is not independent.
-    """
+    """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
     if graph.n > vertex_guard:
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
-    probs = _check_probabilities(graph, p)
-    base_set = frozenset(base)
-    if not base_set <= frozenset(range(graph.n)):
-        raise DomainError(f"base set {sorted(base_set)} not within vertex range")
-    if not _is_independent(graph, base_set):
-        return Fraction(0)
-    engine = _QEngine(graph, probs)
-    remaining = frozenset(range(graph.n)) - base_set
-    for v in base_set:
-        remaining -= graph.adjacency[v]
-    prefactor = Fraction(1)
-    for v in base_set:
-        prefactor *= probs[v]
-    return prefactor * engine.q(remaining)
+    return _QEngine(graph, _check_probabilities(graph, p)).q(frozenset(range(graph.n)))
 
 
 def _chain_fails(engine: _QEngine, region: frozenset[int]) -> bool:

@@ -39,7 +39,7 @@ def enumerate_independent_sets(graph: DepGraph):
     def extend(current: tuple[int, ...], start: int):
         yield current
         for v in range(start, graph.n):
-            if all(not graph.has_edge(v, u) for u in current):
+            if all(u not in graph.adjacency[v] for u in current):
                 yield from extend(current + (v,), v + 1)
 
     yield from extend((), 0)
@@ -55,10 +55,23 @@ def induced_subgraph(graph: DepGraph, vertices: Iterable[int]) -> DepGraph:
     return DepGraph(adjacency, payloads)
 
 
+def q_with_base(graph: DepGraph, base: Iterable[int], p: ProbabilityVector) -> Fraction:
+    """Q(G, S, p) = prod_{i in S} p_i * Z(G[V - S - N(S)]) for an independent S."""
+    base_set = frozenset(base)
+    region = frozenset(range(graph.n)) - base_set
+    for v in base_set:
+        region -= graph.adjacency[v]
+    prefactor = Fraction(1)
+    for v in base_set:
+        prefactor *= Fraction(p[v])
+    sub = induced_subgraph(graph, region)
+    return prefactor * independence_polynomial(sub, [p[v] for v in sorted(region)])
+
+
 def shearer_check_by_enumeration(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
     """Q(G, S, p) for every independent S, stopping at the first S with Q <= 0."""
     for s in enumerate_independent_sets(graph):
-        value = independence_polynomial(graph, s, p)
+        value = q_with_base(graph, s, p)
         if value <= 0:
             return ShearerVerdict(False, witness=s, witness_value=value)
     return ShearerVerdict(True)
@@ -94,7 +107,7 @@ def component_factorization(graph: DepGraph, p: ProbabilityVector,
     for comp in graph.connected_components(frozenset(range(graph.n))):
         sub = induced_subgraph(graph, comp)
         sub_p = [probs[v] for v in sorted(comp)]
-        result *= independence_polynomial(sub, (), sub_p, vertex_guard)
+        result *= independence_polynomial(sub, sub_p, vertex_guard)
     return result
 
 
@@ -123,7 +136,7 @@ def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
         residual = sorted(all_vertices - removed)
         sub = induced_subgraph(graph, residual)
         sub_p = [probs[v] for v in residual]
-        term = independence_polynomial(sub, (), sub_p, vertex_guard)
+        term = independence_polynomial(sub, sub_p, vertex_guard)
         for v in u:
             term *= -probs[v]
         total += term

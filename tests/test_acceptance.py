@@ -59,8 +59,8 @@ def test_criterion_02_recurrence_equals_bruteforce():
             from satlll.hj_family import build_Hprime
             h = build_H(j, k, L)
             hp = build_Hprime(j, k, L)
-            s_bf = independence_polynomial(h.graph, (), [p] * h.graph.n)
-            r_bf = independence_polynomial(hp.graph, (), [p] * hp.graph.n)
+            s_bf = independence_polynomial(h.graph, [p] * h.graph.n)
+            r_bf = independence_polynomial(hp.graph, [p] * hp.graph.n)
             assert state.s(j) == s_bf, (k, L, j)
             assert state.r(j) == r_bf, (k, L, j)
     report(2, "s_j/r_j recurrence matches exact polynomial evaluation")
@@ -72,7 +72,7 @@ def test_criterion_03_polynomial_identities():
         graph = random_graph(rng, max_vertices=12)
         p = random_probabilities(rng, graph.n)
         reference = independence_polynomial_bruteforce(graph, (), p)
-        assert independence_polynomial(graph, (), p) == reference
+        assert independence_polynomial(graph, p) == reference
         assert component_factorization(graph, p) == reference
         x = [v for v in range(graph.n) if rng.random() < 0.5]
         assert expansion_identity(graph, x, p) == reference

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +190,16 @@ def test_mt_json(capsys, tmp_path):
     assert payload["stats"]["rule"] == "uniform-random"
 
 
+def test_mt_reads_a_satlib_ending(capsys, tmp_path):
+    # SATLIB files (uf20-91 etc.) end with a "%" line and then "0".
+    target = tmp_path / "satlib.cnf"
+    target.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n")
+    code, out, err = run_cli(capsys, "mt", "--cnf", str(target))
+    assert (code, err) == (0, "")
+    assert out.startswith("terminated=True resamples=")
+    assert "satisfies=True" in out
+
+
 def test_mt_empty_formula(capsys, tmp_path):
     target = tmp_path / "empty.cnf"
     target.write_text("c no clauses\np cnf 5 0\n")
@@ -256,6 +270,30 @@ def test_bounds_refuses_from_the_first_unprintable_k(capsys, monkeypatch):
         EXIT_DOMAIN, "", "error: reached f_lll(14299)\n")
     assert run_cli(capsys, "bounds", "--k", "14300") == (
         EXIT_GUARD, "", "error: F_MT(14300) + 1 has more than 4300 digits, the int-string limit\n")
+
+
+def test_bounds_prints_the_last_printable_k(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--k", "14299")
+    assert (code, err) == (0, "")
+    assert out.startswith("F_LLL(14299) = ")
+    assert len(out.splitlines()[1]) == len("F_MT(14299) = ") + 4300
+
+
+@pytest.mark.parametrize("limit", [640, 4300])  # CPython's least and default limits
+def test_f_mt_is_unprintable_from_four_times_the_limit(limit):
+    # The refusal from k alone rests on F_MT(k) >= 10^limit for k >= 4 * limit.
+    assert bounds.f_mt(4 * limit) >= 10 ** limit
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--k", "1000000"],
+                                  ["table", "1000000", "1000000"]])
+def test_huge_k_is_refused_without_computing_f_mt(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-m", "satlll.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_GUARD, "",
+        "error: F_MT(1000000) + 1 has more than 4300 digits, the int-string limit\n")
 
 
 def test_common_flags_after_subcommand(capsys):

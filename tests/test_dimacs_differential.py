@@ -3,8 +3,10 @@
 On every input both either return the same (width, variable_count,
 literals) or raise the same exception with the same message and line.  The
 intended differences: a file without clauses now reads as a formula of
-width EMPTY_WIDTH where the old parser asked for an explicit width, and a
-literal beyond 64 bits is refused by Formula (test_sat_model covers that).
+width EMPTY_WIDTH where the old parser asked for an explicit width; a line
+starting with % now ends the input, as in SATLIB files, where the old
+parser skipped it as a comment; and a literal beyond 64 bits is refused by
+Formula (test_sat_model covers that).
 """
 
 import random
@@ -24,24 +26,31 @@ from test_cli import DIMACS_LIKE, well_formed_dimacs
 EMPTY_REFUSAL = "cannot infer width of an empty formula; pass width explicitly"
 
 
-def _outcome(parse, text, width):
+def _outcome(parse, *args):
     try:
-        return parse(text, width)
+        return parse(*args)
     except (DimacsError, DomainError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
-def _flat(text, width):
-    formula = dimacs_import(text, width)
+def _flat(text):
+    formula = dimacs_import(text)
     return formula.width, formula.variable_count, tuple(formula.literals)
 
 
-def assert_same_outcome(text, width=None):
-    expected = _outcome(oracle_dimacs_import, text, width)
-    got = _outcome(_flat, text, width)
+def _before_percent_line(text):
+    """The text up to its first line starting with %, where the input now ends."""
+    lines = text.splitlines()
+    end = next((i for i, line in enumerate(lines) if line.strip().startswith("%")), len(lines))
+    return "\n".join(lines[:end])
+
+
+def assert_same_outcome(text):
+    expected = _outcome(oracle_dimacs_import, _before_percent_line(text))
+    got = _outcome(_flat, text)
     if expected == ("DimacsError", EMPTY_REFUSAL, None):
         # Now defined: the empty formula, refused only for a negative count.
-        expected = _outcome(oracle_dimacs_import, text, EMPTY_WIDTH)
+        expected = _outcome(oracle_dimacs_import, _before_percent_line(text), EMPTY_WIDTH)
     assert got == expected, text
 
 
@@ -57,10 +66,9 @@ TOKEN_SOUP = st.builds(lambda header, lines: "\n".join([header, *lines]),
 
 
 @settings(max_examples=300, deadline=None)
-@given(DIMACS_LIKE | well_formed_dimacs() | TOKEN_SOUP | st.text(max_size=60),
-       st.sampled_from([None, None, 2, 3]))
-def test_parsers_agree_on_generated_text(text, width):
-    assert_same_outcome(text, width)
+@given(DIMACS_LIKE | well_formed_dimacs() | TOKEN_SOUP | st.text(max_size=60))
+def test_parsers_agree_on_generated_text(text):
+    assert_same_outcome(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -74,6 +82,7 @@ def test_parsers_agree_on_generated_text(text, width):
     "p cnf 3 1\n1 2 0\np cnf 1 1\n1 0\n",  # a second header lowers the bound
     "p cnf 3 2\n1 2 0\n1 2 3 0\n",
     "1 2 0\n",
+    "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n",  # SATLIB's ending
 ])
 def test_parsers_agree_on_hand_cases(text):
     assert_same_outcome(text)
@@ -83,7 +92,6 @@ def test_parsers_agree_on_hand_cases(text):
 def test_parsers_agree_on_constructions(k, L, r):
     text = dimacs_export(build_extremal_formula(k, L, r)[0])
     assert_same_outcome(text)
-    assert_same_outcome(text, width=k)
 
 
 def test_parsers_agree_on_random_formulas():

@@ -10,16 +10,15 @@ from satlll.moser_tardos import RunStats, SelectionRule, run_mt
 from conftest import random_formula, random_low_occurrence_formula
 
 
-def event_probability(event, bias):
-    """P(event) as a product of exact Fractions, for the rescan oracle.
+def event_probability(event):
+    """P(event) as an exact Fraction, for the rescan oracle.
 
-    The event is a clause of signed literals and holds when each is false:
-    literal v is false when x_v is False, -v when x_v is True.
+    The event is a clause of signed literals and holds when each is false;
+    every variable is a fair coin, so each literal is false with probability 1/2.
     """
     prob = Fraction(1)
-    for z in event:
-        p_true = bias[abs(z)]
-        prob *= p_true if z < 0 else 1 - p_true
+    for _ in event:
+        prob *= Fraction(1, 2)
     return prob
 
 
@@ -28,17 +27,17 @@ def holds(event, assignment):
     return all(assignment[abs(z)] == (z < 0) for z in event)
 
 
-def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
+def run_mt_by_rescan(events, m, rule, seed, max_steps):
     """The resampling loop that rescans every event on every step: the oracle."""
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
     select_rng = random.Random(f"{seed}:select")
 
-    def draw(rng, p):
-        return rng.randrange(p.denominator) < p.numerator
+    def draw(rng):
+        return rng.randrange(2) < 1
 
-    probabilities = [event_probability(e, bias) for e in events]
-    assignment = {i: draw(init_rng, bias[i]) for i in range(1, m + 1)}
+    probabilities = [event_probability(e) for e in events]
+    assignment = {i: draw(init_rng) for i in range(1, m + 1)}
     per_event = [0] * len(events)
     steps = 0
     while True:
@@ -52,19 +51,13 @@ def run_mt_by_rescan(events, m, bias, rule, seed, max_steps):
         else:
             chosen = min(true_events, key=lambda i: (probabilities[i], i))
         for variable in sorted(abs(z) for z in events[chosen]):
-            assignment[variable] = draw(resample_rng, bias[variable])
+            assignment[variable] = draw(resample_rng)
         per_event[chosen] += 1
         steps += 1
     stats = RunStats(total_resamples=sum(per_event), per_event_resamples=tuple(per_event),
                      terminated=not true_events, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
     return assignment, stats
-
-
-def _random_bias(rng, m):
-    """Non-uniform bias; 0 and 1 occur, so some runs can never terminate."""
-    return [Fraction(0)] + [Fraction(rng.choice([0, 1, 1, 2, 3, 5, 7, 8]), 8)
-                            for _ in range(m)]
 
 
 def test_incremental_run_matches_rescan():
@@ -75,26 +68,21 @@ def test_incremental_run_matches_rescan():
         m = rng.randint(k, 14)  # often more variables than the clauses use
         formula = random_formula(rng, k, m, rng.choice([0, 1, rng.randint(2, 16)]))
         events = events_from_formula(formula)
-        bias = [Fraction(1, 2)] * (m + 1) if case % 2 else _random_bias(rng, m)
         rule = list(SelectionRule)[case % 3]
         max_steps = rng.choice([0, 1, 5, 60])
-        expected = run_mt_by_rescan(events, m, bias, rule, case, max_steps)
-        assignment, stats = run_mt(events, m, bias=None if case % 2 else bias,
-                                   rule=rule, seed=case, max_steps=max_steps)
+        expected = run_mt_by_rescan(events, m, rule, case, max_steps)
+        assignment, stats = run_mt(events, m, rule=rule, seed=case, max_steps=max_steps)
         assert assignment == expected[0], case
         assert stats.to_json_dict() == expected[1].to_json_dict(), case
-        seen.add((rule, case % 2, not events, stats.terminated,
-                  stats.steps == max_steps))
+        seen.add((rule, not events, stats.terminated, stats.steps == max_steps))
     for rule in SelectionRule:
-        for uniform in (0, 1):
-            assert (rule, uniform, True, True, False) in seen  # zero events
-            assert (rule, uniform, False, True, False) in seen  # terminated
-            assert (rule, uniform, False, False, True) in seen  # limit reached
+        assert (rule, True, True, False) in seen  # zero events
+        assert (rule, False, True, False) in seen  # terminated
+        assert (rule, False, False, True) in seen  # limit reached
 
 
 def test_lowest_probability_on_events_of_mixed_sizes():
-    # Under the uniform bias the keys come from event sizes, otherwise from
-    # exact Fractions; both must pick what the rescan oracle picks.
+    # The keys come from event sizes; the oracle orders by exact Fractions.
     rule = SelectionRule.LOWEST_PROBABILITY
     for case in range(400):
         rng = random.Random(case)
@@ -102,10 +90,8 @@ def test_lowest_probability_on_events_of_mixed_sizes():
         events = [tuple(-v if rng.random() < 0.5 else v
                         for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m))))
                   for _ in range(rng.randint(1, 12))]
-        bias = [Fraction(1, 2)] * (m + 1) if case % 2 else _random_bias(rng, m)
-        expected = run_mt_by_rescan(events, m, bias, rule, case, 40)
-        assignment, stats = run_mt(events, m, bias=None if case % 2 else bias,
-                                   rule=rule, seed=case, max_steps=40)
+        expected = run_mt_by_rescan(events, m, rule, case, 40)
+        assignment, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
         assert assignment == expected[0], case
         assert stats.to_json_dict() == expected[1].to_json_dict(), case
 
@@ -199,9 +185,8 @@ def test_lowest_probability_requires_probs():
 
 
 def test_event_probability():
-    bias = [None, Fraction(1, 3), Fraction(1, 2)]
-    assert event_probability((-1, 2), bias) == Fraction(1, 3) / 2
-    assert event_probability((1,), bias) == Fraction(2, 3)
+    assert event_probability((-1, 2)) == Fraction(1, 4)
+    assert event_probability((1,)) == Fraction(1, 2)
 
 
 def test_max_steps_gives_unterminated():
@@ -223,22 +208,13 @@ def test_terminated_assignment_satisfies_formula(rng):
 
 
 def test_bias_validation():
-    with pytest.raises(DomainError):
-        run_mt([(-1,)], 1, bias=[Fraction(0), Fraction(3, 2)])
-    with pytest.raises(DomainError):
-        run_mt([(-1,)], 1, bias=[Fraction(1, 2)])
+    # Every variable is a fair coin: a bias is no longer accepted.
+    with pytest.raises(TypeError):
+        run_mt([(-1,)], 1, bias=[Fraction(0), Fraction(1)])
     with pytest.raises(DomainError):
         run_mt([(-2,)], 1)
     with pytest.raises(DomainError):
         run_mt([], 1, max_steps=-1)
-
-
-def test_extreme_bias_is_exact():
-    # bias 1 forces X_1 = True deterministically
-    assignment, stats = run_mt([(1,)], 1,
-                               bias=[Fraction(0), Fraction(1)], seed=11)
-    assert assignment[1] is True
-    assert stats.total_resamples == 0
 
 
 def test_stats_json_round_trip_fields():

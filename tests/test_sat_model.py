@@ -118,16 +118,9 @@ def test_dimacs_parse_error_has_line_number():
         dimacs_import("p cnf 2 1\n1 oops 0\n")
 
 
-def test_dimacs_width_mismatch():
-    text = "p cnf 3 1\n1 2 3 0\n"
-    with pytest.raises(DimacsError, match="width mismatch"):
-        dimacs_import(text, width=2)
-
-
 def test_dimacs_empty_formula_has_the_empty_width():
     formula = dimacs_import("c nothing\np cnf 5 0\n")
     assert (formula.width, formula.variable_count, formula.clause_count) == (EMPTY_WIDTH, 5, 0)
-    assert dimacs_import("p cnf 5 0\n", width=4).width == 4
     assert dimacs_export(formula) == "p cnf 5 0\n"
 
 

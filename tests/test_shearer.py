@@ -17,7 +17,7 @@ from satlll.shearer import independence_polynomial, shearer_check
 from conftest import random_graph, random_probabilities
 from oracles import (component_factorization, enumerate_independent_sets,
                      expansion_identity, independence_polynomial_bruteforce,
-                     induced_subgraph, shearer_check_by_enumeration)
+                     induced_subgraph, q_with_base, shearer_check_by_enumeration)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -33,42 +33,37 @@ def path3():
 
 def test_null_graph():
     graph = DepGraph.from_edges(0, [])
-    assert independence_polynomial(graph, (), []) == 1
+    assert independence_polynomial(graph, []) == 1
 
 
 def test_single_vertex():
     graph = DepGraph.from_edges(1, [])
-    assert independence_polynomial(graph, (), [HALF]) == HALF
-    assert independence_polynomial(graph, (0,), [HALF]) == HALF
+    assert independence_polynomial(graph, [HALF]) == HALF
 
 
 def test_k2_values():
-    assert independence_polynomial(k2(), (), [QUARTER, QUARTER]) == HALF
-    assert independence_polynomial(k2(), (), [HALF, HALF]) == 0
-
-
-def test_non_independent_base_is_zero():
-    assert independence_polynomial(k2(), (0, 1), [QUARTER, QUARTER]) == 0
+    assert independence_polynomial(k2(), [QUARTER, QUARTER]) == HALF
+    assert independence_polynomial(k2(), [HALF, HALF]) == 0
 
 
 def test_engine_matches_bruteforce(rng):
     for _ in range(60):
         graph = random_graph(rng, max_vertices=10)
         p = random_probabilities(rng, graph.n)
-        assert (independence_polynomial(graph, (), p)
+        assert (independence_polynomial(graph, p)
                 == independence_polynomial_bruteforce(graph, (), p))
 
 
 def test_base_set_factorization(rng):
-    # Q(G,S,p) = prod_{i in S} p_i * Q(G - S - N(S), 0, p) for independent S
+    # The oracle's Q(G,S,p) = prod_{i in S} p_i * Q(G - S - N(S), 0, p) for
+    # independent S, against the direct signed sum over supersets of S
     for _ in range(40):
         graph = random_graph(rng, max_vertices=9)
         p = random_probabilities(rng, graph.n)
         for s in enumerate_independent_sets(graph):
             if len(s) > 2:
                 continue
-            assert (independence_polynomial(graph, s, p)
-                    == independence_polynomial_bruteforce(graph, s, p))
+            assert q_with_base(graph, s, p) == independence_polynomial_bruteforce(graph, s, p)
 
 
 def test_component_factorization_examples():
@@ -81,17 +76,17 @@ def test_component_factorization_examples():
     connected = path3()
     p3 = [HALF] * 3
     assert (component_factorization(connected, p3)
-            == independence_polynomial(connected, (), p3))
+            == independence_polynomial(connected, p3))
 
 
 def test_expansion_identity_examples():
     p = [HALF, HALF]
-    assert expansion_identity(k2(), (0, 1), p) == independence_polynomial(k2(), (), p)
-    assert expansion_identity(k2(), (0,), p) == independence_polynomial(k2(), (), p)
-    assert expansion_identity(k2(), (), p) == independence_polynomial(k2(), (), p)
+    assert expansion_identity(k2(), (0, 1), p) == independence_polynomial(k2(), p)
+    assert expansion_identity(k2(), (0,), p) == independence_polynomial(k2(), p)
+    assert expansion_identity(k2(), (), p) == independence_polynomial(k2(), p)
     p3 = [HALF] * 3
     for x in ((), (1,), (0, 2), (0, 1, 2)):
-        assert expansion_identity(path3(), x, p3) == independence_polynomial(path3(), (), p3)
+        assert expansion_identity(path3(), x, p3) == independence_polynomial(path3(), p3)
 
 
 def test_identities_on_random_graphs(rng):
@@ -132,7 +127,7 @@ def test_shearer_rejects_boundary_probabilities():
 def test_guards():
     big = DepGraph.from_edges(5, [])
     with pytest.raises(SizeGuardError):
-        independence_polynomial(big, (), [HALF] * 5, vertex_guard=4)
+        independence_polynomial(big, [HALF] * 5, vertex_guard=4)
     with pytest.raises(SizeGuardError):
         shearer_check(big, [HALF] * 5, vertex_guard=4)
 
@@ -158,7 +153,7 @@ def violated_component(rng):
     while True:
         graph = random_graph(rng, max_vertices=7, edge_probability=0.5)
         p = [Fraction(rng.randint(15, 40), 60) for _ in range(graph.n)]
-        if independence_polynomial(graph, (), p) < 0:
+        if independence_polynomial(graph, p) < 0:
             return graph, p
 
 
@@ -243,7 +238,7 @@ def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
     assert shearer_check(graph, p).satisfied
     # The same verdict by the other chain, {0} < {0, 1} < ... < V.
     for i in range(1, graph.n + 1):
-        assert independence_polynomial(induced_subgraph(graph, range(i)), (), p[:i]) > 0
+        assert independence_polynomial(induced_subgraph(graph, range(i)), p[:i]) > 0
 
 
 def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):

@@ -11,6 +11,7 @@ printed assignment.
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -241,3 +242,20 @@ def test_mt_traces_are_pinned(formulas, name):
 @pytest.mark.parametrize("name", LARGE)
 def test_large_mt_traces_are_pinned(formulas, name):
     _check_traces(formulas[name], name, LARGE_RULES)
+
+
+@pytest.mark.parametrize("name", [*EXTREMAL, *RANDOM, *LARGE])
+def test_lowest_probability_is_first_index_on_a_formula(formulas, name):
+    # Every clause of a formula has probability 2^-k, so the two rules pick alike.
+    for seed in SEEDS:
+        run = {rule: {output_format: _stdout("--format", output_format, "mt", "--cnf",
+                                             str(formulas[name]), "--rule", rule,
+                                             "--seed", str(seed), *LIMIT)
+                      for output_format in ("tsv", "json")}
+               for rule in ("first-index", "lowest-probability")}
+        assert run["lowest-probability"]["tsv"] == run["first-index"]["tsv"], (name, seed)
+        lowest = json.loads(run["lowest-probability"]["json"])
+        assert lowest["stats"].pop("rule") == "lowest-probability"
+        first = json.loads(run["first-index"]["json"])
+        assert first["stats"].pop("rule") == "first-index"
+        assert lowest == first, (name, seed)
