@@ -158,6 +158,11 @@ def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
     equality, as k^k does not divide 2^k - 1; (4) that is L <= f_mt(k), as
     L is an integer.  Returns (alpha as a float, satisfied).
     """
+    return ksat_alpha(k, L, precision), L <= f_mt(k)
+
+
+def ksat_alpha(k: int, L: int, precision: int) -> float:
+    """The alpha of harris_ksat_alpha alone, as a float."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if L < 1:
@@ -168,14 +173,16 @@ def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
     with interval_precision(precision):
         ratio = iv_from_fraction(Fraction(2 ** k - 1, k * L))
         alpha = (ratio ** (iv.mpf(1) / (k - 1)) - 1) / L
-    return midpoint_float(alpha), L <= f_mt(k)
+    return midpoint_float(alpha)
 
 
 def gap_inequality(k: int) -> CriterionReport:
     """Exact check of f_mt(k) - f_lll(k) >= rhs = 2^k / (2 e k^2) - 1."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    lhs = f_mt(k) - f_lll(k)
+    return gap_report(k, f_mt(k) - f_lll(k))
+
+
+def gap_report(k: int, lhs: int) -> CriterionReport:
+    """The gap inequality at k, given its lhs f_mt(k) - f_lll(k)."""
     # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): fdiv rounds it once to
     # a float's 53 bits, and float() is inf past the float range.
     holds, rhs = _decide_at_e(lambda p, q: (

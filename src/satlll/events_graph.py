@@ -27,21 +27,11 @@ VARIABLE_GUARD = 16  # verify_lopsidependency counts all 2^m assignments
 
 @dataclass(frozen=True)
 class DepGraph:
-    """Simple undirected graph; vertices 0..n-1 carry optional payloads."""
+    """Undirected graph on 0..n-1 with optional payloads.  from_edges checks its
+    edges; the constructor trusts adjacency to be symmetric, in range and loop-free."""
 
     adjacency: tuple[frozenset[int], ...]
     payloads: tuple = ()
-
-    def __post_init__(self):
-        n = len(self.adjacency)
-        for v, nbrs in enumerate(self.adjacency):
-            if v in nbrs:
-                raise DomainError(f"self-loop at vertex {v}")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise DomainError(f"neighbor {u} of {v} out of range")
-                if v not in self.adjacency[u]:
-                    raise DomainError(f"adjacency not symmetric at ({v},{u})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], payloads=()) -> "DepGraph":
@@ -61,25 +51,6 @@ class DepGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
-
-    def connected_components(self, within: frozenset[int]) -> list[frozenset[int]]:
-        """Components of the subgraph induced on within."""
-        seen: set[int] = set()
-        components = []
-        for start in within:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend((self.adjacency[v] & within) - comp)
-            seen |= comp
-            components.append(frozenset(comp))
-        return components
 
 
 def events_from_formula(formula) -> list[Event]:

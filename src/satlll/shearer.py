@@ -1,14 +1,14 @@
 """Exact independence-polynomial evaluation and Shearer-criterion verdicts.
 
 All arithmetic is exact rational (fractions.Fraction); the sign decisions
-Q > 0 must be error-free.  The production engine uses the single-vertex
-deletion recursion
+Q > 0 must be error-free.  One memoized function evaluates Z_W (defined
+below) on vertex sets W held as ints, bit v for vertex v.  With v the least
+vertex of W, C its component in G[W] (a bit BFS) and N[v] = {v} + N(v),
 
-    Q(G) = Q(G - v) - p_v * Q(G - v - N(v))
+    Z_W = Z_C * Z_{W - C} if C != W, else Z_{W - v} - p_v * Z_{W - N[v]},
 
-with connected-component factorization and memoization on vertex subsets;
-independence_polynomial returns Z_V, defined below.  A direct
-subset-enumeration evaluator is kept in the tests as an independent oracle.
+from Z_empty = 1.  independence_polynomial returns Z_V; the tests keep a
+direct subset enumeration as an independent oracle.
 
 Shearer verdicts are decided along one chain of vertex sets.  Write
 Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
@@ -84,38 +84,40 @@ def _check_probabilities(graph: DepGraph, p: ProbabilityVector,
     return probs
 
 
+def _bits(mask: int):
+    """The vertices of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _QEngine:
-    """Memoized deletion-recursion evaluator for Q(G[active], empty, p)."""
+    """Memoized Z_W for vertex sets W given as int masks."""
 
     def __init__(self, graph: DepGraph, probs: list[Fraction]):
-        self.graph = graph
         self.probs = probs
-        self.memo: dict[frozenset[int], Fraction] = {}
+        self.closed = [1 << v | sum(1 << u for u in nbrs)
+                       for v, nbrs in enumerate(graph.adjacency)]
+        self.memo: dict[int, Fraction] = {0: Fraction(1)}
 
-    def q(self, active: frozenset[int]) -> Fraction:
-        if not active:
-            return Fraction(1)
-        cached = self.memo.get(active)
+    def q(self, mask: int) -> Fraction:
+        cached = self.memo.get(mask)
         if cached is not None:
             return cached
-        result = Fraction(1)
-        for comp in self.graph.connected_components(active):
-            result *= self._q_connected(comp)
-        self.memo[active] = result
-        return result
-
-    def _q_connected(self, comp: frozenset[int]) -> Fraction:
-        if len(comp) == 1:
-            (v,) = comp
-            return 1 - self.probs[v]
-        cached = self.memo.get(comp)
-        if cached is not None:
-            return cached
-        v = min(comp)
-        without_v = comp - {v}
-        without_nbhd = without_v - self.graph.adjacency[v]
-        result = self.q(without_v) - self.probs[v] * self.q(without_nbhd)
-        self.memo[comp] = result
+        component = frontier = low = mask & -mask
+        while frontier:
+            reach = 0
+            for u in _bits(frontier):
+                reach |= self.closed[u]
+            frontier = reach & mask & ~component
+            component |= frontier
+        if component != mask:
+            result = self.q(component) * self.q(mask & ~component)
+        else:
+            v = low.bit_length() - 1
+            result = self.q(mask ^ low) - self.probs[v] * self.q(mask & ~self.closed[v])
+        self.memo[mask] = result
         return result
 
 
@@ -124,16 +126,15 @@ def independence_polynomial(graph: DepGraph, p: ProbabilityVector,
     """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
     if graph.n > vertex_guard:
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
-    return _QEngine(graph, _check_probabilities(graph, p)).q(frozenset(range(graph.n)))
+    return _QEngine(graph, _check_probabilities(graph, p)).q((1 << graph.n) - 1)
 
 
-def _chain_fails(engine: _QEngine, region: frozenset[int]) -> bool:
+def _chain_fails(engine: _QEngine, region: int) -> bool:
     """True iff some independent subset of G[region] violates Shearer's condition.
 
-    By (a) <=> (c) on G[region]: some suffix of the sorted region has Z <= 0.
+    By (a) <=> (c) on G[region]: some suffix region >> v << v has Z <= 0.
     """
-    order = sorted(region)
-    return any(engine.q(frozenset(order[i:])) <= 0 for i in range(len(order)))
+    return any(engine.q(region >> v << v) <= 0 for v in _bits(region))
 
 
 def shearer_check(graph: DepGraph, p: ProbabilityVector,
@@ -152,7 +153,7 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p, open_interval=True)
     engine = _QEngine(graph, probs)
-    region = frozenset(range(graph.n))
+    region = (1 << graph.n) - 1
     if not _chain_fails(engine, region):
         return ShearerVerdict(True)
     witness: tuple[int, ...] = ()
@@ -160,13 +161,15 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
     while (value := prefactor * engine.q(region)) > 0:
         # A v below max S never qualifies (its violating sets would precede
         # S), so skipping it only saves chain tests.
-        after = witness[-1] if witness else -1
-        v = next((v for v in sorted(region) if v > after
-                  and _chain_fails(engine, region - graph.adjacency[v] - {v})), None)
-        if v is None:
+        start = witness[-1] + 1 if witness else 0
+        for v in _bits(region >> start << start):
+            child = region & ~engine.closed[v]
+            if _chain_fails(engine, child):
+                break
+        else:
             raise CertificationError("the suffix chain has Z <= 0 but no independent set "
                                      "violates Shearer's condition")
         witness += (v,)
         prefactor *= probs[v]
-        region = region - graph.adjacency[v] - {v}
+        region = child
     return ShearerVerdict(False, witness=witness, witness_value=value)

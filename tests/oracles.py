@@ -97,6 +97,26 @@ def independence_polynomial_bruteforce(graph: DepGraph, base: Iterable[int],
     return total
 
 
+def connected_components(graph: DepGraph) -> list[frozenset[int]]:
+    """The vertex sets of graph's connected components, by depth-first search."""
+    seen: set[int] = set()
+    components = []
+    for start in range(graph.n):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(graph.adjacency[v] - comp)
+        seen |= comp
+        components.append(frozenset(comp))
+    return components
+
+
 def component_factorization(graph: DepGraph, p: ProbabilityVector,
                             vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
     """Q(G, empty, p) as the product of Q over connected components."""
@@ -104,7 +124,7 @@ def component_factorization(graph: DepGraph, p: ProbabilityVector,
         raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p)
     result = Fraction(1)
-    for comp in graph.connected_components(frozenset(range(graph.n))):
+    for comp in connected_components(graph):
         sub = induced_subgraph(graph, comp)
         sub_p = [probs[v] for v in sorted(comp)]
         result *= independence_polynomial(sub, sub_p, vertex_guard)

@@ -7,7 +7,7 @@ from satlll.events_graph import (DepGraph, atom_index, dependency_graph,
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
-from oracles import induced_subgraph, max_degree
+from oracles import connected_components, induced_subgraph, max_degree
 
 
 def test_events_of_phi1():
@@ -97,7 +97,7 @@ def test_graph_utils():
     assert induced_subgraph(graph, []).n == 0
     sub = induced_subgraph(graph, [0, 1, 4])
     assert sub.n == 3 and sub.edges() == [(0, 1)]
-    components = graph.connected_components(frozenset(range(graph.n)))
+    components = connected_components(graph)
     assert sorted(map(sorted, components)) == [[0, 1], [2, 3], [4]]
     assert max_degree(graph) == 1
     assert graph.adjacency[0] == frozenset({1})

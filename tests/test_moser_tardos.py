@@ -146,49 +146,6 @@ def test_different_seeds_differ_eventually():
     assert len(assignments) > 1
 
 
-def find_true_bad_event(assignment, events, rule, rng, probabilities=None):
-    """The true event that rule picks from a rescan of every event, or None."""
-    true_events = [i for i, e in enumerate(events) if holds(e, assignment)]
-    if not true_events:
-        return None
-    if rule is SelectionRule.FIRST_INDEX:
-        return true_events[0]
-    if rule is SelectionRule.UNIFORM_RANDOM:
-        return true_events[rng.randrange(len(true_events))]
-    if probabilities is None:
-        raise DomainError("lowest-probability rule needs event probabilities")
-    return min(true_events, key=probabilities.__getitem__)  # ties: the lowest index
-
-
-def test_selection_rules():
-    assignment = {1: True, 2: True}
-    events = [(-1,), (-2,)]
-    rng = random.Random(0)
-    assert find_true_bad_event(assignment, events, SelectionRule.FIRST_INDEX, rng) == 0
-    probs = [Fraction(1, 2), Fraction(1, 4)]
-    assert find_true_bad_event(assignment, events, SelectionRule.LOWEST_PROBABILITY,
-                               rng, probs) == 1
-    choices = {find_true_bad_event(assignment, events, SelectionRule.UNIFORM_RANDOM,
-                                   random.Random(s)) for s in range(20)}
-    assert choices == {0, 1}
-
-
-def test_find_true_bad_event_none_when_satisfied():
-    assert find_true_bad_event({1: True}, [(1,)],
-                               SelectionRule.FIRST_INDEX, random.Random(0)) is None
-
-
-def test_lowest_probability_requires_probs():
-    with pytest.raises(DomainError):
-        find_true_bad_event({1: True}, [(-1,)],
-                            SelectionRule.LOWEST_PROBABILITY, random.Random(0))
-
-
-def test_event_probability():
-    assert event_probability((-1, 2)) == Fraction(1, 4)
-    assert event_probability((1,)) == Fraction(1, 2)
-
-
 def test_max_steps_gives_unterminated():
     # contradictory pair on one variable can never be satisfied
     events = [(-1,), (1,)]

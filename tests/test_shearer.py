@@ -247,6 +247,25 @@ def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
     # while Z_V > 0 and every child's region ({1}, {0, 2}, {1}) passes.
     true_q = shearer._QEngine.q
     monkeypatch.setattr(shearer._QEngine, "q", lambda engine, active: (
-        Fraction(-1) if active == frozenset({1, 2}) else true_q(engine, active)))
+        Fraction(-1) if active == 0b110 else true_q(engine, active)))
     with pytest.raises(CertificationError):
         shearer_check(DepGraph.from_edges(3, [(0, 2)]), [QUARTER] * 3)
+
+
+@pytest.mark.parametrize("k,L,r,n,witness,value", [
+    (3, 3, 20, 80, (), Fraction(-4538497952367155408100643093, 2 ** 113)),
+    (3, 2, 40, 80, None, None),
+    (4, 3, 20, 80, None, None),
+    (3, 3, 40, 160, (0,),
+     Fraction(-695380941838957187297669760814397215510066271304146689, 2 ** 221)),
+    (2, 2, 400, 800, (0, 2), Fraction(-338292585459629777093444439, 2 ** 608)),
+    (9, 22, 100, 4200, None, None),
+])
+def test_extremal_formulas_past_a_machine_word_and_the_guard(k, L, r, n, witness, value):
+    # Vertex sets wider than a machine word, past the 40-vertex guard; the
+    # expected verdicts, witnesses and values come from the frozenset engine.
+    formula, _ = build_extremal_formula(k, L, r)
+    graph = lopsidependency_graph(events_from_formula(formula))
+    assert graph.n == n
+    verdict = shearer_check(graph, [Fraction(1, 2 ** k)] * n, vertex_guard=n)
+    assert verdict == shearer.ShearerVerdict(witness is None, witness, value)

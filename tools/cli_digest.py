@@ -1,0 +1,131 @@
+"""Print a sha256 digest of each run of a fixed satlll CLI corpus, and a total.
+
+    python tools/cli_digest.py
+
+Run it in two checkouts: equal totals mean byte-identical output, exit
+codes and messages on the whole corpus.  Each command runs in-process
+through ``satlll.cli.main`` of the checkout the script lies in.  Its inputs
+are written to a temporary directory, which is the working directory while
+the corpus runs, so every path in argv is relative and the digests do not
+depend on where that directory is.  The SATLLL_* variables are cleared.
+
+Per command, the digest is over (argv, exit code, stdout, stderr); the
+total is over the printed lines.  The corpus: table 2 30; bounds for
+k = 2..60; fixedpoint at F_Shearer and F_Shearer + 1 for k = 5..12;
+check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at probabilities
+around the boundary, and on the extremal formulas (3,3,4..9), (3,2,10) and
+(2,2,12); hj on small (j, k, L); mt under each rule; and inputs that exit
+with each of the codes 2 to 6.  Everything runs in tsv and in json.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from satlll import cli  # noqa: E402
+from satlll.hj_family import shearer_upper_bound  # noqa: E402
+
+FORMULAS = [(3, 3, r) for r in range(4, 10)] + [(3, 2, 10), (2, 2, 12)]
+HJ = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 3, 2), (2, 2, 3), (1, 4, 3)]
+RULES = ("first-index", "uniform-random", "lowest-probability")
+# Scales of the per-vertex probability 1 / (deg + 1), each jittered by 3/4, 1 or
+# 5/4: the boundary lies between 13/20 and 4/5, and past 1 witnesses are non-empty.
+SCALES = (Fraction(13, 20), Fraction(7, 10), Fraction(3, 4), Fraction(4, 5),
+          Fraction(3, 2), Fraction(3))
+JITTER = (Fraction(3, 4), Fraction(1), Fraction(5, 4))
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_graphs():
+    """Seeded G(n, 0.35) graph JSON files, several probability scales each."""
+    names = []
+    for n in range(10, 25):
+        rng = random.Random(n)
+        edges = [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        for i, scale in enumerate(SCALES):
+            p = [str(min(scale * rng.choice(JITTER) / (d + 1), Fraction(99, 100)))
+                 for d in degree]
+            name = f"g{n}_{i}.json"
+            Path(name).write_text(json.dumps({"n": n, "edges": edges, "p": p}))
+            names.append(name)
+    return names
+
+
+def corpus():
+    """The argv lists, in order; inputs are written on the way."""
+    commands = [["table", "2", "30"]]
+    commands += [["bounds", "--k", str(k)] for k in range(2, 61)]
+    for k in range(5, 13):
+        f_shearer = shearer_upper_bound(k)
+        commands += [["fixedpoint", "--k", str(k), "--L", str(L)]
+                     for L in (f_shearer, f_shearer + 1)]
+    commands += [["check-shearer", "--graph", name] for name in write_graphs()]
+    for k, L, r in FORMULAS:
+        name = f"x{k}_{L}_{r}.cnf"
+        commands.append(["--out", name, "construct", "--k", str(k), "--L", str(L),
+                         "--r", str(r)])
+        commands.append(["check-shearer", "--cnf", name])
+        commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
+                     for rule in RULES for seed in (0, 7)]
+    commands += [["hj", "--j", str(j), "--k", str(k), "--L", str(L)] for j, k, L in HJ]
+    Path("bad.cnf").write_text("p cnf 2 1\n1 3 0\n")
+    Path("loop.json").write_text(json.dumps({"n": 2, "edges": [[1, 1]], "p": ["1/2"] * 2}))
+    Path("wide.json").write_text(json.dumps({"n": 41, "edges": [], "p": ["1/2"] * 41}))
+    commands += [
+        ["table"], ["mt", "--cnf", "bad.cnf", "--rule", "none"],  # 2
+        ["bounds", "--k", "1"], ["table", "5", "3"], ["check-shearer", "--graph", "loop.json"],
+        ["check-shearer", "--graph", "missing.json"], ["--precision", "32", "bounds", "--k", "5"],
+        ["check-shearer", "--graph", "wide.json"], ["hj", "--j", "5", "--k", "2", "--L", "2"],
+        ["--guard-vertices", "20", "check-shearer", "--cnf", "x3_3_9.cnf"],  # 4
+        ["table", "200", "200"],  # 5
+        ["check-shearer", "--cnf", "bad.cnf"], ["mt", "--cnf", "bad.cnf"],  # 6
+    ]
+    return commands
+
+
+def main():
+    for variable in [v for v in os.environ if v.startswith("SATLLL_")]:
+        del os.environ[variable]
+    lines = []
+    with tempfile.TemporaryDirectory() as directory:
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            for argv in corpus():
+                for argv_format in (argv, ["--format", "json", *argv]):
+                    record = json.dumps([argv_format, *run(argv_format)])
+                    digest = hashlib.sha256(record.encode()).hexdigest()
+                    lines.append(f"{digest}\t{' '.join(argv_format)}")
+        finally:
+            os.chdir(cwd)
+    for line in lines:
+        print(line)
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{total}\ttotal of {len(lines)} runs")
+
+
+if __name__ == "__main__":
+    main()
