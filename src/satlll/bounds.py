@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from mpmath import fdiv, iv
@@ -70,13 +69,35 @@ def f_mt(k: int) -> int:
     return (2 ** k - 1) * (k - 1) ** (k - 1) // k ** k
 
 
+def _peels(masks: list[int]) -> bool:
+    """True iff the masks can be removed one at a time, each with a bit no other left has."""
+    while masks:
+        once = twice = 0
+        for mask in masks:
+            twice |= once & mask
+            once |= mask
+        rest = [mask for mask in masks if not mask & once & ~twice]
+        if len(rest) == len(masks):
+            return False
+        masks = rest
+    return True
+
+
 def orderable_sets(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:
     """All Y that are orderable to events[b_index], as frozensets of indices.
 
     Yields the empty set first (its product is the term 1 of the criterion),
-    then the singleton {B}, then every nonempty subset of events disagreeing
-    with B that admits an ordering in which each element hits a fresh
-    literal of B.  Event A hits the literal z of B iff -z is in A.
+    then the singleton {B}, then, in lexicographic order, every nonempty set
+    of other events with an ordering in which each hits a literal of B that
+    no earlier one hits.  Event A hits the literal z of B iff -z is in A.
+
+    Y is orderable iff peeling empties it, removing one at a time a member
+    that hits a literal of B no remaining member hits: the last element of
+    an ordering is one, and a peeling reversed is an ordering.  Dropping
+    members from an ordering leaves one, so subsets of orderable sets are
+    orderable.  Hence any peelable member may go first, and all of them at
+    once (removals only make literals less hit), and the search need only
+    grow orderable sets.  A member's hits are a bit mask over B's positions.
     """
     if len(events) > EVENT_GUARD:
         raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {EVENT_GUARD}")
@@ -84,32 +105,17 @@ def orderable_sets(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[
     yield frozenset()
     yield frozenset({b_index})
 
-    candidates = [i for i in range(len(events))
-                  if i != b_index and any(-z in events[i] for z in b)]
-    literals = frozenset(b)
-    memo: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+    hits = [(i, mask) for i, event in enumerate(events) if i != b_index
+            if (mask := sum(1 << j for j, z in enumerate(b) if -z in event))]
 
-    def can_order(remaining: frozenset[int], alive: frozenset[int]) -> bool:
-        if not remaining:
-            return True
-        key = (remaining, alive)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        for i in remaining:
-            if any(-z in events[i] for z in alive):
-                new_alive = frozenset(z for z in alive if -z not in events[i])
-                if can_order(remaining - {i}, new_alive):
-                    result = True
-                    break
-        memo[key] = result
-        return result
+    def grow(chosen: tuple[int, ...], masks: list[int], start: int):
+        for c in range(start, len(hits)):
+            i, mask = hits[c]
+            if _peels(masks + [mask]):
+                yield frozenset(chosen + (i,))
+                yield from grow(chosen + (i,), masks + [mask], c + 1)
 
-    for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            if can_order(frozenset(subset), literals):
-                yield frozenset(subset)
+    yield from grow((), [], 0)
 
 
 def harris_check(events: Sequence[Event], mu: Sequence[Fraction],

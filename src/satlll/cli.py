@@ -5,8 +5,8 @@ Every subcommand prints text by default and a JSON mirror under
 Each shared setting is the flag (a flag after the subcommand overrides one
 before it), else its SATLLL_* environment variable, else the default.
 Exit codes are distinct per error class: 0 success, 2 usage (argparse),
-3 domain error, 4 size-guard violation, 5 certification failure,
-6 DIMACS parse error.
+3 domain error, 4 size-guard violation (or recursion too deep),
+5 certification failure, 6 DIMACS parse error.
 """
 
 from __future__ import annotations
@@ -29,14 +29,17 @@ EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 EXIT_CERTIFICATION = 5
 EXIT_DIMACS = 6
+DEFAULT_VERTEX_GUARD = 40
 
-# The first class that an error is an instance of gives its exit code.
+# The first class that an error is an instance of gives its exit code.  A graph
+# too deep for the recursive Z_W evaluation is refused like one over the guard.
 _EXIT_CODES = ((DimacsError, EXIT_DIMACS), (CertificationError, EXIT_CERTIFICATION),
-               (SizeGuardError, EXIT_GUARD), (SatLllError, EXIT_DOMAIN))
+               (SizeGuardError, EXIT_GUARD), (RecursionError, EXIT_GUARD),
+               (SatLllError, EXIT_DOMAIN))
 
 # The integer settings: attribute on args, environment variable, default.
 _SETTINGS = (("precision", "SATLLL_PRECISION", DEFAULT_PRECISION),
-             ("guard_vertices", "SATLLL_GUARD_VERTICES", shearer.DEFAULT_VERTEX_GUARD),
+             ("guard_vertices", "SATLLL_GUARD_VERTICES", DEFAULT_VERTEX_GUARD),
              ("guard_clauses", "SATLLL_GUARD_CLAUSES", sat_model.DEFAULT_CLAUSE_GUARD))
 
 
@@ -176,7 +179,7 @@ def cmd_check_shearer(args):
         p = [Fraction(1, 2 ** formula.width)] * graph.n
     else:
         graph, p = _graph_from_json(args.graph, args.guard_vertices)
-    verdict = shearer.shearer_check(graph, p, vertex_guard=args.guard_vertices)
+    verdict = shearer.shearer_check(graph, p)
     if verdict.witness_value is not None:
         _check_printable("Q", verdict.witness_value)
     if args.format == "json":
@@ -198,8 +201,8 @@ def cmd_hj(args):
     state = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = state.s(args.j), state.r(args.j)
     p = Fraction(1, 2 ** args.k)
-    s_bf = shearer.independence_polynomial(h.graph, [p] * h.graph.n, vertex_guard=guard)
-    r_bf = shearer.independence_polynomial(hp.graph, [p] * hp.graph.n, vertex_guard=guard)
+    s_bf = shearer.independence_polynomial(h.graph, [p] * h.graph.n)
+    r_bf = shearer.independence_polynomial(hp.graph, [p] * hp.graph.n)
     _check_printable(f"s_{args.j} or r_{args.j}", s_rec, s_bf, r_rec, r_bf)
     agree = (s_rec == s_bf) and (r_rec == r_bf)
     code = 0 if agree else EXIT_CERTIFICATION
@@ -346,7 +349,7 @@ def main(argv=None) -> int:
         code, output = args.func(args)
         _emit(args, output)
         return code
-    except SatLllError as exc:
+    except (SatLllError, RecursionError) as exc:
         retry = getattr(exc, "retry_precision", None)
         hint = f" (retry with --precision {retry})" if retry else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

@@ -63,7 +63,7 @@ from .certified import (DEFAULT_PRECISION, certified_compare_ge,
                         interval_precision, iv_from_fraction, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from .sat_model import ExpansionTree, Formula, build_extremal_formula
+from .sat_model import build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
 
@@ -73,9 +73,6 @@ class HGraph:
     graph: DepGraph
     root_left: tuple[int, ...]
     root_right: tuple[int, ...]
-    j: int
-    k: int
-    L: int
 
 
 @dataclass(frozen=True)
@@ -149,20 +146,6 @@ def hprime_vertex_count(j: int, k: int, L: int) -> int:
     return 1 + (k - 1) * h_vertex_count(j - 1, k, L)
 
 
-def _guarded_vertex_count(label: str, j: int, count, vertex_guard: int) -> int:
-    """count(), or SizeGuardError when it exceeds vertex_guard.
-
-    Both H_j and H'_j have at least j vertices, so j > vertex_guard is over
-    the guard without counting: the guard bounds the counting work too.
-    """
-    if j > vertex_guard:
-        raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
-    n = count()
-    if n > vertex_guard:
-        raise SizeGuardError(f"{label} has {n} vertices, guard is {vertex_guard}")
-    return n
-
-
 def _check_params(k: int, L: int, j: int = 0):
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -172,48 +155,57 @@ def _check_params(k: int, L: int, j: int = 0):
         raise DomainError(f"j must be >= 0, got {j}")
 
 
-def _h_structure(j: int, k: int, L: int, offset: int,
+def _h_structure(j: int, k: int, L: int, root: tuple[int, int], offset: int,
                  edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Append H_j's edges (vertices offset..) and return (left root, right root, size)."""
+    """Append the edges of a depth-j graph on vertices offset.. and return
+    (left root, right root, size).
+
+    Its root is a complete bipartite graph with halves of root = (left, right)
+    sizes, and each root vertex is wired to the right root halves of k-1
+    fresh copies of H_{j-1}: root (L-1, L-1) gives H_j, and (0, 1) gives H'_j.
+    """
     if j == 0:
         return (), (), 0
-    left = tuple(range(offset, offset + L - 1))
-    right = tuple(range(offset + L - 1, offset + 2 * (L - 1)))
+    left = tuple(range(offset, offset + root[0]))
+    right = tuple(range(offset + root[0], offset + sum(root)))
     edges.extend((u, v) for u in left for v in right)
-    cursor = offset + 2 * (L - 1)
+    cursor = offset + sum(root)
     for v in left + right:
         for _ in range(k - 1):
-            _, sub_right, sub_size = _h_structure(j - 1, k, L, cursor, edges)
+            _, sub_right, sub_size = _h_structure(j - 1, k, L, (L - 1, L - 1), cursor, edges)
             edges.extend((v, u) for u in sub_right)
             cursor += sub_size
     return left, right, cursor - offset
 
 
+def _build(label: str, root: tuple[int, int], count, j: int, k: int, L: int,
+           vertex_guard: int) -> HGraph:
+    """The graph _h_structure gives for root, or SizeGuardError past vertex_guard.
+
+    Both H_j and H'_j have at least j vertices, so j > vertex_guard is over
+    the guard without counting: the guard bounds the counting work too.
+    """
+    _check_params(k, L, j)
+    label = f"{label}_{j}(k={k},L={L})"
+    if j > vertex_guard:
+        raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
+    n = count(j, k, L)
+    if n > vertex_guard:
+        raise SizeGuardError(f"{label} has {n} vertices, guard is {vertex_guard}")
+    edges: list[tuple[int, int]] = []
+    left, right, size = _h_structure(j, k, L, root, 0, edges)
+    assert size == n
+    return HGraph(DepGraph.from_edges(n, edges), left, right)
+
+
 def build_H(j: int, k: int, L: int,
             vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    _check_params(k, L, j)
-    n = _guarded_vertex_count(f"H_{j}(k={k},L={L})", j,
-                              lambda: h_vertex_count(j, k, L), vertex_guard)
-    edges: list[tuple[int, int]] = []
-    left, right, size = _h_structure(j, k, L, 0, edges)
-    assert size == n
-    return HGraph(DepGraph.from_edges(n, edges), left, right, j, k, L)
+    return _build("H", (L - 1, L - 1), h_vertex_count, j, k, L, vertex_guard)
 
 
 def build_Hprime(j: int, k: int, L: int,
                  vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    _check_params(k, L, j)
-    n = _guarded_vertex_count(f"H'_{j}(k={k},L={L})", j,
-                              lambda: hprime_vertex_count(j, k, L), vertex_guard)
-    if j == 0:
-        return HGraph(DepGraph.from_edges(0, []), (), (), j, k, L)
-    edges: list[tuple[int, int]] = []
-    cursor = 1  # vertex 0 is the single root
-    for _ in range(k - 1):
-        _, sub_right, sub_size = _h_structure(j - 1, k, L, cursor, edges)
-        edges.extend((0, u) for u in sub_right)
-        cursor += sub_size
-    return HGraph(DepGraph.from_edges(n, edges), (), (0,), j, k, L)
+    return _build("H'", (0, 1), hprime_vertex_count, j, k, L, vertex_guard)
 
 
 def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
@@ -421,8 +413,6 @@ def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingResult:
-    formula: Formula
-    tree: ExpansionTree
     hgraph: HGraph
     mapping: dict[int, int]  # H_j vertex -> clause index
     verified: bool
@@ -445,7 +435,7 @@ def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
     stages = sum(branching ** d for d in range(j))
     formula, tree = build_extremal_formula(k, L, stages)
     if j == 0:
-        return EmbeddingResult(formula, tree, hgraph, {}, True, stages)
+        return EmbeddingResult(hgraph, {}, True, stages)
 
     clause_order: list[int] = []
 
@@ -467,4 +457,4 @@ def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
     verified = len(vertex_of) == len(mapping) == hgraph.graph.n and all(
         nbrs == {vertex_of[c] for c in lopsi.adjacency[mapping[v]] if c in vertex_of}
         for v, nbrs in enumerate(hgraph.graph.adjacency))
-    return EmbeddingResult(formula, tree, hgraph, mapping, verified, stages)
+    return EmbeddingResult(hgraph, mapping, verified, stages)

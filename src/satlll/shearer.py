@@ -55,10 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CertificationError, DomainError, SizeGuardError
+from .errors import CertificationError, DomainError
 from .events_graph import DepGraph
-
-DEFAULT_VERTEX_GUARD = 40
 
 ProbabilityVector = Sequence[Fraction]
 
@@ -121,11 +119,8 @@ class _QEngine:
         return result
 
 
-def independence_polynomial(graph: DepGraph, p: ProbabilityVector,
-                            vertex_guard: int = DEFAULT_VERTEX_GUARD) -> Fraction:
+def independence_polynomial(graph: DepGraph, p: ProbabilityVector) -> Fraction:
     """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
-    if graph.n > vertex_guard:
-        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     return _QEngine(graph, _check_probabilities(graph, p)).q((1 << graph.n) - 1)
 
 
@@ -137,8 +132,7 @@ def _chain_fails(engine: _QEngine, region: int) -> bool:
     return any(engine.q(region >> v << v) <= 0 for v in _bits(region))
 
 
-def shearer_check(graph: DepGraph, p: ProbabilityVector,
-                  vertex_guard: int = DEFAULT_VERTEX_GUARD) -> ShearerVerdict:
+def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
     """Satisfied iff Q(G, S, p) > 0 for every independent S (p in the open interval).
 
     Decided by the suffix chain: satisfied iff Z_{W_i} > 0 for every
@@ -149,8 +143,6 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector,
     descent in the module docstring with at most n chain tests per vertex;
     it is () exactly when Z_V <= 0.
     """
-    if graph.n > vertex_guard:
-        raise SizeGuardError(f"graph has {graph.n} vertices, guard is {vertex_guard}")
     probs = _check_probabilities(graph, p, open_interval=True)
     engine = _QEngine(graph, probs)
     region = (1 << graph.n) - 1

@@ -4,8 +4,9 @@ Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
 recurrence, an occurrence count, the fixed-point iteration on interval
-objects, a binary search for F_Shearer), so that tests can cross-check the
-production code against it.
+objects, a binary search for F_Shearer, a search over orderings for the
+sets orderable to an event), so that tests can cross-check the production
+code against it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import iv
 
@@ -22,12 +24,12 @@ from satlll.certified import (DEFAULT_PRECISION, certified_compare_ge,
                               interval_precision, iv_from_fraction,
                               midpoint_float)
 from satlll.errors import CertificationError, DomainError, SizeGuardError
-from satlll.events_graph import DepGraph
+from satlll.events_graph import DepGraph, Event
 from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
                               _u, recurrence_sr)
 from satlll.sat_model import Formula
-from satlll.shearer import (DEFAULT_VERTEX_GUARD, ProbabilityVector,
-                            ShearerVerdict, _check_probabilities,
+from satlll.cli import DEFAULT_VERTEX_GUARD
+from satlll.shearer import (ProbabilityVector, ShearerVerdict, _check_probabilities,
                             independence_polynomial)
 
 BRUTE_FORCE_GUARD = 20
@@ -127,7 +129,7 @@ def component_factorization(graph: DepGraph, p: ProbabilityVector,
     for comp in connected_components(graph):
         sub = induced_subgraph(graph, comp)
         sub_p = [probs[v] for v in sorted(comp)]
-        result *= independence_polynomial(sub, sub_p, vertex_guard)
+        result *= independence_polynomial(sub, sub_p)
     return result
 
 
@@ -156,7 +158,7 @@ def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
         residual = sorted(all_vertices - removed)
         sub = induced_subgraph(graph, residual)
         sub_p = [probs[v] for v in residual]
-        term = independence_polynomial(sub, sub_p, vertex_guard)
+        term = independence_polynomial(sub, sub_p)
         for v in u:
             term *= -probs[v]
         total += term
@@ -284,3 +286,43 @@ def shearer_upper_bound_by_bisection(k: int, precision: int = DEFAULT_PRECISION)
         else:
             hi = mid - 1
     return lo
+
+
+def orderable_sets_by_search(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:
+    """``orderable_sets`` by a memoized search over orderings of every subset.
+
+    Yields the empty set, then {B}, then the orderable sets of disagreeing
+    events by size: each of the 2^c subsets of the c events that hit a
+    literal of B is tested by a search, keyed on (events left, literals not
+    yet hit), for an ordering in which each event hits a fresh literal.
+    """
+    b = events[b_index]
+    yield frozenset()
+    yield frozenset({b_index})
+
+    candidates = [i for i in range(len(events))
+                  if i != b_index and any(-z in events[i] for z in b)]
+    literals = frozenset(b)
+    memo: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+
+    def can_order(remaining: frozenset[int], alive: frozenset[int]) -> bool:
+        if not remaining:
+            return True
+        key = (remaining, alive)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        result = False
+        for i in remaining:
+            if any(-z in events[i] for z in alive):
+                new_alive = frozenset(z for z in alive if -z not in events[i])
+                if can_order(remaining - {i}, new_alive):
+                    result = True
+                    break
+        memo[key] = result
+        return result
+
+    for size in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, size):
+            if can_order(frozenset(subset), literals):
+                yield frozenset(subset)

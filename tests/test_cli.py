@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from satlll import bounds, cli, hj_family, moser_tardos
 from satlll.certified import DEFAULT_PRECISION
-from satlll.cli import (EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD,
-                        main)
+from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
+                        EXIT_GUARD, main)
 from satlll.errors import DomainError
 from satlll.events_graph import DepGraph
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD
-from satlll.shearer import DEFAULT_VERTEX_GUARD
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +148,20 @@ def test_hj_guard(capsys):
     code, _, _ = run_cli(capsys, "--guard-vertices", "4",
                          "hj", "--j", "2", "--k", "2", "--L", "2")
     assert code == EXIT_GUARD
+
+
+@pytest.mark.parametrize("n,expected", [(900, (0, "SATISFIED\n", "")),
+                                        (1500, (EXIT_GUARD, "", "error: maximum recursion"))])
+def test_deep_path_is_decided_or_refused_in_one_line(capsys, tmp_path, n, expected):
+    # Z_W recurses about once per vertex of a path: past Python's recursion
+    # limit the run exits as over a guard, with one error line.
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)],
+                                "p": ["1/10"] * n}))
+    code, out, err = run_cli(capsys, "--guard-vertices", "2000", "check-shearer",
+                             "--graph", str(path))
+    assert (code, out, err[:len(expected[2])]) == expected
+    assert err.count("\n") == (code != 0)
 
 
 def test_fixedpoint_text(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from satlll import shearer
-from satlll.errors import CertificationError, DomainError, SizeGuardError
+from satlll.errors import CertificationError, DomainError
 from satlll.events_graph import (DepGraph, events_from_formula,
                                  lopsidependency_graph)
 from satlll.sat_model import build_extremal_formula
@@ -122,14 +122,6 @@ def test_shearer_rejects_boundary_probabilities():
         shearer_check(k2(), [Fraction(0), HALF])
     with pytest.raises(DomainError):
         shearer_check(k2(), [Fraction(1), HALF])
-
-
-def test_guards():
-    big = DepGraph.from_edges(5, [])
-    with pytest.raises(SizeGuardError):
-        independence_polynomial(big, [HALF] * 5, vertex_guard=4)
-    with pytest.raises(SizeGuardError):
-        shearer_check(big, [HALF] * 5, vertex_guard=4)
 
 
 def test_independent_set_enumeration_is_lexicographic():
@@ -267,5 +259,5 @@ def test_extremal_formulas_past_a_machine_word_and_the_guard(k, L, r, n, witness
     formula, _ = build_extremal_formula(k, L, r)
     graph = lopsidependency_graph(events_from_formula(formula))
     assert graph.n == n
-    verdict = shearer_check(graph, [Fraction(1, 2 ** k)] * n, vertex_guard=n)
+    verdict = shearer_check(graph, [Fraction(1, 2 ** k)] * n)
     assert verdict == shearer.ShearerVerdict(witness is None, witness, value)
