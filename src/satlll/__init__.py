@@ -9,8 +9,8 @@ from .events_graph import (DepGraph, dependency_graph, events_from_formula,
                            lopsidependency_graph, verify_lopsidependency)
 from .hj_family import (EmbeddingResult, FixedPointReport, HGraph,
                         RecurrenceState, build_H, build_Hprime,
-                        embed_H_in_G, fixed_point_iteration, g_function,
-                        recurrence_sr, shearer_upper_bound, threshold_ell)
+                        embed_H_in_G, fixed_point_iteration, recurrence_sr,
+                        shearer_upper_bound)
 from .moser_tardos import RunStats, SelectionRule, run_mt
 from .sat_model import (ExpansionTree, Formula, build_extremal_formula, dimacs_export,
                         dimacs_import)

@@ -47,11 +47,11 @@ def certified_compare_ge(x, y, what: str) -> bool:
 
 
 def midpoint_float(x) -> float:
-    """Midpoint of an interval, or of a raw (lo, hi) pair of libmp values.
+    """Midpoint of an interval: each endpoint rounded, then summed and halved.
 
-    The float is only printed, never decided on: it encloses nothing.  Each
-    endpoint is rounded to the mp context precision before the sum is
-    halved; rounding only the sum would change the last bit of some results.
+    The float is only printed, never decided on: it encloses nothing.  It
+    rounds at the mp context precision, a double's 53 bits, as
+    hj_family._midpoint does; rounding only the sum would change some last bits.
     """
-    lo, hi = x if isinstance(x, tuple) else x._mpi_
+    lo, hi = x._mpi_
     return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)

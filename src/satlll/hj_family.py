@@ -47,17 +47,34 @@ For F_Shearer itself, two probes suffice, however F is guessed:
    max phi_F < 0 proves F_Shearer(k) = F.  An estimate of floor(max ell)
    only picks which two probes; where one disagrees, binary search over the
    rest of [1, 2^k] finishes, so no result depends on the estimate.
+
+When fact 4 finds no witness, the iteration itself decides:
+
+6. With N = L-1, keep a_j in [lo, hi] / 2^P for ints lo <= hi, rounding every
+   operation outward (floor for a lower end, ceiling for an upper one).
+   While a_{j-1} > 2^{-1/N}, the values a^N, 2 - a^{-N} and its power
+   inside g(a) = 1 - 2^{-k} / (2 - a^{-N})^{k-1} are positive and g is
+   increasing, so lo_j comes from lo_{j-1} and hi_j from hi_{j-1}.  For a > 0, a <= 2^{-1/N} iff
+   a^N <= 1/2, so a^N, which the next step needs anyway, is compared with
+   1/2 exactly, and the irrational threshold is never formed.  A negative
+   a_j is below the threshold, but its even power need not be: (k, L) =
+   (3, 3) falls to -3.05 at step 3.  So hi <= 0 or hi^N <= 1/2 is
+   "violated", and the loop goes on only while lo > 0 and lo^N > 1/2.
+   Both powers keep P + 2 bits relative to their size, a mantissa and a
+   binary exponent.  That matters for (2 - a^{-N})^{k-1}, which is small
+   near the threshold: rounded to an absolute 2^{-P}, its 2^{-122} at
+   (22, 70990) would vanish at P = 104.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import mpi_div, mpi_gt, mpi_le, mpi_pow, mpi_sub
 
 from .certified import (DEFAULT_PRECISION, certified_compare_ge,
                         interval_precision, iv_from_fraction, midpoint_float)
@@ -229,23 +246,85 @@ def _u(t, p, k: int):
     return 1 - p / t ** (k - 1)
 
 
-def g_function(a, k: int, L: int):
-    """g(a) = u(2 - a^{-(L-1)}) at p = 2^{-k}; exact on Fraction, mpf otherwise.
+def _power(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2^e <= (x / 2^P)^n, or >= when up, for ints x, n >= 0.
 
-    Requires a > 2^{-1/(L-1)} so that the denominator base is positive.
+    Square-and-multiply; each product is cut to P + 2 bits (one more when a
+    cut rounds up) in the safe direction, and the exponent takes the rest.
     """
-    _check_params(k, L)
-    p = Fraction(1, 2 ** k)
-    if isinstance(a, (Fraction, int)):
-        a = Fraction(a)
-        if a <= 0 or 2 * a ** (L - 1) <= 1:
-            raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
-        return _u(2 - a ** -(L - 1), p, k)
-    a = mpmath.mpf(a)
-    base = 2 - a ** (-(L - 1))
-    if not (a > 0 and base > 0):
-        raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
-    return _u(base, mpmath.mpf(p.numerator) / p.denominator, k)
+    width, m, e, f = P + 2, 1, 0, -P
+    while True:
+        if n & 1:
+            m, e = m * x, e + f
+            cut = m.bit_length() - width
+            if cut > 0:
+                m, e = -(-m >> cut) if up else m >> cut, e + cut
+        n >>= 1
+        if not n:
+            return m, e
+        x, f = x * x, 2 * f
+        cut = x.bit_length() - width
+        if cut > 0:
+            x, f = -(-x >> cut) if up else x >> cut, f + cut
+
+
+def _powers(lo: int, hi: int, n: int, P: int):
+    """(m, e) pairs with m * 2^e below (lo / 2^P)^n and above (hi / 2^P)^n, for 0 <= lo <= hi."""
+    return _power(lo, n, P, False), _power(hi, n, P, True)
+
+
+def _quotient(s: int, low: tuple[int, int], high: tuple[int, int]):
+    """Ints (lo, hi) with lo <= 2^s / x <= hi for every x > 0 in [low, high].
+
+    An end (m, e) stands for m * 2^e; hi is math.inf when the low end is 0.
+    """
+    (m, e), (n, f) = high, low
+    lo = (1 << s - e) // m if s >= e else 0  # 2^(s-e) / m < 1 otherwise
+    if not n:
+        return lo, math.inf
+    return lo, -(-(1 << s - f) // n) if s >= f else 1
+
+
+def _at_most_half(m: int, e: int) -> bool:
+    """m * 2^e <= 1/2 for an int m >= 0, decided exactly from the bit length of m.
+
+    No power of 2^e is formed: a power of a_j < 1 can have e near -N P.
+    """
+    t = m.bit_length() + e  # 2^(t-1) <= m * 2^e < 2^t when m > 0
+    return m == 0 or t < 0 or t == 0 and m & (m - 1) == 0
+
+
+def _enclosures(k: int, N: int, P: int):
+    """Yield (lo, hi, kind) with a_j in [lo, hi] / 2^P for j = 1, 2, ... (fact 6).
+
+    kind is None while a_j certainly lies above 2^{-1/N}.  The last item
+    has kind "violated", a_j certainly at or below it, or "inconclusive".
+    Only the last lo can be -math.inf: when the lower bound on a_{j-1}^N is
+    within 2^{-P} of 1/2, that on 2 - a_{j-1}^{-N} can round to 0.
+    """
+    one = 1 << P
+    powers = (1, 0), (1, 0)  # a_0^N = 1
+    while True:
+        inv_lo, inv_hi = _quotient(P, *powers)  # a^{-N}, over 2^P
+        base = _powers(2 * one - inv_hi, 2 * one - inv_lo, k - 1, P)  # (2 - a^{-N})^{k-1}
+        q_lo, q_hi = _quotient(P - k, *base)  # 2^{-k} / base^{k-1}, over 2^P
+        lo, hi = one - q_hi, one - q_lo
+        powers = _powers(max(lo, 0), max(hi, 0), N, P)
+        if _at_most_half(*powers[1]):
+            yield lo, hi, "violated"
+            return
+        if _at_most_half(*powers[0]):
+            yield lo, hi, "inconclusive"
+            return
+        yield lo, hi, None
+
+
+def _midpoint(lo: int, hi: int, P: int) -> float:
+    """midpoint_float's formula on [lo, hi] / 2^P: each end rounded, then summed and halved."""
+    try:
+        return (lo / (1 << P) + hi / (1 << P)) / 2
+    except OverflowError:  # a_j = 1 - 2^{-k} / base^{k-1} below -2^1024
+        return -math.inf
 
 
 def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
@@ -254,8 +333,9 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
 
     "converged" is certified without iterating by fact 4 of the module
     docstring; its value is the lower bound c on every a_j.  Otherwise the
-    iteration runs in interval arithmetic until a comparison certifies
-    "violated"; a straddling comparison or max_iter steps give "inconclusive".
+    iteration runs on the integer enclosures of fact 6, with 8 bits more
+    than precision, until one certifies "violated"; an undecided comparison
+    or max_iter steps give "inconclusive".
     """
     _check_params(k, L)
     if max_iter < 0:
@@ -271,50 +351,18 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
         if t is not None:
             c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
             verdict = FixedPointVerdict("converged", value=midpoint_float(c))
+    if t is None:
+        P = precision + 8
+        for j, (lo, hi, kind) in zip(range(1, max_iter + 1), _enclosures(k, L - 1, P)):
+            trajectory.append(_midpoint(lo, hi, P))
+            if kind is not None:
+                verdict = FixedPointVerdict(kind, step=j, value=trajectory[-1])
+                break
         else:
-            # a_j = u(2 - a_{j-1}^{-(L-1)}) on raw (lo, hi) pairs: the libmp
-            # functions below are those iv's operators dispatch to, with the
-            # operands they convert (1, 2, p and the exponents), at the same
-            # precision, so each enclosure is bit-identical to iv arithmetic.
-            one, two, p, bound, power_a, power_u = (x._mpi_ for x in (
-                iv.mpf(1), iv.mpf(2), iv_from_fraction(Fraction(1, 2 ** k)), threshold,
-                iv.mpf(-(L - 1)), iv.mpf(k - 1)))
-            a = one
-            for j in range(1, max_iter + 1):
-                base = mpi_sub(two, mpi_pow(a, power_a, precision), precision)
-                a_new = mpi_sub(one, mpi_div(p, mpi_pow(base, power_u, precision),
-                                             precision), precision)
-                trajectory.append(midpoint_float(a_new))
-                if mpi_le(a_new, bound) is True:
-                    verdict = FixedPointVerdict("violated", step=j, value=trajectory[-1])
-                    break
-                if mpi_gt(a_new, bound) is not True:
-                    verdict = FixedPointVerdict("inconclusive", step=j, value=trajectory[-1])
-                    break
-                a = a_new
-            else:
-                verdict = FixedPointVerdict("inconclusive", step=max_iter,
-                                            value=midpoint_float(a))
+            verdict = FixedPointVerdict("inconclusive", step=max_iter, value=trajectory[-1])
     return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
                             trajectory=tuple(trajectory), verdict=verdict,
                             threshold=threshold_mid)
-
-
-def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
-    """ell(t) = 1 - ln(2-t) / ln u(t) as an mpf at the given precision."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    with mp.workprec(precision):
-        t = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
-        if not (0 < t < 2):
-            raise DomainError(f"t={t} outside (0, 2)")
-        inner = _u(t, mpmath.mpf(2) ** (-k), k)
-        if inner <= 0:
-            raise DomainError(f"t={t} below the domain lower bound 2^(-k/(k-1))")
-        denom = mpmath.log(inner)
-        if denom == 0:
-            raise DomainError(f"t={t} at the domain lower bound")
-        return 1 - mpmath.log(2 - t) / denom
 
 
 def _q(t, N: int, c, k: int):

@@ -3,10 +3,10 @@
 Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
-recurrence, an occurrence count, the fixed-point iteration on interval
-objects, a binary search for F_Shearer, a search over orderings for the
-sets orderable to an event), so that tests can cross-check the production
-code against it.
+recurrence and its map g on exact rationals, the threshold curve ell, an
+occurrence count, the fixed-point iteration on interval objects, a binary
+search for F_Shearer, a search over orderings for the sets orderable to an
+event), so that tests can cross-check the production code against it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from mpmath import iv
+import mpmath
+from mpmath import iv, mp
 
 from satlll import hj_family
 from satlll.certified import (DEFAULT_PRECISION, certified_compare_ge,
@@ -232,13 +233,54 @@ def max_degree(graph: DepGraph) -> int:
     return max((len(nbrs) for nbrs in graph.adjacency), default=0)
 
 
+def g_function(a, k: int, L: int):
+    """g(a) = u(2 - a^{-(L-1)}) at p = 2^{-k}; exact on Fraction, mpf otherwise.
+
+    Requires a > 2^{-1/(L-1)} so that the denominator base is positive.
+    """
+    _check_params(k, L)
+    p = Fraction(1, 2 ** k)
+    if isinstance(a, (Fraction, int)):
+        a = Fraction(a)
+        if a <= 0 or 2 * a ** (L - 1) <= 1:
+            raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
+        return _u(2 - a ** -(L - 1), p, k)
+    a = mpmath.mpf(a)
+    base = 2 - a ** (-(L - 1))
+    if not (a > 0 and base > 0):
+        raise DomainError(f"g undefined at a={a}: need a > 2^(-1/(L-1))")
+    return _u(base, mpmath.mpf(p.numerator) / p.denominator, k)
+
+
+def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
+    """ell(t) = 1 - ln(2-t) / ln u(t) as an mpf at the given precision."""
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    with mp.workprec(precision):
+        t = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
+        if not (0 < t < 2):
+            raise DomainError(f"t={t} outside (0, 2)")
+        inner = _u(t, mpmath.mpf(2) ** (-k), k)
+        if inner <= 0:
+            raise DomainError(f"t={t} below the domain lower bound 2^(-k/(k-1))")
+        denom = mpmath.log(inner)
+        if denom == 0:
+            raise DomainError(f"t={t} at the domain lower bound")
+        return 1 - mpmath.log(2 - t) / denom
+
+
 def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
-                                       precision: int = DEFAULT_PRECISION) -> FixedPointReport:
+                                       precision: int = DEFAULT_PRECISION,
+                                       enclosures: list | None = None) -> FixedPointReport:
     """``fixed_point_iteration`` with its violated loop on ``iv`` interval objects.
 
-    Every operation goes through iv's operators, which convert their operands
-    and wrap each result; the production loop calls the libmp functions behind
-    them on raw endpoint pairs, and must give the same report bit for bit.
+    Every operation goes through iv's operators at the given precision and
+    compares a_j with the threshold interval; the production loop keeps
+    integer enclosures 8 bits finer and compares a_j^N with 1/2.  From 128
+    bits up the reports agree bit for bit.  Below that iv's enclosures can
+    be wider than a double's rounding cell, so printed digits may differ,
+    and ``enclosures``, when given, collects each a_j's iv enclosure so
+    that a test can check that the production value lies inside it.
     """
     _check_params(k, L)
     t = hj_family._phi_witness(L - 1, k, precision)
@@ -257,6 +299,8 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
             a = iv.mpf(1)
             for j in range(1, max_iter + 1):
                 a_new = _u(2 - a ** (-(L - 1)), p, k)
+                if enclosures is not None:
+                    enclosures.append(a_new)
                 trajectory.append(midpoint_float(a_new))
                 if (a_new <= threshold) is True:
                     verdict = FixedPointVerdict("violated", step=j, value=midpoint_float(a_new))

@@ -1,21 +1,25 @@
 import functools
+import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
+from mpmath.libmp import to_rational
 
 from satlll import hj_family
 from satlll.bounds import f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
-                              fixed_point_iteration, g_function, h_vertex_count,
+                              fixed_point_iteration, h_vertex_count,
                               hprime_vertex_count, recurrence_sr,
-                              shearer_upper_bound, threshold_ell)
+                              shearer_upper_bound)
 from satlll.shearer import independence_polynomial
 
-from oracles import (a_b_sequence, fixed_point_iteration_by_intervals,
-                     shearer_upper_bound_by_bisection)
+from oracles import (a_b_sequence, fixed_point_iteration_by_intervals, g_function,
+                     shearer_upper_bound_by_bisection, threshold_ell)
 
 
 def q_uniform(hgraph, k):
@@ -182,14 +186,14 @@ def outcome(function, *args, **kwargs):
 
 
 def test_fixed_point_matches_interval_objects(monkeypatch):
-    # The endpoint loop against the loop on iv objects, report for report:
+    # The integer loop against the loop on iv objects, report for report:
     # every L in [2, F_MT + 1] for k = 2..12, and the benchmark's violated
     # (k, L) for k = 13..20.  Both call the same phi witness, so it is cached.
     monkeypatch.setattr(hj_family, "_phi_witness", functools.cache(hj_family._phi_witness))
     small = [(k, L) for k in range(2, 13) for L in range(2, f_mt(k) + 2)]
     violated = [(k, L) for k in range(13, 21)
                 for L in sorted({shearer_upper_bound(k) + 1, f_mt(k), f_mt(k) + 1})]
-    runs = [(k, L, precision) for precision in (64, 256, 512) for k, L in small]
+    runs = [(k, L, precision) for precision in (256, 512) for k, L in small]
     runs += [(k, L, 256) for k, L in violated]
     kinds = set()
     for k, L, precision in runs:
@@ -205,6 +209,150 @@ def test_fixed_point_matches_interval_objects(monkeypatch):
             kinds.add((got.verdict.kind, max_iter))
     assert {("converged", 0), ("inconclusive", 0), ("inconclusive", 5),
             ("violated", 100_000)} <= kinds
+
+
+def test_fixed_point_lies_in_interval_objects_at_64_bits(monkeypatch):
+    # At 64 bits iv's enclosures can be wider than a double's rounding cell,
+    # so the printed digits of the two routes may differ.  The verdict,
+    # step and threshold must agree, and every printed a_j must lie in iv's
+    # enclosure of a_j rounded outward to doubles: no double lies strictly
+    # between the enclosure and the printed value.  (A printed midpoint can
+    # be the nearest double just outside an enclosure narrower than the
+    # spacing of doubles; iv's own midpoint can too.)
+    monkeypatch.setattr(hj_family, "_phi_witness", functools.cache(hj_family._phi_witness))
+    checked = 0
+    for k in range(2, 13):
+        for L in range(2, f_mt(k) + 2):
+            for max_iter in (0, 1, 5, 100_000):
+                enclosures = []
+                got = outcome(fixed_point_iteration, k, L, max_iter=max_iter, precision=64)
+                expected = outcome(fixed_point_iteration_by_intervals, k, L,
+                                   max_iter=max_iter, precision=64, enclosures=enclosures)
+                if isinstance(got, tuple) or got.verdict.kind == "converged":
+                    assert got == expected, (k, L, max_iter)
+                    continue
+                assert ((got.verdict.kind, got.verdict.step, got.threshold)
+                        == (expected.verdict.kind, expected.verdict.step,
+                            expected.threshold)), (k, L, max_iter)
+                assert got.verdict.value == got.trajectory[-1]
+                assert got.trajectory[0] == 1.0
+                assert len(got.trajectory) == len(enclosures) + 1, (k, L, max_iter)
+                for j, (value, enclosure) in enumerate(zip(got.trajectory[1:], enclosures), 1):
+                    lo, hi = (Fraction(*to_rational(end)) for end in enclosure._mpi_)
+                    below, above = (Fraction(math.nextafter(value, toward))
+                                    for toward in (-math.inf, math.inf))
+                    assert below < hi and lo < above, (k, L, j)
+                    checked += 1
+    assert checked > 1000, checked
+
+
+def exact(bound):
+    m, e = bound
+    return Fraction(m) * Fraction(2) ** e
+
+
+def test_directed_helpers_bound_exact_values():
+    # The integer loop rounds only inside these helpers, and a rounding
+    # flipped there can be hidden in the loop by the coarser roundings after
+    # it, so each helper is checked alone against exact rationals, on inputs
+    # where its roundings are inexact.
+    rng = random.Random(16)
+    P = 20
+    for _ in range(400):
+        lo = rng.randrange(1 << P + 1)
+        hi = lo + rng.randrange(1 << P)
+        n = rng.randrange(1, 50)
+        below, above = hj_family._powers(lo, hi, n, P)
+        x_lo, x_hi = Fraction(lo, 1 << P) ** n, Fraction(hi, 1 << P) ** n
+        assert x_lo - x_lo * n / 2 ** P <= exact(below) <= x_lo, (lo, n)
+        assert x_hi <= exact(above) <= x_hi + x_hi * n / 2 ** P, (hi, n)
+        assert max(below[0], above[0]).bit_length() <= P + 3
+        low = (rng.randrange(1, 1 << 30), rng.randrange(-60, 10))
+        high = (low[0] * 2 ** 40 + rng.randrange(1 << 40), low[1] - 40)
+        for shift in range(-70, 30, 7):
+            q_lo, q_hi = hj_family._quotient(shift, low, high)
+            assert 0 <= Fraction(2) ** shift / exact(high) - q_lo < 1, (shift, low, high)
+            assert 0 <= q_hi - Fraction(2) ** shift / exact(low) < 1, (shift, low, high)
+    assert hj_family._quotient(5, (0, 3), (1, 0)) == (32, math.inf)
+    for m, e in [(1, -1), (2, -2), (3, -2), (1, 0), (0, 7), (5, 3), (2 ** 70, -71),
+                 (2 ** 70 + 1, -71), (2 ** 70 - 1, -71), (3, -3), (7, -3)]:
+        assert hj_family._at_most_half(m, e) == (exact((m, e)) <= Fraction(1, 2)), (m, e)
+    # a^N for a < 1 and N near 2^k: the exponent is far beyond any shift
+    assert hj_family._at_most_half(2 ** 90 + 1, -10 ** 30)
+    assert not hj_family._at_most_half(1, 10 ** 30)
+
+
+def test_fixed_point_at_large_k_matches_interval_objects():
+    # N = L-1 near 2^92 (k = 100) and 2^193 (k = 200): a power of an a_j < 1
+    # has a binary exponent far too large to shift by, and a_j can end far
+    # below -1.  At (60, 7099884519254838), one L below where the run
+    # shortens by a step, a_66^N lies just above 1/2 and a_67 < -2^2000
+    # prints as -inf.
+    cases = [(100, f_mt(100)), (100, 4683722612945310257985972165),
+             (100, 4674074463683712906417882376), (200, f_mt(200) + 1),
+             (60, 7099884519254838)]
+    reports = []
+    for k, L in cases:
+        got, expected = (route(k, L, precision=2 * k + 128)
+                         for route in (fixed_point_iteration,
+                                       fixed_point_iteration_by_intervals))
+        assert repr(got) == repr(expected), (k, L)
+        reports.append(got.verdict)
+    assert [(v.kind, v.step) for v in reports] == [
+        ("violated", 62), ("violated", 67), ("violated", 93), ("violated", 88),
+        ("violated", 67)]
+    assert reports[2].value < -1e37
+    assert reports[4].value == -math.inf
+
+
+def test_midpoint_rounds_each_end_and_survives_overflow():
+    assert hj_family._midpoint(3, 5, 2) == 1.0
+    # each end is rounded before the sum, as in midpoint_float: the exact
+    # midpoint 2^53 + 3/2 would round to 2^53 + 2
+    assert hj_family._midpoint(2, 2 ** 55 + 4, 1) == 2.0 ** 53
+    # a_j = 1 - 2^{-k} / base^{k-1} can fall below -2^1024, or to -inf
+    assert hj_family._midpoint(-(1 << 1100), 1 << 9, 10) == -math.inf
+    assert hj_family._midpoint(-math.inf, 5, 3) == -math.inf
+
+
+# (k, L, exact steps): whole runs, ending violated (at a negative a_3 for
+# (3, 3)), and then the first steps of two longer runs.
+WHOLE_RUNS = ((2, 2, 3), (3, 3, 3), (4, 3, 5))
+FIRST_STEPS = ((5, 4, 4), (6, 5, 3))
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+def test_integer_enclosures_contain_exact_iterates(precision):
+    # g on exact rationals against the integer enclosures at P = precision + 8.
+    P = precision + 8
+    for k, L, steps in WHOLE_RUNS + FIRST_STEPS:
+        whole = (k, L, steps) in WHOLE_RUNS
+        items = list(islice(hj_family._enclosures(k, L - 1, P), steps + 1))
+        assert len(items) == steps if whole else len(items) > steps, (k, L)
+        assert [kind for _, _, kind in items[:steps]] == (
+            [None] * (steps - 1) + ["violated" if whole else None]), (k, L)
+        a = Fraction(1)
+        for j, (lo, hi, _) in enumerate(items[:steps], 1):
+            a = g_function(a, k, L)
+            assert lo <= a * 2 ** P <= hi, (k, L, j, precision)
+            assert hi - lo < 2 ** 24, (k, L, j, precision)
+
+
+def test_coarse_enclosures_decide_only_what_the_exact_iterates_show():
+    # With a few bits the enclosures straddle the threshold, and such a step
+    # must end the run "inconclusive": "violated" and going on must agree
+    # with the exact iterate, which every enclosure still contains.
+    kinds = set()
+    for P in range(4, 41):
+        for k, L, steps in WHOLE_RUNS:
+            a = Fraction(1)
+            for lo, hi, kind in islice(hj_family._enclosures(k, L - 1, P), steps):
+                a = g_function(a, k, L)
+                assert lo <= a * 2 ** P <= hi, (k, L, P)
+                above = a > 0 and 2 * a ** (L - 1) > 1
+                assert kind == "inconclusive" or (kind is None) == above, (k, L, P)
+                kinds.add(kind)
+    assert kinds == {None, "violated", "inconclusive"}
 
 
 def test_shearer_upper_bound_matches_bisection():

@@ -11,11 +11,13 @@ depend on where that directory is.  The SATLLL_* variables are cleared.
 
 Per command, the digest is over (argv, exit code, stdout, stderr); the
 total is over the printed lines.  The corpus: table 2 30; bounds for
-k = 2..60; fixedpoint at F_Shearer and F_Shearer + 1 for k = 5..12;
-check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at probabilities
-around the boundary, and on the extremal formulas (3,3,4..9), (3,2,10) and
-(2,2,12); hj on small (j, k, L); mt under each rule; and inputs that exit
-with each of the codes 2 to 6.  Everything runs in tsv and in json.
+k = 2..60; fixedpoint at F_Shearer, F_Shearer + 1, F_MT and F_MT + 1 for
+k = 5..20, with --max-trajectory 100000 so that the json runs print whole
+trajectories; check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at
+probabilities around the boundary, and on the extremal formulas
+(3,3,4..9), (3,2,10) and (2,2,12); hj on small (j, k, L); mt under each
+rule; and inputs that exit with each of the codes 2 to 6.  Everything runs
+in tsv and in json.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from satlll import cli  # noqa: E402
+from satlll.bounds import f_mt  # noqa: E402
 from satlll.hj_family import shearer_upper_bound  # noqa: E402
 
 FORMULAS = [(3, 3, r) for r in range(4, 10)] + [(3, 2, 10), (2, 2, 12)]
@@ -78,10 +81,11 @@ def corpus():
     """The argv lists, in order; inputs are written on the way."""
     commands = [["table", "2", "30"]]
     commands += [["bounds", "--k", str(k)] for k in range(2, 61)]
-    for k in range(5, 13):
-        f_shearer = shearer_upper_bound(k)
-        commands += [["fixedpoint", "--k", str(k), "--L", str(L)]
-                     for L in (f_shearer, f_shearer + 1)]
+    for k in range(5, 21):
+        f_shearer, f_moser_tardos = shearer_upper_bound(k), f_mt(k)
+        commands += [["fixedpoint", "--k", str(k), "--L", str(L), "--max-trajectory", "100000"]
+                     for L in sorted({f_shearer, f_shearer + 1, f_moser_tardos,
+                                      f_moser_tardos + 1})]
     commands += [["check-shearer", "--graph", name] for name in write_graphs()]
     for k, L, r in FORMULAS:
         name = f"x{k}_{L}_{r}.cnf"
