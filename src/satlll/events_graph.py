@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, SizeGuardError
@@ -65,23 +65,26 @@ def atom_index(events: Sequence[Event], m: int) -> tuple[array, array]:
     (start, entries): the events with atom (v, value) are
     entries[start[2v + value]:start[2v + value + 1]] in increasing order,
     so the events on variable v are entries[start[2v]:start[2v + 2]].
-    Variables must lie in [1, m]; the counting pass raises DomainError
-    otherwise.  Two flat arrays cost one machine word per slot and per atom,
-    which matters at tens of thousands of variables.
+    Variables must lie in [1, m]; DomainError otherwise.  Each literal's
+    slot is computed once, then slots are counted and the events placed in
+    one pass each.  Two flat arrays cost one machine word per slot and per
+    atom, which matters at tens of thousands of variables.
     """
-    start = array("q", [0]) * (2 * m + 3)
-    for event in events:
-        for z in event:
-            if not 0 < abs(z) <= m:
-                raise DomainError(f"event mentions variable {abs(z)}, outside [1, {m}]")
-            start[2 * abs(z) + (z < 0)] += 1  # the size of each slot
-    start = array("q", accumulate(start))  # the end of each slot, for now
-    entries = array("q", [0]) * start[-1]
-    for i in reversed(range(len(events))):
-        for z in events[i]:
-            slot = 2 * abs(z) + (z < 0)
-            start[slot] -= 1
-            entries[start[slot]] = i
+    flat = list(chain.from_iterable(events))
+    if flat and (0 in flat or max(flat) > m or min(flat) < -m):
+        z = next(z for z in flat if not 0 < abs(z) <= m)
+        raise DomainError(f"event mentions variable {abs(z)}, outside [1, {m}]")
+    slots = [2 * abs(z) + (z < 0) for z in flat]
+    owner = chain.from_iterable(map(repeat, range(len(events)), map(len, events)))  # per literal
+    size = [0] * (2 * m + 3)
+    for slot in slots:
+        size[slot + 1] += 1
+    start = array("q", accumulate(size))  # the start of each slot
+    fill = start.tolist()  # the next free entry of each slot
+    entries = array("q", bytes(8 * len(flat)))
+    for slot, i in zip(slots, owner):
+        entries[fill[slot]] = i
+        fill[slot] += 1
     return start, entries
 
 

@@ -142,12 +142,17 @@ class FixedPointReport:
         return {
             "parameters": {"k": self.k, "L": self.L, "precision": self.precision,
                            "max_iter": self.max_iter},
-            "threshold": self.threshold,
-            "trajectory": traj,
+            "threshold": _json_float(self.threshold),
+            "trajectory": list(map(_json_float, traj)),
             "trajectory_truncated": truncated,
             "verdict": {"kind": self.verdict.kind, "step": self.verdict.step,
-                        "value": self.verdict.value},
+                        "value": _json_float(self.verdict.value)},
         }
+
+
+def _json_float(x: float) -> float | str:
+    # JSON has no infinity: print what the text form prints, "inf" or "-inf".
+    return x if math.isfinite(x) else str(x)
 
 
 def h_vertex_count(j: int, k: int, L: int) -> int:

@@ -7,7 +7,9 @@ Reproducibility contract: identical (events, rule, seed, max_steps)
 produce identical traces.  Three independent Mersenne Twister streams are
 derived from the seed: one for the initial draw, one for resampling, one
 for random event selection.  Each draw is a fair coin, randrange(2) < 1,
-so an event B has probability 2^-|B|.
+so an event B has probability 2^-|B|.  The coins are drawn in bulk, equal
+to successive randrange(2) < 1 calls as CPython's random module (3.11)
+makes them; another interpreter's randrange may give other traces.
 """
 
 from __future__ import annotations
@@ -16,10 +18,39 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import DomainError
 from .events_graph import Event, atom_index
+
+
+# randrange(2) is the top two bits of a 32-bit word, redrawn while they read
+# 2 or 3: so the coin randrange(2) < 1 is 1 for a top byte below 64, 0 below
+# 128, and a top byte of 128 or more is deleted.
+_COIN_OF_TOP_BYTE = bytes([1] * 64 + [0] * 192)
+_REDRAWN = bytes(range(128, 256))
+COIN_CHUNK = 256  # words per refill of a coin stream, about 128 coins
+
+
+def _coins(rng: random.Random, words: int) -> bytes:
+    """The coins (0 or 1) of rng's next 32-bit words; getrandbits puts word i in
+    bits 32i to 32i + 31, so byte 4i + 3 of the little-endian bytes is its top."""
+    top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+    return top_bytes.translate(_COIN_OF_TOP_BYTE, _REDRAWN)
+
+
+def fair_coins(rng: random.Random, n: int) -> bytes:
+    """[rng.randrange(2) < 1 for _ in range(n)] as bytes; reads words beyond them."""
+    coins = b""
+    while len(coins) < n:  # 2 words per missing coin give enough about half the time
+        coins += _coins(rng, 2 * (n - len(coins)))
+    return coins[:n]
+
+
+def coin_stream(rng: random.Random):
+    """The endless successive randrange(2) < 1 of rng as 0/1, drawn COIN_CHUNK words at a time."""
+    return chain.from_iterable(map(_coins, repeat(rng), repeat(COIN_CHUNK)))
 
 
 class SelectionRule(Enum):
@@ -80,8 +111,8 @@ def run_mt(events: Sequence[Event], m: int,
     key = ([(longest - len(event)) * n + i for i, event in enumerate(events)]
            if rule is SelectionRule.LOWEST_PROBABILITY else range(n))
 
-    draw = init_rng.randrange
-    value = bytearray([0] + [draw(2) < 1 for _ in range(m)])  # value[v] is x_v
+    value = bytearray(1) + fair_coins(init_rng, m)  # value[v] is x_v
+    coin = coin_stream(resample_rng)
 
     def holds(event: Event) -> bool:  # no literal is true
         return all(value[abs(z)] != (z > 0) for z in event)
@@ -95,7 +126,7 @@ def run_mt(events: Sequence[Event], m: int,
         chosen = true_keys[at] % n
         flipped = []
         for variable in sorted(map(abs, events[chosen])):
-            new = resample_rng.randrange(2) < 1
+            new = next(coin)
             if new != value[variable]:
                 value[variable] = new
                 flipped.append(2 * variable + new)

@@ -20,32 +20,32 @@ DEFAULT_CLAUSE_GUARD = 200_000
 
 @dataclass(frozen=True)
 class Formula:
-    """A width-k CNF stored as one flat array of signed DIMACS literals.
+    """A width-k CNF stored as one flat array("q") of signed DIMACS literals.
 
     Clause i is literals[i*width:(i+1)*width]: v stands for x_v and -v for
-    ~x_v.  Every clause has the same width, so no offsets are stored, and a
-    formula costs one machine word per literal.  An array("q") is kept as
-    given; any other iterable of ints is copied into one.  Every formula,
-    however built, is checked here: no literal is 0 or above variable_count
-    in absolute value, the literal count is a multiple of width, and no
-    clause repeats a variable.
+    ~x_v, so a formula costs one machine word per literal.  The constructor
+    trusts its input (width >= 2, variable_count >= 0, whole clauses, every
+    literal nonzero and within variable_count, no clause repeating a
+    variable); from_literals checks it, and both builders here ensure it.
     """
 
     width: int
     variable_count: int
     literals: array
 
-    def __post_init__(self):
-        if self.width < 2:
-            raise DomainError(f"formula width must be >= 2, got {self.width}")
-        if self.variable_count < 0:
+    @classmethod
+    def from_literals(cls, width: int, variable_count: int, literals) -> "Formula":
+        """A checked Formula; an array("q") is kept as given, any other iterable copied."""
+        if width < 2:
+            raise DomainError(f"formula width must be >= 2, got {width}")
+        if variable_count < 0:
             raise DomainError("variable_count must be nonnegative")
-        if not isinstance(self.literals, array) or self.literals.typecode != "q":
+        if not isinstance(literals, array) or literals.typecode != "q":
             try:
-                object.__setattr__(self, "literals", array("q", self.literals))
+                literals = array("q", literals)
             except OverflowError:
                 raise DomainError("a literal does not fit in 64 bits") from None
-        literals, m, w = self.literals, self.variable_count, self.width
+        m, w = variable_count, width
         if len(literals) % w:
             raise DomainError(f"{len(literals)} literals do not make clauses of width {w}")
         if 0 in literals or (literals and (max(literals) > m or min(literals) < -m)):
@@ -55,6 +55,7 @@ class Formula:
         for idx, variables in enumerate(zip(*[map(abs, literals)] * w)):  # clause by clause
             if len(set(variables)) < w:
                 raise DomainError(f"clause {idx} has repeated variables: {list(variables)}")
+        return cls(width, variable_count, literals)
 
     @property
     def clause_count(self) -> int:
@@ -124,7 +125,7 @@ def build_extremal_formula(k: int, L: int, r: int,
         clause_count += 2 * L - 2
 
     variable_count = next_var - 1 if r > 0 else 0
-    formula = Formula(width=k, variable_count=variable_count, literals=literals)
+    formula = Formula(width=k, variable_count=variable_count, literals=literals)  # valid as built
     return formula, ExpansionTree(parent=parent, added=added)
 
 
@@ -143,12 +144,37 @@ def dimacs_import(text: str) -> Formula:
     """Parse DIMACS CNF.  All clauses must share one width.
 
     The width is that of the first clause, or EMPTY_WIDTH without one.  A
-    line starting with % ends the input, as SATLIB files use it.  Each line is
-    converted with one map(int) and appended to one flat literal list.  The
-    bounds and repeated-variable checks that Formula makes again are made
-    here too, line by line, so that an error names the line of the
-    offending token, or of the first literal of its clause.
+    line starting with % ends the input, as SATLIB files use it.  A clean
+    file is read whole; any other file, or one that fails a whole-text
+    check, is read line by line, and only that parser raises, so an error
+    names the line of its token, or of the first literal of its clause.
     """
+    formula = _whole_text(text)
+    return formula if formula is not None else _by_lines(text)
+
+
+def _whole_text(text: str) -> Formula | None:
+    """The formula read in C-level passes, or None where _by_lines must read it."""
+    first, _, body = text.partition("\n")
+    parts = first.split() if len(first.splitlines()) == 1 else []  # \f, \r... end lines too
+    if parts[:2] != ["p", "cnf"] or len(parts) != 4 or any(map(body.__contains__, "cp%")):
+        return None
+    try:
+        m, n, values = int(parts[2]), int(parts[3]), list(map(int, body.split()))
+        w = values.index(0)
+    except ValueError:
+        return None
+    if w < 2 or len(values) != n * (w + 1) or any(values[w::w + 1]):
+        return None
+    del values[w::w + 1]  # the clause-closing zeros
+    top = min(m, 2 ** 63 - 1)  # and each literal fits in an array("q")
+    if (0 in values or max(values) > top or min(values) < -top
+            or min(map(len, map(set, zip(*[map(abs, values)] * w)))) < w):  # a repeat
+        return None
+    return Formula(w, m, array("q", values))
+
+
+def _by_lines(text: str) -> Formula:
     variable_count = None
     declared_clauses = None
     literals: list[int] = []
@@ -207,7 +233,7 @@ def dimacs_import(text: str) -> Formula:
     if len(widths) > 1:
         raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
     width = widths.pop() if widths else EMPTY_WIDTH
-    return Formula(width=width, variable_count=variable_count, literals=literals)
+    return Formula.from_literals(width, variable_count, literals)  # width 1, 64 bits
 
 
 def _line_literals(tokens: list[str], variable_count: int,

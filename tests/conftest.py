@@ -25,7 +25,7 @@ def random_formula(rng: random.Random, k: int, m: int, n_clauses: int) -> Formul
     for _ in range(n_clauses):
         variables = rng.sample(range(1, m + 1), k)
         literals += [v if rng.random() < 0.5 else -v for v in variables]
-    return Formula(width=k, variable_count=m, literals=literals)
+    return Formula.from_literals(width=k, variable_count=m, literals=literals)
 
 
 def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
@@ -49,7 +49,7 @@ def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
             picked.append(candidate)
             used_vars.add(candidate[0])
         literals += [v if pol else -v for v, pol in sorted(picked)]
-    return Formula(width=k, variable_count=m, literals=literals)
+    return Formula.from_literals(width=k, variable_count=m, literals=literals)
 
 
 @pytest.fixture

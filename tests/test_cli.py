@@ -181,6 +181,22 @@ def test_fixedpoint_json_truncates_trajectory(capsys):
     assert payload["trajectory_truncated"] is True
 
 
+def test_fixedpoint_json_writes_infinities_as_text(capsys):
+    # a_67 falls below -2^2000, beyond a double, so the value is -inf.
+    argv = ["fixedpoint", "--k", "60", "--L", "7099884519254838"]
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not RFC 8259 JSON")
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["verdict"] == {"kind": "violated", "step": 67, "value": "-inf"}
+    assert payload["trajectory"][-1] == "-inf"
+    assert all(isinstance(a, float) for a in payload["trajectory"][:-1])
+    _, text, _ = run_cli(capsys, *argv)
+    assert " value=-inf " in text
+
+
 def test_mt_run(capsys, tmp_path):
     target = tmp_path / "inst.cnf"
     target.write_text("p cnf 6 2\n1 2 3 0\n4 5 6 0\n")
@@ -399,6 +415,8 @@ GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
      EXIT_GUARD, "F_MT(14300) + 1 has more than 4300 digits"),
     (["hj", "--j", "1", "--k", "20000", "--L", "2"], None, None,
      EXIT_GUARD, "s_1 or r_1 has more than 4300 digits"),
+    (["mt", "--cnf", INPUT], "p cnf 3 2\n1 0\n-2 0\n", None,
+     EXIT_DOMAIN, "formula width must be >= 2, got 1"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
         "negative-n", "boolean-n", "negative-max-trajectory", "negative-max-iter",
@@ -406,7 +424,7 @@ GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
         "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
         "infinite-probability", "mt-variables-over-guard", "mt-clauses-over-guard",
         "exponent-probability", "long-q", "long-q-json", "bounds-long-f", "table-long-f",
-        "hj-long-s"])
+        "hj-long-s", "width-one"])
 def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, content,
                                           precision_env, expected, message):
     target = tmp_path / "input"

@@ -35,7 +35,7 @@ def test_same_polarity_sharing_no_lopsi_edge():
 
 
 def test_monotone_formula_edgeless(rng):
-    formula = Formula(width=2, variable_count=6, literals=range(1, 7))
+    formula = Formula.from_literals(width=2, variable_count=6, literals=range(1, 7))
     assert lopsidependency_graph(events_from_formula(formula)).edges() == []
 
 

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from satlll.errors import DomainError
 from satlll.events_graph import events_from_formula
-from satlll.moser_tardos import RunStats, SelectionRule, run_mt
+from satlll import moser_tardos
+from satlll.moser_tardos import (COIN_CHUNK, RunStats, SelectionRule, coin_stream,
+                                 fair_coins, run_mt)
 
 from conftest import random_formula, random_low_occurrence_formula
 
@@ -79,6 +82,32 @@ def test_incremental_run_matches_rescan():
         assert (rule, True, True, False) in seen  # zero events
         assert (rule, False, True, False) in seen  # terminated
         assert (rule, False, False, True) in seen  # limit reached
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 67_201])
+def test_fair_coins_equal_successive_randrange(monkeypatch, n):
+    refills = []
+    counted = moser_tardos._coins
+
+    def counting(rng, words):
+        refills[-1] += 1
+        return counted(rng, words)
+    monkeypatch.setattr(moser_tardos, "_coins", counting)
+    for seed in ["0:init", "7:init", *range(10)]:
+        refills.append(-1)  # the first draw is not a refill
+        rng = random.Random(seed)
+        expected = [rng.randrange(2) < 1 for _ in range(n)]
+        assert list(fair_coins(random.Random(seed), n)) == expected, seed
+    if n == 67_201:  # 2n words give n coins about half the time
+        assert min(refills) == 0 and max(refills) > 0
+
+
+def test_coin_stream_equals_successive_randrange():
+    for seed in ["0:resample", "7:resample", 3]:
+        rng = random.Random(seed)
+        count = 4 * COIN_CHUNK  # about 8 chunks of about COIN_CHUNK / 2 coins
+        expected = [rng.randrange(2) < 1 for _ in range(count)]
+        assert list(islice(coin_stream(random.Random(seed)), count)) == expected, seed
 
 
 def test_lowest_probability_on_events_of_mixed_sizes():

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,39 +14,47 @@ from oracles import occurrences, validate_occurrences
 
 def test_formula_refuses_variable_zero():
     with pytest.raises(DomainError, match=r"clause 1 uses variable 0, outside \[1, 3\]"):
-        Formula(width=2, variable_count=3, literals=[1, 2, 0, 3])
+        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 0, 3])
 
 
 def test_formula_refuses_repeated_variable():
     with pytest.raises(DomainError, match=r"clause 1 has repeated variables: \[2, 2\]"):
-        Formula(width=2, variable_count=3, literals=[1, 2, 2, -2])
+        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 2, -2])
     with pytest.raises(DimacsError, match=r"line 3: clause has repeated variables: \[1, 1\]"):
         dimacs_import("p cnf 2 2\n1 2 0\n1 -1 0\n")
 
 
 def test_formula_refuses_bad_layout():
     with pytest.raises(DomainError, match=r"clause 0 uses variable 4, outside \[1, 3\]"):
-        Formula(width=2, variable_count=3, literals=[1, -4])
+        Formula.from_literals(width=2, variable_count=3, literals=[1, -4])
     with pytest.raises(DomainError, match="3 literals do not make clauses of width 2"):
-        Formula(width=2, variable_count=3, literals=[1, 2, 3])
+        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 3])
     with pytest.raises(DomainError, match="width must be >= 2"):
-        Formula(width=1, variable_count=3, literals=[1])
+        Formula.from_literals(width=1, variable_count=3, literals=[1])
     with pytest.raises(DomainError, match="64 bits"):
-        Formula(width=2, variable_count=2 ** 70, literals=[1, 2 ** 65])
+        Formula.from_literals(width=2, variable_count=2 ** 70, literals=[1, 2 ** 65])
+
+
+def test_formula_constructor_trusts_its_input():
+    # Only from_literals checks; the builders make valid formulas themselves.
+    formula = Formula(2, 3, array("q", [1, 1, 2, 9]))
+    assert list(formula.literals) == [1, 1, 2, 9]
+    literals = array("q", [1, -2])
+    assert Formula.from_literals(2, 3, literals).literals is literals
 
 
 def test_formula_layout_and_satisfaction():
-    formula = Formula(width=2, variable_count=3, literals=(1, -2, 2, 3))
+    formula = Formula.from_literals(width=2, variable_count=3, literals=(1, -2, 2, 3))
     assert formula.clause_count == 2
     assert list(formula.clause(1)) == [2, 3]
-    assert formula == Formula(2, 3, [1, -2, 2, 3])
+    assert formula == Formula.from_literals(2, 3, [1, -2, 2, 3])
     assert formula.is_satisfied_by({1: False, 2: False, 3: True})
     assert not formula.is_satisfied_by({1: False, 2: True, 3: False})
-    assert Formula(width=3, variable_count=0, literals=[]).is_satisfied_by({})
+    assert Formula.from_literals(width=3, variable_count=0, literals=[]).is_satisfied_by({})
 
 
 def test_occurrences_direct_count():
-    formula = Formula(width=2, variable_count=3, literals=[1, 2, -1, 3])
+    formula = Formula.from_literals(width=2, variable_count=3, literals=[1, 2, -1, 3])
     profile = occurrences(formula)
     assert profile.R0(1) == 1 and profile.R1(1) == 1
     assert profile.R0(2) == 1 and profile.R1(2) == 0
@@ -86,7 +96,7 @@ def test_construction_occurrence_bounds_hold():
 
 def test_validate_occurrences_detects_violation():
     # variable 1 occurs positively L + 1 = 3 times with L = 2
-    formula = Formula(width=2, variable_count=4, literals=[1, 2, 1, 3, 1, 4])
+    formula = Formula.from_literals(width=2, variable_count=4, literals=[1, 2, 1, 3, 1, 4])
     assert not validate_occurrences(formula, 2)
 
 

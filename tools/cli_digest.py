@@ -15,9 +15,13 @@ k = 2..60; fixedpoint at F_Shearer, F_Shearer + 1, F_MT and F_MT + 1 for
 k = 5..20, with --max-trajectory 100000 so that the json runs print whole
 trajectories; check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at
 probabilities around the boundary, and on the extremal formulas
-(3,3,4..9), (3,2,10) and (2,2,12); hj on small (j, k, L); mt under each
-rule; and inputs that exit with each of the codes 2 to 6.  Everything runs
-in tsv and in json.
+(3,3,4..9), (3,2,10), (2,2,12) and (9,22,100); hj on small (j, k, L); mt
+under each rule on those formulas and on a SATLIB-style file (c lines, a %
+ending); and inputs that exit with each of the codes 2 to 6.  Everything
+runs in tsv and in json.  The extremal files are read whole and the
+SATLIB-style file line by line; its runs resample thousands of times, and
+seed 7 needs a second batch of words for the initial draw on every small
+formula.
 """
 
 import contextlib
@@ -37,7 +41,7 @@ from satlll import cli  # noqa: E402
 from satlll.bounds import f_mt  # noqa: E402
 from satlll.hj_family import shearer_upper_bound  # noqa: E402
 
-FORMULAS = [(3, 3, r) for r in range(4, 10)] + [(3, 2, 10), (2, 2, 12)]
+FORMULAS = [(3, 3, r) for r in range(4, 10)] + [(3, 2, 10), (2, 2, 12), (9, 22, 100)]
 HJ = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 3, 2), (2, 2, 3), (1, 4, 3)]
 RULES = ("first-index", "uniform-random", "lowest-probability")
 # Scales of the per-vertex probability 1 / (deg + 1), each jittered by 3/4, 1 or
@@ -77,6 +81,17 @@ def write_graphs():
     return names
 
 
+def write_satlib_style():
+    """A seeded random 3-SAT file laid out as SATLIB's uf files are."""
+    rng = random.Random(20)
+    lines = ["c a seeded random 3-SAT formula", "c", "p cnf 50 175"]
+    for _ in range(175):
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 51), 3)]
+        lines.append(" " + " ".join(map(str, clause)) + " 0")
+    Path("satlib.cnf").write_text("\n".join(lines + ["%", "0", ""]))
+    return "satlib.cnf"
+
+
 def corpus():
     """The argv lists, in order; inputs are written on the way."""
     commands = [["table", "2", "30"]]
@@ -94,6 +109,9 @@ def corpus():
         commands.append(["check-shearer", "--cnf", name])
         commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
                      for rule in RULES for seed in (0, 7)]
+    satlib = write_satlib_style()
+    commands += [["mt", "--cnf", satlib, "--rule", rule, "--seed", str(seed)]
+                 for rule in RULES for seed in (0, 7)]
     commands += [["hj", "--j", str(j), "--k", str(k), "--L", str(L)] for j, k, L in HJ]
     Path("bad.cnf").write_text("p cnf 2 1\n1 3 0\n")
     Path("loop.json").write_text(json.dumps({"n": 2, "edges": [[1, 1]], "p": ["1/2"] * 2}))
