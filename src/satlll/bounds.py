@@ -16,7 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 from mpmath import fdiv, iv
 
-from .certified import DEFAULT_PRECISION, interval_precision, iv_from_fraction, midpoint_float
+from .certified import (DEFAULT_PRECISION, interval_precision, iv_from_fraction, json_float,
+                        midpoint_float)
 from .errors import DomainError, SizeGuardError
 from .events_graph import Event
 
@@ -34,7 +35,8 @@ class CriterionReport:
     def to_json_dict(self) -> dict:
         return {"criterion": self.criterion, "satisfied": self.satisfied,
                 "parameters": self.parameters, "witness": self.witness,
-                "details": self.details}
+                "details": {key: json_float(value) if isinstance(value, float) else value
+                            for key, value in self.details.items()}}
 
 
 def _decide_at_e(value):

@@ -4,10 +4,12 @@ certified_compare_ge decides a comparison only when the intervals settle
 it; when they straddle the decision boundary the caller gets a
 CertificationError, never a silent rounding.  midpoint_float turns an
 interval into the float that is printed; no verdict is taken from it.
+json_float writes an infinite float as JSON can carry it.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -55,3 +57,8 @@ def midpoint_float(x) -> float:
     """
     lo, hi = x._mpi_
     return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)
+
+
+def json_float(x: float) -> float | str:
+    """x, or "inf" / "-inf" as the text form prints it: JSON has no infinity."""
+    return x if math.isfinite(x) else str(x)

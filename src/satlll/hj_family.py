@@ -76,8 +76,8 @@ from typing import Optional
 import mpmath
 from mpmath import iv, mp
 
-from .certified import (DEFAULT_PRECISION, certified_compare_ge,
-                        interval_precision, iv_from_fraction, midpoint_float)
+from .certified import (DEFAULT_PRECISION, certified_compare_ge, interval_precision,
+                        iv_from_fraction, json_float, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import build_extremal_formula
@@ -142,17 +142,12 @@ class FixedPointReport:
         return {
             "parameters": {"k": self.k, "L": self.L, "precision": self.precision,
                            "max_iter": self.max_iter},
-            "threshold": _json_float(self.threshold),
-            "trajectory": list(map(_json_float, traj)),
+            "threshold": json_float(self.threshold),
+            "trajectory": list(map(json_float, traj)),
             "trajectory_truncated": truncated,
             "verdict": {"kind": self.verdict.kind, "step": self.verdict.step,
-                        "value": _json_float(self.verdict.value)},
+                        "value": json_float(self.verdict.value)},
         }
-
-
-def _json_float(x: float) -> float | str:
-    # JSON has no infinity: print what the text form prints, "inf" or "-inf".
-    return x if math.isfinite(x) else str(x)
 
 
 def h_vertex_count(j: int, k: int, L: int) -> int:

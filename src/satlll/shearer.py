@@ -1,14 +1,24 @@
 """Exact independence-polynomial evaluation and Shearer-criterion verdicts.
 
-All arithmetic is exact rational (fractions.Fraction); the sign decisions
-Q > 0 must be error-free.  One memoized function evaluates Z_W (defined
-below) on vertex sets W held as ints, bit v for vertex v.  With v the least
-vertex of W, C its component in G[W] (a bit BFS) and N[v] = {v} + N(v),
+The sign decisions Q > 0 must be error-free, so all arithmetic is exact,
+on integers.  One memoized function evaluates Y_W, an integer multiple of
+Z_W (defined below), on vertex sets W held as ints, bit v for vertex v.
+Write p_v = a_v / d_v in lowest terms and Y_W = Z_W * prod_{u in W} d_u.
+With v the least vertex of W, C its component in G[W] (a bit BFS) and
+N[v] = {v} + N(v), Z_W = Z_C * Z_{W - C} if C != W, else
+Z_W = Z_{W - v} - p_v * Z_{W - N[v]}; multiplying by prod_W d_u gives
 
-    Z_W = Z_C * Z_{W - C} if C != W, else Z_{W - v} - p_v * Z_{W - N[v]},
+    Y_W = Y_C * Y_{W - C}                                  if C != W,
+    Y_W = d_v * Y_{W - v} - a_v * D(v, W) * Y_{W - N[v]}   otherwise,
 
-from Z_empty = 1.  independence_polynomial returns Z_V; the tests keep a
-direct subset enumeration as an independent oracle.
+where D(v, W) = prod_{u in N(v) & W} d_u, from Y_empty = 1.  Each scale
+prod_W d_u is positive, so Y_W has the sign of Z_W, and every sign test
+reads Y_W directly.  (One common scale D^|W|, D the lcm of the d_v, would
+also do, but its values grow much faster when the d_v differ.)  A Fraction
+is formed only where a value leaves the engine: independence_polynomial
+returns Z_V = Y_V / prod_V d_u, and a witness value is
+Q(G, S, p) = prod_S a_v * Y_R / prod_{S + R} d_u, both exact.  The tests
+keep a direct subset enumeration as an independent oracle.
 
 Shearer verdicts are decided along one chain of vertex sets.  Write
 Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
@@ -91,37 +101,58 @@ def _bits(mask: int):
 
 
 class _QEngine:
-    """Memoized Z_W for vertex sets W given as int masks."""
+    """Memoized Y_W = Z_W * prod_{u in W} d_u for vertex sets W given as int masks."""
 
     def __init__(self, graph: DepGraph, probs: list[Fraction]):
-        self.probs = probs
+        self.numerators = [x.numerator for x in probs]
+        self.denominators = [x.denominator for x in probs]
         self.closed = [1 << v | sum(1 << u for u in nbrs)
                        for v, nbrs in enumerate(graph.adjacency)]
-        self.memo: dict[int, Fraction] = {0: Fraction(1)}
+        self.memo: dict[int, int] = {0: 1}
 
-    def q(self, mask: int) -> Fraction:
+    def q(self, mask: int) -> int:
         cached = self.memo.get(mask)
         if cached is not None:
             return cached
+        closed = self.closed
         component = frontier = low = mask & -mask
         while frontier:
             reach = 0
-            for u in _bits(frontier):
-                reach |= self.closed[u]
+            while frontier:
+                bit = frontier & -frontier
+                reach |= closed[bit.bit_length() - 1]
+                frontier ^= bit
             frontier = reach & mask & ~component
             component |= frontier
         if component != mask:
             result = self.q(component) * self.q(mask & ~component)
         else:
             v = low.bit_length() - 1
-            result = self.q(mask ^ low) - self.probs[v] * self.q(mask & ~self.closed[v])
+            denominators = self.denominators
+            coefficient = self.numerators[v]  # a_v * D(v, W)
+            neighbours = mask & closed[v] ^ low
+            while neighbours:
+                bit = neighbours & -neighbours
+                coefficient *= denominators[bit.bit_length() - 1]
+                neighbours ^= bit
+            result = (denominators[v] * self.q(mask ^ low)
+                      - coefficient * self.q(mask & ~closed[v]))
         self.memo[mask] = result
         return result
+
+    def scale(self, mask: int) -> int:
+        """prod_{u in mask} d_u, so that Z_W = Fraction(q(W), scale(W))."""
+        product = 1
+        for u in _bits(mask):
+            product *= self.denominators[u]
+        return product
 
 
 def independence_polynomial(graph: DepGraph, p: ProbabilityVector) -> Fraction:
     """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
-    return _QEngine(graph, _check_probabilities(graph, p)).q((1 << graph.n) - 1)
+    engine = _QEngine(graph, _check_probabilities(graph, p))
+    vertices = (1 << graph.n) - 1
+    return Fraction(engine.q(vertices), engine.scale(vertices))
 
 
 def _chain_fails(engine: _QEngine, region: int) -> bool:
@@ -143,14 +174,13 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
     descent in the module docstring with at most n chain tests per vertex;
     it is () exactly when Z_V <= 0.
     """
-    probs = _check_probabilities(graph, p, open_interval=True)
-    engine = _QEngine(graph, probs)
+    engine = _QEngine(graph, _check_probabilities(graph, p, open_interval=True))
     region = (1 << graph.n) - 1
     if not _chain_fails(engine, region):
         return ShearerVerdict(True)
     witness: tuple[int, ...] = ()
-    prefactor = Fraction(1)
-    while (value := prefactor * engine.q(region)) > 0:
+    numerator = 1  # prod_{v in S} a_v
+    while engine.q(region) > 0:
         # A v below max S never qualifies (its violating sets would precede
         # S), so skipping it only saves chain tests.
         start = witness[-1] + 1 if witness else 0
@@ -162,6 +192,9 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
             raise CertificationError("the suffix chain has Z <= 0 but no independent set "
                                      "violates Shearer's condition")
         witness += (v,)
-        prefactor *= probs[v]
+        numerator *= engine.numerators[v]
         region = child
+    # Q(G, S, p) = prod_S a_v / prod_S d_v * Y_R / prod_R d_u, with S and R disjoint.
+    value = Fraction(numerator * engine.q(region),
+                     engine.scale(region | sum(1 << v for v in witness)))
     return ShearerVerdict(False, witness=witness, witness_value=value)

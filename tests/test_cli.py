@@ -181,15 +181,16 @@ def test_fixedpoint_json_truncates_trajectory(capsys):
     assert payload["trajectory_truncated"] is True
 
 
+def refuse_constant(constant):
+    raise AssertionError(f"{constant} is not RFC 8259 JSON")
+
+
 def test_fixedpoint_json_writes_infinities_as_text(capsys):
     # a_67 falls below -2^2000, beyond a double, so the value is -inf.
     argv = ["fixedpoint", "--k", "60", "--L", "7099884519254838"]
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert code == 0
-
-    def refuse(constant):
-        raise AssertionError(f"{constant} is not RFC 8259 JSON")
-    payload = json.loads(out, parse_constant=refuse)
+    payload = json.loads(out, parse_constant=refuse_constant)
     assert payload["verdict"] == {"kind": "violated", "step": 67, "value": "-inf"}
     assert payload["trajectory"][-1] == "-inf"
     assert all(isinstance(a, float) for a in payload["trajectory"][:-1])
@@ -285,8 +286,37 @@ def test_bounds_past_the_float_range(capsys):
     assert "gap_inequality: True (lhs=" in out and " rhs=inf)\n" in out
     code, out, err = run_cli(capsys, "--format", "json", "bounds", "--k", "1100")
     assert (code, err) == (0, "")
-    assert '"rhs": Infinity' in out
-    assert json.loads(out)["gap_inequality"]["details"]["rhs"] == float("inf")
+    assert '"rhs": "inf"' in out
+    assert json.loads(out)["gap_inequality"]["details"]["rhs"] == "inf"
+
+
+STRICT_JSON_INPUTS = {
+    "violated.json": json.dumps({"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}),
+    "satisfied.json": json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                                  "p": ["1/5", "1/7", "1/11"]}),
+    "inst.cnf": "p cnf 6 2\n1 2 3 0\n4 5 6 0\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--k", "1100"],
+    ["fixedpoint", "--k", "60", "--L", "7099884519254838"],
+    ["check-shearer", "--graph", "violated.json"],
+    ["check-shearer", "--graph", "satisfied.json"],
+    ["hj", "--j", "2", "--k", "2", "--L", "2"],
+    ["table", "5", "9"],
+    ["mt", "--cnf", "inst.cnf", "--seed", "5"],
+])
+def test_json_output_is_strict_rfc_8259(capsys, monkeypatch, tmp_path, argv):
+    # Python's json writes and reads Infinity and NaN; RFC 8259 parsers refuse them.
+    for name, content in STRICT_JSON_INPUTS.items():
+        (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=refuse_constant)
+    if argv[0] == "check-shearer":
+        assert payload["satisfied"] == (argv[2] == "satisfied.json")
 
 
 def test_bounds_refuses_from_the_first_unprintable_k(capsys, monkeypatch):

@@ -54,6 +54,50 @@ def test_engine_matches_bruteforce(rng):
                 == independence_polynomial_bruteforce(graph, (), p))
 
 
+# Pairwise coprime, so every vertex set W has its own scale prod_{u in W} d_u.
+COPRIME_DENOMINATORS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_probabilities(rng, n):
+    """p_v = a_v / d_v in lowest terms, with distinct prime d_v."""
+    return [Fraction(rng.randint(1, d // 2), d) for d in rng.sample(COPRIME_DENOMINATORS, n)]
+
+
+def test_engine_on_coprime_denominators_matches_enumeration(rng):
+    # A slip in the per-vertex scaling of Y_W shows as a wrong Z_V, a wrong
+    # witness value or a flipped sign.
+    kinds = set()
+    for _ in range(200):
+        graph = random_graph(rng, max_vertices=12)
+        p = coprime_probabilities(rng, graph.n)
+        z = independence_polynomial(graph, p)
+        assert type(z) is Fraction and z == independence_polynomial_bruteforce(graph, (), p)
+        verdict = shearer_check(graph, p)
+        assert verdict == shearer_check_by_enumeration(graph, p)
+        if not verdict.satisfied:
+            assert type(verdict.witness_value) is Fraction
+            assert verdict.witness_value == independence_polynomial_bruteforce(
+                graph, verdict.witness, p)
+            kinds.add("empty witness" if verdict.witness == () else "non-empty witness")
+        else:
+            kinds.add("satisfied")
+    assert kinds == {"satisfied", "empty witness", "non-empty witness"}
+
+
+def test_independence_polynomial_at_the_ends_of_the_interval(rng):
+    # [0, 1] admits p_v = 0 and p_v = 1, whose d_v is 1.
+    assert independence_polynomial(k2(), [Fraction(1), Fraction(1)]) == -1
+    assert independence_polynomial(k2(), [Fraction(1), Fraction(0)]) == 0
+    assert (independence_polynomial(path3(), [Fraction(1), Fraction(2, 7), Fraction(1)])
+            == Fraction(-2, 7))
+    for _ in range(60):
+        graph = random_graph(rng, max_vertices=9)
+        p = [rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(1, 6), 7), Fraction(2, 9)))
+             for _ in range(graph.n)]
+        z = independence_polynomial(graph, p)
+        assert type(z) is Fraction and z == independence_polynomial_bruteforce(graph, (), p)
+
+
 def test_base_set_factorization(rng):
     # The oracle's Q(G,S,p) = prod_{i in S} p_i * Q(G - S - N(S), 0, p) for
     # independent S, against the direct signed sum over supersets of S
@@ -239,7 +283,7 @@ def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
     # while Z_V > 0 and every child's region ({1}, {0, 2}, {1}) passes.
     true_q = shearer._QEngine.q
     monkeypatch.setattr(shearer._QEngine, "q", lambda engine, active: (
-        Fraction(-1) if active == 0b110 else true_q(engine, active)))
+        -1 if active == 0b110 else true_q(engine, active)))
     with pytest.raises(CertificationError):
         shearer_check(DepGraph.from_edges(3, [(0, 2)]), [QUARTER] * 3)
 

@@ -14,8 +14,10 @@ total is over the printed lines.  The corpus: table 2 30; bounds for
 k = 2..60; fixedpoint at F_Shearer, F_Shearer + 1, F_MT and F_MT + 1 for
 k = 5..20, with --max-trajectory 100000 so that the json runs print whole
 trajectories; check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at
-probabilities around the boundary, and on the extremal formulas
-(3,3,4..9), (3,2,10), (2,2,12) and (9,22,100); hj on small (j, k, L); mt
+probabilities around the boundary, on such graphs, n = 10..20, whose p have
+distinct prime denominators, on the extremal formulas (3,3,4..9), (3,2,10),
+(2,2,12) and (9,22,100), and with --guard-vertices 5000 on (3,3,40),
+(2,2,400) and (9,22,100); hj on small (j, k, L); mt
 under each rule on those formulas and on a SATLIB-style file (c lines, a %
 ending); and inputs that exit with each of the codes 2 to 6.  Everything
 runs in tsv and in json.  The extremal files are read whole and the
@@ -49,6 +51,10 @@ RULES = ("first-index", "uniform-random", "lowest-probability")
 SCALES = (Fraction(13, 20), Fraction(7, 10), Fraction(3, 4), Fraction(4, 5),
           Fraction(3, 2), Fraction(3))
 JITTER = (Fraction(3, 4), Fraction(1), Fraction(5, 4))
+# The primes in [29, 400): every composite below 400 = 20^2 has a factor below 20.
+PRIMES = [q for q in range(29, 400) if all(q % f for f in range(2, 20))]
+# Decided past the default vertex guard: 160, 800 and 4200 vertices.
+UNGUARDED = [(3, 3, 40), (2, 2, 400), (9, 22, 100)]
 
 
 def run(argv):
@@ -62,22 +68,42 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def seeded_graph(rng, n):
+    """The edges of a G(n, 0.35) draw and its vertex degrees."""
+    edges = [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return edges, degree
+
+
+def write_graph(name, n, edges, p):
+    Path(name).write_text(json.dumps({"n": n, "edges": edges, "p": list(map(str, p))}))
+    return name
+
+
 def write_graphs():
-    """Seeded G(n, 0.35) graph JSON files, several probability scales each."""
+    """Seeded G(n, 0.35) graph JSON files, several probability scales each.
+
+    The g files jitter 1 / (deg + 1); the c files round it to a fraction
+    whose denominator is a prime drawn for the vertex, distinct within a
+    graph, so the denominators are mixed and pairwise coprime.
+    """
     names = []
     for n in range(10, 25):
         rng = random.Random(n)
-        edges = [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
-        degree = [0] * n
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
+        edges, degree = seeded_graph(rng, n)
         for i, scale in enumerate(SCALES):
-            p = [str(min(scale * rng.choice(JITTER) / (d + 1), Fraction(99, 100)))
-                 for d in degree]
-            name = f"g{n}_{i}.json"
-            Path(name).write_text(json.dumps({"n": n, "edges": edges, "p": p}))
-            names.append(name)
+            p = [min(scale * rng.choice(JITTER) / (d + 1), Fraction(99, 100)) for d in degree]
+            names.append(write_graph(f"g{n}_{i}.json", n, edges, p))
+    for n in range(10, 21):
+        rng = random.Random(100 + n)
+        edges, degree = seeded_graph(rng, n)
+        for i, scale in enumerate(SCALES):
+            p = [Fraction(min(max(round(scale * q / (d + 1)), 1), q - 1), q)
+                 for d, q in zip(degree, rng.sample(PRIMES, n))]
+            names.append(write_graph(f"c{n}_{i}.json", n, edges, p))
     return names
 
 
@@ -109,6 +135,12 @@ def corpus():
         commands.append(["check-shearer", "--cnf", name])
         commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
                      for rule in RULES for seed in (0, 7)]
+    for k, L, r in UNGUARDED:
+        name = f"x{k}_{L}_{r}.cnf"
+        if (k, L, r) not in FORMULAS:
+            commands.append(["--out", name, "construct", "--k", str(k), "--L", str(L),
+                             "--r", str(r)])
+        commands.append(["--guard-vertices", "5000", "check-shearer", "--cnf", name])
     satlib = write_satlib_style()
     commands += [["mt", "--cnf", satlib, "--rule", rule, "--seed", str(seed)]
                  for rule in RULES for seed in (0, 7)]
