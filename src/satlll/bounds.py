@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from mpmath import fdiv, iv
+from mpmath import fdiv, mp
 
-from .certified import (DEFAULT_PRECISION, interval_precision, iv_from_fraction, json_float,
-                        midpoint_float)
 from .errors import DomainError, SizeGuardError
 from .events_graph import Event
+from .hj_family import DEFAULT_PRECISION, json_float
 
 EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
 
@@ -178,10 +177,8 @@ def ksat_alpha(k: int, L: int, precision: int) -> float:
     if L * k > 2 ** k - 1:
         raise DomainError(
             f"L={L} exceeds (2^k - 1)/k = {(2 ** k - 1)}/{k}; alpha would be negative")
-    with interval_precision(precision):
-        ratio = iv_from_fraction(Fraction(2 ** k - 1, k * L))
-        alpha = (ratio ** (iv.mpf(1) / (k - 1)) - 1) / L
-    return midpoint_float(alpha)
+    with mp.workprec(precision):  # printed only, so rounded to nearest
+        return float((fdiv(2 ** k - 1, k * L) ** fdiv(1, k - 1) - 1) / L)
 
 
 def gap_inequality(k: int) -> CriterionReport:

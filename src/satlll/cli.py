@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import hj_family, moser_tardos, sat_model, shearer
-from .certified import DEFAULT_PRECISION
 from .errors import (CertificationError, DimacsError, DomainError,
                      SatLllError, SizeGuardError)
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
@@ -38,7 +37,7 @@ _EXIT_CODES = ((DimacsError, EXIT_DIMACS), (CertificationError, EXIT_CERTIFICATI
                (SatLllError, EXIT_DOMAIN))
 
 # The integer settings: attribute on args, environment variable, default.
-_SETTINGS = (("precision", "SATLLL_PRECISION", DEFAULT_PRECISION),
+_SETTINGS = (("precision", "SATLLL_PRECISION", hj_family.DEFAULT_PRECISION),
              ("guard_vertices", "SATLLL_GUARD_VERTICES", DEFAULT_VERTEX_GUARD),
              ("guard_clauses", "SATLLL_GUARD_CLAUSES", sat_model.DEFAULT_CLAUSE_GUARD))
 
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     # when given, and one given after the subcommand overrides one before it.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int,
-                        help=f"working precision in bits (default {DEFAULT_PRECISION})")
+                        help=f"working precision in bits (default {hj_family.DEFAULT_PRECISION})")
     common.add_argument("--format", choices=("tsv", "json"))
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--guard-vertices", type=int)

@@ -14,9 +14,10 @@ class SizeGuardError(SatLllError):
 
 
 class CertificationError(SatLllError):
-    """An interval comparison could not be certified at the working precision.
+    """A comparison could not be certified at the working precision.
 
-    Raised instead of silently rounding.  When more precision may help,
+    Raised instead of silently rounding, when an enclosure rounded outward
+    straddles the decision boundary.  When more precision may help,
     retry_precision suggests a precision to retry at (twice the one that
     failed); it is None when the failure does not depend on precision.
     """

@@ -27,9 +27,13 @@ and F_Shearer(k) = floor(max ell).  It is certified from three facts:
    polynomial that for N >= 1 is concave and decreasing, positive at the
    lower end and negative at 2; its one root is the maximizer t*.
 3. For dyadic a < b with q_N(a) > 0 >= q_N(b), checked exactly,
-   concavity gives max phi_N in [phi_N(a), phi_N(a) + phi_N'(a)(b-a)],
-   where phi_N'(a) = q_N(a) / ((2-a)(a^k - ca)) is rational.  One interval
-   evaluation of phi_N(a) decides the sign, or CertificationError is raised.
+   concavity gives max phi_N in [phi_N(a), phi_N(a) + d], where
+   d = phi_N'(a)(b-a) and phi_N'(a) = q_N(a) / ((2-a)(a^k - ca)) are
+   rational.  As e^{phi_N(a)} = (2-a) u(a)^N, max phi_N >= 0 when
+   (2-a) u(a)^N >= 1, and max phi_N < 0 when (2-a) u(a)^N < 1 - d, since
+   e^{-d} >= 1 - d.  u(a)^N is enclosed on the integers of fact 6 and
+   compared exactly with both rationals; when neither test holds,
+   CertificationError is raised.
 
 Substituting t = 2 - a^{-(L-1)} turns the fixed point a = g(a) into
 phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).  So the same certificate
@@ -74,15 +78,19 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
 
-from .certified import (DEFAULT_PRECISION, certified_compare_ge, interval_precision,
-                        iv_from_fraction, json_float, midpoint_float)
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
+DEFAULT_PRECISION = 256
+
+
+def json_float(x: float) -> float | str:
+    """x, or "inf" / "-inf" as the text form prints it: JSON has no infinity."""
+    return x if math.isfinite(x) else str(x)
 
 
 @dataclass(frozen=True)
@@ -241,11 +249,6 @@ def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
     return RecurrenceState(j=j, k=k, L=L, p=p, s_values=tuple(s), r_values=tuple(r))
 
 
-def _u(t, p, k: int):
-    """u = 1 - p / t^(k-1), the same expression on Fraction, mpf and iv."""
-    return 1 - p / t ** (k - 1)
-
-
 def _power(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
     """(m, e) with m * 2^e <= (x / 2^P)^n, or >= when up, for ints x, n >= 0.
 
@@ -285,13 +288,30 @@ def _quotient(s: int, low: tuple[int, int], high: tuple[int, int]):
     return lo, -(-(1 << s - f) // n) if s >= f else 1
 
 
-def _at_most_half(m: int, e: int) -> bool:
-    """m * 2^e <= 1/2 for an int m >= 0, decided exactly from the bit length of m.
+def _compare(m: int, e: int, x: Fraction) -> int:
+    """The sign of m * 2^e - x, for ints m >= 0 and e, decided exactly.
 
-    No power of 2^e is formed: a power of a_j < 1 can have e near -N P.
+    Bit lengths settle it unless both sides have the same binary order, and
+    then |e| is at most a bit length, so 2^e itself is never formed: a power
+    below 1 can have e near -N P, about -2^118 for u(a)^N at k = 200, P = 72.
     """
-    t = m.bit_length() + e  # 2^(t-1) <= m * 2^e < 2^t when m > 0
-    return m == 0 or t < 0 or t == 0 and m & (m - 1) == 0
+    a, b = m * x.denominator, x.numerator
+    if a == 0 or b <= 0:
+        return 1 if a > 0 or b < 0 else -(b > 0)
+    order = a.bit_length() + e - b.bit_length()  # a 2^e / b in (2^(order-1), 2^(order+1))
+    if order:
+        return 1 if order > 0 else -1
+    a, b = (a << e, b) if e >= 0 else (a, b << -e)
+    return (a > b) - (a < b)
+
+
+def _u_bounds(lo: int, hi: int, k: int, P: int):
+    """Ints with u(t) = 1 - 2^{-k} / t^(k-1) in [lo', hi'] / 2^P for t in [lo, hi] / 2^P.
+
+    For 0 <= lo <= hi; u increases for t > 0, and lo' is -math.inf when lo = 0.
+    """
+    q_lo, q_hi = _quotient(P - k, *_powers(lo, hi, k - 1, P))  # 2^{-k} / t^(k-1), over 2^P
+    return (1 << P) - q_hi, (1 << P) - q_lo
 
 
 def _enclosures(k: int, N: int, P: int):
@@ -302,25 +322,26 @@ def _enclosures(k: int, N: int, P: int):
     Only the last lo can be -math.inf: when the lower bound on a_{j-1}^N is
     within 2^{-P} of 1/2, that on 2 - a_{j-1}^{-N} can round to 0.
     """
-    one = 1 << P
+    one, half = 1 << P, Fraction(1, 2)
     powers = (1, 0), (1, 0)  # a_0^N = 1
     while True:
         inv_lo, inv_hi = _quotient(P, *powers)  # a^{-N}, over 2^P
-        base = _powers(2 * one - inv_hi, 2 * one - inv_lo, k - 1, P)  # (2 - a^{-N})^{k-1}
-        q_lo, q_hi = _quotient(P - k, *base)  # 2^{-k} / base^{k-1}, over 2^P
-        lo, hi = one - q_hi, one - q_lo
+        lo, hi = _u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, P)  # g(a) = u(2 - a^{-N})
         powers = _powers(max(lo, 0), max(hi, 0), N, P)
-        if _at_most_half(*powers[1]):
+        if _compare(*powers[1], half) <= 0:
             yield lo, hi, "violated"
             return
-        if _at_most_half(*powers[0]):
+        if _compare(*powers[0], half) <= 0:
             yield lo, hi, "inconclusive"
             return
         yield lo, hi, None
 
 
 def _midpoint(lo: int, hi: int, P: int) -> float:
-    """midpoint_float's formula on [lo, hi] / 2^P: each end rounded, then summed and halved."""
+    """The printed value of [lo, hi] / 2^P: each end rounded to a double, then summed and halved.
+
+    It encloses nothing and no verdict is taken from it.
+    """
     try:
         return (lo / (1 << P) + hi / (1 << P)) / 2
     except OverflowError:  # a_j = 1 - 2^{-k} / base^{k-1} below -2^1024
@@ -344,13 +365,13 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
     if t is not None and t > 1:
         raise CertificationError(
             f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
-    with interval_precision(precision):
-        threshold = iv.mpf(2) ** (iv.mpf(-2) / (2 * L - 2))
-        threshold_mid = midpoint_float(threshold)
-        trajectory = [1.0]
+    with mp.workprec(precision):  # printed only, so rounded to nearest
+        exponent = mpmath.mpf(-1) / (L - 1)
+        threshold = float(mpmath.mpf(2) ** exponent)
         if t is not None:
-            c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
-            verdict = FixedPointVerdict("converged", value=midpoint_float(c))
+            c = (2 - mpmath.mpf(t.numerator) / t.denominator) ** exponent
+            verdict = FixedPointVerdict("converged", value=float(c))
+    trajectory = [1.0]
     if t is None:
         P = precision + 8
         for j, (lo, hi, kind) in zip(range(1, max_iter + 1), _enclosures(k, L - 1, P)):
@@ -362,7 +383,7 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
             verdict = FixedPointVerdict("inconclusive", step=max_iter, value=trajectory[-1])
     return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
                             trajectory=tuple(trajectory), verdict=verdict,
-                            threshold=threshold_mid)
+                            threshold=threshold)
 
 
 def _q(t, N: int, c, k: int):
@@ -370,11 +391,11 @@ def _q(t, N: int, c, k: int):
     return N * c * (k - 1) * (2 - t) + c * t - t ** k
 
 
-def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
-    """A dyadic t with phi_N(t) >= 0 if max_t phi_N(t) >= 0, else None, for N >= 1.
+def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
+    """Dyadic a < b with q_N(a) > 0 >= q_N(b) and a^(k-1) > 2^{-k}, checked exactly.
 
-    Certified by facts 2 and 3 of the module docstring: the enclosure's lower
-    end is that of phi_N(a), so the returned bracket end a has phi_N(a) >= 0.
+    By fact 2 they bracket the maximizer of phi_N, N >= 1, in its domain;
+    CertificationError when Newton at precision bits finds no such pair.
     """
     c = Fraction(1, 2 ** k)
     with mp.workprec(precision):
@@ -392,19 +413,34 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
         scale = 2 ** (precision // 2)
         n = int(t * scale)
     a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
-    q_a = _q(a, N, c, k)
-    if not (a > 0 and a ** (k - 1) > c and q_a > 0 >= _q(b, N, c, k)):
+    if not (a > 0 and a ** (k - 1) > c and _q(a, N, c, k) > 0 >= _q(b, N, c, k)):
         raise CertificationError(
             f"no certified bracket of the maximizer of phi_{N} for k={k}: "
             f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
-    dphi_a = q_a / ((2 - a) * (a ** k - c * a))
-    with interval_precision(precision):
-        a_iv = iv_from_fraction(a)
-        phi_a = iv.log(2 - a_iv) + N * iv.log(_u(a_iv, iv_from_fraction(c), k))
-        enclosure = phi_a + iv.mpf([0, 1]) * iv_from_fraction(dphi_a * (b - a))
-        if certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}"):
-            return a
+    return a, b
+
+
+def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
+    """A dyadic t with phi_N(t) >= 0 if max_t phi_N(t) >= 0, else None, for N >= 1.
+
+    Certified by facts 2 and 3 of the module docstring on the bracket a < b:
+    a is returned when (2-a) u(a)^N >= 1, which is phi_N(a) >= 0, and None
+    when (2-a) u(a)^N < 1 - phi_N'(a)(b-a).  u(a)^N is enclosed as fact 6
+    encloses a_j^N, at P = precision + 8, so no logarithm is taken.
+    """
+    a, b = _maximizer_bracket(N, k, precision)
+    c = Fraction(1, 2 ** k)
+    d = _q(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)  # phi_N'(a)(b-a)
+    P = precision + 8
+    x = int(a * (1 << P))  # exact: a has at most precision // 2 fraction bits
+    u_lo, u_hi = _u_bounds(x, x, k, P)
+    low, high = _powers(max(u_lo, 0), u_hi, N, P)  # u(a)^N
+    if _compare(*low, 1 / (2 - a)) >= 0:
+        return a
+    if _compare(*high, (1 - d) / (2 - a)) < 0:
         return None
+    raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",
+                             retry_precision=2 * precision)
 
 
 def _shearer_estimate(k: int) -> int:
@@ -438,10 +474,13 @@ def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
 
     Probes L = F and F + 1 at the estimate F; if either disagrees, binary
     search over the rest of [1, 2^k].  Each probe is decided exactly or
-    raises CertificationError.
+    raises CertificationError.  Probes run at no fewer than 2k + 128 bits:
+    max phi_N near N = F is about 2^{-k} from 0, and the enclosure of
+    u(a)^N, with N near 2^k / (ek), is about N 2^{-P} wide.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    precision = max(precision, 2 * k + 128)
     lo, hi = 1, 2 ** k  # max phi_{lo-1} >= 0 (or lo = 1); max phi_hi < 0
     estimate = _shearer_estimate(k)
     for L in (estimate, estimate + 1):

@@ -4,36 +4,78 @@ Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
 recurrence and its map g on exact rationals, the threshold curve ell, an
-occurrence count, the fixed-point iteration on interval objects, a binary
-search for F_Shearer, a search over orderings for the sets orderable to an
-event), so that tests can cross-check the production code against it.
+occurrence count, the test of max phi_N >= 0 on interval logarithms and
+the fixed-point iteration on interval objects, a binary search for
+F_Shearer, a search over orderings for the sets orderable to an event), so
+that tests can cross-check the production code against it.  The mpmath
+interval helpers they use live here too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import mpmath
 from mpmath import iv, mp
 
 from satlll import hj_family
-from satlll.certified import (DEFAULT_PRECISION, certified_compare_ge,
-                              interval_precision, iv_from_fraction,
-                              midpoint_float)
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph, Event
-from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
-                              _u, recurrence_sr)
+from satlll.hj_family import (DEFAULT_PRECISION, FixedPointReport, FixedPointVerdict,
+                              _check_params, _maximizer_bracket, _q, recurrence_sr)
 from satlll.sat_model import Formula
 from satlll.cli import DEFAULT_VERTEX_GUARD
 from satlll.shearer import (ProbabilityVector, ShearerVerdict, _check_probabilities,
                             independence_polynomial)
 
 BRUTE_FORCE_GUARD = 20
+
+
+@contextmanager
+def interval_precision(prec: int):
+    """Temporarily set the working precision of the global iv context."""
+    old = iv.prec
+    iv.prec = prec
+    try:
+        yield iv
+    finally:
+        iv.prec = old
+
+
+def iv_from_fraction(x: Fraction | int):
+    """Enclosing interval for a rational (exact when numerator/denominator fit)."""
+    x = Fraction(x)
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+def certified_compare_ge(x, y, what: str) -> bool:
+    """Certified x >= y; raises when the intervals overlap inconclusively."""
+    if (x >= y) is True:
+        return True
+    if (x < y) is True:
+        return False
+    raise CertificationError(f"{what} not certifiable at current precision",
+                             retry_precision=2 * iv.prec)
+
+
+def midpoint_float(x) -> float:
+    """Midpoint of an interval: each endpoint rounded, then summed and halved.
+
+    It rounds at the mp context precision, a double's 53 bits, as
+    hj_family._midpoint does; rounding only the sum would change some last bits.
+    """
+    lo, hi = x._mpi_
+    return float((mpmath.mpf(lo) + mpmath.mpf(hi)) / 2)
+
+
+def _u(t, p, k: int):
+    """u = 1 - p / t^(k-1), the same expression on Fraction, mpf and iv."""
+    return 1 - p / t ** (k - 1)
 
 
 def enumerate_independent_sets(graph: DepGraph):
@@ -269,30 +311,60 @@ def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
         return 1 - mpmath.log(2 - t) / denom
 
 
+def phi_witness_by_intervals(N: int, k: int, precision: int) -> Optional[Fraction]:
+    """``hj_family._phi_witness`` with phi_N(a) taken in ``iv`` logarithms.
+
+    On the same bracket a < b, phi_N(a) + [0, 1] phi_N'(a)(b-a) encloses
+    max phi_N at the given precision, and its sign decides, or
+    CertificationError is raised.
+    """
+    a, b = _maximizer_bracket(N, k, precision)
+    c = Fraction(1, 2 ** k)
+    dphi_a = _q(a, N, c, k) / ((2 - a) * (a ** k - c * a))
+    with interval_precision(precision):
+        a_iv = iv_from_fraction(a)
+        phi_a = iv.log(2 - a_iv) + N * iv.log(_u(a_iv, iv_from_fraction(c), k))
+        enclosure = phi_a + iv.mpf([0, 1]) * iv_from_fraction(dphi_a * (b - a))
+        if certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}"):
+            return a
+        return None
+
+
+def fixed_point_bounds_by_intervals(t: Optional[Fraction], L: int, precision: int):
+    """``iv`` enclosures of the threshold 2^{-1/(L-1)} and, for a witness t,
+    of the lower bound c = (2-t)^{-1/(L-1)} on every a_j (None without one)."""
+    with interval_precision(precision):
+        threshold = iv.mpf(2) ** (iv.mpf(-2) / (2 * L - 2))
+        if t is None:
+            return threshold, None
+        return threshold, (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
+
+
 def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
                                        precision: int = DEFAULT_PRECISION,
                                        enclosures: list | None = None) -> FixedPointReport:
     """``fixed_point_iteration`` with its violated loop on ``iv`` interval objects.
 
     Every operation goes through iv's operators at the given precision and
-    compares a_j with the threshold interval; the production loop keeps
-    integer enclosures 8 bits finer and compares a_j^N with 1/2.  From 128
-    bits up the reports agree bit for bit.  Below that iv's enclosures can
-    be wider than a double's rounding cell, so printed digits may differ,
-    and ``enclosures``, when given, collects each a_j's iv enclosure so
-    that a test can check that the production value lies inside it.
+    compares a_j with the threshold interval, and the threshold and c are
+    printed as the midpoints of their enclosures; the production loop keeps
+    integer enclosures 8 bits finer and compares a_j^N with 1/2, and rounds
+    the threshold and c to nearest.  From 128 bits up the reports agree bit
+    for bit.  Below that iv's enclosures can be wider than a double's
+    rounding cell, so printed digits may differ, and ``enclosures``, when
+    given, collects each a_j's iv enclosure so that a test can check that
+    the production value lies inside it.
     """
     _check_params(k, L)
     t = hj_family._phi_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
             f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
+    threshold, c = fixed_point_bounds_by_intervals(t, L, precision)
     with interval_precision(precision):
-        threshold = iv.mpf(2) ** (iv.mpf(-2) / (2 * L - 2))
         threshold_mid = midpoint_float(threshold)
         trajectory = [1.0]
         if t is not None:
-            c = (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
             verdict = FixedPointVerdict("converged", value=midpoint_float(c))
         else:
             p = iv_from_fraction(Fraction(1, 2 ** k))
@@ -319,9 +391,11 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
 
 def shearer_upper_bound_by_bisection(k: int, precision: int = DEFAULT_PRECISION) -> int:
     """F_Shearer(k) by binary search over [1, 2^k] for the largest L with
-    max phi_{L-1} >= 0: about k certified probes where the estimate needs two."""
+    max phi_{L-1} >= 0: about k certified probes where the estimate needs
+    two.  The probes take shearer_upper_bound's floor of 2k + 128 bits."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    precision = max(precision, 2 * k + 128)
     lo, hi = 1, 2 ** k
     while lo < hi:
         mid = (lo + hi + 1) // 2

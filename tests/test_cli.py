@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll import bounds, cli, hj_family, moser_tardos
-from satlll.certified import DEFAULT_PRECISION
+from satlll.hj_family import DEFAULT_PRECISION
 from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
 from satlll.errors import DomainError
@@ -47,12 +47,25 @@ def test_table_json(capsys):
 
 
 def test_certification_failure_suggests_a_precision(capsys):
-    # F_Shearer(200) needs finer brackets than 256 bits give; twice that suffices.
-    code, out, err = run_cli(capsys, "table", "200", "200")
+    # At L = F_Shearer(200), max phi_{L-1} >= 0 is not certifiable at 256
+    # bits, where fixedpoint has no floor; twice that suffices.
+    argv = ("fixedpoint", "--k", "200", "--L",
+            "2955834144021611738375928619524554769177806039044019000190")
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_CERTIFICATION, "")
     assert err.startswith("error: max phi_")
     assert err.endswith("not certifiable at current precision (retry with --precision 512)\n")
-    code, out, _ = run_cli(capsys, "--precision", "512", "table", "200", "200")
+    code, out, _ = run_cli(capsys, "--precision", "512", *argv)
+    assert code == 0
+    assert " verdict=converged step=None " in out
+
+
+def test_table_probes_at_a_precision_floor(capsys):
+    # F_Shearer(k) is probed at 2k + 128 bits or more, so the default 256
+    # bits certify the rows from k = 133 up.
+    code, out, _ = run_cli(capsys, "table", "133", "140")
+    assert code == 0 and len(out.splitlines()) == 8
+    code, out, _ = run_cli(capsys, "table", "200", "200")
     assert code == 0
     assert out == ("200\t2955797348595638953793724035309995746763891678634480330080"
                    "\t2955834144021611738375928619524554769177806039044019000190"

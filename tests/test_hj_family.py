@@ -18,7 +18,8 @@ from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
                               shearer_upper_bound)
 from satlll.shearer import independence_polynomial
 
-from oracles import (a_b_sequence, fixed_point_iteration_by_intervals, g_function,
+from oracles import (a_b_sequence, fixed_point_bounds_by_intervals,
+                     fixed_point_iteration_by_intervals, g_function, phi_witness_by_intervals,
                      shearer_upper_bound_by_bisection, threshold_ell)
 
 
@@ -211,14 +212,22 @@ def test_fixed_point_matches_interval_objects(monkeypatch):
             ("violated", 100_000)} <= kinds
 
 
+def within_doubles(value: float, enclosure) -> bool:
+    """value lies in an iv enclosure rounded outward to doubles: no double
+    lies strictly between the enclosure and value."""
+    lo, hi = (Fraction(*to_rational(end)) for end in enclosure._mpi_)
+    below, above = (Fraction(math.nextafter(value, toward)) for toward in (-math.inf, math.inf))
+    return below < hi and lo < above
+
+
 def test_fixed_point_lies_in_interval_objects_at_64_bits(monkeypatch):
     # At 64 bits iv's enclosures can be wider than a double's rounding cell,
-    # so the printed digits of the two routes may differ.  The verdict,
-    # step and threshold must agree, and every printed a_j must lie in iv's
-    # enclosure of a_j rounded outward to doubles: no double lies strictly
-    # between the enclosure and the printed value.  (A printed midpoint can
-    # be the nearest double just outside an enclosure narrower than the
-    # spacing of doubles; iv's own midpoint can too.)
+    # so the printed digits of the two routes may differ.  The verdict and
+    # step must agree, and the printed threshold, converged value c and
+    # every printed a_j must lie in iv's enclosure rounded outward to
+    # doubles.  (A printed value can be the nearest double just outside an
+    # enclosure narrower than the spacing of doubles; iv's own midpoint can
+    # too.)
     monkeypatch.setattr(hj_family, "_phi_witness", functools.cache(hj_family._phi_witness))
     checked = 0
     for k in range(2, 13):
@@ -228,27 +237,55 @@ def test_fixed_point_lies_in_interval_objects_at_64_bits(monkeypatch):
                 got = outcome(fixed_point_iteration, k, L, max_iter=max_iter, precision=64)
                 expected = outcome(fixed_point_iteration_by_intervals, k, L,
                                    max_iter=max_iter, precision=64, enclosures=enclosures)
-                if isinstance(got, tuple) or got.verdict.kind == "converged":
+                if isinstance(got, tuple):
                     assert got == expected, (k, L, max_iter)
                     continue
-                assert ((got.verdict.kind, got.verdict.step, got.threshold)
-                        == (expected.verdict.kind, expected.verdict.step,
-                            expected.threshold)), (k, L, max_iter)
-                assert got.verdict.value == got.trajectory[-1]
+                threshold, c = fixed_point_bounds_by_intervals(
+                    hj_family._phi_witness(L - 1, k, 64), L, 64)
+                assert within_doubles(got.threshold, threshold), (k, L)
+                assert ((got.verdict.kind, got.verdict.step)
+                        == (expected.verdict.kind, expected.verdict.step)), (k, L, max_iter)
                 assert got.trajectory[0] == 1.0
+                if got.verdict.kind == "converged":
+                    assert got.trajectory == (1.0,) and within_doubles(got.verdict.value, c)
+                    continue
+                assert got.verdict.value == got.trajectory[-1]
                 assert len(got.trajectory) == len(enclosures) + 1, (k, L, max_iter)
                 for j, (value, enclosure) in enumerate(zip(got.trajectory[1:], enclosures), 1):
-                    lo, hi = (Fraction(*to_rational(end)) for end in enclosure._mpi_)
-                    below, above = (Fraction(math.nextafter(value, toward))
-                                    for toward in (-math.inf, math.inf))
-                    assert below < hi and lo < above, (k, L, j)
+                    assert within_doubles(value, enclosure), (k, L, j)
                     checked += 1
     assert checked > 1000, checked
+
+
+def test_phi_witness_matches_interval_logarithms():
+    # The integer test of max phi_N >= 0 against the one on iv logarithms,
+    # around the boundary N = F_Shearer - 1 | F_Shearer: the two agree
+    # wherever the interval route decides, so the integer route never
+    # refuses where it decides.
+    decided = 0
+    for k in [*range(2, 41), 60, 100, 133, 200]:
+        F = shearer_upper_bound(k)
+        for N in range(max(F - 2, 1), F + 2):
+            for precision in (64, 128, 256, 512):
+                expected = outcome(phi_witness_by_intervals, N, k, precision)
+                got = outcome(hj_family._phi_witness, N, k, precision)
+                if isinstance(expected, tuple):  # refused by the interval route
+                    continue
+                assert got == expected, (k, N, precision)
+                decided += 1
+    assert decided > 600, decided
 
 
 def exact(bound):
     m, e = bound
     return Fraction(m) * Fraction(2) ** e
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+HALF = Fraction(1, 2)
 
 
 def test_directed_helpers_bound_exact_values():
@@ -273,13 +310,41 @@ def test_directed_helpers_bound_exact_values():
             q_lo, q_hi = hj_family._quotient(shift, low, high)
             assert 0 <= Fraction(2) ** shift / exact(high) - q_lo < 1, (shift, low, high)
             assert 0 <= q_hi - Fraction(2) ** shift / exact(low) < 1, (shift, low, high)
+        # u(t) = 1 - 2^{-k} / t^{k-1}, over 2^P: off by at most 1 plus twice
+        # the powers' relative error on 2^{-k} / t^{k-1}
+        k = rng.randrange(2, 12)
+        u_lo, u_hi = hj_family._u_bounds(lo, hi, k, P)
+        for t, end, outward in ((hi, u_hi, 1), (lo, u_lo, -1)):
+            if not t:
+                assert end == -math.inf
+                continue
+            q = Fraction(2 ** (P - k)) / Fraction(t, 1 << P) ** (k - 1)
+            assert 0 <= outward * (end - ((1 << P) - q)) <= 1 + 2 * k * q / 2 ** P, (t, k)
+        m, e = rng.randrange(1 << rng.randrange(1, 80)), rng.randrange(-90, 90)
+        x = Fraction(rng.randrange(-5, 1 << 60), rng.randrange(1, 1 << 40))
+        assert hj_family._compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
+        assert hj_family._compare(m, e, exact((m, e))) == 0, (m, e)
     assert hj_family._quotient(5, (0, 3), (1, 0)) == (32, math.inf)
+    for m, e, x in [(0, 5, Fraction(0)), (0, 5, Fraction(-1, 3)), (0, -3, Fraction(1, 9)),
+                    (5, -700, Fraction(-1, 3)), (3, -2, Fraction(3, 4)), (3, -1, Fraction(3, 4)),
+                    (3, -3, Fraction(3, 4))]:
+        assert hj_family._compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
     for m, e in [(1, -1), (2, -2), (3, -2), (1, 0), (0, 7), (5, 3), (2 ** 70, -71),
                  (2 ** 70 + 1, -71), (2 ** 70 - 1, -71), (3, -3), (7, -3)]:
-        assert hj_family._at_most_half(m, e) == (exact((m, e)) <= Fraction(1, 2)), (m, e)
+        assert hj_family._compare(m, e, HALF) == sign(exact((m, e)) - HALF), (m, e)
     # a^N for a < 1 and N near 2^k: the exponent is far beyond any shift
-    assert hj_family._at_most_half(2 ** 90 + 1, -10 ** 30)
-    assert not hj_family._at_most_half(1, 10 ** 30)
+    assert hj_family._compare(2 ** 90 + 1, -10 ** 30, HALF) == -1
+    assert hj_family._compare(1, 10 ** 30, HALF) == 1
+    # u(a)^N at k = 200, N = F_Shearer(200) - 1 and 64 bits (P = 72): the
+    # exponent of its lower end is near -2^118, so 2^e cannot be formed
+    N = 2955834144021611738375928619524554769177806039044019000189
+    a, _ = hj_family._maximizer_bracket(N, 200, 64)
+    x = int(a * 2 ** 72)
+    u_lo, u_hi = hj_family._u_bounds(x, x, 200, 72)
+    low, high = hj_family._powers(u_lo, u_hi, N, 72)
+    assert low[1] < -2 ** 118
+    assert hj_family._compare(*low, 1 / (2 - a)) == -1
+    assert hj_family._compare(*high, 1 / (2 - a)) == 1
 
 
 def test_fixed_point_at_large_k_matches_interval_objects():
@@ -360,11 +425,13 @@ def test_shearer_upper_bound_matches_bisection():
         for k in range(2, 41):
             assert (outcome(shearer_upper_bound, k, precision)
                     == outcome(shearer_upper_bound_by_bisection, k, precision)), (k, precision)
-    assert shearer_upper_bound(200, 512) == shearer_upper_bound_by_bisection(200, 512)
-    for route in (shearer_upper_bound, shearer_upper_bound_by_bisection):
-        with pytest.raises(CertificationError) as refused:
-            route(200, 256)
-        assert refused.value.retry_precision == 512
+    assert shearer_upper_bound(200, 256) == shearer_upper_bound_by_bisection(200, 256)
+    # Below the routes' floor of 2k + 128 bits, the probe of F_Shearer(200)
+    # itself is refused.
+    with pytest.raises(CertificationError) as refused:
+        hj_family._phi_witness(2955834144021611738375928619524554769177806039044019000189,
+                               200, 256)
+    assert refused.value.retry_precision == 512
 
 
 def count_probes(monkeypatch) -> list:
@@ -443,8 +510,11 @@ def test_shearer_upper_bound_table_samples():
 
 
 def test_shearer_upper_bound_refuses_without_precision():
-    with pytest.raises(CertificationError):
-        shearer_upper_bound(30, precision=8)
+    # shearer_upper_bound probes at 188 bits or more for k = 30; a probe at
+    # 8 bits cannot decide.
+    with pytest.raises(CertificationError) as refused:
+        hj_family._phi_witness(SHEARER_SAMPLES[30] - 1, 30, 8)
+    assert refused.value.retry_precision == 16
 
 
 def test_embed_j0_trivial():
