@@ -249,31 +249,57 @@ def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
     return RecurrenceState(j=j, k=k, L=L, p=p, s_values=tuple(s), r_values=tuple(r))
 
 
-def _power(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
-    """(m, e) with m * 2^e <= (x / 2^P)^n, or >= when up, for ints x, n >= 0.
+def _bits(n: int) -> list[int]:
+    """The bit schedule of n >= 1 for _powers: its bits below the top one, lowest first.
 
-    Square-and-multiply; each product is cut to P + 2 bits (one more when a
-    cut rounds up) in the safe direction, and the exponent takes the rest.
+    A list: tuple() of a generator fills 10 fresh slots and shrinks them,
+    so CPython's free list for the final length only gains, up to 2000
+    tuples per length, and the peak RSS of long runs grew with it.
     """
-    width, m, e, f = P + 2, 1, 0, -P
-    while True:
-        if n & 1:
-            m, e = m * x, e + f
+    return [n >> i & 1 for i in range(n.bit_length() - 1)]
+
+
+def _powers(lo: int, hi: int, bits: list[int], P: int):
+    """(m, e) pairs with m * 2^e below (lo / 2^P)^n and above (hi / 2^P)^n,
+    for ints 0 <= lo <= hi and the n >= 1 with bits = _bits(n).
+
+    Square-and-multiply from the lowest bit, both ends in one loop: each
+    product is cut to P + 2 bits (one more when a cut rounds up), down for
+    the lower end and up for the upper one, and its exponent takes the rest.
+    The enclosures of fact 6 and u(a)^N in _phi_witness rest on both ends.
+    Newton in _maximizer_bracket reads only the lower end, and nothing
+    rests on that: its proposal is certified by an exact check.
+    """
+    width = P + 2
+    m, e, n, f = 1, 0, 1, 0  # the products, m * 2^e and n * 2^f
+    x, g, y, h = lo, -P, hi, -P  # the squares, x * 2^g and y * 2^h
+    for bit in bits:
+        if bit:
+            m, e = m * x, e + g
             cut = m.bit_length() - width
             if cut > 0:
-                m, e = -(-m >> cut) if up else m >> cut, e + cut
-        n >>= 1
-        if not n:
-            return m, e
-        x, f = x * x, 2 * f
+                m, e = m >> cut, e + cut
+            n, f = n * y, f + h
+            cut = n.bit_length() - width
+            if cut > 0:
+                n, f = -(-n >> cut), f + cut
+        x, g = x * x, 2 * g
         cut = x.bit_length() - width
         if cut > 0:
-            x, f = -(-x >> cut) if up else x >> cut, f + cut
-
-
-def _powers(lo: int, hi: int, n: int, P: int):
-    """(m, e) pairs with m * 2^e below (lo / 2^P)^n and above (hi / 2^P)^n, for 0 <= lo <= hi."""
-    return _power(lo, n, P, False), _power(hi, n, P, True)
+            x, g = x >> cut, g + cut
+        y, h = y * y, 2 * h
+        cut = y.bit_length() - width
+        if cut > 0:
+            y, h = -(-y >> cut), h + cut
+    m, e = m * x, e + g  # the top bit
+    cut = m.bit_length() - width
+    if cut > 0:
+        m, e = m >> cut, e + cut
+    n, f = n * y, f + h
+    cut = n.bit_length() - width
+    if cut > 0:
+        n, f = -(-n >> cut), f + cut
+    return (m, e), (n, f)
 
 
 def _quotient(s: int, low: tuple[int, int], high: tuple[int, int]):
@@ -305,12 +331,13 @@ def _compare(m: int, e: int, x: Fraction) -> int:
     return (a > b) - (a < b)
 
 
-def _u_bounds(lo: int, hi: int, k: int, P: int):
+def _u_bounds(lo: int, hi: int, k: int, k_bits: list[int], P: int):
     """Ints with u(t) = 1 - 2^{-k} / t^(k-1) in [lo', hi'] / 2^P for t in [lo, hi] / 2^P.
 
-    For 0 <= lo <= hi; u increases for t > 0, and lo' is -math.inf when lo = 0.
+    For 0 <= lo <= hi and k_bits = _bits(k - 1); u increases for t > 0, and
+    lo' is -math.inf when lo = 0.
     """
-    q_lo, q_hi = _quotient(P - k, *_powers(lo, hi, k - 1, P))  # 2^{-k} / t^(k-1), over 2^P
+    q_lo, q_hi = _quotient(P - k, *_powers(lo, hi, k_bits, P))  # 2^{-k} / t^(k-1), over 2^P
     return (1 << P) - q_hi, (1 << P) - q_lo
 
 
@@ -323,11 +350,13 @@ def _enclosures(k: int, N: int, P: int):
     within 2^{-P} of 1/2, that on 2 - a_{j-1}^{-N} can round to 0.
     """
     one, half = 1 << P, Fraction(1, 2)
+    n_bits, k_bits = _bits(N), _bits(k - 1)
     powers = (1, 0), (1, 0)  # a_0^N = 1
     while True:
         inv_lo, inv_hi = _quotient(P, *powers)  # a^{-N}, over 2^P
-        lo, hi = _u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, P)  # g(a) = u(2 - a^{-N})
-        powers = _powers(max(lo, 0), max(hi, 0), N, P)
+        # g(a) = u(2 - a^{-N})
+        lo, hi = _u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, k_bits, P)
+        powers = _powers(max(lo, 0), max(hi, 0), n_bits, P)
         if _compare(*powers[1], half) <= 0:
             yield lo, hi, "violated"
             return
@@ -353,7 +382,9 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
     """Decide whether a_j = g(a_{j-1}) from a_0 = 1 stays above 2^{-1/(L-1)}.
 
     "converged" is certified without iterating by fact 4 of the module
-    docstring; its value is the lower bound c on every a_j.  Otherwise the
+    docstring; its value is the lower bound c on every a_j.  A phi test
+    refused below _precision_floor(k) bits is retried once at the floor,
+    so only a refusal can turn into a decision.  Otherwise the
     iteration runs on the integer enclosures of fact 6, with 8 bits more
     than precision, until one certifies "violated"; an undecided comparison
     or max_iter steps give "inconclusive".
@@ -361,7 +392,7 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
     _check_params(k, L)
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    t = _phi_witness(L - 1, k, precision)
+    t = _fixed_point_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
             f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
@@ -394,24 +425,32 @@ def _q(t, N: int, c, k: int):
 def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
     """Dyadic a < b with q_N(a) > 0 >= q_N(b) and a^(k-1) > 2^{-k}, checked exactly.
 
-    By fact 2 they bracket the maximizer of phi_N, N >= 1, in its domain;
-    CertificationError when Newton at precision bits finds no such pair.
+    By fact 2 they bracket the maximizer of phi_N, N >= 1, in its domain.
+    Newton's method on t = T / 2^W for ints T, W = precision + k, proposes
+    a and b as (n - 1) and (n + 1) over 2^h, n = floor(t 2^h), h = precision // 2.
+    Newton is not certified: its t^(k-1), products and quotient are rounded
+    down with no bound kept.  The exact rational check of a and b is what
+    certifies, and CertificationError is raised when it fails.
     """
     c = Fraction(1, 2 ** k)
-    with mp.workprec(precision):
-        # Newton descends monotonically onto the root t* of the concave,
-        # decreasing q_N from any t >= t*: from t = 1 when q_N(1) <= 0, which
-        # is N (k-1) + 1 <= 2^k, else from t = 2.  Stop once rounding halts it.
-        c_mp = mpmath.mpf(2) ** (-k)
-        t = mpmath.mpf(1 if N * (k - 1) + 1 <= 2 ** k else 2)
-        for _ in range(k + precision):
-            slope = c_mp * (1 - N * (k - 1)) - k * t ** (k - 1)
-            t_next = t - _q(t, N, c_mp, k) / slope
-            if t_next >= t:
-                break
-            t = t_next
-        scale = 2 ** (precision // 2)
-        n = int(t * scale)
+    W, M, k_bits = precision + k, N * (k - 1), _bits(k - 1)
+    # Newton descends monotonically onto the root t* of the concave,
+    # decreasing q_N from any t >= t*: from t = 1 when q_N(1) <= 0, which
+    # is M + 1 <= 2^k for M = N (k-1), else from t = 2.  Stop once rounding
+    # halts it.  With pw = 2^(k+W) t^(k-1), 2^(k+W) q_N(t) is
+    # M (2^(W+1) - T) + T - T pw / 2^W and 2^(k+W) q_N'(t) is (1 - M) 2^W - k pw.
+    T = 1 << W if M + 1 <= 1 << k else 2 << W
+    for _ in range(k + precision):
+        m, e = _powers(T, T, k_bits, W)[0]
+        shift = e + k + W
+        pw = m << shift if shift >= 0 else m >> -shift
+        q = M * ((2 << W) - T) + T - (T * pw >> W)
+        T_next = T - (q << W) // ((1 - M << W) - k * pw)
+        if T_next >= T:
+            break
+        T = T_next
+    scale = 1 << precision // 2
+    n = T >> W - precision // 2
     a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
     if not (a > 0 and a ** (k - 1) > c and _q(a, N, c, k) > 0 >= _q(b, N, c, k)):
         raise CertificationError(
@@ -433,14 +472,34 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
     d = _q(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)  # phi_N'(a)(b-a)
     P = precision + 8
     x = int(a * (1 << P))  # exact: a has at most precision // 2 fraction bits
-    u_lo, u_hi = _u_bounds(x, x, k, P)
-    low, high = _powers(max(u_lo, 0), u_hi, N, P)  # u(a)^N
+    u_lo, u_hi = _u_bounds(x, x, k, _bits(k - 1), P)
+    low, high = _powers(max(u_lo, 0), u_hi, _bits(N), P)  # u(a)^N
     if _compare(*low, 1 / (2 - a)) >= 0:
         return a
     if _compare(*high, (1 - d) / (2 - a)) < 0:
         return None
     raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",
                              retry_precision=2 * precision)
+
+
+def _precision_floor(k: int) -> int:
+    """2k + 128, the fewest bits at which phi_N is probed near N = F_Shearer(k).
+
+    max phi_N there is about 2^{-k} from 0, and the enclosure of u(a)^N,
+    with N near 2^k / (ek), is about N 2^{-P} wide.
+    """
+    return 2 * k + 128
+
+
+def _fixed_point_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
+    """_phi_witness at precision, and again at _precision_floor(k) if it
+    refuses below the floor; a refusal there raises with twice the floor."""
+    try:
+        return _phi_witness(N, k, precision)
+    except CertificationError:
+        if precision >= _precision_floor(k):
+            raise
+        return _phi_witness(N, k, _precision_floor(k))
 
 
 def _shearer_estimate(k: int) -> int:
@@ -474,13 +533,12 @@ def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
 
     Probes L = F and F + 1 at the estimate F; if either disagrees, binary
     search over the rest of [1, 2^k].  Each probe is decided exactly or
-    raises CertificationError.  Probes run at no fewer than 2k + 128 bits:
-    max phi_N near N = F is about 2^{-k} from 0, and the enclosure of
-    u(a)^N, with N near 2^k / (ek), is about N 2^{-P} wide.
+    raises CertificationError.  Probes run at no fewer than
+    _precision_floor(k) bits.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    precision = max(precision, 2 * k + 128)
+    precision = max(precision, _precision_floor(k))
     lo, hi = 1, 2 ** k  # max phi_{lo-1} >= 0 (or lo = 1); max phi_hi < 0
     estimate = _shearer_estimate(k)
     for L in (estimate, estimate + 1):

@@ -4,11 +4,12 @@ Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
 recurrence and its map g on exact rationals, the threshold curve ell, an
-occurrence count, the test of max phi_N >= 0 on interval logarithms and
-the fixed-point iteration on interval objects, a binary search for
-F_Shearer, a search over orderings for the sets orderable to an event), so
-that tests can cross-check the production code against it.  The mpmath
-interval helpers they use live here too.
+occurrence count, the test of max phi_N >= 0 on interval logarithms,
+Newton's bracket of its maximizer on mpmath floats, one end of a power by
+square-and-multiply, the fixed-point iteration on interval objects, a
+binary search for F_Shearer, a search over orderings for the sets
+orderable to an event), so that tests can cross-check the production code
+against it.  The mpmath interval helpers they use live here too.
 """
 
 from __future__ import annotations
@@ -311,6 +312,52 @@ def threshold_ell(t, k: int, precision: int = DEFAULT_PRECISION):
         return 1 - mpmath.log(2 - t) / denom
 
 
+def power_by_squaring(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2^e <= (x / 2^P)^n, or >= when up, for ints x, n >= 0.
+
+    ``hj_family._powers`` for one end, with n read bit by bit: square-and-
+    multiply, each product cut to P + 2 bits (one more when a cut rounds
+    up) in the safe direction, the exponent taking the rest.
+    """
+    width, m, e, f = P + 2, 1, 0, -P
+    while True:
+        if n & 1:
+            m, e = m * x, e + f
+            cut = m.bit_length() - width
+            if cut > 0:
+                m, e = -(-m >> cut) if up else m >> cut, e + cut
+        n >>= 1
+        if not n:
+            return m, e
+        x, f = x * x, 2 * f
+        cut = x.bit_length() - width
+        if cut > 0:
+            x, f = -(-x >> cut) if up else x >> cut, f + cut
+
+
+def maximizer_bracket_by_mpmath(N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
+    """``hj_family._maximizer_bracket`` with Newton's method on mpmath floats
+    at precision bits, rounded to nearest, and the same exact check after it."""
+    c = Fraction(1, 2 ** k)
+    with mp.workprec(precision):
+        c_mp = mpmath.mpf(2) ** (-k)
+        t = mpmath.mpf(1 if N * (k - 1) + 1 <= 2 ** k else 2)
+        for _ in range(k + precision):
+            slope = c_mp * (1 - N * (k - 1)) - k * t ** (k - 1)
+            t_next = t - _q(t, N, c_mp, k) / slope
+            if t_next >= t:
+                break
+            t = t_next
+        scale = 2 ** (precision // 2)
+        n = int(t * scale)
+    a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
+    if not (a > 0 and a ** (k - 1) > c and _q(a, N, c, k) > 0 >= _q(b, N, c, k)):
+        raise CertificationError(
+            f"no certified bracket of the maximizer of phi_{N} for k={k}: "
+            f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
+    return a, b
+
+
 def phi_witness_by_intervals(N: int, k: int, precision: int) -> Optional[Fraction]:
     """``hj_family._phi_witness`` with phi_N(a) taken in ``iv`` logarithms.
 
@@ -356,7 +403,7 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
     the production value lies inside it.
     """
     _check_params(k, L)
-    t = hj_family._phi_witness(L - 1, k, precision)
+    t = hj_family._fixed_point_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
             f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
@@ -395,7 +442,7 @@ def shearer_upper_bound_by_bisection(k: int, precision: int = DEFAULT_PRECISION)
     two.  The probes take shearer_upper_bound's floor of 2k + 128 bits."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    precision = max(precision, 2 * k + 128)
+    precision = max(precision, hj_family._precision_floor(k))
     lo, hi = 1, 2 ** k
     while lo < hi:
         mid = (lo + hi + 1) // 2

@@ -16,7 +16,7 @@ from satlll import bounds, cli, hj_family, moser_tardos
 from satlll.hj_family import DEFAULT_PRECISION
 from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
-from satlll.errors import DomainError
+from satlll.errors import CertificationError, DomainError
 from satlll.events_graph import DepGraph
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD
 
@@ -46,17 +46,31 @@ def test_table_json(capsys):
     assert json.loads(out) == [{"k": 9, "F_LLL": 20, "F_Shearer": 21, "F_MT": 22}]
 
 
-def test_certification_failure_suggests_a_precision(capsys):
+def test_certification_failure_suggests_a_precision(capsys, monkeypatch):
     # At L = F_Shearer(200), max phi_{L-1} >= 0 is not certifiable at 256
-    # bits, where fixedpoint has no floor; twice that suffices.
+    # bits; fixedpoint retries it at the floor of 2k + 128 = 528 bits.
     argv = ("fixedpoint", "--k", "200", "--L",
             "2955834144021611738375928619524554769177806039044019000190")
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (EXIT_CERTIFICATION, "")
-    assert err.startswith("error: max phi_")
-    assert err.endswith("not certifiable at current precision (retry with --precision 512)\n")
-    code, out, _ = run_cli(capsys, "--precision", "512", *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert " verdict=converged step=None " in out
+    # A probe refused at the floor too exits 5 and suggests twice the floor.
+    probe, precisions = hj_family._phi_witness, []
+
+    def refused_below_1056(N, k, precision):
+        precisions.append(precision)
+        if precision < 1056:
+            raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at "
+                                     "current precision", retry_precision=2 * precision)
+        return probe(N, k, precision)
+
+    monkeypatch.setattr(hj_family, "_phi_witness", refused_below_1056)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, precisions) == (EXIT_CERTIFICATION, "", [256, 528])
+    assert err.startswith("error: max phi_")
+    assert err.endswith("not certifiable at current precision (retry with --precision 1056)\n")
+    code, out, _ = run_cli(capsys, "--precision", "1056", *argv)
+    assert code == 0 and precisions[2:] == [1056]
     assert " verdict=converged step=None " in out
 
 

@@ -19,8 +19,9 @@ from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
 from satlll.shearer import independence_polynomial
 
 from oracles import (a_b_sequence, fixed_point_bounds_by_intervals,
-                     fixed_point_iteration_by_intervals, g_function, phi_witness_by_intervals,
-                     shearer_upper_bound_by_bisection, threshold_ell)
+                     fixed_point_iteration_by_intervals, g_function,
+                     maximizer_bracket_by_mpmath, phi_witness_by_intervals,
+                     power_by_squaring, shearer_upper_bound_by_bisection, threshold_ell)
 
 
 def q_uniform(hgraph, k):
@@ -241,7 +242,7 @@ def test_fixed_point_lies_in_interval_objects_at_64_bits(monkeypatch):
                     assert got == expected, (k, L, max_iter)
                     continue
                 threshold, c = fixed_point_bounds_by_intervals(
-                    hj_family._phi_witness(L - 1, k, 64), L, 64)
+                    hj_family._fixed_point_witness(L - 1, k, 64), L, 64)
                 assert within_doubles(got.threshold, threshold), (k, L)
                 assert ((got.verdict.kind, got.verdict.step)
                         == (expected.verdict.kind, expected.verdict.step)), (k, L, max_iter)
@@ -276,6 +277,47 @@ def test_phi_witness_matches_interval_logarithms():
     assert decided > 600, decided
 
 
+def test_power_loop_matches_single_end_runs():
+    # _powers takes both ends in one loop driven by the exponent's bit
+    # schedule; its integers must be exactly those of square-and-multiply
+    # run once for each end, whose roughly 2^-P rounding errors the loop
+    # must not reorder.
+    rng = random.Random(20)
+    for P in (72, 136, 264, 536):
+        exponents = {1, 2, rng.randrange(3, 1 << 64)}
+        exponents |= {2 ** j + d for j in (2, 5, 17, 64, 193) for d in (0, -1)}
+        for n in exponents:
+            bits = hj_family._bits(n)
+            near_one = (1 << P) - rng.randrange(1 << P - 8)
+            for lo in (0, near_one, rng.randrange(1 << P), rng.randrange(3 << P)):
+                for hi in {lo, lo + rng.randrange(1 << 40), lo + rng.randrange(1 << P)}:
+                    expected = (power_by_squaring(lo, n, P, False),
+                                power_by_squaring(hi, n, P, True))
+                    assert hj_family._powers(lo, hi, bits, P) == expected, (lo, hi, n, P)
+
+
+def test_maximizer_bracket_matches_mpmath_newton():
+    # Newton on integers at precision + k bits against Newton on mpmath
+    # floats at precision bits: the same brackets and the same refusals.
+    # Near N = F_Shearer and F_MT at the working precisions (64 bits and
+    # up), where neither refuses, and for phi_1 and phi_2 at k = 60 and 100
+    # at 8 and 10 bits, where both refuse six.
+    cases = []
+    for k in [*range(2, 41), 60, 100, 133, 137, 200]:
+        F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k)
+        near = {N for N in (F - 1, F, f_mt(k), f_mt(k) + 1) if N >= 1}
+        cases += [(N, k, bits) for bits in (64, 80, 128, 2 * k + 128) for N in near]
+    cases += [(N, k, bits) for k in (60, 100) for bits in (8, 10) for N in (1, 2)]
+    refused = 0
+    for N, k, bits in cases:
+        got, expected = (outcome(route, N, k, bits)
+                         for route in (hj_family._maximizer_bracket,
+                                       maximizer_bracket_by_mpmath))
+        assert got == expected, (N, k, bits)
+        refused += got[0] is CertificationError
+    assert refused == 6, refused
+
+
 def exact(bound):
     m, e = bound
     return Fraction(m) * Fraction(2) ** e
@@ -299,7 +341,7 @@ def test_directed_helpers_bound_exact_values():
         lo = rng.randrange(1 << P + 1)
         hi = lo + rng.randrange(1 << P)
         n = rng.randrange(1, 50)
-        below, above = hj_family._powers(lo, hi, n, P)
+        below, above = hj_family._powers(lo, hi, hj_family._bits(n), P)
         x_lo, x_hi = Fraction(lo, 1 << P) ** n, Fraction(hi, 1 << P) ** n
         assert x_lo - x_lo * n / 2 ** P <= exact(below) <= x_lo, (lo, n)
         assert x_hi <= exact(above) <= x_hi + x_hi * n / 2 ** P, (hi, n)
@@ -313,7 +355,7 @@ def test_directed_helpers_bound_exact_values():
         # u(t) = 1 - 2^{-k} / t^{k-1}, over 2^P: off by at most 1 plus twice
         # the powers' relative error on 2^{-k} / t^{k-1}
         k = rng.randrange(2, 12)
-        u_lo, u_hi = hj_family._u_bounds(lo, hi, k, P)
+        u_lo, u_hi = hj_family._u_bounds(lo, hi, k, hj_family._bits(k - 1), P)
         for t, end, outward in ((hi, u_hi, 1), (lo, u_lo, -1)):
             if not t:
                 assert end == -math.inf
@@ -340,8 +382,8 @@ def test_directed_helpers_bound_exact_values():
     N = 2955834144021611738375928619524554769177806039044019000189
     a, _ = hj_family._maximizer_bracket(N, 200, 64)
     x = int(a * 2 ** 72)
-    u_lo, u_hi = hj_family._u_bounds(x, x, 200, 72)
-    low, high = hj_family._powers(u_lo, u_hi, N, 72)
+    u_lo, u_hi = hj_family._u_bounds(x, x, 200, hj_family._bits(199), 72)
+    low, high = hj_family._powers(u_lo, u_hi, hj_family._bits(N), 72)
     assert low[1] < -2 ** 118
     assert hj_family._compare(*low, 1 / (2 - a)) == -1
     assert hj_family._compare(*high, 1 / (2 - a)) == 1

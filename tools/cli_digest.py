@@ -13,15 +13,16 @@ Per command, the digest is over (argv, exit code, stdout, stderr); the
 total is over the printed lines.  The corpus: table 2 30; bounds for
 k = 2..60; fixedpoint at F_Shearer, F_Shearer + 1, F_MT and F_MT + 1 for
 k = 5..20, with --max-trajectory 100000 so that the json runs print whole
-trajectories; these three again at --precision 128 and 512; check-shearer
-on seeded G(n, 0.35) graphs, n = 10..24, at
+trajectories; these three again at --precision 128 and 512, and the
+fixedpoint runs at --precision 64 and 80, where the loop rounds most
+coarsely; check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at
 probabilities around the boundary, on such graphs, n = 10..20, whose p have
 distinct prime denominators, on the extremal formulas (3,3,4..9), (3,2,10),
 (2,2,12) and (9,22,100), and with --guard-vertices 5000 on (3,3,40),
-(2,2,400) and (9,22,100); hj on small (j, k, L); mt
-under each rule on those formulas and on a SATLIB-style file (c lines, a %
-ending); table 200 200, whose F_Shearer probes need more than 256 bits;
-and inputs that exit with each of the codes 2 to 6.  Everything
+(2,2,400) and (9,22,100); hj on small (j, k, L); mt under each rule on
+those formulas and on a SATLIB-style file (c lines, a % ending); table
+200 200 and fixedpoint at F_Shearer(200), whose phi probes need more than
+256 bits; and inputs that exit with each of the codes 2 to 6.  Everything
 runs in tsv and in json.  The extremal files are read whole and the
 SATLIB-style file line by line; its runs resample thousands of times, and
 seed 7 needs a second batch of words for the initial draw on every small
@@ -55,7 +56,7 @@ SCALES = (Fraction(13, 20), Fraction(7, 10), Fraction(3, 4), Fraction(4, 5),
 JITTER = (Fraction(3, 4), Fraction(1), Fraction(5, 4))
 # The primes in [29, 400): every composite below 400 = 20^2 has a factor below 20.
 PRIMES = [q for q in range(29, 400) if all(q % f for f in range(2, 20))]
-# max phi_{L-1} >= 0 at this L is not certifiable at 256 bits.
+# max phi_{L-1} >= 0 at this L is not certifiable at 256 bits, only at the 528-bit floor.
 F_SHEARER_200 = "2955834144021611738375928619524554769177806039044019000190"
 # Decided past the default vertex guard: 160, 800 and 4200 vertices.
 UNGUARDED = [(3, 3, 40), (2, 2, 400), (9, 22, 100)]
@@ -124,13 +125,14 @@ def write_satlib_style():
 
 def corpus():
     """The argv lists, in order; inputs are written on the way."""
-    numeric = [["table", "2", "30"]]
-    numeric += [["bounds", "--k", str(k)] for k in range(2, 61)]
+    fixedpoint = []
     for k in range(5, 21):
         f_shearer, f_moser_tardos = shearer_upper_bound(k), f_mt(k)
-        numeric += [["fixedpoint", "--k", str(k), "--L", str(L), "--max-trajectory", "100000"]
-                    for L in sorted({f_shearer, f_shearer + 1, f_moser_tardos,
-                                     f_moser_tardos + 1})]
+        fixedpoint += [["fixedpoint", "--k", str(k), "--L", str(L), "--max-trajectory", "100000"]
+                       for L in sorted({f_shearer, f_shearer + 1, f_moser_tardos,
+                                        f_moser_tardos + 1})]
+    numeric = [["table", "2", "30"], *(["bounds", "--k", str(k)] for k in range(2, 61)),
+               *fixedpoint]
     commands = list(numeric)
     commands += [["check-shearer", "--graph", name] for name in write_graphs()]
     for k, L, r in FORMULAS:
@@ -160,11 +162,13 @@ def corpus():
         ["check-shearer", "--graph", "wide.json"], ["hj", "--j", "5", "--k", "2", "--L", "2"],
         ["--guard-vertices", "20", "check-shearer", "--cnf", "x3_3_9.cnf"],  # 4
         ["table", "200", "200"],  # 0
-        ["fixedpoint", "--k", "200", "--L", F_SHEARER_200],  # 5
+        ["fixedpoint", "--k", "200", "--L", F_SHEARER_200],  # 0
         ["check-shearer", "--cnf", "bad.cnf"], ["mt", "--cnf", "bad.cnf"],  # 6
     ]
     commands += [["--precision", precision, *argv] for precision in ("128", "512")
                  for argv in numeric]
+    commands += [["--precision", precision, *argv] for precision in ("64", "80")
+                 for argv in fixedpoint]
     return commands
 
 
