@@ -135,6 +135,21 @@ def _probability(entry) -> Fraction:
     return Fraction(entry)
 
 
+def _probabilities(entries) -> list[Fraction]:
+    # Graph files repeat a few strings, so each distinct one is parsed once;
+    # in order, so the first bad entry raises as it would alone.
+    parsed: dict[str, Fraction] = {}
+    probs = []
+    for entry in entries:
+        if type(entry) is str:
+            if entry not in parsed:
+                parsed[entry] = _probability(entry)
+            probs.append(parsed[entry])
+        else:
+            probs.append(_probability(entry))
+    return probs
+
+
 def _check_printable(what: str, *values):
     # str() refuses an integer over the int-string limit with ValueError, so
     # refuse such output as a size guard instead; 8^limit < 10^limit is cheap.
@@ -163,7 +178,7 @@ def _graph_from_json(path: str, guard_vertices: int):
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         _check_vertex_guard(n, guard_vertices)
         graph = DepGraph.from_edges(n, [tuple(e) for e in data["edges"]])
-        p = [_probability(x) for x in data["p"]]
+        p = _probabilities(data["p"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
     return graph, p

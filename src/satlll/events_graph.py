@@ -43,7 +43,8 @@ class DepGraph:
                 raise DomainError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(tuple(frozenset(s) for s in nbrs), tuple(payloads))
+        # tuple() of a list, not of a generator: see hj_family._bits.
+        return cls(tuple([frozenset(s) for s in nbrs]), tuple(payloads))
 
     @property
     def n(self) -> int:

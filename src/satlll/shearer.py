@@ -82,12 +82,13 @@ def _check_probabilities(graph: DepGraph, p: ProbabilityVector,
                          open_interval: bool = False) -> list[Fraction]:
     if len(p) != graph.n:
         raise DomainError(f"probability vector length {len(p)} != {graph.n} vertices")
-    probs = [Fraction(x) for x in p]
+    # x = a/d in lowest terms with d > 0, so the range is checked on ints.
+    probs = [x if type(x) is Fraction else Fraction(x) for x in p]
     for i, x in enumerate(probs):
         if open_interval:
-            if not 0 < x < 1:
+            if not 0 < x.numerator < x.denominator:
                 raise DomainError(f"p[{i}]={x} must lie in the open interval (0,1)")
-        elif not 0 <= x <= 1:
+        elif not 0 <= x.numerator <= x.denominator:
             raise DomainError(f"p[{i}]={x} must lie in [0,1]")
     return probs
 
@@ -106,7 +107,7 @@ class _QEngine:
     def __init__(self, graph: DepGraph, probs: list[Fraction]):
         self.numerators = [x.numerator for x in probs]
         self.denominators = [x.denominator for x in probs]
-        self.closed = [1 << v | sum(1 << u for u in nbrs)
+        self.closed = [sum(map((1).__lshift__, nbrs), 1 << v)
                        for v, nbrs in enumerate(graph.adjacency)]
         self.memo: dict[int, int] = {0: 1}
 

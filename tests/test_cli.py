@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satlll import bounds, cli, hj_family, moser_tardos
+from satlll import bounds, cli, hj_family, moser_tardos, shearer
 from satlll.hj_family import DEFAULT_PRECISION
 from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
                         EXIT_GUARD, main)
@@ -619,3 +619,41 @@ def test_fuzz_cnf_input_exits_with_documented_code(tmp_path_factory, content):
 def test_fuzz_graph_input_exits_with_documented_code(tmp_path_factory, value):
     content = json.dumps(value).encode()
     assert _exit_code_for(tmp_path_factory, "--graph", content) in {0, 2, 3, 4, 5, 6}
+
+
+# A few strings, repeated across vertices.  An int, or a string or float outside
+# (0,1) once parsed, replaces one entry of half the graphs.
+PROBABILITY_POOL = ["1/2", "1/3", "2/7", "0.3", "5e-1", "3/4", "0.6"]
+OUTSIDE = st.sampled_from(["3/2", "0", "1e0", 0.0, 1.0]) | st.integers(-1, 2)
+
+
+@st.composite
+def pooled_graphs(draw):
+    n = draw(st.integers(1, 6))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    entry = (st.sampled_from(PROBABILITY_POOL)
+             | st.floats(0, 1, exclude_min=True, exclude_max=True))
+    p = draw(st.lists(entry, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        p[draw(st.integers(0, n - 1))] = draw(OUTSIDE)
+    return {"n": n, "edges": draw(st.lists(edge, max_size=2 * n)) if n > 1 else [], "p": p}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_graphs())
+def test_graph_probabilities_decide_as_their_fractions(tmp_path_factory, graph):
+    target = tmp_path_factory.mktemp("pooled") / "graph.json"
+    target.write_text(json.dumps(graph))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-shearer", "--graph", str(target)])
+    dep = DepGraph.from_edges(graph["n"], map(tuple, graph["edges"]))
+    try:
+        verdict = shearer.shearer_check(dep, [Fraction(x) for x in graph["p"]])
+    except DomainError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (EXIT_DOMAIN, "", f"error: {exc}\n")
+        return
+    expected = ("SATISFIED\n" if verdict.satisfied else
+                f"VIOLATED witness={{{','.join(map(str, verdict.witness))}}} "
+                f"Q={verdict.witness_value}\n")
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from satlll.errors import DomainError, SizeGuardError
@@ -106,6 +108,21 @@ def test_graph_utils():
 def test_graph_rejects_self_loop():
     with pytest.raises(DomainError):
         DepGraph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's tuple free lists")
+def test_from_edges_does_not_fill_the_tuple_free_lists():
+    # tuple() of a generator over-allocates and shrinks to n, and CPython's
+    # free list for length n < 20 then keeps every such tuple released, up
+    # to 2000 per length: 300 rounds over n = 10..19 left about 2700 blocks.
+    paths = {n: [(u, u + 1) for u in range(n - 1)] for n in range(10, 20)}
+    for n, edges in paths.items():
+        DepGraph.from_edges(n, edges)
+    before = sys.getallocatedblocks()
+    for _ in range(300):
+        for n, edges in paths.items():
+            DepGraph.from_edges(n, edges)
+    assert sys.getallocatedblocks() - before < 100
 
 
 def test_lopsi_max_degree_bound_on_construction():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,37 @@ def test_shearer_rejects_boundary_probabilities():
         shearer_check(k2(), [Fraction(0), HALF])
     with pytest.raises(DomainError):
         shearer_check(k2(), [Fraction(1), HALF])
+
+
+# (value, open interval, message) of each vector [1/2, value, value] that is refused:
+# the first of the two bad entries is named.
+OUT_OF_RANGE = [(value, open_interval, f"p[1]={value} must lie in {interval}")
+                for value in (Fraction(-1, 3), Fraction(4, 3),
+                              Fraction(10 ** 4000 + 1, 10 ** 4000))
+                for open_interval, interval in ((True, "the open interval (0,1)"),
+                                                (False, "[0,1]"))]
+OUT_OF_RANGE += [(Fraction(end), True, f"p[1]={end} must lie in the open interval (0,1)")
+                 for end in (0, 1)]
+
+
+@pytest.mark.parametrize("value,open_interval,message", OUT_OF_RANGE)
+def test_check_probabilities_names_the_first_entry_out_of_range(value, open_interval, message):
+    graph = DepGraph.from_edges(3, [])
+    with pytest.raises(DomainError) as excinfo:
+        shearer._check_probabilities(graph, [HALF, value, value], open_interval)
+    assert str(excinfo.value) == message
+
+
+def test_check_probabilities_keeps_fractions_and_converts_the_rest():
+    huge = Fraction(10 ** 4000 - 1, 10 ** 4000)
+    inside = [HALF, huge, 0.25, "3/7", Decimal("0.1")]
+    expected = [HALF, huge, Fraction(1, 4), Fraction(3, 7), Fraction(1, 10)]
+    ends = [0, 1.0, "0/5", Fraction(1)]
+    for p, open_interval, tail in ((inside, True, []), (inside + ends, False, [0, 1, 0, 1])):
+        probs = shearer._check_probabilities(DepGraph.from_edges(len(p), []), p, open_interval)
+        assert probs == expected + tail
+        assert all(type(x) is Fraction for x in probs)
+        assert probs[0] is HALF and probs[1] is huge
 
 
 def test_independent_set_enumeration_is_lexicographic():

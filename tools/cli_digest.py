@@ -17,12 +17,15 @@ trajectories; these three again at --precision 128 and 512, and the
 fixedpoint runs at --precision 64 and 80, where the loop rounds most
 coarsely; check-shearer on seeded G(n, 0.35) graphs, n = 10..24, at
 probabilities around the boundary, on such graphs, n = 10..20, whose p have
-distinct prime denominators, on the extremal formulas (3,3,4..9), (3,2,10),
-(2,2,12) and (9,22,100), and with --guard-vertices 5000 on (3,3,40),
-(2,2,400) and (9,22,100); hj on small (j, k, L); mt under each rule on
-those formulas and on a SATLIB-style file (c lines, a % ending); table
-200 200 and fixedpoint at F_Shearer(200), whose phi probes need more than
-256 bits; and inputs that exit with each of the codes 2 to 6.  Everything
+distinct prime denominators, on such graphs, n = 10..16, whose p repeat a
+few strings, exponent strings and JSON floats, on four graph files that
+exit 3 on a repeated bad entry (out of range, an int, "1/0", a list), on
+the extremal formulas (3,3,4..9), (3,2,10), (2,2,12) and (9,22,100), and
+with --guard-vertices 5000 on (3,3,40), (2,2,400) and (9,22,100); hj on
+small (j, k, L); mt under each rule on those formulas and on a
+SATLIB-style file (c lines, a % ending); table 200 200 and fixedpoint at
+F_Shearer(200), whose phi probes need more than 256 bits; and inputs that
+exit with each of the codes 2 to 6.  Everything
 runs in tsv and in json.  The extremal files are read whole and the
 SATLIB-style file line by line; its runs resample thousands of times, and
 seed 7 needs a second batch of words for the initial draw on every small
@@ -56,6 +59,10 @@ SCALES = (Fraction(13, 20), Fraction(7, 10), Fraction(3, 4), Fraction(4, 5),
 JITTER = (Fraction(3, 4), Fraction(1), Fraction(5, 4))
 # The primes in [29, 400): every composite below 400 = 20^2 has a factor below 20.
 PRIMES = [q for q in range(29, 400) if all(q % f for f in range(2, 20))]
+# The per-vertex probabilities of the mixed files: strings, exponent strings, JSON floats.
+POOL = ("1/9", "2/17", "0.1", "1/7", "3/20", "0.125", "1/2", "0.7")
+EXPONENTS = ("1e-1", "12.5e-2", "2.5E-1", "0.5e-1")
+FLOATS = (0.1, 0.125, 0.2, 0.0875)
 # max phi_{L-1} >= 0 at this L is not certifiable at 256 bits, only at the 528-bit floor.
 F_SHEARER_200 = "2955834144021611738375928619524554769177806039044019000190"
 # Decided past the default vertex guard: 160, 800 and 4200 vertices.
@@ -112,6 +119,33 @@ def write_graphs():
     return names
 
 
+def write_mixed_graphs():
+    """Graph JSON files whose p mixes the kinds of entry a file may hold.
+
+    Each m file draws p from four entries of the pool, so entries repeat;
+    the pool is the plain strings, with exponent strings, JSON floats or
+    both added.  Each bad file repeats one entry that exits 3: a string out
+    of range, the int 1, "1/0" and a list.
+    """
+    names = []
+    kinds = (POOL, POOL + EXPONENTS, POOL + FLOATS, POOL + EXPONENTS + FLOATS)
+    for n in range(10, 17):
+        rng = random.Random(200 + n)
+        edges, _ = seeded_graph(rng, n)
+        for i, kind in enumerate(kinds):
+            names.append(f"m{n}_{i}.json")
+            choices = rng.sample(kind, 4)
+            p = [rng.choice(choices) for _ in range(n)]
+            Path(names[-1]).write_text(json.dumps({"n": n, "edges": edges, "p": p}))
+    edges, _ = seeded_graph(random.Random(300), 12)
+    for i, bad in enumerate(("3/2", 1, "1/0", [1, 2])):
+        names.append(f"bad{i}.json")
+        p = list(POOL + FLOATS)  # 12 entries
+        p[4] = p[9] = bad
+        Path(names[-1]).write_text(json.dumps({"n": 12, "edges": edges, "p": p}))
+    return names
+
+
 def write_satlib_style():
     """A seeded random 3-SAT file laid out as SATLIB's uf files are."""
     rng = random.Random(20)
@@ -134,7 +168,8 @@ def corpus():
     numeric = [["table", "2", "30"], *(["bounds", "--k", str(k)] for k in range(2, 61)),
                *fixedpoint]
     commands = list(numeric)
-    commands += [["check-shearer", "--graph", name] for name in write_graphs()]
+    commands += [["check-shearer", "--graph", name]
+                 for name in write_graphs() + write_mixed_graphs()]
     for k, L, r in FORMULAS:
         name = f"x{k}_{L}_{r}.cnf"
         commands.append(["--out", name, "construct", "--k", str(k), "--L", str(L),
