@@ -7,14 +7,17 @@ the literal z of event B when -z is in A, that is when A forces x_|z| the
 other way; two events disagree when one hits the other.  The canonical
 lopsidependency graph has an edge exactly between disagreeing events, the
 canonical dependency graph between events sharing any variable.  Both are
-built from the atom index, so the cost is O(sum over variables v of
-R(v)^2), not O(n^2) pair tests.  Each event names a variable at most once,
-as every clause of a Formula does.
+built from the literal index, the N = sum |B| literal occurrences sorted
+once by literal (O(N log N) comparisons in C, two lists of N entries), so
+the cost is that sort, O(m) to cut it at every variable, and O(sum over
+variables v of R(v)^2) edges, not O(n^2) pair tests.  Each event names a
+variable at most once, as every clause of a Formula does.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, product, repeat
 from typing import Iterable, Optional, Sequence
@@ -59,43 +62,36 @@ def events_from_formula(formula) -> list[Event]:
     return list(zip(*[iter(formula.literals)] * formula.width))
 
 
-def atom_index(events: Sequence[Event], m: int) -> tuple[array, array]:
-    """The events holding each atom, in CSR layout over the slots 2v + value.
+def literal_index(events: Sequence[Event], m: int) -> tuple[list[int], list[int]]:
+    """(lits, holders): every literal occurrence of events, sorted by literal.
 
-    Literal l is the atom (|l|, l < 0), in slot 2|l| + (l < 0).  Returns
-    (start, entries): the events with atom (v, value) are
-    entries[start[2v + value]:start[2v + value + 1]] in increasing order,
-    so the events on variable v are entries[start[2v]:start[2v + 2]].
-    Variables must lie in [1, m]; DomainError otherwise.  Each literal's
-    slot is computed once, then slots are counted and the events placed in
-    one pass each.  Two flat arrays cost one machine word per slot and per
-    atom, which matters at tens of thousands of variables.
+    lits[j] is the j-th smallest literal and holders[j] the event it came
+    from; the sort is stable, so the events with literal z are
+    holders[bisect_left(lits, z):bisect_right(lits, z)] in increasing
+    order.  Variables must lie in [1, m]; DomainError otherwise, checked
+    on the ends of lits and at the place of 0.  The cost is one sort of
+    the N = sum |B| occurrence positions, in O(N log N) comparisons made
+    in C, and two lists of N entries; nothing is kept per variable.
     """
     flat = list(chain.from_iterable(events))
-    if flat and (0 in flat or max(flat) > m or min(flat) < -m):
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    lits = list(map(flat.__getitem__, order))
+    zero = bisect_left(lits, 0)
+    if lits and (lits[0] < -m or lits[-1] > m or lits[zero:zero + 1] == [0]):
         z = next(z for z in flat if not 0 < abs(z) <= m)
         raise DomainError(f"event mentions variable {abs(z)}, outside [1, {m}]")
-    slots = [2 * abs(z) + (z < 0) for z in flat]
-    owner = chain.from_iterable(map(repeat, range(len(events)), map(len, events)))  # per literal
-    size = [0] * (2 * m + 3)
-    for slot in slots:
-        size[slot + 1] += 1
-    start = array("q", accumulate(size))  # the start of each slot
-    fill = start.tolist()  # the next free entry of each slot
-    entries = array("q", bytes(8 * len(flat)))
-    for slot, i in zip(slots, owner):
-        entries[fill[slot]] = i
-        fill[slot] += 1
-    return start, entries
+    owner = list(chain.from_iterable(map(repeat, range(len(events)), map(len, events))))
+    return lits, list(map(owner.__getitem__, order))
 
 
 def _slots(events: Sequence[Event]):
     """(events with literal v, events with literal -v) for every variable v."""
-    m = max((abs(z) for event in events for z in event), default=0)
-    start, entries = atom_index(events, m)
-    for slot in range(2, 2 * m + 2, 2):
-        yield (entries[start[slot]:start[slot + 1]],
-               entries[start[slot + 1]:start[slot + 2]])
+    m = max(map(abs, chain.from_iterable(events)), default=0)
+    lits, holders = literal_index(events, m)
+    # bound[m + z] is where literal z starts in lits, for z in [-m, m + 1].
+    bound = list(accumulate(map(Counter(lits).get, range(-m, m + 1), repeat(0)), initial=0))
+    return zip(map(holders.__getitem__, map(slice, bound[m + 1:2 * m + 1], bound[m + 2:])),
+               map(holders.__getitem__, map(slice, bound[m - 1::-1], bound[m:0:-1])))
 
 
 def lopsidependency_graph(events: Sequence[Event]) -> DepGraph:
@@ -133,7 +129,7 @@ def verify_lopsidependency(events: Sequence[Event], graph: DepGraph,
         raise SizeGuardError(f"m={m} exceeds enumeration guard {VARIABLE_GUARD}")
     if len(events) != graph.n:
         raise DomainError("graph vertex count does not match event count")
-    atom_index(events, m)  # checks that every variable lies in [1, m]
+    literal_index(events, m)  # checks that every variable lies in [1, m]
     subset_cap = len(events) if len(events) <= 12 else 3
 
     total = 1 << m

@@ -1,7 +1,10 @@
 """The resampling algorithm: draw all variables, resample true bad events.
 
 An event is the tuple of its clause's signed literals and holds when every
-literal is false.  The variable values live in one bytearray.
+literal is false.  The values live in one bytearray indexed by signed
+literal: truth[v] is x_v and truth[-v] is 1 - x_v, Python's negative
+indexing reading from the end, so truth[z] is 1 exactly when literal z
+is true and a flip of x_v writes both entries.
 
 Reproducibility contract: identical (events, rule, seed, max_steps)
 produce identical traces.  Three independent Mersenne Twister streams are
@@ -15,14 +18,15 @@ makes them; another interpreter's randrange may give other traces.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import not_
 from typing import Sequence
 
 from .errors import DomainError
-from .events_graph import Event, atom_index
+from .events_graph import Event, literal_index
 
 
 # randrange(2) is the top two bits of a 32-bit word, redrawn while they read
@@ -30,6 +34,7 @@ from .events_graph import Event, atom_index
 # 128, and a top byte of 128 or more is deleted.
 _COIN_OF_TOP_BYTE = bytes([1] * 64 + [0] * 192)
 _REDRAWN = bytes(range(128, 256))
+_NOT = bytes([1, 0]) + bytes(254)  # 0 <-> 1, for the values of the negative literals
 COIN_CHUNK = 256  # words per refill of a coin stream, about 128 coins
 
 
@@ -93,15 +98,17 @@ def run_mt(events: Sequence[Event], m: int,
     by (P(B) = 2^-|B|, index), so every rule picks by position and, on a
     formula, lowest-probability picks what first-index picks.  A resample
     changes only the events on the variables whose value it flipped: those
-    with the old value become false, those with the new value are
-    re-tested.  So a step costs O(sum of R(v) over its k variables) plus
-    the list update, and the selection is the one a full rescan would make.
+    with the literal that became true become false, those with the literal
+    that became false are re-tested, each found by bisecting the literal
+    index.  So a step costs O(sum of R(v) over its k variables) plus
+    O(k log N) bisects and the list update, and the selection is the one a
+    full rescan would make.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     if not isinstance(rule, SelectionRule):
         raise DomainError(f"unknown selection rule {rule!r}")
-    start, entries = atom_index(events, m)  # also checks every variable is in [1, m]
+    lits, holders = literal_index(events, m)  # also checks every variable is in [1, m]
 
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
@@ -112,12 +119,12 @@ def run_mt(events: Sequence[Event], m: int,
            if rule is SelectionRule.LOWEST_PROBABILITY else range(n))
 
     value = bytearray(1) + fair_coins(init_rng, m)  # value[v] is x_v
+    truth = value + value[:0:-1].translate(_NOT)  # truth[z] is 1 iff literal z is true
+    is_true = truth.__getitem__
     coin = coin_stream(resample_rng)
 
-    def holds(event: Event) -> bool:  # no literal is true
-        return all(value[abs(z)] != (z > 0) for z in event)
-
-    true_keys = sorted(key[i] for i, e in enumerate(events) if holds(e))
+    # An event holds when no literal is true.
+    true_keys = sorted(compress(key, map(not_, map(any, map(map, repeat(is_true), events)))))
     per_event = [0] * n
     steps = 0
     while true_keys and steps < max_steps:
@@ -127,18 +134,19 @@ def run_mt(events: Sequence[Event], m: int,
         flipped = []
         for variable in sorted(map(abs, events[chosen])):
             new = next(coin)
-            if new != value[variable]:
-                value[variable] = new
-                flipped.append(2 * variable + new)
+            if new != truth[variable]:
+                truth[variable] = new
+                truth[-variable] = 1 - new
+                flipped.append(variable if new else -variable)
         per_event[chosen] += 1
         steps += 1
-        for slot in flipped:  # the atom (v, new value); slot ^ 1 is (v, old value)
-            for i in entries[start[slot ^ 1]:start[(slot ^ 1) + 1]]:
+        for z in flipped:  # literal z became true, literal -z false
+            for i in holders[bisect_left(lits, z):bisect_right(lits, z)]:
                 at = bisect_left(true_keys, key[i])
                 if at < len(true_keys) and true_keys[at] == key[i]:
                     del true_keys[at]
-            for i in entries[start[slot]:start[slot + 1]]:
-                if holds(events[i]):
+            for i in holders[bisect_left(lits, -z):bisect_right(lits, -z)]:
+                if not any(map(is_true, events[i])):
                     at = bisect_left(true_keys, key[i])
                     if at == len(true_keys) or true_keys[at] != key[i]:
                         true_keys.insert(at, key[i])
@@ -147,4 +155,4 @@ def run_mt(events: Sequence[Event], m: int,
                      per_event_resamples=tuple(per_event),
                      terminated=not true_keys, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
-    return dict(zip(range(1, m + 1), map(bool, value[1:]))), stats
+    return dict(zip(range(1, m + 1), map(bool, truth[1:m + 1]))), stats

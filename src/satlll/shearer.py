@@ -87,10 +87,18 @@ def _check_probabilities(graph: DepGraph, p: ProbabilityVector,
     for i, x in enumerate(probs):
         if open_interval:
             if not 0 < x.numerator < x.denominator:
-                raise DomainError(f"p[{i}]={x} must lie in the open interval (0,1)")
+                raise DomainError(f"{_entry(i, x)} must lie in the open interval (0,1)")
         elif not 0 <= x.numerator <= x.denominator:
-            raise DomainError(f"p[{i}]={x} must lie in [0,1]")
+            raise DomainError(f"{_entry(i, x)} must lie in [0,1]")
     return probs
+
+
+def _entry(i: int, x: Fraction) -> str:
+    """p[i]=x, or p[i] alone when str() refuses x's digits (the int-string limit)."""
+    try:
+        return f"p[{i}]={x}"
+    except ValueError:
+        return f"p[{i}]"
 
 
 def _bits(mask: int):

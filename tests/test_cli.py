@@ -510,6 +510,25 @@ def test_input_failures_map_to_exit_codes(capsys, monkeypatch, tmp_path, argv, c
     assert "Traceback" not in err
 
 
+# 4300 nines pass the int-string limit and the exponent bound, but the value's
+# numerator has 8600 digits, more than str() prints.
+HUGE_PROBABILITY = "9" * 4300 + "e4300"
+
+
+@pytest.mark.parametrize("p,line", [
+    ([HUGE_PROBABILITY], "error: p[0] must lie in the open interval (0,1)\n"),
+    (["1/2", HUGE_PROBABILITY], "error: p[1] must lie in the open interval (0,1)\n"),
+    (["1/2", "3/2"], "error: p[1]=3/2 must lie in the open interval (0,1)\n"),
+    (["0", "1/2"], "error: p[0]=0 must lie in the open interval (0,1)\n"),
+], ids=["huge-only", "huge-second", "printable", "zero"])
+def test_out_of_range_probability_is_one_error_line(capsys, tmp_path, p, line):
+    target = tmp_path / "graph.json"
+    edges = [[0, 1]] if len(p) == 2 else []
+    target.write_text(json.dumps({"n": len(p), "edges": edges, "p": p}))
+    code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
+    assert (code, out, err) == (EXIT_DOMAIN, "", line)
+
+
 # Each setting with its variable, its default, three distinct values and a run that
 # reports the value in force: in fixedpoint's JSON parameters, or in the message of a
 # guard that the run exceeds (H_5 has 62 vertices; the input declares 300000 variables).

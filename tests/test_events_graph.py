@@ -1,11 +1,14 @@
+import random
 import sys
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import (DepGraph, atom_index, dependency_graph,
+from satlll.events_graph import (DepGraph, dependency_graph, literal_index,
                                  events_from_formula, lopsidependency_graph,
                                  verify_lopsidependency)
+from satlll.moser_tardos import run_mt
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
@@ -78,13 +81,63 @@ def test_indexed_builders_match_pairwise_definitions(rng):
         assert set(lopsided.edges()) == _pairwise_edges(events, _disagree)
         assert set(dependent.edges()) == _pairwise_edges(events, _share_a_variable)
         assert lopsided.payloads == dependent.payloads == tuple(events)
-        start, entries = atom_index(events, formula.variable_count)
+        lits, holders = literal_index(events, formula.variable_count)
         for v in range(1, formula.variable_count + 1):
-            for value in (False, True):
-                slot = 2 * v + value
-                literal = -v if value else v  # false exactly when x_v = value
-                assert list(entries[start[slot]:start[slot + 1]]) == [
+            for literal in (v, -v):
+                assert holders[bisect_left(lits, literal):bisect_right(lits, literal)] == [
                     i for i, e in enumerate(events) if literal in e]
+
+
+def random_events(rng, m):
+    """Events of widths 1..5 on variables in [1, m], some repeated, some variables unused."""
+    events = []
+    for _ in range(rng.randint(0, 14) if m else 0):
+        if events and rng.random() < 0.2:
+            events.append(rng.choice(events))
+            continue
+        variables = rng.sample(range(1, m + 1), rng.randint(1, min(5, m)))
+        events.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+    return events
+
+
+def test_literal_index_matches_brute_force():
+    cases = [([], 0), ([], 3), ([(v,) for v in range(1, 5)] + [(-v,) for v in range(1, 5)], 4)]
+    for case in range(400):
+        rng = random.Random(case)
+        m = rng.choice([0, rng.randint(1, 12), rng.randint(20, 40)])  # often unused variables
+        cases.append((random_events(rng, m), m))
+    for events, m in cases:
+        lits, holders = literal_index(events, m)
+        assert lits == sorted(z for e in events for z in e)
+        assert len(holders) == len(lits)
+        for v in range(1, m + 1):
+            for z in (v, -v):
+                assert holders[bisect_left(lits, z):bisect_right(lits, z)] == [
+                    i for i, e in enumerate(events) if z in e], (events, z)
+
+
+def _error_text(call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("events,m,expected", [
+    ([(1, 0), (-2,)], 2, "event mentions variable 0, outside [1, 2]"),
+    ([(0,), (1,), (-2,)], 2, "event mentions variable 0, outside [1, 2]"),
+    ([(2, -1), (-2, 0)], 2, "event mentions variable 0, outside [1, 2]"),
+    ([(1, -3), (4,)], 2, "event mentions variable 3, outside [1, 2]"),
+    ([(1, 4), (-3,)], 2, "event mentions variable 4, outside [1, 2]"),
+    ([(-1,), (0, 5)], 2, "event mentions variable 0, outside [1, 2]"),
+    ([(1,)], 0, "event mentions variable 1, outside [1, 0]"),
+])
+def test_every_entry_refuses_a_variable_outside_one_to_m_alike(events, m, expected):
+    graph = DepGraph.from_edges(len(events), [])
+    calls = [lambda: run_mt(events, m), lambda: literal_index(events, m),
+             lambda: verify_lopsidependency(events, graph, m)]
+    if m == max(abs(z) for e in events for z in e):  # the builders take m from the events
+        calls += [lambda: lopsidependency_graph(events), lambda: dependency_graph(events)]
+    assert [_error_text(call) for call in calls] == [expected] * len(calls)
 
 
 def test_graph_builders_reject_variables_below_one():

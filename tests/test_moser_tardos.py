@@ -6,6 +6,7 @@ import pytest
 
 from satlll.errors import DomainError
 from satlll.events_graph import events_from_formula
+from satlll.sat_model import build_extremal_formula
 from satlll import moser_tardos
 from satlll.moser_tardos import (COIN_CHUNK, RunStats, SelectionRule, coin_stream,
                                  fair_coins, run_mt)
@@ -82,6 +83,26 @@ def test_incremental_run_matches_rescan():
         assert (rule, True, True, False) in seen  # zero events
         assert (rule, False, True, False) in seen  # terminated
         assert (rule, False, False, True) in seen  # limit reached
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (3, 3, 5), (3, 3, 6), (4, 3, 4), (2, 4, 3)])
+def test_incremental_run_matches_rescan_on_extremal_formulas(shape):
+    # One variable lies in 2L - 2 events, L - 1 of each sign, so a flip of it
+    # removes and re-tests many events at once.
+    formula, _ = build_extremal_formula(*shape)
+    events = events_from_formula(formula)
+    m = formula.variable_count
+    cut = set()
+    for rule in SelectionRule:
+        for max_steps in (0, 5, 60):
+            for seed in range(8):
+                expected = run_mt_by_rescan(events, m, rule, seed, max_steps)
+                assignment, stats = run_mt(events, m, rule=rule, seed=seed, max_steps=max_steps)
+                assert assignment == expected[0], (rule, max_steps, seed)
+                assert stats.to_json_dict() == expected[1].to_json_dict(), (rule, max_steps, seed)
+                if not stats.terminated:
+                    cut.add(max_steps)
+    assert cut  # some run stops at its limit
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 67_201])

@@ -22,8 +22,11 @@ few strings, exponent strings and JSON floats, on four graph files that
 exit 3 on a repeated bad entry (out of range, an int, "1/0", a list), on
 the extremal formulas (3,3,4..9), (3,2,10), (2,2,12) and (9,22,100), and
 with --guard-vertices 5000 on (3,3,40), (2,2,400) and (9,22,100); hj on
-small (j, k, L); mt under each rule on those formulas and on a
-SATLIB-style file (c lines, a % ending); table 200 200 and fixedpoint at
+small (j, k, L); mt under each rule on those formulas, on a
+SATLIB-style file (c lines, a % ending) and on seeded random mixed-sign
+3-SAT and 4-SAT files in the benchmark's shape (0.6 and 1.2 clauses per
+variable, 300 and 600 clauses), two seeds each, and once with
+--max-steps 3, which ends with terminated=False; table 200 200 and fixedpoint at
 F_Shearer(200), whose phi probes need more than 256 bits; and inputs that
 exit with each of the codes 2 to 6.  Everything
 runs in tsv and in json.  The extremal files are read whole and the
@@ -65,6 +68,8 @@ EXPONENTS = ("1e-1", "12.5e-2", "2.5E-1", "0.5e-1")
 FLOATS = (0.1, 0.125, 0.2, 0.0875)
 # max phi_{L-1} >= 0 at this L is not certifiable at 256 bits, only at the 528-bit floor.
 F_SHEARER_200 = "2955834144021611738375928619524554769177806039044019000190"
+# Clauses per variable of the random mt formulas, as in the benchmark's.
+RATIOS = (0.6, 1.2)
 # Decided past the default vertex guard: 160, 800 and 4200 vertices.
 UNGUARDED = [(3, 3, 40), (2, 2, 400), (9, 22, 100)]
 
@@ -157,6 +162,25 @@ def write_satlib_style():
     return "satlib.cnf"
 
 
+def write_random_formulas():
+    """Seeded random k-SAT files in the benchmark's shape: m = clauses / ratio
+    variables, each clause k distinct variables with independent fair signs."""
+    names = []
+    for k in (3, 4):
+        for ratio in RATIOS:
+            for size in (300, 600):
+                rng = random.Random(f"{k}:{ratio}:{size}")
+                m = round(size / ratio)
+                lines = [f"p cnf {m} {size}"]
+                for _ in range(size):
+                    clause = [v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, m + 1), k)]
+                    lines.append(" ".join(map(str, clause)) + " 0")
+                names.append(f"r{k}_{ratio}_{size}.cnf")
+                Path(names[-1]).write_text("\n".join(lines) + "\n")
+    return names
+
+
 def corpus():
     """The argv lists, in order; inputs are written on the way."""
     fixedpoint = []
@@ -186,6 +210,10 @@ def corpus():
     satlib = write_satlib_style()
     commands += [["mt", "--cnf", satlib, "--rule", rule, "--seed", str(seed)]
                  for rule in RULES for seed in (0, 7)]
+    randoms = write_random_formulas()
+    commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
+                 for name in randoms for rule in RULES for seed in (0, 7)]
+    commands.append(["mt", "--cnf", randoms[-1], "--max-steps", "3"])  # terminated=False
     commands += [["hj", "--j", str(j), "--k", str(k), "--L", str(L)] for j, k, L in HJ]
     Path("bad.cnf").write_text("p cnf 2 1\n1 3 0\n")
     Path("loop.json").write_text(json.dumps({"n": 2, "edges": [[1, 1]], "p": ["1/2"] * 2}))
