@@ -12,8 +12,7 @@ from .hj_family import (EmbeddingResult, FixedPointReport, HGraph,
                         embed_H_in_G, fixed_point_iteration, recurrence_sr,
                         shearer_upper_bound)
 from .moser_tardos import RunStats, SelectionRule, run_mt
-from .sat_model import (ExpansionTree, Formula, build_extremal_formula, dimacs_export,
-                        dimacs_import)
+from .sat_model import Formula, build_extremal_formula, dimacs_export, dimacs_import
 from .shearer import ShearerVerdict, independence_polynomial, shearer_check
 
 __version__ = "0.1.0"

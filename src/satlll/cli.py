@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import bounds as bounds_mod
 from . import hj_family, moser_tardos, sat_model, shearer
@@ -29,6 +30,7 @@ EXIT_GUARD = 4
 EXIT_CERTIFICATION = 5
 EXIT_DIMACS = 6
 DEFAULT_VERTEX_GUARD = 40
+_LETTERS = bytes.maketrans(b"\0\1", b"FT")  # a value byte as mt prints it
 
 # The first class that an error is an instance of gives its exit code.  A graph
 # too deep for the recursive Z_W evaluation is refused like one over the guard.
@@ -89,8 +91,8 @@ def cmd_table(args):
 
 
 def cmd_construct(args):
-    formula, _ = sat_model.build_extremal_formula(args.k, args.L, args.r,
-                                                  clause_guard=args.guard_clauses)
+    formula = sat_model.build_extremal_formula(args.k, args.L, args.r,
+                                               clause_guard=args.guard_clauses)
     return 0, sat_model.dimacs_export(formula)
 
 
@@ -245,20 +247,20 @@ def cmd_mt(args):
     formula = _load_formula(args.cnf, args.guard_clauses)
     events = events_from_formula(formula)
     rule = moser_tardos.SelectionRule(args.rule)
-    assignment, stats = moser_tardos.run_mt(events, formula.variable_count,
-                                            rule=rule, seed=args.seed,
-                                            max_steps=args.max_steps)
-    satisfies = formula.is_satisfied_by(assignment) if stats.terminated else False
+    m = formula.variable_count
+    values, stats = moser_tardos.run_mt(events, m, rule=rule, seed=args.seed,
+                                        max_steps=args.max_steps)
+    satisfies = formula.is_satisfied_by(values) if stats.terminated else False
     if args.format == "json":
         return 0, {"stats": stats.to_json_dict(),
                    "satisfies_formula": satisfies,
-                   "assignment": {str(v): assignment[v]
-                                  for v in sorted(assignment)} if stats.terminated else None}
+                   "assignment": dict(zip(map(str, range(1, m + 1)), map(bool, values)))
+                   if stats.terminated else None}
     lines = [f"terminated={stats.terminated} resamples={stats.total_resamples} "
              f"satisfies={satisfies}"]
-    if stats.terminated:
-        lines.append(" ".join(f"{v}={'T' if assignment[v] else 'F'}"
-                              for v in sorted(assignment)))
+    if stats.terminated:  # "1=T 2=F ...": one % over the whole line
+        pairs = zip(range(1, m + 1), values.translate(_LETTERS).decode())
+        lines.append(("%d=%s " * m)[:-1] % tuple(chain.from_iterable(pairs)))
     return 0, "\n".join(lines) + "\n"
 
 

@@ -578,15 +578,17 @@ def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
     hgraph = build_H(j, k, L)
     branching = (2 * L - 2) * (k - 1)
     stages = sum(branching ** d for d in range(j))
-    formula, tree = build_extremal_formula(k, L, stages)
+    formula = build_extremal_formula(k, L, stages)
     if j == 0:
         return EmbeddingResult(hgraph, {}, True, stages)
 
     clause_order: list[int] = []
 
     def place(depth: int, variable: int):
-        pos, neg = tree.added[variable]
-        root_clauses = list(pos) + list(neg)
+        # Expanding variable i added clauses c..c+2L-3, c = (i-1)(2L-2): the
+        # positive half c..c+L-2, then the negative half.
+        start = (variable - 1) * (2 * L - 2)
+        root_clauses = range(start, start + 2 * L - 2)
         clause_order.extend(root_clauses)
         if depth == 1:
             return

@@ -2,9 +2,8 @@
 
 An event is the tuple of its clause's signed literals and holds when every
 literal is false.  The values live in one bytearray indexed by signed
-literal: truth[v] is x_v and truth[-v] is 1 - x_v, Python's negative
-indexing reading from the end, so truth[z] is 1 exactly when literal z
-is true and a flip of x_v writes both entries.
+literal (sat_model.truth_table): truth[z] is 1 exactly when literal z is
+true, and a flip of x_v writes both truth[v] and truth[-v].
 
 Reproducibility contract: identical (events, rule, seed, max_steps)
 produce identical traces.  Three independent Mersenne Twister streams are
@@ -27,6 +26,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .events_graph import Event, literal_index
+from .sat_model import truth_table
 
 
 # randrange(2) is the top two bits of a 32-bit word, redrawn while they read
@@ -34,7 +34,6 @@ from .events_graph import Event, literal_index
 # 128, and a top byte of 128 or more is deleted.
 _COIN_OF_TOP_BYTE = bytes([1] * 64 + [0] * 192)
 _REDRAWN = bytes(range(128, 256))
-_NOT = bytes([1, 0]) + bytes(254)  # 0 <-> 1, for the values of the negative literals
 COIN_CHUNK = 256  # words per refill of a coin stream, about 128 coins
 
 
@@ -87,9 +86,10 @@ class RunStats:
 def run_mt(events: Sequence[Event], m: int,
            rule: SelectionRule = SelectionRule.FIRST_INDEX,
            seed: int = 0,
-           max_steps: int = 1_000_000) -> tuple[dict[int, bool], RunStats]:
+           max_steps: int = 1_000_000) -> tuple[bytes, RunStats]:
     """Run the resampling loop on m variables, each drawn as a fair coin.
 
+    Returns the values (bytes, values[v-1] is x_v) and the stats.
     Non-termination within max_steps surfaces as terminated=False, never
     as an exception.
 
@@ -118,8 +118,7 @@ def run_mt(events: Sequence[Event], m: int,
     key = ([(longest - len(event)) * n + i for i, event in enumerate(events)]
            if rule is SelectionRule.LOWEST_PROBABILITY else range(n))
 
-    value = bytearray(1) + fair_coins(init_rng, m)  # value[v] is x_v
-    truth = value + value[:0:-1].translate(_NOT)  # truth[z] is 1 iff literal z is true
+    truth = truth_table(fair_coins(init_rng, m))  # truth[z] is 1 iff literal z is true
     is_true = truth.__getitem__
     coin = coin_stream(resample_rng)
 
@@ -155,4 +154,4 @@ def run_mt(events: Sequence[Event], m: int,
                      per_event_resamples=tuple(per_event),
                      terminated=not true_keys, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
-    return dict(zip(range(1, m + 1), map(bool, truth[1:m + 1]))), stats
+    return bytes(truth[1:m + 1]), stats

@@ -4,14 +4,16 @@ Formulas are width-k CNF, stored as one flat array of signed DIMACS
 literals.  The extremal instances are built by repeatedly "expanding" a
 variable i: appending L-1 clauses containing the literal x_i and L-1
 containing ~x_i, all other slots filled by fresh, positively occurring
-variables.  DIMACS import infers the width from the clauses.
+variables; the result has a closed form, written by strided slices.  An
+assignment is one byte per variable, values[v-1] being x_v.  DIMACS import
+infers the width from the clauses.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain, repeat
 
 from .errors import DimacsError, DomainError, SizeGuardError
 
@@ -64,30 +66,25 @@ class Formula:
     def clause(self, i: int) -> array:
         return self.literals[i * self.width:(i + 1) * self.width]
 
-    def is_satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        """Every clause has a true literal; a variable left out makes none true."""
-        true_literals = {v if value else -v for v, value in assignment.items()}
-        truth = map(true_literals.__contains__, self.literals)
-        return all(map(any, zip(*[truth] * self.width)))  # any over each clause
+    def is_satisfied_by(self, values: bytes) -> bool:
+        """Every clause has a true literal, where values[v-1] is x_v (0 or 1)."""
+        if len(values) != self.variable_count:
+            raise DomainError(f"{len(values)} values for {self.variable_count} variables")
+        truth = bytes(map(truth_table(values).__getitem__, self.literals))
+        return all(map(any, zip(*[iter(truth)] * self.width)))  # any over each clause
 
 
-@dataclass(frozen=True)
-class ExpansionTree:
-    """Provenance of an extremal construction.
+_NOT = bytes([1, 0]) + bytes(254)  # 0 <-> 1, for the values of the negative literals
 
-    parent maps each non-root variable to the variable whose expansion
-    introduced it.  added maps each expanded variable i to the clause
-    indices appended at its stage, split into the half where i occurs
-    positively and the half where it occurs negatively.
-    """
 
-    parent: Mapping[int, int]
-    added: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
+def truth_table(values: bytes) -> bytearray:
+    """The values (0 or 1; values[v-1] is x_v) indexed by signed literal: truth[v]
+    is x_v and truth[-v], read from the end, 1 - x_v; truth[z] is 1 iff z is true."""
+    return bytearray(1) + values + values[::-1].translate(_NOT)
 
 
 def build_extremal_formula(k: int, L: int, r: int,
-                           clause_guard: int = DEFAULT_CLAUSE_GUARD,
-                           ) -> tuple[Formula, ExpansionTree]:
+                           clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Formula:
     """Run r expansion stages; stage i expands variable i.
 
     Stage i appends L-1 clauses with literal x_i followed by L-1 clauses
@@ -95,6 +92,12 @@ def build_extremal_formula(k: int, L: int, r: int,
     variables, numbered sequentially in clause order, all positive.
     Stage 1 creates variable 1 implicitly (the construction starts from
     the empty formula).
+
+    So each slot has a closed form, written by one strided slice: stage i
+    adds clauses c = (i-1)(2L-2) + 0..2L-3, with x_i in slot 0 of the
+    first L-1 and ~x_i in the rest; slot j >= 1 of clause c holds
+    variable 1 + j + c(k-1); so n clauses use m = n(k-1) + 1 variables
+    (0 if r = 0), and stage (v-2) // ((2L-2)(k-1)) + 1 introduced v >= 2.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -107,26 +110,13 @@ def build_extremal_formula(k: int, L: int, r: int,
         raise SizeGuardError(
             f"construction would produce {total_clauses} clauses, guard is {clause_guard}")
 
-    literals = array("q")
-    parent: dict[int, int] = {}
-    added: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    next_var = 1 if r == 0 else 2  # stage 1 introduces variable 1 itself
-    clause_count = 0
-
-    for i in range(1, r + 1):
-        parent.update(dict.fromkeys(range(next_var, next_var + (2 * L - 2) * (k - 1)), i))
-        for literal in (i, -i):
-            for _ in range(L - 1):
-                literals.append(literal)
-                literals.extend(range(next_var, next_var + k - 1))
-                next_var += k - 1
-        added[i] = (tuple(range(clause_count, clause_count + L - 1)),
-                    tuple(range(clause_count + L - 1, clause_count + 2 * L - 2)))
-        clause_count += 2 * L - 2
-
-    variable_count = next_var - 1 if r > 0 else 0
-    formula = Formula(width=k, variable_count=variable_count, literals=literals)  # valid as built
-    return formula, ExpansionTree(parent=parent, added=added)
+    m = total_clauses * (k - 1) + 1 if r > 0 else 0
+    literals = array("q", [0]) * (total_clauses * k)
+    signed = chain.from_iterable(zip(range(1, r + 1), range(-1, -r - 1, -1)))  # 1, -1, 2, ...
+    literals[::k] = array("q", chain.from_iterable(map(repeat, signed, repeat(L - 1))))
+    for j in range(1, k):
+        literals[j::k] = array("q", range(1 + j, m + 1, k - 1))
+    return Formula(width=k, variable_count=m, literals=literals)  # valid as built
 
 
 def dimacs_export(formula: Formula) -> str:

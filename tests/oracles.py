@@ -8,12 +8,13 @@ occurrence count, the test of max phi_N >= 0 on interval logarithms,
 Newton's bracket of its maximizer on mpmath floats, one end of a power by
 square-and-multiply, the fixed-point iteration on interval objects, a
 binary search for F_Shearer, a search over orderings for the sets
-orderable to an event), so that tests can cross-check the production code
-against it.  The mpmath interval helpers they use live here too.
+orderable to an event, the stage loop of the extremal construction), so
+that tests can cross-check the production code against it.  The mpmath interval helpers they use live here too.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -270,6 +271,29 @@ def validate_occurrences(formula: Formula, L: int) -> bool:
     profile = occurrences(formula)
     return all(profile.R0(i) <= L and profile.R1(i) <= L - 1
                for i in range(1, formula.variable_count + 1))
+
+
+def extremal_formula_by_stages(k: int, L: int, r: int):
+    """The extremal construction, one expansion stage at a time: the formula,
+    the stage that introduced each variable after 1 (parent) and, per stage
+    i, the clause indices added with x_i and with ~x_i (added)."""
+    literals = array("q")
+    parent: dict[int, int] = {}
+    added: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    next_var = 1 if r == 0 else 2  # stage 1 introduces variable 1 itself
+    clause_count = 0
+    for i in range(1, r + 1):
+        parent.update(dict.fromkeys(range(next_var, next_var + (2 * L - 2) * (k - 1)), i))
+        for literal in (i, -i):
+            for _ in range(L - 1):
+                literals.append(literal)
+                literals.extend(range(next_var, next_var + k - 1))
+                next_var += k - 1
+        added[i] = (tuple(range(clause_count, clause_count + L - 1)),
+                    tuple(range(clause_count + L - 1, clause_count + 2 * L - 2)))
+        clause_count += 2 * L - 2
+    formula = Formula(width=k, variable_count=next_var - 1 if r > 0 else 0, literals=literals)
+    return formula, parent, added
 
 
 def max_degree(graph: DepGraph) -> int:

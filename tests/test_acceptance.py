@@ -124,7 +124,7 @@ def test_criterion_06_construction_invariants():
     for k in range(2, 6):
         for L in range(2, 5):
             for r in (0, 1, 2, 5, 20):
-                formula, _ = build_extremal_formula(k, L, r)
+                formula = build_extremal_formula(k, L, r)
                 assert validate_occurrences(formula, L), (k, L, r)
     report(6, "occurrence bounds R0<=L, R1<=L-1 across the parameter sweep")
 
@@ -141,7 +141,7 @@ def test_criterion_07_embedding_verified():
 def test_criterion_08_lopsidependency_property():
     corpus = []
     for k, L, r in ((3, 2, 1), (3, 2, 2), (2, 2, 3), (2, 2, 5), (2, 3, 2)):
-        formula, _ = build_extremal_formula(k, L, r)
+        formula = build_extremal_formula(k, L, r)
         corpus.append(formula)
     rng = random.Random(23)
     for _ in range(10):
@@ -171,7 +171,7 @@ def test_criterion_09_harris_agreement_and_boundary():
             continue
         checked += 1
         mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
-        formula, _ = build_extremal_formula(k, L, r)
+        formula = build_extremal_formula(k, L, r)
         events = events_from_formula(formula)
         p = [Fraction(1, 2 ** k)] * len(events)
         assert harris_check(events, [mu] * len(events), p).satisfied, (k, L, r)
@@ -191,9 +191,9 @@ def test_criterion_10_moser_tardos_termination():
     for trial in range(100):
         formula = instances[trial % len(instances)]
         events = events_from_formula(formula)
-        assignment, stats = run_mt(events, formula.variable_count, seed=seed + trial)
+        values, stats = run_mt(events, formula.variable_count, seed=seed + trial)
         assert stats.terminated
-        assert all(any(assignment[abs(v)] == (v > 0) for v in formula.clause(i))
+        assert all(any(values[abs(v) - 1] == (v > 0) for v in formula.clause(i))
                    for i in range(formula.clause_count))
         successes += 1
     assert successes == 100

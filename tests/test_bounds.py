@@ -99,7 +99,7 @@ def test_orderable_shared_atom_pair_not_orderable():
 
 
 def test_orderable_never_contains_b_in_composite_set():
-    formula, _ = build_extremal_formula(3, 2, 2)
+    formula = build_extremal_formula(3, 2, 2)
     events = events_from_formula(formula)
     for b_index in range(len(events)):
         for y in orderable_sets(b_index, events):
@@ -179,7 +179,7 @@ def test_harris_violated_witness():
 
 
 def test_harris_phi1_with_alpha():
-    formula, _ = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     events = events_from_formula(formula)
     alpha, satisfied = harris_ksat_alpha(3, 2)
     # closed-form alpha is not quite a Fraction; a nearby rational suffices

@@ -18,7 +18,9 @@ from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, E
                         EXIT_GUARD, main)
 from satlll.errors import CertificationError, DomainError
 from satlll.events_graph import DepGraph
-from satlll.sat_model import DEFAULT_CLAUSE_GUARD
+from satlll.events_graph import events_from_formula
+from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dimacs_export,
+                              dimacs_import)
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +267,51 @@ def test_mt_empty_formula(capsys, tmp_path):
     first, second = out.splitlines()
     assert first == "terminated=True resamples=0 satisfies=True"
     assert [token.split("=")[0] for token in second.split()] == ["1", "2", "3", "4", "5"]
+
+
+def mt_output_per_variable(formula, seed, max_steps, json_format):
+    """mt's output formatted from a {variable: bool} dict, one variable at a time."""
+    events = events_from_formula(formula)
+    values, stats = moser_tardos.run_mt(events, formula.variable_count, seed=seed,
+                                        max_steps=max_steps)
+    assignment = {v: bool(values[v - 1]) for v in range(1, formula.variable_count + 1)}
+    satisfies = stats.terminated and all(
+        any(assignment[abs(z)] == (z > 0) for z in formula.clause(i))
+        for i in range(formula.clause_count))
+    if json_format:
+        return json.dumps({"stats": stats.to_json_dict(), "satisfies_formula": satisfies,
+                           "assignment": {str(v): assignment[v] for v in sorted(assignment)}
+                           if stats.terminated else None}, indent=2) + "\n"
+    lines = [f"terminated={stats.terminated} resamples={stats.total_resamples} "
+             f"satisfies={satisfies}"]
+    if stats.terminated:
+        lines.append(" ".join(f"{v}={'T' if assignment[v] else 'F'}" for v in sorted(assignment)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, max_steps, variables", [
+    ("p cnf 0 0\n", "100", 0),
+    ("p cnf 1 0\n", "100", 1),
+    ("p cnf 2 1\n1 -2 0\n", "100", 2),
+    (dimacs_export(build_extremal_formula(9, 22, 200)), "1000000", 67_201),
+    ("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", "5", 2),  # never terminates
+], ids=["m0", "m1", "m2", "m67201", "unterminated"])
+def test_mt_output_equals_per_variable_formatting(capsys, tmp_path, text, max_steps,
+                                                  variables):
+    target = tmp_path / "inst.cnf"
+    target.write_text(text)
+    formula = dimacs_import(text)
+    assert formula.variable_count == variables
+    for seed in (0, 7):
+        for json_format in (False, True):
+            argv = ["mt", "--cnf", str(target), "--seed", str(seed), "--max-steps", max_steps]
+            code, out, err = run_cli(capsys, *(["--format", "json"] if json_format else []),
+                                     *argv)
+            assert (code, err) == (0, "")
+            assert out == mt_output_per_variable(formula, seed, int(max_steps), json_format)
+            if max_steps == "5":
+                assert (json.loads(out)["assignment"] is None if json_format
+                        else out.startswith("terminated=False") and out.count("\n") == 1)
 
 
 def test_check_shearer_empty_formula(capsys, tmp_path):

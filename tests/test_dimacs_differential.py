@@ -140,7 +140,7 @@ def test_whole_text_reads_exactly_the_clean_files(text):
 
 @pytest.mark.parametrize("k,L,r", [(2, 2, 10), (3, 2, 4), (3, 3, 6), (4, 3, 5), (9, 22, 3)])
 def test_parsers_agree_on_constructions(k, L, r):
-    text = dimacs_export(build_extremal_formula(k, L, r)[0])
+    text = dimacs_export(build_extremal_formula(k, L, r))
     assert_same_outcome(text)
 
 

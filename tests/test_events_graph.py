@@ -16,19 +16,19 @@ from oracles import connected_components, induced_subgraph, max_degree
 
 
 def test_events_of_phi1():
-    formula, _ = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     events = events_from_formula(formula)
     assert events == [(1, 2, 3), (-1, 4, 5)]
 
 
 def test_atom_relation_is_irreflexive_on_clause_events():
-    formula, _ = build_extremal_formula(3, 2, 2)
+    formula = build_extremal_formula(3, 2, 2)
     for event in events_from_formula(formula):
         assert all(-z not in event for z in event)  # no event hits its own literals
 
 
 def test_lopsidependency_graph_phi1():
-    formula, _ = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     graph = lopsidependency_graph(events_from_formula(formula))
     assert graph.edges() == [(0, 1)]
 
@@ -71,7 +71,7 @@ def _share_a_variable(a, b):
 def test_indexed_builders_match_pairwise_definitions(rng):
     formulas = [random_formula(rng, rng.randint(2, 4), rng.randint(4, 14), rng.randint(0, 20))
                 for _ in range(200)]
-    formulas += [build_extremal_formula(k, L, r)[0]
+    formulas += [build_extremal_formula(k, L, r)
                  for k, L, r in ((2, 2, 8), (3, 2, 6), (3, 3, 5), (4, 3, 4), (2, 4, 3))]
     for formula in formulas:
         events = events_from_formula(formula)
@@ -180,7 +180,7 @@ def test_from_edges_does_not_fill_the_tuple_free_lists():
 
 def test_lopsi_max_degree_bound_on_construction():
     for k, L in ((2, 2), (3, 2), (2, 3)):
-        formula, _ = build_extremal_formula(k, L, 6)
+        formula = build_extremal_formula(k, L, 6)
         graph = lopsidependency_graph(events_from_formula(formula))
         # positive literals meet <= L-1 opposite occurrences, the single
         # negative literal meets <= L, so degree <= (k-1)(L-1) + L
@@ -188,7 +188,7 @@ def test_lopsi_max_degree_bound_on_construction():
 
 
 def test_verify_lopsidependency_on_canonical_graph():
-    formula, _ = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     events = events_from_formula(formula)
     graph = lopsidependency_graph(events)
     assert verify_lopsidependency(events, graph, formula.variable_count)

@@ -26,9 +26,9 @@ def event_probability(event):
     return prob
 
 
-def holds(event, assignment):
-    """Every literal of the clause is false under the assignment."""
-    return all(assignment[abs(z)] == (z < 0) for z in event)
+def holds(event, values):
+    """Every literal of the clause is false; values[v-1] is x_v."""
+    return all(values[abs(z) - 1] == (z < 0) for z in event)
 
 
 def run_mt_by_rescan(events, m, rule, seed, max_steps):
@@ -41,11 +41,11 @@ def run_mt_by_rescan(events, m, rule, seed, max_steps):
         return rng.randrange(2) < 1
 
     probabilities = [event_probability(e) for e in events]
-    assignment = {i: draw(init_rng) for i in range(1, m + 1)}
+    values = bytearray(draw(init_rng) for _ in range(m))  # values[v-1] is x_v
     per_event = [0] * len(events)
     steps = 0
     while True:
-        true_events = [i for i, e in enumerate(events) if holds(e, assignment)]
+        true_events = [i for i, e in enumerate(events) if holds(e, values)]
         if not true_events or steps >= max_steps:
             break
         if rule is SelectionRule.FIRST_INDEX:
@@ -55,13 +55,13 @@ def run_mt_by_rescan(events, m, rule, seed, max_steps):
         else:
             chosen = min(true_events, key=lambda i: (probabilities[i], i))
         for variable in sorted(abs(z) for z in events[chosen]):
-            assignment[variable] = draw(resample_rng)
+            values[variable - 1] = draw(resample_rng)
         per_event[chosen] += 1
         steps += 1
     stats = RunStats(total_resamples=sum(per_event), per_event_resamples=tuple(per_event),
                      terminated=not true_events, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
-    return assignment, stats
+    return bytes(values), stats
 
 
 def test_incremental_run_matches_rescan():
@@ -75,8 +75,8 @@ def test_incremental_run_matches_rescan():
         rule = list(SelectionRule)[case % 3]
         max_steps = rng.choice([0, 1, 5, 60])
         expected = run_mt_by_rescan(events, m, rule, case, max_steps)
-        assignment, stats = run_mt(events, m, rule=rule, seed=case, max_steps=max_steps)
-        assert assignment == expected[0], case
+        values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=max_steps)
+        assert values == expected[0], case
         assert stats.to_json_dict() == expected[1].to_json_dict(), case
         seen.add((rule, not events, stats.terminated, stats.steps == max_steps))
     for rule in SelectionRule:
@@ -89,7 +89,7 @@ def test_incremental_run_matches_rescan():
 def test_incremental_run_matches_rescan_on_extremal_formulas(shape):
     # One variable lies in 2L - 2 events, L - 1 of each sign, so a flip of it
     # removes and re-tests many events at once.
-    formula, _ = build_extremal_formula(*shape)
+    formula = build_extremal_formula(*shape)
     events = events_from_formula(formula)
     m = formula.variable_count
     cut = set()
@@ -97,8 +97,8 @@ def test_incremental_run_matches_rescan_on_extremal_formulas(shape):
         for max_steps in (0, 5, 60):
             for seed in range(8):
                 expected = run_mt_by_rescan(events, m, rule, seed, max_steps)
-                assignment, stats = run_mt(events, m, rule=rule, seed=seed, max_steps=max_steps)
-                assert assignment == expected[0], (rule, max_steps, seed)
+                values, stats = run_mt(events, m, rule=rule, seed=seed, max_steps=max_steps)
+                assert values == expected[0], (rule, max_steps, seed)
                 assert stats.to_json_dict() == expected[1].to_json_dict(), (rule, max_steps, seed)
                 if not stats.terminated:
                     cut.add(max_steps)
@@ -141,8 +141,8 @@ def test_lowest_probability_on_events_of_mixed_sizes():
                         for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m))))
                   for _ in range(rng.randint(1, 12))]
         expected = run_mt_by_rescan(events, m, rule, case, 40)
-        assignment, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
-        assert assignment == expected[0], case
+        values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
+        assert values == expected[0], case
         assert stats.to_json_dict() == expected[1].to_json_dict(), case
 
 
@@ -151,23 +151,24 @@ def test_unknown_rule_is_refused():
         run_mt([(-1,)], 1, rule="first-index")
 
 
-def satisfies(formula, assignment):
-    return all(any(assignment[abs(v)] == (v > 0) for v in formula.clause(i))
+def satisfies(formula, values):
+    return all(any(values[abs(v) - 1] == (v > 0) for v in formula.clause(i))
                for i in range(formula.clause_count))
 
 
 def test_zero_events_returns_initial_assignment():
-    assignment, stats = run_mt([], 4, seed=7)
-    assert set(assignment) == {1, 2, 3, 4}
+    values, stats = run_mt([], 4, seed=7)
+    assert type(values) is bytes and len(values) == 4 and set(values) <= {0, 1}
+    assert values == fair_coins(random.Random("7:init"), 4)
     assert stats.total_resamples == 0
     assert stats.terminated
     assert stats.steps == 0
 
 
 def test_single_event_terminates():
-    assignment, stats = run_mt([(-1,)], 1, seed=3)
+    values, stats = run_mt([(-1,)], 1, seed=3)
     assert stats.terminated
-    assert assignment[1] is False
+    assert values == b"\0"
 
 
 def test_single_event_geometric_mean():
@@ -191,8 +192,7 @@ def test_reproducible_traces():
 
 def test_different_seeds_differ_eventually():
     events = [(-1, -2), (-3, -4)]
-    assignments = {tuple(sorted(run_mt(events, 4, seed=s)[0].items()))
-                   for s in range(30)}
+    assignments = {run_mt(events, 4, seed=s)[0] for s in range(30)}
     assert len(assignments) > 1
 
 
@@ -208,10 +208,10 @@ def test_terminated_assignment_satisfies_formula(rng):
     for trial in range(20):
         formula = random_low_occurrence_formula(rng, k=3, m=30, n_clauses=7)
         events = events_from_formula(formula)
-        assignment, stats = run_mt(events, formula.variable_count, seed=trial)
+        values, stats = run_mt(events, formula.variable_count, seed=trial)
         assert stats.terminated
-        assert satisfies(formula, assignment)
-        assert not any(holds(e, assignment) for e in events)
+        assert satisfies(formula, values) and formula.is_satisfied_by(values)
+        assert not any(holds(e, values) for e in events)
 
 
 def test_bias_validation():

@@ -1,3 +1,4 @@
+import random
 from array import array
 
 import pytest
@@ -9,7 +10,7 @@ from satlll.sat_model import (EMPTY_WIDTH, Formula, build_extremal_formula,
                               dimacs_export, dimacs_import)
 
 from conftest import random_formula
-from oracles import occurrences, validate_occurrences
+from oracles import extremal_formula_by_stages, occurrences, validate_occurrences
 
 
 def test_formula_refuses_variable_zero():
@@ -48,9 +49,42 @@ def test_formula_layout_and_satisfaction():
     assert formula.clause_count == 2
     assert list(formula.clause(1)) == [2, 3]
     assert formula == Formula.from_literals(2, 3, [1, -2, 2, 3])
-    assert formula.is_satisfied_by({1: False, 2: False, 3: True})
-    assert not formula.is_satisfied_by({1: False, 2: True, 3: False})
-    assert Formula.from_literals(width=3, variable_count=0, literals=[]).is_satisfied_by({})
+    assert formula.is_satisfied_by(bytes([0, 0, 1]))
+    assert not formula.is_satisfied_by(bytes([0, 1, 0]))
+    assert Formula.from_literals(width=3, variable_count=0, literals=[]).is_satisfied_by(b"")
+
+
+def satisfied_by_brute_force(formula, values):
+    return all(any(values[abs(z) - 1] == (z > 0) for z in formula.clause(i))
+               for i in range(formula.clause_count))
+
+
+def test_satisfaction_matches_brute_force():
+    seen = set()
+    for case in range(600):
+        rng = random.Random(case)
+        k = 2 + case % 8  # widths 2..9
+        m = rng.randint(k, 3 * k)  # the clauses often leave variables unused
+        formula = random_formula(rng, k, m, rng.choice([0, 1, rng.randint(2, 12)]))
+        values = bytearray(rng.getrandbits(1) for _ in range(m))
+        if formula.clause_count and case % 2:  # falsify one clause
+            for z in formula.clause(rng.randrange(formula.clause_count)):
+                values[abs(z) - 1] = z < 0
+        values = bytes(values)
+        expected = satisfied_by_brute_force(formula, values)
+        assert formula.is_satisfied_by(values) == expected, case
+        seen.add((formula.clause_count > 0, expected))
+    assert seen == {(False, True), (True, True), (True, False)}
+    for m in range(4):
+        assert Formula.from_literals(3, m, []).is_satisfied_by(bytes(m))
+
+
+def test_satisfaction_refuses_values_of_another_length():
+    # With one value short, truth[3] would read the end of the table, ~x_1's entry.
+    formula = Formula.from_literals(width=2, variable_count=3, literals=(1, -2, 2, 3))
+    for values in (bytes([0, 0]), bytes([0, 0, 1, 1]), b""):
+        with pytest.raises(DomainError, match=f"{len(values)} values for 3 variables"):
+            formula.is_satisfied_by(values)
 
 
 def test_occurrences_direct_count():
@@ -63,22 +97,38 @@ def test_occurrences_direct_count():
 
 
 def test_occurrences_empty_formula():
-    formula, _ = build_extremal_formula(3, 2, 0)
+    formula = build_extremal_formula(3, 2, 0)
     assert formula.clause_count == 0
     assert occurrences(formula).variable_count == 0
 
 
 def test_construction_first_stage():
-    formula, tree = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     assert formula.clause_count == 2
     assert formula.variable_count == 5
     assert list(formula.literals) == [1, 2, 3, -1, 4, 5]
-    assert tree.parent == {2: 1, 3: 1, 4: 1, 5: 1}
-    assert tree.added[1] == ((0,), (1,))
+
+
+SHAPES = [(k, L, r) for k in range(2, 11) for L in range(2, 8) for r in range(12)]
+
+
+def test_construction_matches_stage_loop():
+    for k, L, r in SHAPES + [(9, 22, 200), (20, 3, 50)]:
+        formula = build_extremal_formula(k, L, r)
+        expected, parent, added = extremal_formula_by_stages(k, L, r)
+        assert formula == expected, (k, L, r)
+        assert formula.literals.typecode == "q"
+        m = formula.variable_count
+        assert m == (r * (2 * L - 2) * (k - 1) + 1 if r else 0)
+        # The closed forms hj_family.embed_H_in_G and the docstring rest on.
+        assert parent == {v: (v - 2) // ((2 * L - 2) * (k - 1)) + 1 for v in range(2, m + 1)}
+        starts = {i: (i - 1) * (2 * L - 2) for i in range(1, r + 1)}
+        assert added == {i: (tuple(range(c, c + L - 1)), tuple(range(c + L - 1, c + 2 * L - 2)))
+                         for i, c in starts.items()}
 
 
 def test_construction_k2_L3_r2_counts():
-    formula, _ = build_extremal_formula(2, 3, 2)
+    formula = build_extremal_formula(2, 3, 2)
     assert formula.clause_count == 8
     profile = occurrences(formula)
     # variable 2 gains one positive occurrence at stage 1 and L-1 = 2 at stage 2
@@ -87,7 +137,7 @@ def test_construction_k2_L3_r2_counts():
 
 
 def test_construction_occurrence_bounds_hold():
-    formula, _ = build_extremal_formula(3, 2, 5)
+    formula = build_extremal_formula(3, 2, 5)
     assert validate_occurrences(formula, 2)
     profile = occurrences(formula)
     assert all(profile.R0(i) <= 2 and profile.R1(i) <= 1
@@ -101,10 +151,11 @@ def test_validate_occurrences_detects_violation():
 
 
 def test_construction_fresh_variables_each_in_one_clause():
-    formula, tree = build_extremal_formula(4, 3, 4)
+    formula = build_extremal_formula(4, 3, 4)
+    _, parent, added = extremal_formula_by_stages(4, 3, 4)
     profile = occurrences(formula)
-    for child, parent in tree.parent.items():
-        if child not in tree.added:  # never expanded: only its birth clause
+    for child in parent:
+        if child not in added:  # never expanded: only its birth clause
             assert profile.R0(child) == 1
             assert profile.R1(child) == 0
 
@@ -119,7 +170,7 @@ def test_construction_guards():
 
 
 def test_dimacs_export_phi1():
-    formula, _ = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1)
     assert dimacs_export(formula) == "p cnf 5 2\n1 2 3 0\n-1 4 5 0\n"
 
 
@@ -153,11 +204,10 @@ def test_dimacs_rejects_nonuniform_width():
 @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(2, 4),
        st.integers(1, 8))
 def test_dimacs_round_trip(seed, k, n_clauses):
-    import random
     formula = random_formula(random.Random(seed), k, m=k + 6, n_clauses=n_clauses)
     assert dimacs_import(dimacs_export(formula)) == formula
 
 
 def test_dimacs_round_trip_on_construction():
-    formula, _ = build_extremal_formula(2, 3, 4)
+    formula = build_extremal_formula(2, 3, 4)
     assert dimacs_import(dimacs_export(formula)) == formula
