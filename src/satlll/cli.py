@@ -179,7 +179,10 @@ def _graph_from_json(path: str, guard_vertices: int):
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         _check_vertex_guard(n, guard_vertices)
-        graph = DepGraph.from_edges(n, [tuple(e) for e in data["edges"]])
+        edges = [tuple(e) for e in data["edges"]]
+        if ("true" in text or "false" in text) and bool in map(type, chain.from_iterable(edges)):
+            raise ValueError("edge endpoints must be integers, got a bool")  # not 1 or 0
+        graph = DepGraph.from_edges(n, edges)
         p = _probabilities(data["p"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None

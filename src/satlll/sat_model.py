@@ -131,16 +131,13 @@ EMPTY_WIDTH = 2
 
 
 def dimacs_import(text: str) -> Formula:
-    """Parse DIMACS CNF.  All clauses must share one width.
+    """Parse DIMACS CNF, in the grammar _by_lines states; all clauses share one width.
 
-    The width is that of the first clause, or EMPTY_WIDTH without one.  A
-    line starting with % ends the input, as SATLIB files use it.  A clean
-    file is read whole; any other file, or one that fails a whole-text
-    check, is read line by line, and only that parser raises, so an error
+    A clean file is read whole; any other file, or one that fails a
+    whole-text check, is read by _by_lines, which alone raises, so an error
     names the line of its token, or of the first literal of its clause.
     """
-    formula = _whole_text(text)
-    return formula if formula is not None else _by_lines(text)
+    return _whole_text(text) or _by_lines(text)  # a Formula is never falsy
 
 
 def _whole_text(text: str) -> Formula | None:
@@ -165,13 +162,24 @@ def _whole_text(text: str) -> Formula | None:
 
 
 def _by_lines(text: str) -> Formula:
-    variable_count = None
-    declared_clauses = None
+    """The formula read line by line and token by token.
+
+    Lines end where str.splitlines ends them and are stripped: a blank one
+    or one starting with c is skipped, % ends the input, and p starts the
+    header "p cnf <variables> <clauses>" (a later one replaces it).  Any
+    other line must follow a header; its tokens are literals in [-variables,
+    variables], a nonzero one joining the open clause and 0 closing it.  The
+    first failure in token order raises: a token that is no int or out of
+    range, or a 0 closing an empty clause, at its line; a clause repeating
+    a variable, at its first literal's line.  At the end: no header, an open
+    clause (at its first line), a count other than the declared one, mixed
+    widths, then Formula.from_literals's (width 1, a negative count, 64 bits).
+    """
+    variable_count = declared_clauses = None
     literals: list[int] = []
-    widths: set[int] = set()
-    clause_count = 0
-    pending: list[int] = []  # a clause continued on the next line
-    pending_line = None
+    widths: dict[int, int] = {}  # the clause count of each width
+    clause: list[int] = []  # the open clause
+    clause_line = None  # the line of its first literal
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -181,69 +189,42 @@ def _by_lines(text: str) -> Formula:
             break
         if line[0] == "p":
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"bad problem line {line!r}", line=lineno)
-            try:
-                variable_count = int(parts[2])
-                declared_clauses = int(parts[3])
+            try:  # four tokens, the second "cnf" and the last two ints
+                variable_count, declared_clauses = map(
+                    int, parts[2:] if parts[1:2] == ["cnf"] else ())
             except ValueError:
                 raise DimacsError(f"bad problem line {line!r}", line=lineno) from None
             continue
         if variable_count is None:
             raise DimacsError("clause before 'p cnf' header", line=lineno)
-        values, error = _line_literals(line.split(), variable_count, lineno)
-        start = 0
-        for _ in range(values.count(0)):
-            end = values.index(0, start)
-            clause = pending + values[start:end]
+        for token in line.split():
+            try:
+                value = int(token)
+            except ValueError:
+                raise DimacsError(f"malformed literal token {token!r}", line=lineno) from None
+            if abs(value) > variable_count:
+                raise DimacsError(f"literal {value} exceeds the declared "
+                                  f"{variable_count} variables", line=lineno)
+            if value:
+                if not clause:
+                    clause_line = lineno
+                clause.append(value)
+                continue
             if not clause:
                 raise DimacsError("empty clause", line=lineno)
             if len(set(map(abs, clause))) != len(clause):
                 raise DimacsError(f"clause has repeated variables: {list(map(abs, clause))}",
-                                  line=pending_line if pending else lineno)
+                                  line=clause_line)
             literals += clause
-            widths.add(len(clause))
-            clause_count += 1
-            pending = []
-            start = end + 1
-        if start < len(values):
-            if not pending:
-                pending_line = lineno
-            pending += values[start:]
-        if error is not None:
-            raise error
+            widths[len(clause)] = widths.get(len(clause), 0) + 1
+            clause = []
 
     if variable_count is None:
         raise DimacsError("missing 'p cnf' header")
-    if pending:
-        raise DimacsError("unterminated clause at end of input", line=pending_line)
-    if declared_clauses is not None and declared_clauses != clause_count:
-        raise DimacsError(f"header declares {declared_clauses} clauses, found {clause_count}")
-
+    if clause:
+        raise DimacsError("unterminated clause at end of input", line=clause_line)
+    if declared_clauses != sum(widths.values()):
+        raise DimacsError(f"header declares {declared_clauses} clauses, found {sum(widths.values())}")
     if len(widths) > 1:
         raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
-    width = widths.pop() if widths else EMPTY_WIDTH
-    return Formula.from_literals(width, variable_count, literals)  # width 1, 64 bits
-
-
-def _line_literals(tokens: list[str], variable_count: int,
-                   lineno: int) -> tuple[list[int], DimacsError | None]:
-    """The line's literals before its first bad token, and the error that token raises."""
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        pass
-    else:
-        if max(values) <= variable_count and min(values) >= -variable_count:
-            return values, None
-    values = []
-    for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            return values, DimacsError(f"malformed literal token {token!r}", line=lineno)
-        if abs(value) > variable_count:
-            return values, DimacsError(f"literal {value} exceeds the declared "
-                                       f"{variable_count} variables", line=lineno)
-        values.append(value)
-    return values, None
+    return Formula.from_literals(min(widths, default=EMPTY_WIDTH), variable_count, literals)

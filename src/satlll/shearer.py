@@ -101,7 +101,7 @@ def _entry(i: int, x: Fraction) -> str:
         return f"p[{i}]"
 
 
-def _bits(mask: int):
+def _vertices(mask: int):
     """The vertices of mask, in increasing order."""
     while mask:
         low = mask & -mask
@@ -152,7 +152,7 @@ class _QEngine:
     def scale(self, mask: int) -> int:
         """prod_{u in mask} d_u, so that Z_W = Fraction(q(W), scale(W))."""
         product = 1
-        for u in _bits(mask):
+        for u in _vertices(mask):
             product *= self.denominators[u]
         return product
 
@@ -169,7 +169,7 @@ def _chain_fails(engine: _QEngine, region: int) -> bool:
 
     By (a) <=> (c) on G[region]: some suffix region >> v << v has Z <= 0.
     """
-    return any(engine.q(region >> v << v) <= 0 for v in _bits(region))
+    return any(engine.q(region >> v << v) <= 0 for v in _vertices(region))
 
 
 def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
@@ -193,7 +193,7 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
         # A v below max S never qualifies (its violating sets would precede
         # S), so skipping it only saves chain tests.
         start = witness[-1] + 1 if witness else 0
-        for v in _bits(region >> start << start):
+        for v in _vertices(region >> start << start):
             child = region & ~engine.closed[v]
             if _chain_fails(engine, child):
                 break

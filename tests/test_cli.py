@@ -489,6 +489,10 @@ GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
     (CHECK_CNF, "p cnf 2 1\n1 3 0\n", None, EXIT_DIMACS, "line 2"),
     (CHECK_GRAPH, json.dumps({**K2_GRAPH, "n": -5}), None, EXIT_DOMAIN, "non-negative"),
     (CHECK_GRAPH, json.dumps({**K2_GRAPH, "n": True}), None, EXIT_DOMAIN, "non-negative"),
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "edges": [[True, False]]}), None,
+     EXIT_DOMAIN, "endpoints must be integers, got a bool"),
+    (CHECK_GRAPH, json.dumps({**K2_GRAPH, "edges": [[0, True]]}), None,
+     EXIT_DOMAIN, "endpoints must be integers, got a bool"),
     (["--format", "json", "fixedpoint", "--k", "2", "--L", "2", "--max-trajectory", "-1"],
      None, None, EXIT_DOMAIN, "max_trajectory"),
     (["fixedpoint", "--k", "5", "--L", "4", "--max-iter", "-3"], None, None,
@@ -523,8 +527,8 @@ GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
      EXIT_DOMAIN, "formula width must be >= 2, got 1"),
 ], ids=["edge-out-of-range", "no-edges", "bad-probability", "not-json",
         "missing-graph-file", "missing-cnf-file", "bad-precision-env", "literal-above-count",
-        "negative-n", "boolean-n", "negative-max-trajectory", "negative-max-iter",
-        "graph-over-guard",
+        "negative-n", "boolean-n", "boolean-edge", "boolean-endpoint",
+        "negative-max-trajectory", "negative-max-iter", "graph-over-guard",
         "cnf-over-guard", "hj-over-guard", "non-utf8-input", "out-in-missing-dir",
         "infinite-probability", "mt-variables-over-guard", "mt-clauses-over-guard",
         "exponent-probability", "long-q", "long-q-json", "bounds-long-f", "table-long-f",

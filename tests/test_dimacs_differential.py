@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError
-from satlll.sat_model import (EMPTY_WIDTH, _whole_text, build_extremal_formula,
+from satlll.sat_model import (EMPTY_WIDTH, _by_lines, _whole_text, build_extremal_formula,
                               dimacs_export, dimacs_import)
 
 from conftest import random_formula
@@ -38,8 +38,8 @@ def _outcome(parse, *args):
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
-def _flat(text):
-    formula = dimacs_import(text)
+def _flat(text, read=dimacs_import):
+    formula = read(text)
     return formula.width, formula.variable_count, tuple(formula.literals)
 
 
@@ -50,9 +50,9 @@ def _before_percent_line(text):
     return "\n".join(lines[:end])
 
 
-def assert_same_outcome(text):
+def assert_same_outcome(text, read=dimacs_import):
     expected = _outcome(oracle_dimacs_import, _before_percent_line(text))
-    got = _outcome(_flat, text)
+    got = _outcome(_flat, text, read)
     if expected == ("DimacsError", EMPTY_REFUSAL, None):
         # Now defined: the empty formula, refused only for a negative count.
         expected = _outcome(oracle_dimacs_import, _before_percent_line(text), EMPTY_WIDTH)
@@ -72,10 +72,28 @@ TOKEN_SOUP = st.builds(lambda header, lines: "\n".join([header, *lines]),
                        LINES)
 
 
+GENERATED_TEXT = DIMACS_LIKE | well_formed_dimacs() | TOKEN_SOUP | st.text(max_size=60)
+
+
 @settings(max_examples=300, deadline=None)
-@given(DIMACS_LIKE | well_formed_dimacs() | TOKEN_SOUP | st.text(max_size=60))
+@given(GENERATED_TEXT)
 def test_parsers_agree_on_generated_text(text):
     assert_same_outcome(text)
+
+
+# dimacs_import reads clean files whole, so only these two properties run the
+# line reader on them: it must read them as the oracle does, and as _whole_text.
+@settings(max_examples=300, deadline=None)
+@given(GENERATED_TEXT)
+def test_line_reader_agrees_on_generated_text(text):
+    assert_same_outcome(text, read=_by_lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GENERATED_TEXT)
+def test_whole_text_reads_as_the_line_reader(text):
+    formula = _whole_text(text)
+    assert formula is None or formula == _by_lines(text)
 
 
 # Files read whole, and files read line by line though they look close.

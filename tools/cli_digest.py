@@ -28,13 +28,20 @@ small (j, k, L); mt under each rule on those formulas and on (9,22,200)
 SATLIB-style file (c lines, a % ending) and on seeded random mixed-sign
 3-SAT and 4-SAT files in the benchmark's shape (0.6 and 1.2 clauses per
 variable, 300 and 600 clauses), two seeds each, and once with
---max-steps 3, which ends with terminated=False; table 200 200 and fixedpoint at
-F_Shearer(200), whose phi probes need more than 256 bits; and inputs that
-exit with each of the codes 2 to 6.  Everything
-runs in tsv and in json.  The extremal files are read whole and the
-SATLIB-style file line by line; its runs resample thousands of times, and
-seed 7 needs a second batch of words for the initial draw on every small
-formula.
+--max-steps 3, which ends with terminated=False; mt and check-shearer on
+eight small files that only the line reader reads: a clause split across
+lines around a c line, two clauses on one line after a c header, lone-CR
+line endings (which the CLI's text-mode read makes newlines), line ends
+that only str.splitlines sees (vertical tab, form feed, 0x1c), and four
+that exit 6 on the first of their errors (a repeated variable, named at
+its clause's first line; a bad clause before a bad token on one line; an
+empty clause before a bad token; an unterminated clause); table 200 200
+and fixedpoint at F_Shearer(200), whose phi probes need more than 256
+bits; and inputs that exit with each of the codes 2 to 6.  Everything
+runs in tsv and in json.  The extremal files are read whole, and the
+SATLIB-style file and the eight small files line by line.  The
+SATLIB-style runs resample thousands of times, and seed 7 needs a second
+batch of words for the initial draw on every small formula.
 """
 
 import contextlib
@@ -76,6 +83,18 @@ RATIOS = (0.6, 1.2)
 UNGUARDED = [(3, 3, 40), (2, 2, 400), (9, 22, 100)]
 # Printed by construct: no clause, one stage, wide clauses, and the largest formula.
 PRINTED = [(2, 2, 0), (2, 3, 1), (12, 3, 5), (9, 22, 200)]
+# Read only line by line: layouts no clean file has, and inputs that exit 6
+# on the first of two errors.
+LINE_READ = {
+    "split.cnf": "p cnf 4 2\n1 -2\nc inside a clause\n3 0 -1 2\n-4 0\n",
+    "two.cnf": "c a header\np cnf 4 2\n1 -2 3 0 -1 2 -4 0\n",
+    "cr.cnf": "c lone CR endings\rp cnf 4 2\r1 -2 3 0\r-1 2 -4 0\r",  # read as \n
+    "vt.cnf": "p cnf 4 2\x0b1 -2 3 0\x0c-1 2 -4 0\x1c",  # ends only splitlines sees
+    "repeat.cnf": "p cnf 3 1\n1\nc comment\n-1 0\n",  # named at its clause's first line
+    "clause_token.cnf": "p cnf 3 2\n1 1 0 x\n",  # a bad clause before a bad token
+    "empty_token.cnf": "p cnf 3 2\n0 x\n",  # an empty clause before a bad token
+    "open.cnf": "p cnf 3 1\n1 2\n",  # unterminated, named at its first line
+}
 
 
 def run(argv):
@@ -226,6 +245,9 @@ def corpus():
     commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
                  for name in randoms for rule in RULES for seed in (0, 7)]
     commands.append(["mt", "--cnf", randoms[-1], "--max-steps", "3"])  # terminated=False
+    for name, text in LINE_READ.items():
+        Path(name).write_bytes(text.encode())  # as given: no newline translation
+        commands += [["mt", "--cnf", name], ["check-shearer", "--cnf", name]]
     commands += [["hj", "--j", str(j), "--k", str(k), "--L", str(L)] for j, k, L in HJ]
     Path("bad.cnf").write_text("p cnf 2 1\n1 3 0\n")
     Path("loop.json").write_text(json.dumps({"n": 2, "edges": [[1, 1]], "p": ["1/2"] * 2}))
