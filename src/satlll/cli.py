@@ -134,6 +134,8 @@ def _probability(entry) -> Fraction:
         limit = sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent.group(1))) > limit:
             raise ValueError(f"probability exponent above {limit} in magnitude")
+    elif type(entry) is bool:  # Fraction(True) is 1
+        raise ValueError(f"{entry!r} is not a probability")
     return Fraction(entry)
 
 

@@ -31,9 +31,13 @@ and F_Shearer(k) = floor(max ell).  It is certified from three facts:
    d = phi_N'(a)(b-a) and phi_N'(a) = q_N(a) / ((2-a)(a^k - ca)) are
    rational.  As e^{phi_N(a)} = (2-a) u(a)^N, max phi_N >= 0 when
    (2-a) u(a)^N >= 1, and max phi_N < 0 when (2-a) u(a)^N < 1 - d, since
-   e^{-d} >= 1 - d.  u(a)^N is enclosed on the integers of fact 6 and
-   compared exactly with both rationals; when neither test holds,
-   CertificationError is raised.
+   e^{-d} >= 1 - d.  All of it runs on ints: with a = A/H, b = (A+2)/H,
+   H = 2^h and M = N(k-1), Q(X) = (M(2H - X) + X) H^{k-1} - 2^k X^k is
+   2^k H^k q_N(X/H), and with D = 2H - A and R = 2^k A^k - A H^{k-1},
+   d = 2 Q(A) / (D R).  u(a)^N, enclosed on the integers of fact 6, is
+   compared with 1/(2-a) = H / D and (1-d)/(2-a) = (D R - 2 Q(A)) H / (D^2 R)
+   by cross-multiplying, so no fraction is normalised; when neither test
+   holds, CertificationError is raised.
 
 Substituting t = 2 - a^{-(L-1)} turns the fixed point a = g(a) into
 phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).  So the same certificate
@@ -67,7 +71,14 @@ When fact 4 finds no witness, the iteration itself decides:
    Both powers keep P + 2 bits relative to their size, a mantissa and a
    binary exponent.  That matters for (2 - a^{-N})^{k-1}, which is small
    near the threshold: rounded to an absolute 2^{-P}, its 2^{-122} at
-   (22, 70990) would vanish at P = 104.
+   (22, 70990) would vanish at P = 104.  a^N is first taken over 2^S,
+   S = P + 2, with plain floor and ceiling shifts.  If its lower end is
+   above 1/2, every square and partial product of both ends lay in
+   [1/2, 1], as lo <= hi <= 2^P, a rounded factor is at most 1 and the
+   lower end only falls to the result; there a cut to P + 2 significant
+   bits is a cut at 2^{-S}, so both ends are the relative ones.  By the
+   same argument a lower end at most 1/2 is one relatively too, and ends
+   the loop: that last power is taken again relatively, and decides.
 """
 
 from __future__ import annotations
@@ -267,8 +278,8 @@ def _powers(lo: int, hi: int, bits: list[int], P: int):
     product is cut to P + 2 bits (one more when a cut rounds up), down for
     the lower end and up for the upper one, and its exponent takes the rest.
     The enclosures of fact 6 and u(a)^N in _phi_witness rest on both ends.
-    Newton in _maximizer_bracket reads only the lower end, and nothing
-    rests on that: its proposal is certified by an exact check.
+    _newton reads only the lower end, and nothing rests on that: its
+    proposal is certified by an exact check.
     """
     width = P + 2
     m, e, n, f = 1, 0, 1, 0  # the products, m * 2^e and n * 2^f
@@ -314,14 +325,15 @@ def _quotient(s: int, low: tuple[int, int], high: tuple[int, int]):
     return lo, -(-(1 << s - f) // n) if s >= f else 1
 
 
-def _compare(m: int, e: int, x: Fraction) -> int:
-    """The sign of m * 2^e - x, for ints m >= 0 and e, decided exactly.
+def _compare(m: int, e: int, num: int, den: int) -> int:
+    """The sign of m * 2^e - num / den, for ints m >= 0, e, num and den > 0, decided exactly.
 
-    Bit lengths settle it unless both sides have the same binary order, and
-    then |e| is at most a bit length, so 2^e itself is never formed: a power
-    below 1 can have e near -N P, about -2^118 for u(a)^N at k = 200, P = 72.
+    Cross-multiplied, so nothing is normalised.  Bit lengths settle it unless
+    both sides have the same binary order, and then |e| is at most a bit
+    length, so 2^e itself is never formed: a power below 1 can have e near
+    -N P, about -2^118 for u(a)^N at k = 200, P = 72.
     """
-    a, b = m * x.denominator, x.numerator
+    a, b = m * den, num
     if a == 0 or b <= 0:
         return 1 if a > 0 or b < 0 else -(b > 0)
     order = a.bit_length() + e - b.bit_length()  # a 2^e / b in (2^(order-1), 2^(order+1))
@@ -349,21 +361,27 @@ def _enclosures(k: int, N: int, P: int):
     Only the last lo can be -math.inf: when the lower bound on a_{j-1}^N is
     within 2^{-P} of 1/2, that on 2 - a_{j-1}^{-N} can round to 0.
     """
-    one, half = 1 << P, Fraction(1, 2)
+    one, S = 1 << P, P + 2
     n_bits, k_bits = _bits(N), _bits(k - 1)
     powers = (1, 0), (1, 0)  # a_0^N = 1
     while True:
         inv_lo, inv_hi = _quotient(P, *powers)  # a^{-N}, over 2^P
         # g(a) = u(2 - a^{-N})
         lo, hi = _u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, k_bits, P)
-        powers = _powers(max(lo, 0), max(hi, 0), n_bits, P)
-        if _compare(*powers[1], half) <= 0:
-            yield lo, hi, "violated"
-            return
-        if _compare(*powers[0], half) <= 0:
-            yield lo, hi, "inconclusive"
-            return
-        yield lo, hi, None
+        # a^N over 2^S, cut at 2^{-S}: _powers' own cut while lo^N > 1/2 (fact 6)
+        x, y, m, n = max(lo, 0) << 2, max(hi, 0) << 2, 1 << S, 1 << S
+        for bit in n_bits:
+            if bit:
+                m, n = m * x >> S, -(-n * y >> S)
+            x, y = x * x >> S, -(-y * y >> S)
+        m, n = m * x >> S, -(-n * y >> S)
+        if m > one << 1:
+            powers = (m, -S), (n, -S)
+            yield lo, hi, None
+            continue
+        high = _powers(max(lo, 0), max(hi, 0), n_bits, P)[1]
+        yield lo, hi, "violated" if _compare(*high, 1, 2) <= 0 else "inconclusive"
+        return
 
 
 def _midpoint(lo: int, hi: int, P: int) -> float:
@@ -417,22 +435,9 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
                             threshold=threshold)
 
 
-def _q(t, N: int, c, k: int):
-    """q_N(t) = N c (k-1) (2-t) + c t - t^k, which has the sign of phi_N'(t)."""
-    return N * c * (k - 1) * (2 - t) + c * t - t ** k
-
-
-def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Dyadic a < b with q_N(a) > 0 >= q_N(b) and a^(k-1) > 2^{-k}, checked exactly.
-
-    By fact 2 they bracket the maximizer of phi_N, N >= 1, in its domain.
-    Newton's method on t = T / 2^W for ints T, W = precision + k, proposes
-    a and b as (n - 1) and (n + 1) over 2^h, n = floor(t 2^h), h = precision // 2.
-    Newton is not certified: its t^(k-1), products and quotient are rounded
-    down with no bound kept.  The exact rational check of a and b is what
-    certifies, and CertificationError is raised when it fails.
-    """
-    c = Fraction(1, 2 ** k)
+def _newton(N: int, k: int, precision: int) -> int:
+    """floor(t 2^h), h = precision // 2, for Newton's t = T / 2^W, W = precision + k,
+    near the root of q_N, N >= 1: not certified, as it rounds down with no bound kept."""
     W, M, k_bits = precision + k, N * (k - 1), _bits(k - 1)
     # Newton descends monotonically onto the root t* of the concave,
     # decreasing q_N from any t >= t*: from t = 1 when q_N(1) <= 0, which
@@ -449,14 +454,26 @@ def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[Fraction, Fracti
         if T_next >= T:
             break
         T = T_next
-    scale = 1 << precision // 2
-    n = T >> W - precision // 2
-    a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
-    if not (a > 0 and a ** (k - 1) > c and _q(a, N, c, k) > 0 >= _q(b, N, c, k)):
+    return T >> W - precision // 2
+
+
+def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[int, int, int]:
+    """(A, Q(A), A^k), where a = A / H < b = (A + 2) / H, H = 2^(precision // 2),
+    bracket the maximizer of phi_N, N >= 1, in its domain (fact 3): A + 1 is
+    _newton's proposal, and CertificationError is raised unless A > 0,
+    2^k A^(k-1) > H^(k-1) and Q(A) > 0 >= Q(A + 2), all checked on ints."""
+    h, M, scale = precision // 2, N * (k - 1), 1 << precision // 2 * (k - 1)  # H^(k-1)
+
+    def Q(X: int, X_k: int) -> int:  # 2^k H^k q_N(X / H), for X_k = X^(k-1)
+        return (M * ((2 << h) - X) + X) * scale - (X_k * X << k)
+
+    A = _newton(N, k, precision) - 1
+    A_k = A ** (k - 1) if A > 0 else 0
+    if not (A_k << k > scale and (Q_A := Q(A, A_k)) > 0 >= Q(A + 2, (A + 2) ** (k - 1))):
         raise CertificationError(
             f"no certified bracket of the maximizer of phi_{N} for k={k}: "
-            f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
-    return a, b
+            f"[{A / (1 << h)}, {(A + 2) / (1 << h)}]", retry_precision=2 * precision)
+    return A, Q_A, A_k * A
 
 
 def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
@@ -467,16 +484,15 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
     when (2-a) u(a)^N < 1 - phi_N'(a)(b-a).  u(a)^N is enclosed as fact 6
     encloses a_j^N, at P = precision + 8, so no logarithm is taken.
     """
-    a, b = _maximizer_bracket(N, k, precision)
-    c = Fraction(1, 2 ** k)
-    d = _q(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)  # phi_N'(a)(b-a)
-    P = precision + 8
-    x = int(a * (1 << P))  # exact: a has at most precision // 2 fraction bits
+    A, Q_A, A_k = _maximizer_bracket(N, k, precision)
+    h, P = precision // 2, precision + 8
+    D, R = (2 << h) - A, (A_k << k) - (A << h * (k - 1))  # (2-a) H, 2^k H^k (a^k - a / 2^k)
+    x = A << P - h  # a 2^P
     u_lo, u_hi = _u_bounds(x, x, k, _bits(k - 1), P)
     low, high = _powers(max(u_lo, 0), u_hi, _bits(N), P)  # u(a)^N
-    if _compare(*low, 1 / (2 - a)) >= 0:
-        return a
-    if _compare(*high, (1 - d) / (2 - a)) < 0:
+    if _compare(*low, 1 << h, D) >= 0:  # 1 / (2-a)
+        return Fraction(A, 1 << h)
+    if _compare(*high, D * R - 2 * Q_A << h, D * D * R) < 0:  # (1 - phi_N'(a)(b-a)) / (2-a)
         return None
     raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",
                              retry_precision=2 * precision)

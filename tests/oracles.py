@@ -4,12 +4,14 @@ Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
 recurrence and its map g on exact rationals, the threshold curve ell, an
-occurrence count, the test of max phi_N >= 0 on interval logarithms,
-Newton's bracket of its maximizer on mpmath floats, one end of a power by
-square-and-multiply, the fixed-point iteration on interval objects, a
-binary search for F_Shearer, a search over orderings for the sets
-orderable to an event, the stage loop of the extremal construction), so
-that tests can cross-check the production code against it.  The mpmath interval helpers they use live here too.
+occurrence count, the test of max phi_N >= 0 on interval logarithms and
+on normalised Fractions, Newton's bracket of its maximizer on mpmath
+floats, one end of a power by square-and-multiply, the violated loop with
+every power cut to significant bits, the fixed-point iteration on interval
+objects, a binary search for F_Shearer, a search over orderings for the
+sets orderable to an event, the stage loop of the extremal construction),
+so that tests can cross-check the production code against it.  The mpmath
+interval helpers they use live here too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from satlll import hj_family
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph, Event
 from satlll.hj_family import (DEFAULT_PRECISION, FixedPointReport, FixedPointVerdict,
-                              _check_params, _maximizer_bracket, _q, recurrence_sr)
+                              _check_params, recurrence_sr)
 from satlll.sat_model import Formula
 from satlll.cli import DEFAULT_VERTEX_GUARD
 from satlll.shearer import (ProbabilityVector, ShearerVerdict, _check_probabilities,
@@ -359,27 +361,59 @@ def power_by_squaring(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
             x, f = -(-x >> cut) if up else x >> cut, f + cut
 
 
+def q_polynomial(t, N: int, c, k: int):
+    """q_N(t) = N c (k-1) (2-t) + c t - t^k, which has the sign of phi_N'(t)."""
+    return N * c * (k - 1) * (2 - t) + c * t - t ** k
+
+
+def fraction_bracket(n: int, N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
+    """a = (n - 1) / 2^h and b = (n + 1) / 2^h, h = precision // 2, with
+    q_N(a) > 0 >= q_N(b) and a^(k-1) > 2^{-k} checked on normalised Fractions:
+    ``hj_family._maximizer_bracket``'s check on a proposal n, with its refusal."""
+    c, scale = Fraction(1, 2 ** k), 2 ** (precision // 2)
+    a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
+    if not (a > 0 and a ** (k - 1) > c
+            and q_polynomial(a, N, c, k) > 0 >= q_polynomial(b, N, c, k)):
+        raise CertificationError(
+            f"no certified bracket of the maximizer of phi_{N} for k={k}: "
+            f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
+    return a, b
+
+
 def maximizer_bracket_by_mpmath(N: int, k: int, precision: int) -> tuple[Fraction, Fraction]:
     """``hj_family._maximizer_bracket`` with Newton's method on mpmath floats
-    at precision bits, rounded to nearest, and the same exact check after it."""
-    c = Fraction(1, 2 ** k)
+    at precision bits, rounded to nearest, and the check on Fractions after it."""
     with mp.workprec(precision):
         c_mp = mpmath.mpf(2) ** (-k)
         t = mpmath.mpf(1 if N * (k - 1) + 1 <= 2 ** k else 2)
         for _ in range(k + precision):
             slope = c_mp * (1 - N * (k - 1)) - k * t ** (k - 1)
-            t_next = t - _q(t, N, c_mp, k) / slope
+            t_next = t - q_polynomial(t, N, c_mp, k) / slope
             if t_next >= t:
                 break
             t = t_next
-        scale = 2 ** (precision // 2)
-        n = int(t * scale)
-    a, b = Fraction(n - 1, scale), Fraction(n + 1, scale)
-    if not (a > 0 and a ** (k - 1) > c and _q(a, N, c, k) > 0 >= _q(b, N, c, k)):
-        raise CertificationError(
-            f"no certified bracket of the maximizer of phi_{N} for k={k}: "
-            f"[{float(a)}, {float(b)}]", retry_precision=2 * precision)
-    return a, b
+        n = int(t * 2 ** (precision // 2))
+    return fraction_bracket(n, N, k, precision)
+
+
+def phi_witness_by_fractions(N: int, k: int, precision: int) -> Optional[Fraction]:
+    """``hj_family._phi_witness`` on normalised Fractions: the bracket of
+    ``fraction_bracket`` on Newton's proposal, d = phi_N'(a)(b-a), 1 / (2-a) and
+    (1 - d) / (2-a) reduced by gcds, and the same enclosure of u(a)^N."""
+    a, b = fraction_bracket(hj_family._newton(N, k, precision), N, k, precision)
+    c = Fraction(1, 2 ** k)
+    d = q_polynomial(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)
+    P = precision + 8
+    x = int(a * (1 << P))
+    u_lo, u_hi = hj_family._u_bounds(x, x, k, hj_family._bits(k - 1), P)
+    low, high = hj_family._powers(max(u_lo, 0), u_hi, hj_family._bits(N), P)
+    lower, upper = 1 / (2 - a), (1 - d) / (2 - a)
+    if hj_family._compare(*low, lower.numerator, lower.denominator) >= 0:
+        return a
+    if hj_family._compare(*high, upper.numerator, upper.denominator) < 0:
+        return None
+    raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",
+                             retry_precision=2 * precision)
 
 
 def phi_witness_by_intervals(N: int, k: int, precision: int) -> Optional[Fraction]:
@@ -389,9 +423,9 @@ def phi_witness_by_intervals(N: int, k: int, precision: int) -> Optional[Fractio
     max phi_N at the given precision, and its sign decides, or
     CertificationError is raised.
     """
-    a, b = _maximizer_bracket(N, k, precision)
+    a, b = fraction_bracket(hj_family._newton(N, k, precision), N, k, precision)
     c = Fraction(1, 2 ** k)
-    dphi_a = _q(a, N, c, k) / ((2 - a) * (a ** k - c * a))
+    dphi_a = q_polynomial(a, N, c, k) / ((2 - a) * (a ** k - c * a))
     with interval_precision(precision):
         a_iv = iv_from_fraction(a)
         phi_a = iv.log(2 - a_iv) + N * iv.log(_u(a_iv, iv_from_fraction(c), k))
@@ -399,6 +433,25 @@ def phi_witness_by_intervals(N: int, k: int, precision: int) -> Optional[Fractio
         if certified_compare_ge(enclosure, 0, what=f"max phi_{N} >= 0 for k={k}"):
             return a
         return None
+
+
+def enclosures_by_powers(k: int, N: int, P: int):
+    """``hj_family._enclosures`` with every a_j^N taken by ``_powers``, cut to
+    P + 2 significant bits, and compared with 1/2 at every step."""
+    one = 1 << P
+    n_bits, k_bits = hj_family._bits(N), hj_family._bits(k - 1)
+    powers = (1, 0), (1, 0)  # a_0^N = 1
+    while True:
+        inv_lo, inv_hi = hj_family._quotient(P, *powers)  # a^{-N}, over 2^P
+        lo, hi = hj_family._u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, k_bits, P)
+        powers = hj_family._powers(max(lo, 0), max(hi, 0), n_bits, P)
+        if hj_family._compare(*powers[1], 1, 2) <= 0:
+            yield lo, hi, "violated"
+            return
+        if hj_family._compare(*powers[0], 1, 2) <= 0:
+            yield lo, hi, "inconclusive"
+            return
+        yield lo, hi, None
 
 
 def fixed_point_bounds_by_intervals(t: Optional[Fraction], L: int, precision: int):

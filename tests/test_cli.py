@@ -580,6 +580,19 @@ def test_out_of_range_probability_is_one_error_line(capsys, tmp_path, p, line):
     assert (code, out, err) == (EXIT_DOMAIN, "", line)
 
 
+@pytest.mark.parametrize("p", [[True, "1/2"], ["1/2", False], [True, True]],
+                         ids=["true-first", "false-second", "true-twice"])
+def test_bool_probability_is_not_a_number(capsys, tmp_path, p):
+    # JSON true is not the probability 1, nor false 0: the error names the
+    # entry as written, not a 1 or a 0 that the file does not hold.
+    target = tmp_path / "graph.json"
+    target.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "p": p}))
+    code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
+    bad = next(entry for entry in p if type(entry) is bool)
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"error: malformed graph JSON in {target}: "
+                                f"ValueError('{bad} is not a probability')\n")
+
+
 # Each setting with its variable, its default, three distinct values and a run that
 # reports the value in force: in fixedpoint's JSON parameters, or in the message of a
 # guard that the run exceeds (H_5 has 62 vertices; the input declares 300000 variables).

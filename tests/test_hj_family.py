@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -9,7 +10,7 @@ import pytest
 from mpmath.libmp import to_rational
 
 from satlll import hj_family
-from satlll.bounds import f_mt
+from satlll.bounds import f_lll, f_mt
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
@@ -18,10 +19,11 @@ from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
                               shearer_upper_bound)
 from satlll.shearer import independence_polynomial
 
-from oracles import (a_b_sequence, fixed_point_bounds_by_intervals,
-                     fixed_point_iteration_by_intervals, g_function,
-                     maximizer_bracket_by_mpmath, phi_witness_by_intervals,
-                     power_by_squaring, shearer_upper_bound_by_bisection, threshold_ell)
+from oracles import (a_b_sequence, enclosures_by_powers, fixed_point_bounds_by_intervals,
+                     fixed_point_iteration_by_intervals, fraction_bracket, g_function,
+                     maximizer_bracket_by_mpmath, phi_witness_by_fractions,
+                     phi_witness_by_intervals, power_by_squaring, q_polynomial,
+                     shearer_upper_bound_by_bisection, threshold_ell)
 
 
 def q_uniform(hgraph, k):
@@ -296,12 +298,24 @@ def test_power_loop_matches_single_end_runs():
                     assert hj_family._powers(lo, hi, bits, P) == expected, (lo, hi, n, P)
 
 
+def bracket_as_fractions(N, k, precision):
+    """hj_family._maximizer_bracket's (a, b), after checking the two ints it
+    returns with them: Q(A) = 2^k H^k q_N(a) and A^k, H = 2^(precision // 2)."""
+    A, Q, A_k = hj_family._maximizer_bracket(N, k, precision)
+    H = 2 ** (precision // 2)
+    a = Fraction(A, H)
+    assert Q == 2 ** k * H ** k * q_polynomial(a, N, Fraction(1, 2 ** k), k), (N, k, precision)
+    assert A_k == A ** k, (N, k, precision)
+    return a, Fraction(A + 2, H)
+
+
 def test_maximizer_bracket_matches_mpmath_newton():
     # Newton on integers at precision + k bits against Newton on mpmath
     # floats at precision bits: the same brackets and the same refusals.
     # Near N = F_Shearer and F_MT at the working precisions (64 bits and
     # up), where neither refuses, and for phi_1 and phi_2 at k = 60 and 100
-    # at 8 and 10 bits, where both refuse six.
+    # at 8 and 10 bits, where both refuse six.  The check on ints must also
+    # decide as the check on Fractions does on the same proposal.
     cases = []
     for k in [*range(2, 41), 60, 100, 133, 137, 200]:
         F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k)
@@ -311,11 +325,40 @@ def test_maximizer_bracket_matches_mpmath_newton():
     refused = 0
     for N, k, bits in cases:
         got, expected = (outcome(route, N, k, bits)
-                         for route in (hj_family._maximizer_bracket,
-                                       maximizer_bracket_by_mpmath))
+                         for route in (bracket_as_fractions, maximizer_bracket_by_mpmath))
         assert got == expected, (N, k, bits)
+        assert got == outcome(fraction_bracket, hj_family._newton(N, k, bits), N, k, bits)
         refused += got[0] is CertificationError
     assert refused == 6, refused
+
+
+def refusal(function, *args):
+    """function(*args), or its CertificationError's message and retry precision."""
+    try:
+        return function(*args)
+    except CertificationError as exc:
+        return str(exc), exc.retry_precision
+
+
+def test_phi_witness_matches_fractions():
+    # The phi test on ints against the same test on normalised Fractions,
+    # probe for probe, refusals with their text: N = 1, 2 and N near F_LLL,
+    # F_Shearer and F_MT for k = 2..40, at the working precisions and at 8
+    # bits, where the Fraction check refuses the brackets of phi_1 for
+    # k = 33..40 and the final test refuses over a hundred probes.
+    kinds = Counter()
+    for k in range(2, 41):
+        F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k)
+        for N in sorted({1, 2, f_lll(k), F - 1, F, f_mt(k)} - {0}):
+            for precision in (8, 64, 2 * k + 128):
+                got = refusal(hj_family._phi_witness, N, k, precision)
+                assert got == refusal(phi_witness_by_fractions, N, k, precision), (N, k, precision)
+                if isinstance(got, tuple):
+                    kinds["bracket" if got[0].startswith("no certified bracket") else "test"] += 1
+                else:
+                    kinds["witness" if got is not None else "none"] += 1
+    assert kinds["bracket"] == 8 and kinds["test"] > 100, kinds
+    assert kinds["witness"] > 100 and kinds["none"] > 100, kinds
 
 
 def exact(bound):
@@ -328,6 +371,10 @@ def sign(x) -> int:
 
 
 HALF = Fraction(1, 2)
+
+
+def compare(m, e, x: Fraction) -> int:
+    return hj_family._compare(m, e, x.numerator, x.denominator)
 
 
 def test_directed_helpers_bound_exact_values():
@@ -364,29 +411,33 @@ def test_directed_helpers_bound_exact_values():
             assert 0 <= outward * (end - ((1 << P) - q)) <= 1 + 2 * k * q / 2 ** P, (t, k)
         m, e = rng.randrange(1 << rng.randrange(1, 80)), rng.randrange(-90, 90)
         x = Fraction(rng.randrange(-5, 1 << 60), rng.randrange(1, 1 << 40))
-        assert hj_family._compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
-        assert hj_family._compare(m, e, exact((m, e))) == 0, (m, e)
+        assert compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
+        assert compare(m, e, exact((m, e))) == 0, (m, e)
+        # num / den need not be in lowest terms
+        f = rng.randrange(1, 1 << rng.randrange(1, 70))
+        assert (hj_family._compare(m, e, x.numerator * f, x.denominator * f)
+                == sign(exact((m, e)) - x)), (m, e, x, f)
     assert hj_family._quotient(5, (0, 3), (1, 0)) == (32, math.inf)
     for m, e, x in [(0, 5, Fraction(0)), (0, 5, Fraction(-1, 3)), (0, -3, Fraction(1, 9)),
                     (5, -700, Fraction(-1, 3)), (3, -2, Fraction(3, 4)), (3, -1, Fraction(3, 4)),
                     (3, -3, Fraction(3, 4))]:
-        assert hj_family._compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
+        assert compare(m, e, x) == sign(exact((m, e)) - x), (m, e, x)
     for m, e in [(1, -1), (2, -2), (3, -2), (1, 0), (0, 7), (5, 3), (2 ** 70, -71),
                  (2 ** 70 + 1, -71), (2 ** 70 - 1, -71), (3, -3), (7, -3)]:
-        assert hj_family._compare(m, e, HALF) == sign(exact((m, e)) - HALF), (m, e)
+        assert compare(m, e, HALF) == sign(exact((m, e)) - HALF), (m, e)
     # a^N for a < 1 and N near 2^k: the exponent is far beyond any shift
-    assert hj_family._compare(2 ** 90 + 1, -10 ** 30, HALF) == -1
-    assert hj_family._compare(1, 10 ** 30, HALF) == 1
+    assert compare(2 ** 90 + 1, -10 ** 30, HALF) == -1
+    assert compare(1, 10 ** 30, HALF) == 1
     # u(a)^N at k = 200, N = F_Shearer(200) - 1 and 64 bits (P = 72): the
     # exponent of its lower end is near -2^118, so 2^e cannot be formed
     N = 2955834144021611738375928619524554769177806039044019000189
-    a, _ = hj_family._maximizer_bracket(N, 200, 64)
+    a, _ = bracket_as_fractions(N, 200, 64)
     x = int(a * 2 ** 72)
     u_lo, u_hi = hj_family._u_bounds(x, x, 200, hj_family._bits(199), 72)
     low, high = hj_family._powers(u_lo, u_hi, hj_family._bits(N), 72)
     assert low[1] < -2 ** 118
-    assert hj_family._compare(*low, 1 / (2 - a)) == -1
-    assert hj_family._compare(*high, 1 / (2 - a)) == 1
+    assert compare(*low, 1 / (2 - a)) == -1
+    assert compare(*high, 1 / (2 - a)) == 1
 
 
 def test_fixed_point_at_large_k_matches_interval_objects():
@@ -460,6 +511,31 @@ def test_coarse_enclosures_decide_only_what_the_exact_iterates_show():
                 assert kind == "inconclusive" or (kind is None) == above, (k, L, P)
                 kinds.add(kind)
     assert kinds == {None, "violated", "inconclusive"}
+
+
+def test_enclosures_match_powers_cut_to_significant_bits():
+    # _enclosures cuts a_j^N at 2^-(P+2) while its lower end stays above
+    # 1/2, and takes the last step's power with _powers; the reference
+    # takes every power with _powers.  Item for item: the first 8 items at
+    # k = 2..40, L in {2, 3, F_Shearer + 1, F_Shearer + 2, F_MT, F_MT + 1}
+    # and five P (L = 2 and 3 converge for k >= 4 and never end), the
+    # whole runs of the benchmark's (9, 22) and (20, 19312), which end
+    # violated at steps 389 and 1030, and two runs that end inconclusive
+    # where the lower end of a_j^N is exactly 1/2.
+    ends = Counter()
+    for k in range(2, 41):
+        F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k)
+        for L in sorted({2, 3, F + 1, F + 2, f_mt(k), f_mt(k) + 1}):
+            for P in (20, 40, 72, 136, 264):
+                got = list(islice(hj_family._enclosures(k, L - 1, P), 8))
+                assert got == list(islice(enclosures_by_powers(k, L - 1, P), 8)), (k, L, P)
+                ends[got[-1][2]] += 1
+    assert ends["violated"] > 50 and ends["inconclusive"] > 50, ends
+    for k, L, P, steps, kind in ((9, 22, 72, 389, "violated"), (20, 19312, 72, 1030, "violated"),
+                                 (3, 2, 2, 2, "inconclusive"), (8, 11, 4, 1, "inconclusive")):
+        got = list(hj_family._enclosures(k, L - 1, P))
+        assert got == list(enclosures_by_powers(k, L - 1, P)), (k, L)
+        assert (len(got), got[-1][2]) == (steps, kind), (k, L)
 
 
 def test_shearer_upper_bound_matches_bisection():

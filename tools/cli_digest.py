@@ -37,11 +37,14 @@ that exit 6 on the first of their errors (a repeated variable, named at
 its clause's first line; a bad clause before a bad token on one line; an
 empty clause before a bad token; an unterminated clause); table 200 200
 and fixedpoint at F_Shearer(200), whose phi probes need more than 256
-bits; and inputs that exit with each of the codes 2 to 6.  Everything
-runs in tsv and in json.  The extremal files are read whole, and the
-SATLIB-style file and the eight small files line by line.  The
-SATLIB-style runs resample thousands of times, and seed 7 needs a second
-batch of words for the initial draw on every small formula.
+bits; inputs that exit with each of the codes 2 to 6; then fixedpoint at
+L = 2 and 3 for k = 5..20, which converge, fixedpoint at F_Shearer + 1 for
+k = 21..24, violated after 916 to 3353 steps, at --precision 64 and at the
+default, and table 640 640.  Everything runs in tsv and in json.  The
+extremal files are read whole, and the SATLIB-style file and the eight
+small files line by line.  The SATLIB-style runs resample thousands of
+times, and seed 7 needs a second batch of words for the initial draw on
+every small formula.
 """
 
 import contextlib
@@ -266,6 +269,11 @@ def corpus():
                  for argv in numeric]
     commands += [["--precision", precision, *argv] for precision in ("64", "80")
                  for argv in fixedpoint]
+    commands += [["fixedpoint", "--k", str(k), "--L", str(L)]
+                 for k in range(5, 21) for L in (2, 3)]  # converged: phi_1 and phi_2
+    commands += [[*precision, "fixedpoint", "--k", str(k), "--L", str(shearer_upper_bound(k) + 1)]
+                 for precision in (["--precision", "64"], []) for k in range(21, 25)]
+    commands.append(["table", "640", "640"])
     return commands
 
 
