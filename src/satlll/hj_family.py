@@ -71,14 +71,16 @@ When fact 4 finds no witness, the iteration itself decides:
    Both powers keep P + 2 bits relative to their size, a mantissa and a
    binary exponent.  That matters for (2 - a^{-N})^{k-1}, which is small
    near the threshold: rounded to an absolute 2^{-P}, its 2^{-122} at
-   (22, 70990) would vanish at P = 104.  a^N is first taken over 2^S,
+   (22, 70990) would vanish at P = 104.  a^N is taken over 2^S,
    S = P + 2, with plain floor and ceiling shifts.  If its lower end is
    above 1/2, every square and partial product of both ends lay in
    [1/2, 1], as lo <= hi <= 2^P, a rounded factor is at most 1 and the
    lower end only falls to the result; there a cut to P + 2 significant
-   bits is a cut at 2^{-S}, so both ends are the relative ones.  By the
-   same argument a lower end at most 1/2 is one relatively too, and ends
-   the loop: that last power is taken again relatively, and decides.
+   bits is a cut at 2^{-S}, so both ends are the relative ones.  Otherwise
+   the step is the last, and the upper end decides as the relative one
+   would: the two agree while its exact products are at least 1/2, and
+   from the first below 1/2 both round to at most 1/2, which lies on both
+   grids, and stay there, as every factor is at most 1.
 """
 
 from __future__ import annotations
@@ -379,8 +381,7 @@ def _enclosures(k: int, N: int, P: int):
             powers = (m, -S), (n, -S)
             yield lo, hi, None
             continue
-        high = _powers(max(lo, 0), max(hi, 0), n_bits, P)[1]
-        yield lo, hi, "violated" if _compare(*high, 1, 2) <= 0 else "inconclusive"
+        yield lo, hi, "violated" if n <= one << 1 else "inconclusive"
         return
 
 
