@@ -18,7 +18,7 @@ from mpmath import fdiv, mp
 
 from .errors import DomainError, SizeGuardError
 from .events_graph import Event
-from .hj_family import DEFAULT_PRECISION, json_float
+from .hj_family import json_float
 
 EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
 
@@ -154,7 +154,7 @@ def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
                            details={"min_margin": str(min(margins, default=Fraction(0)))})
 
 
-def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
+def harris_ksat_alpha(k: int, L: int, precision: int) -> float:
     """Optimized uniform weight for width-k clauses under occurrence bound L.
 
     alpha = (((2^k - 1)/(k L))^{1/(k-1)} - 1) / L.  The criterion
@@ -163,13 +163,8 @@ def harris_ksat_alpha(k: int, L: int, precision: int = DEFAULT_PRECISION):
     (2^k - 1) alpha >= x^k, reads (x - 1) k x^{k-1} >= x^k; (2) that is
     x >= k/(k-1); (3) that is L k^k <= (2^k - 1)(k-1)^{k-1}, never with
     equality, as k^k does not divide 2^k - 1; (4) that is L <= f_mt(k), as
-    L is an integer.  Returns (alpha as a float, satisfied).
+    L is an integer.  Returns alpha as a float, rounded at precision bits.
     """
-    return ksat_alpha(k, L, precision), L <= f_mt(k)
-
-
-def ksat_alpha(k: int, L: int, precision: int) -> float:
-    """The alpha of harris_ksat_alpha alone, as a float."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if L < 1:
@@ -181,13 +176,8 @@ def ksat_alpha(k: int, L: int, precision: int) -> float:
         return float((fdiv(2 ** k - 1, k * L) ** fdiv(1, k - 1) - 1) / L)
 
 
-def gap_inequality(k: int) -> CriterionReport:
-    """Exact check of f_mt(k) - f_lll(k) >= rhs = 2^k / (2 e k^2) - 1."""
-    return gap_report(k, f_mt(k) - f_lll(k))
-
-
-def gap_report(k: int, lhs: int) -> CriterionReport:
-    """The gap inequality at k, given its lhs f_mt(k) - f_lll(k)."""
+def gap_inequality(k: int, lhs: int) -> CriterionReport:
+    """Exact check of lhs >= rhs = 2^k / (2 e k^2) - 1, for lhs = f_mt(k) - f_lll(k)."""
     # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): fdiv rounds it once to
     # a float's 53 bits, and float() is inf past the float range.
     holds, rhs = _decide_at_e(lambda p, q: (

@@ -239,6 +239,8 @@ def cmd_hj(args):
 
 
 def cmd_fixedpoint(args):
+    if args.max_trajectory < 0:
+        raise DomainError(f"max_trajectory must be >= 0, got {args.max_trajectory}")
     report = hj_family.fixed_point_iteration(args.k, args.L, max_iter=args.max_iter,
                                              precision=args.precision)
     if args.format == "json":
@@ -273,11 +275,11 @@ def cmd_bounds(args):
     k = args.k
     mt = _printable_f_mt(k)
     lll = bounds_mod.f_lll(k)
-    gap = bounds_mod.gap_report(k, mt - lll)
+    gap = bounds_mod.gap_inequality(k, mt - lll)
     alpha_results = {}
     for L in (mt, mt + 1):
         try:
-            alpha_results[L] = {"alpha": bounds_mod.ksat_alpha(k, L, args.precision),
+            alpha_results[L] = {"alpha": bounds_mod.harris_ksat_alpha(k, L, args.precision),
                                 "satisfied": L <= mt}  # proof: bounds.harris_ksat_alpha
         except DomainError:
             alpha_results[L] = None

@@ -20,12 +20,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, product, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DomainError, SizeGuardError
+from .errors import DomainError
 
 Event = tuple[int, ...]
-VARIABLE_GUARD = 16  # verify_lopsidependency counts all 2^m assignments
 
 
 @dataclass(frozen=True)
@@ -105,61 +104,3 @@ def dependency_graph(events: Sequence[Event]) -> DepGraph:
     edges = [edge for with_false, with_true in _slots(events)
              for edge in combinations(with_false + with_true, 2)]
     return DepGraph.from_edges(len(events), edges, payloads=tuple(events))
-
-
-@dataclass(frozen=True)
-class LopsidependencyReport:
-    ok: bool
-    witness_event: Optional[int] = None  # index of the event B whose condition failed
-    witness_set: Optional[tuple[int, ...]] = None  # the conditioning set S
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_lopsidependency(events: Sequence[Event], graph: DepGraph,
-                           m: int) -> LopsidependencyReport:
-    """Exhaustively check P(B | avoid S) <= P(B) for the uniform space on m variables.
-
-    Exact integer counting over all 2^m assignments.  Every conditioning set
-    S is tried when there are <= 12 events, else every S with |S| <= 3.
-    Every variable must lie in [1, m]; DomainError otherwise.
-    """
-    if m > VARIABLE_GUARD:
-        raise SizeGuardError(f"m={m} exceeds enumeration guard {VARIABLE_GUARD}")
-    if len(events) != graph.n:
-        raise DomainError("graph vertex count does not match event count")
-    literal_index(events, m)  # checks that every variable lies in [1, m]
-    subset_cap = len(events) if len(events) <= 12 else 3
-
-    total = 1 << m
-    # Bitmask over assignments: bit a is set iff the event holds under assignment a,
-    # where bit i-1 of a is the value of variable i.
-    def truth_mask(event: Event) -> int:
-        mask = 0
-        for a in range(total):
-            if all(((a >> (abs(z) - 1)) & 1) == (z < 0) for z in event):  # each literal false
-                mask |= 1 << a
-        return mask
-
-    masks = [truth_mask(e) for e in events]
-    all_assignments = (1 << total) - 1
-
-    for b in range(len(events)):
-        count_b = masks[b].bit_count()
-        others = [i for i in range(len(events))
-                  if i != b and i not in graph.adjacency[b]]
-        for size in range(1, min(subset_cap, len(others)) + 1):
-            for subset in combinations(others, size):
-                avoid = all_assignments
-                for i in subset:
-                    avoid &= ~masks[i]
-                avoid &= all_assignments
-                count_avoid = avoid.bit_count()
-                if count_avoid == 0:
-                    continue
-                count_both = (avoid & masks[b]).bit_count()
-                # P(B | avoid) <= P(B)  <=>  count_both * total <= count_b * count_avoid
-                if count_both * total > count_b * count_avoid:
-                    return LopsidependencyReport(False, b, subset)
-    return LopsidependencyReport(True)

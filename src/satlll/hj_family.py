@@ -118,9 +118,6 @@ class RecurrenceState:
     """Exact (s_j, r_j) trajectories; s is indexed from -1 (null-graph convention)."""
 
     j: int
-    k: int
-    L: int
-    p: Fraction
     s_values: tuple[Fraction, ...]  # s_values[i] = s_{i-1}
     r_values: tuple[Fraction, ...]  # r_values[i] = r_i
 
@@ -152,20 +149,15 @@ class FixedPointReport:
     verdict: FixedPointVerdict
     threshold: float
 
-    def to_json_dict(self, max_trajectory: int | None = None) -> dict:
-        if max_trajectory is not None and max_trajectory < 0:
-            raise DomainError(f"max_trajectory must be >= 0, got {max_trajectory}")
-        traj = list(self.trajectory)
-        truncated = False
-        if max_trajectory is not None and len(traj) > max_trajectory:
-            traj = traj[:max_trajectory]
-            truncated = True
+    def to_json_dict(self, max_trajectory: int) -> dict:
+        """The report as JSON, with at most max_trajectory (>= 0) trajectory entries."""
+        traj = self.trajectory[:max_trajectory]
         return {
             "parameters": {"k": self.k, "L": self.L, "precision": self.precision,
                            "max_iter": self.max_iter},
             "threshold": json_float(self.threshold),
             "trajectory": list(map(json_float, traj)),
-            "trajectory_truncated": truncated,
+            "trajectory_truncated": len(traj) < len(self.trajectory),
             "verdict": {"kind": self.verdict.kind, "step": self.verdict.step,
                         "value": json_float(self.verdict.value)},
         }
@@ -259,7 +251,7 @@ def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
                - s[t] ** ((k - 1) * (2 * L - 2)))
         r.append(r_t)
         s.append(s_t)
-    return RecurrenceState(j=j, k=k, L=L, p=p, s_values=tuple(s), r_values=tuple(r))
+    return RecurrenceState(j=j, s_values=tuple(s), r_values=tuple(r))
 
 
 def _bits(n: int) -> list[int]:

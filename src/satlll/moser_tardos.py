@@ -93,10 +93,10 @@ def run_mt(events: Sequence[Event], m: int,
     Non-termination within max_steps surfaces as terminated=False, never
     as an exception.
 
-    The true events are kept as an increasing list of keys: the event index
-    itself, or for lowest-probability (longest - |B|) * n + i, which sorts
-    by (P(B) = 2^-|B|, index), so every rule picks by position and, on a
-    formula, lowest-probability picks what first-index picks.  A resample
+    The true events are kept as an increasing list of indices, and every
+    rule picks by position.  Lowest-probability takes events of one width
+    only (DomainError otherwise), as every formula's are: P(B) = 2^-|B| is
+    then the same for all, so it picks what first-index picks.  A resample
     changes only the events on the variables whose value it flipped: those
     with the literal that became true become false, those with the literal
     that became false are re-tested, each found by bisecting the literal
@@ -108,28 +108,27 @@ def run_mt(events: Sequence[Event], m: int,
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     if not isinstance(rule, SelectionRule):
         raise DomainError(f"unknown selection rule {rule!r}")
+    if rule is SelectionRule.LOWEST_PROBABILITY and len(set(map(len, events))) > 1:
+        raise DomainError("lowest-probability needs events of one width")
     lits, holders = literal_index(events, m)  # also checks every variable is in [1, m]
 
     init_rng = random.Random(f"{seed}:init")
     resample_rng = random.Random(f"{seed}:resample")
     select_rng = random.Random(f"{seed}:select")
-    n = len(events)
-    longest = max(map(len, events), default=0)
-    key = ([(longest - len(event)) * n + i for i, event in enumerate(events)]
-           if rule is SelectionRule.LOWEST_PROBABILITY else range(n))
 
     truth = truth_table(fair_coins(init_rng, m))  # truth[z] is 1 iff literal z is true
     is_true = truth.__getitem__
     coin = coin_stream(resample_rng)
 
     # An event holds when no literal is true.
-    true_keys = sorted(compress(key, map(not_, map(any, map(map, repeat(is_true), events)))))
-    per_event = [0] * n
+    true_events = list(compress(range(len(events)),
+                                map(not_, map(any, map(map, repeat(is_true), events)))))
+    per_event = [0] * len(events)
     steps = 0
-    while true_keys and steps < max_steps:
-        at = (select_rng.randrange(len(true_keys))
+    while true_events and steps < max_steps:
+        at = (select_rng.randrange(len(true_events))
               if rule is SelectionRule.UNIFORM_RANDOM else 0)
-        chosen = true_keys[at] % n
+        chosen = true_events[at]
         flipped = []
         for variable in sorted(map(abs, events[chosen])):
             new = next(coin)
@@ -141,17 +140,17 @@ def run_mt(events: Sequence[Event], m: int,
         steps += 1
         for z in flipped:  # literal z became true, literal -z false
             for i in holders[bisect_left(lits, z):bisect_right(lits, z)]:
-                at = bisect_left(true_keys, key[i])
-                if at < len(true_keys) and true_keys[at] == key[i]:
-                    del true_keys[at]
+                at = bisect_left(true_events, i)
+                if at < len(true_events) and true_events[at] == i:
+                    del true_events[at]
             for i in holders[bisect_left(lits, -z):bisect_right(lits, -z)]:
                 if not any(map(is_true, events[i])):
-                    at = bisect_left(true_keys, key[i])
-                    if at == len(true_keys) or true_keys[at] != key[i]:
-                        true_keys.insert(at, key[i])
+                    at = bisect_left(true_events, i)
+                    if at == len(true_events) or true_events[at] != i:
+                        true_events.insert(at, i)
 
     stats = RunStats(total_resamples=sum(per_event),
                      per_event_resamples=tuple(per_event),
-                     terminated=not true_keys, steps=steps, seed=seed,
+                     terminated=not true_events, steps=steps, seed=seed,
                      max_steps=max_steps, rule=rule)
     return bytes(truth[1:m + 1]), stats

@@ -9,7 +9,8 @@ on normalised Fractions, Newton's bracket of its maximizer on mpmath
 floats, one end of a power by square-and-multiply, the violated loop with
 every power cut to significant bits, the fixed-point iteration on interval
 objects, a binary search for F_Shearer, a search over orderings for the
-sets orderable to an event, the stage loop of the extremal construction),
+sets orderable to an event, the stage loop of the extremal construction,
+an exhaustive check of a lopsidependency graph over all 2^m assignments),
 so that tests can cross-check the production code against it.  The mpmath
 interval helpers they use live here too.
 """
@@ -29,7 +30,7 @@ from mpmath import iv, mp
 
 from satlll import hj_family
 from satlll.errors import CertificationError, DomainError, SizeGuardError
-from satlll.events_graph import DepGraph, Event
+from satlll.events_graph import DepGraph, Event, literal_index
 from satlll.hj_family import (DEFAULT_PRECISION, FixedPointReport, FixedPointVerdict,
                               _check_params, recurrence_sr)
 from satlll.sat_model import Formula
@@ -38,6 +39,7 @@ from satlll.shearer import (ProbabilityVector, ShearerVerdict, _check_probabilit
                             independence_polynomial)
 
 BRUTE_FORCE_GUARD = 20
+VARIABLE_GUARD = 16  # verify_lopsidependency counts all 2^m assignments
 
 
 @contextmanager
@@ -568,3 +570,61 @@ def orderable_sets_by_search(b_index: int, events: Sequence[Event]) -> Iterator[
         for subset in combinations(candidates, size):
             if can_order(frozenset(subset), literals):
                 yield frozenset(subset)
+
+
+@dataclass(frozen=True)
+class LopsidependencyReport:
+    ok: bool
+    witness_event: Optional[int] = None  # index of the event B whose condition failed
+    witness_set: Optional[tuple[int, ...]] = None  # the conditioning set S
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def verify_lopsidependency(events: Sequence[Event], graph: DepGraph,
+                           m: int) -> LopsidependencyReport:
+    """Exhaustively check P(B | avoid S) <= P(B) for the uniform space on m variables.
+
+    Exact integer counting over all 2^m assignments.  Every conditioning set
+    S is tried when there are <= 12 events, else every S with |S| <= 3.
+    Every variable must lie in [1, m]; DomainError otherwise.
+    """
+    if m > VARIABLE_GUARD:
+        raise SizeGuardError(f"m={m} exceeds enumeration guard {VARIABLE_GUARD}")
+    if len(events) != graph.n:
+        raise DomainError("graph vertex count does not match event count")
+    literal_index(events, m)  # checks that every variable lies in [1, m]
+    subset_cap = len(events) if len(events) <= 12 else 3
+
+    total = 1 << m
+    # Bitmask over assignments: bit a is set iff the event holds under assignment a,
+    # where bit i-1 of a is the value of variable i.
+    def truth_mask(event: Event) -> int:
+        mask = 0
+        for a in range(total):
+            if all(((a >> (abs(z) - 1)) & 1) == (z < 0) for z in event):  # each literal false
+                mask |= 1 << a
+        return mask
+
+    masks = [truth_mask(e) for e in events]
+    all_assignments = (1 << total) - 1
+
+    for b in range(len(events)):
+        count_b = masks[b].bit_count()
+        others = [i for i in range(len(events))
+                  if i != b and i not in graph.adjacency[b]]
+        for size in range(1, min(subset_cap, len(others)) + 1):
+            for subset in combinations(others, size):
+                avoid = all_assignments
+                for i in subset:
+                    avoid &= ~masks[i]
+                avoid &= all_assignments
+                count_avoid = avoid.bit_count()
+                if count_avoid == 0:
+                    continue
+                count_both = (avoid & masks[b]).bit_count()
+                # P(B | avoid) <= P(B)  <=>  count_both * total <= count_b * count_avoid
+                if count_both * total > count_b * count_avoid:
+                    return LopsidependencyReport(False, b, subset)
+    return LopsidependencyReport(True)

@@ -7,13 +7,14 @@ as an acceptance report (run with ``pytest -v`` or ``pytest -s``).
 import random
 from fractions import Fraction
 
+import mpmath
+
 from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha)
 from satlll.cli import main
-from satlll.events_graph import (DepGraph, events_from_formula,
-                                 lopsidependency_graph, verify_lopsidependency)
-from satlll.hj_family import (build_H, embed_H_in_G, fixed_point_iteration,
-                              recurrence_sr, shearer_upper_bound)
+from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_graph
+from satlll.hj_family import (DEFAULT_PRECISION, build_H, embed_H_in_G,
+                              fixed_point_iteration, recurrence_sr, shearer_upper_bound)
 from satlll.moser_tardos import run_mt
 from satlll.sat_model import build_extremal_formula, dimacs_import
 from satlll.shearer import independence_polynomial, shearer_check
@@ -21,7 +22,8 @@ from satlll.shearer import independence_polynomial, shearer_check
 from conftest import (random_formula, random_graph,
                       random_low_occurrence_formula, random_probabilities)
 from oracles import (component_factorization, expansion_identity,
-                     independence_polynomial_bruteforce, validate_occurrences)
+                     independence_polynomial_bruteforce, validate_occurrences,
+                     verify_lopsidependency)
 
 EXPECTED_TABLE = {
     9: (20, 21, 22),
@@ -156,19 +158,23 @@ def test_criterion_08_lopsidependency_property():
 
 
 def test_criterion_09_harris_agreement_and_boundary():
+    # The criterion 2^k alpha >= alpha + (1 + L alpha)^k, at 1024 bits, holds at
+    # F_MT and fails at F_MT + 1.
     for k in EXPECTED_TABLE:
         mt = f_mt(k)
-        assert harris_ksat_alpha(k, mt)[1], k
-        assert not harris_ksat_alpha(k, mt + 1)[1], k
+        for L, holds in ((mt, True), (mt + 1, False)):
+            with mpmath.mp.workprec(1024):
+                alpha = (mpmath.root(mpmath.mpf(2 ** k - 1) / (k * L), k - 1) - 1) / L
+                assert (2 ** k * alpha >= alpha + (1 + L * alpha) ** k) == holds, (k, L)
 
     # whenever the closed-form alpha criterion holds, the generic enumeration
     # with mu == alpha must accept the generated instances as well
     checked = 0
     for k, L, r in ((3, 2, 1), (3, 2, 2), (4, 3, 1), (5, 4, 1),
                     (5, 2, 3), (6, 3, 1), (6, 4, 1), (6, 2, 4)):
-        alpha, satisfied = harris_ksat_alpha(k, L)
-        if not satisfied:
+        if not L <= f_mt(k):
             continue
+        alpha = harris_ksat_alpha(k, L, DEFAULT_PRECISION)
         checked += 1
         mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
         formula = build_extremal_formula(k, L, r)
@@ -212,7 +218,7 @@ def test_criterion_11_ordering_separation():
     for k in range(9, 21):
         lll, sh, mt = EXPECTED_TABLE[k]
         assert f_lll(k) <= shearer_upper_bound(k) < f_mt(k), k
-        assert gap_inequality(k).satisfied, k
+        assert gap_inequality(k, f_mt(k) - f_lll(k)).satisfied, k
     report(11, "F_LLL <= F_Shearer < F_MT and gap inequality for k=9..20")
 
 

@@ -8,6 +8,7 @@ import pytest
 from satlll import bounds
 from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha, orderable_sets)
+from satlll.hj_family import DEFAULT_PRECISION
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import events_from_formula
 from satlll.sat_model import build_extremal_formula
@@ -30,13 +31,13 @@ def test_f_lll_and_gap_match_high_precision_mpmath():
             holds = f_mt(k) - lll >= rhs
             rhs = float(rhs)
         assert f_lll(k) == lll, k
-        report = gap_inequality(k)
+        report = gap_inequality(k, f_mt(k) - f_lll(k))
         assert report.details == {"lhs": f_mt(k) - lll, "rhs": rhs}, k
         assert report.satisfied == holds, k
 
 
 def test_gap_rhs_past_the_float_range_is_inf():
-    report = gap_inequality(1100)
+    report = gap_inequality(1100, f_mt(1100) - f_lll(1100))
     assert report.satisfied
     assert report.details["rhs"] == math.inf
 
@@ -181,11 +182,11 @@ def test_harris_violated_witness():
 def test_harris_phi1_with_alpha():
     formula = build_extremal_formula(3, 2, 1)
     events = events_from_formula(formula)
-    alpha, satisfied = harris_ksat_alpha(3, 2)
+    alpha = harris_ksat_alpha(3, 2, DEFAULT_PRECISION)
     # closed-form alpha is not quite a Fraction; a nearby rational suffices
     mu = Fraction(str(alpha)).limit_denominator(10 ** 12)
     report = harris_check(events, [mu] * len(events), [Fraction(1, 8)] * len(events))
-    assert not satisfied and not report.satisfied  # alpha < 1/8 * (1 + 2 alpha)
+    assert not 2 <= f_mt(3) and not report.satisfied  # alpha < 1/8 * (1 + 2 alpha)
 
 
 def star_events(k: int, L: int) -> list[tuple[int, ...]]:
@@ -208,8 +209,8 @@ def star_events(k: int, L: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("k,L,satisfied", [(3, 1, True), (4, 1, True), (3, 2, False),
                                            (4, 2, False), (4, 3, False)])
 def test_harris_check_agrees_with_closed_form_on_star(k, L, satisfied):
-    alpha, closed_form = harris_ksat_alpha(k, L)
-    assert closed_form == satisfied
+    alpha = harris_ksat_alpha(k, L, DEFAULT_PRECISION)
+    assert (L <= f_mt(k)) == satisfied
     mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
     events = star_events(k, L)
     report = harris_check(events, [mu] * len(events), [Fraction(1, 2 ** k)] * len(events))
@@ -224,17 +225,19 @@ def test_harris_check_agrees_with_closed_form_on_star(k, L, satisfied):
 
 
 def test_harris_alpha_boundary_k9():
-    _, sat22 = harris_ksat_alpha(9, 22)
-    _, sat23 = harris_ksat_alpha(9, 23)
-    assert sat22
-    assert not sat23
+    # The criterion 2^k alpha >= alpha + (1 + L alpha)^k, at 1024 bits, turns at F_MT(9) = 22.
+    assert f_mt(9) == 22
+    for L, holds in ((22, True), (23, False)):
+        with mpmath.mp.workprec(1024):
+            alpha = (mpmath.root(mpmath.mpf(2 ** 9 - 1) / (9 * L), 8) - 1) / L
+            assert (2 ** 9 * alpha >= alpha + (1 + L * alpha) ** 9) == holds, L
+            assert harris_ksat_alpha(9, L, 1024) == float(alpha), L
 
 
 def test_harris_alpha_at_f_mt():
     for k in range(3, 13):
-        alpha, satisfied = harris_ksat_alpha(k, f_mt(k))
-        assert satisfied, k
-        assert alpha > 0
+        alpha = harris_ksat_alpha(k, f_mt(k), DEFAULT_PRECISION)
+        assert alpha > 0, k
 
 
 def test_harris_alpha_verdict_is_l_at_most_f_mt():
@@ -249,8 +252,8 @@ def test_harris_alpha_verdict_is_l_at_most_f_mt():
             with mpmath.mp.workprec(1024):
                 alpha = (mpmath.root(mpmath.mpf(2 ** k - 1) / (k * L), k - 1) - 1) / L
                 direct = 2 ** k * alpha >= alpha + (1 + L * alpha) ** k
-            alpha_float, satisfied = harris_ksat_alpha(k, L)
-            assert satisfied == direct == (L <= mt), (k, L)
+            alpha_float = harris_ksat_alpha(k, L, DEFAULT_PRECISION)
+            assert direct == (L <= mt), (k, L)
             assert type(alpha_float) is float
             pairs += 1
     assert pairs == 9196
@@ -258,25 +261,25 @@ def test_harris_alpha_verdict_is_l_at_most_f_mt():
 
 def test_harris_alpha_domain():
     with pytest.raises(DomainError):
-        harris_ksat_alpha(3, 3)  # 3 * 3 > 2^3 - 1 = 7
+        harris_ksat_alpha(3, 3, DEFAULT_PRECISION)  # 3 * 3 > 2^3 - 1 = 7
 
 
 def test_gap_inequality_table_range():
     for k in range(9, 21):
-        report = gap_inequality(k)
+        report = gap_inequality(k, f_mt(k) - f_lll(k))
         assert report.satisfied, k
         assert report.details["lhs"] == f_mt(k) - f_lll(k)
 
 
 def test_gap_inequality_k2_evaluated_honestly():
-    report = gap_inequality(2)
+    report = gap_inequality(2, f_mt(2) - f_lll(2))
     # f_mt(2) - f_lll(2) = 0 - 0 = 0 and rhs = 4/(8e) - 1 < 0, so it holds
     assert report.criterion == "gap_inequality"
     assert report.satisfied == (0 >= report.details["rhs"])
 
 
 def test_criterion_report_json():
-    report = gap_inequality(9)
+    report = gap_inequality(9, f_mt(9) - f_lll(9))
     payload = report.to_json_dict()
     assert payload["criterion"] == "gap_inequality"
     assert payload["satisfied"] is True

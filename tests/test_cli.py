@@ -210,6 +210,15 @@ def test_fixedpoint_json_truncates_trajectory(capsys):
     assert payload["trajectory_truncated"] is True
 
 
+@pytest.mark.parametrize("output_format", ["tsv", "json"])
+def test_fixedpoint_refuses_a_negative_max_trajectory_before_iterating(
+        capsys, monkeypatch, output_format):
+    monkeypatch.setattr(hj_family, "fixed_point_iteration", _build_nothing)
+    code, out, err = run_cli(capsys, "--format", output_format, "fixedpoint",
+                             "--k", "2", "--L", "2", "--max-trajectory", "-1")
+    assert (code, out, err) == (EXIT_DOMAIN, "", "error: max_trajectory must be >= 0, got -1\n")
+
+
 def refuse_constant(constant):
     raise AssertionError(f"{constant} is not RFC 8259 JSON")
 

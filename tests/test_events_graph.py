@@ -6,13 +6,13 @@ import pytest
 
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import (DepGraph, dependency_graph, literal_index,
-                                 events_from_formula, lopsidependency_graph,
-                                 verify_lopsidependency)
+                                 events_from_formula, lopsidependency_graph)
 from satlll.moser_tardos import run_mt
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
-from oracles import connected_components, induced_subgraph, max_degree
+from oracles import (connected_components, induced_subgraph, max_degree,
+                     verify_lopsidependency)
 
 
 def test_events_of_phi1():

@@ -209,7 +209,8 @@ def test_fixed_point_matches_interval_objects(monkeypatch):
             if isinstance(got, tuple):  # both refused alike
                 continue
             assert repr(got.trajectory) == repr(expected.trajectory), (k, L, precision)
-            assert got.to_json_dict() == expected.to_json_dict(), (k, L, precision)
+            whole = len(got.trajectory)
+            assert got.to_json_dict(whole) == expected.to_json_dict(whole), (k, L, precision)
             kinds.add((got.verdict.kind, max_iter))
     assert {("converged", 0), ("inconclusive", 0), ("inconclusive", 5),
             ("violated", 100_000)} <= kinds
@@ -592,8 +593,10 @@ def test_fixed_point_report_json():
     assert payload["verdict"]["kind"] == "violated"
     assert payload["trajectory_truncated"]
     assert payload["parameters"]["k"] == 2
-    with pytest.raises(DomainError):
-        report.to_json_dict(max_trajectory=-1)
+    whole = report.to_json_dict(max_trajectory=len(report.trajectory))
+    assert len(whole["trajectory"]) == len(report.trajectory) > 2
+    assert not whole["trajectory_truncated"]
+    assert report.to_json_dict(max_trajectory=0)["trajectory"] == []
 
 
 def test_threshold_ell_values():

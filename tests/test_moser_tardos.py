@@ -131,19 +131,27 @@ def test_coin_stream_equals_successive_randrange():
         assert list(islice(coin_stream(random.Random(seed)), count)) == expected, seed
 
 
-def test_lowest_probability_on_events_of_mixed_sizes():
-    # The keys come from event sizes; the oracle orders by exact Fractions.
-    rule = SelectionRule.LOWEST_PROBABILITY
+def test_lowest_probability_refuses_events_of_mixed_widths():
+    # Lowest-probability takes one width, as a formula has; the other rules
+    # take any events and still select what a rescan selects.
+    refused = 0
     for case in range(400):
         rng = random.Random(case)
         m = rng.randint(1, 10)
         events = [tuple(-v if rng.random() < 0.5 else v
                         for v in rng.sample(range(1, m + 1), rng.randint(1, min(4, m))))
                   for _ in range(rng.randint(1, 12))]
-        expected = run_mt_by_rescan(events, m, rule, case, 40)
-        values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
-        assert values == expected[0], case
-        assert stats.to_json_dict() == expected[1].to_json_dict(), case
+        for rule in SelectionRule:
+            if rule is SelectionRule.LOWEST_PROBABILITY and len(set(map(len, events))) > 1:
+                with pytest.raises(DomainError, match="needs events of one width"):
+                    run_mt(events, m, rule=rule, seed=case, max_steps=40)
+                refused += 1
+                continue
+            expected = run_mt_by_rescan(events, m, rule, case, 40)
+            values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
+            assert values == expected[0], (case, rule)
+            assert stats.to_json_dict() == expected[1].to_json_dict(), (case, rule)
+    assert 0 < refused < 400
 
 
 def test_unknown_rule_is_refused():

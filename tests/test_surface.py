@@ -1,0 +1,63 @@
+"""The package surface is what the CLI reaches.
+
+Every public top-level name defined in a satlll module must be read, as an
+``ast`` Name or Attribute, somewhere under src/satlll, or be kept for a
+stated reason below.  Re-exports in ``__init__`` do not count as reads, so
+a function that only tests call fails here: it belongs in tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+import satlll
+
+SOURCES = sorted(Path(satlll.__file__).parent.glob("*.py"))
+
+KEPT = {
+    "dependency_graph": "the benchmark's formula_resample workload and self-test call it",
+    "harris_check": "the generic resampling criterion, for the planned separate subcommand",
+    "embed_H_in_G": "the H_j embedding, for the planned separate subcommand",
+}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def surface() -> tuple[set[tuple[str, str]], set[str]]:
+    """(module, name) for every public top-level name, and every name read."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    defined = {(module, name) for module, tree in trees.items() if module != "__init__"
+               for name in defined_names(tree)}
+    return defined, set().union(*map(read_names, trees.values()))
+
+
+def test_every_public_name_is_read_under_src_or_kept_for_a_reason():
+    defined, reads = surface()
+    unread = sorted(f"{module}.{name}" for module, name in defined
+                    if name not in reads and name not in KEPT)
+    assert unread == []
+
+
+def test_every_kept_name_is_defined_and_unread():
+    # A kept name that src/ now reads, or that is gone, leaves the list.
+    defined, reads = surface()
+    names = {name for _, name in defined}
+    assert sorted(name for name in KEPT if name not in names or name in reads) == []

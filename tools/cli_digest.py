@@ -40,11 +40,13 @@ and fixedpoint at F_Shearer(200), whose phi probes need more than 256
 bits; inputs that exit with each of the codes 2 to 6; then fixedpoint at
 L = 2 and 3 for k = 5..20, which converge, fixedpoint at F_Shearer + 1 for
 k = 21..24, violated after 916 to 3353 steps, at --precision 64 and at the
-default, and table 640 640.  Everything runs in tsv and in json.  The
-extremal files are read whole, and the SATLIB-style file and the eight
-small files line by line.  The SATLIB-style runs resample thousands of
-times, and seed 7 needs a second batch of words for the initial draw on
-every small formula.
+default, and table 640 640; then bounds for k = 2..60 at --precision 64
+and 80, where the printed alpha rounds most coarsely, and bounds for
+k = 1045..1048, where the gap's rhs first prints inf (at 1047).
+Everything runs in tsv and in json.  The extremal files are read whole,
+and the SATLIB-style file and the eight small files line by line.  The
+SATLIB-style runs resample thousands of times, and seed 7 needs a second
+batch of words for the initial draw on every small formula.
 """
 
 import contextlib
@@ -274,6 +276,9 @@ def corpus():
     commands += [[*precision, "fixedpoint", "--k", str(k), "--L", str(shearer_upper_bound(k) + 1)]
                  for precision in (["--precision", "64"], []) for k in range(21, 25)]
     commands.append(["table", "640", "640"])
+    commands += [["--precision", precision, "bounds", "--k", str(k)]
+                 for precision in ("64", "80") for k in range(2, 61)]
+    commands += [["bounds", "--k", str(k)] for k in range(1045, 1049)]  # rhs inf from 1047
     return commands
 
 
