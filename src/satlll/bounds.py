@@ -18,7 +18,6 @@ from mpmath import fdiv, mp
 
 from .errors import DomainError, SizeGuardError
 from .events_graph import Event
-from .hj_family import json_float
 
 EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
 
@@ -30,12 +29,6 @@ class CriterionReport:
     parameters: dict
     witness: Optional[int] = None  # index of the failing event, if any
     details: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"criterion": self.criterion, "satisfied": self.satisfied,
-                "parameters": self.parameters, "witness": self.witness,
-                "details": {key: json_float(value) if isinstance(value, float) else value
-                            for key, value in self.details.items()}}
 
 
 def _decide_at_e(value):
@@ -176,13 +169,10 @@ def harris_ksat_alpha(k: int, L: int, precision: int) -> float:
         return float((fdiv(2 ** k - 1, k * L) ** fdiv(1, k - 1) - 1) / L)
 
 
-def gap_inequality(k: int, lhs: int) -> CriterionReport:
-    """Exact check of lhs >= rhs = 2^k / (2 e k^2) - 1, for lhs = f_mt(k) - f_lll(k)."""
+def gap_inequality(k: int, lhs: int) -> tuple[bool, float]:
+    """(holds, rhs): lhs >= rhs = 2^k / (2 e k^2) - 1 exactly, for lhs = f_mt(k) - f_lll(k)."""
     # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): fdiv rounds it once to
     # a float's 53 bits, and float() is inf past the float range.
-    holds, rhs = _decide_at_e(lambda p, q: (
+    return _decide_at_e(lambda p, q: (
         (lhs + 1) * 2 * k * k * p >= 2 ** k * q,
         float(fdiv(2 ** k * q - 2 * k * k * p, 2 * k * k * p, prec=53))))
-    return CriterionReport(criterion="gap_inequality", satisfied=holds,
-                           parameters={"k": k},
-                           details={"lhs": lhs, "rhs": rhs})

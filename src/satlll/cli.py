@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,6 +30,7 @@ EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 EXIT_CERTIFICATION = 5
 EXIT_DIMACS = 6
+DEFAULT_PRECISION = 256
 DEFAULT_VERTEX_GUARD = 40
 _LETTERS = bytes.maketrans(b"\0\1", b"FT")  # a value byte as mt prints it
 
@@ -39,7 +41,7 @@ _EXIT_CODES = ((DimacsError, EXIT_DIMACS), (CertificationError, EXIT_CERTIFICATI
                (SatLllError, EXIT_DOMAIN))
 
 # The integer settings: attribute on args, environment variable, default.
-_SETTINGS = (("precision", "SATLLL_PRECISION", hj_family.DEFAULT_PRECISION),
+_SETTINGS = (("precision", "SATLLL_PRECISION", DEFAULT_PRECISION),
              ("guard_vertices", "SATLLL_GUARD_VERTICES", DEFAULT_VERTEX_GUARD),
              ("guard_clauses", "SATLLL_GUARD_CLAUSES", sat_model.DEFAULT_CLAUSE_GUARD))
 
@@ -62,6 +64,11 @@ def _resolve_settings(args):
         raise DomainError(f"precision must be >= 64, got {args.precision}")
     if args.guard_vertices <= 0 or args.guard_clauses <= 0:
         raise DomainError("guards must be positive")
+
+
+def _json_float(x: float) -> float | str:
+    """x, or "inf" / "-inf" as the text form prints it: JSON has no infinity."""
+    return x if math.isfinite(x) else str(x)
 
 
 def _emit(args, output):
@@ -185,6 +192,8 @@ def _graph_from_json(path: str, guard_vertices: int):
         if ("true" in text or "false" in text) and bool in map(type, chain.from_iterable(edges)):
             raise ValueError("edge endpoints must be integers, got a bool")  # not 1 or 0
         graph = DepGraph.from_edges(n, edges)
+        if type(data["p"]) is not list:  # an object would give its keys, a string its characters
+            raise ValueError(f"p must be an array, got {type(data['p']).__name__}")
         p = _probabilities(data["p"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"malformed graph JSON in {path}: {exc!r}") from None
@@ -241,12 +250,17 @@ def cmd_hj(args):
 def cmd_fixedpoint(args):
     if args.max_trajectory < 0:
         raise DomainError(f"max_trajectory must be >= 0, got {args.max_trajectory}")
-    report = hj_family.fixed_point_iteration(args.k, args.L, max_iter=args.max_iter,
-                                             precision=args.precision)
-    if args.format == "json":
-        return 0, report.to_json_dict(max_trajectory=args.max_trajectory)
+    report = hj_family.fixed_point_iteration(args.k, args.L, args.max_iter, args.precision)
     v = report.verdict
-    return 0, (f"k={report.k} L={report.L} verdict={v.kind} step={v.step} "
+    if args.format == "json":
+        trajectory = report.trajectory[:args.max_trajectory]
+        return 0, {"parameters": {"k": args.k, "L": args.L, "precision": args.precision,
+                                  "max_iter": args.max_iter},
+                   "threshold": _json_float(report.threshold),
+                   "trajectory": list(map(_json_float, trajectory)),
+                   "trajectory_truncated": len(trajectory) < len(report.trajectory),
+                   "verdict": {"kind": v.kind, "step": v.step, "value": _json_float(v.value)}}
+    return 0, (f"k={args.k} L={args.L} verdict={v.kind} step={v.step} "
                f"value={v.value} threshold={report.threshold}\n")
 
 
@@ -255,15 +269,17 @@ def cmd_mt(args):
     events = events_from_formula(formula)
     rule = moser_tardos.SelectionRule(args.rule)
     m = formula.variable_count
-    values, stats = moser_tardos.run_mt(events, m, rule=rule, seed=args.seed,
-                                        max_steps=args.max_steps)
+    values, stats = moser_tardos.run_mt(events, m, rule, args.seed, args.max_steps)
     satisfies = formula.is_satisfied_by(values) if stats.terminated else False
     if args.format == "json":
-        return 0, {"stats": stats.to_json_dict(),
+        return 0, {"stats": {"total_resamples": stats.steps,
+                             "per_event_resamples": list(stats.per_event_resamples),
+                             "terminated": stats.terminated, "steps": stats.steps,
+                             "seed": args.seed, "max_steps": args.max_steps, "rule": rule.value},
                    "satisfies_formula": satisfies,
                    "assignment": dict(zip(map(str, range(1, m + 1)), map(bool, values)))
                    if stats.terminated else None}
-    lines = [f"terminated={stats.terminated} resamples={stats.total_resamples} "
+    lines = [f"terminated={stats.terminated} resamples={stats.steps} "
              f"satisfies={satisfies}"]
     if stats.terminated:  # "1=T 2=F ...": one % over the whole line
         pairs = zip(range(1, m + 1), values.translate(_LETTERS).decode())
@@ -275,7 +291,7 @@ def cmd_bounds(args):
     k = args.k
     mt = _printable_f_mt(k)
     lll = bounds_mod.f_lll(k)
-    gap = bounds_mod.gap_inequality(k, mt - lll)
+    holds, rhs = bounds_mod.gap_inequality(k, mt - lll)
     alpha_results = {}
     for L in (mt, mt + 1):
         try:
@@ -285,11 +301,12 @@ def cmd_bounds(args):
             alpha_results[L] = None
     if args.format == "json":
         return 0, {"k": k, "F_LLL": lll, "F_MT": mt,
-                   "gap_inequality": gap.to_json_dict(),
+                   "gap_inequality": {"criterion": "gap_inequality", "satisfied": holds,
+                                      "parameters": {"k": k}, "witness": None,
+                                      "details": {"lhs": mt - lll, "rhs": _json_float(rhs)}},
                    "harris_alpha": {str(L): v for L, v in alpha_results.items()}}
     lines = [f"F_LLL({k}) = {lll}", f"F_MT({k}) = {mt}",
-             f"gap_inequality: {gap.satisfied} "
-             f"(lhs={gap.details['lhs']} rhs={gap.details['rhs']:.6f})"]
+             f"gap_inequality: {holds} (lhs={mt - lll} rhs={rhs:.6f})"]
     for L, value in alpha_results.items():
         if value is None:
             lines.append(f"harris_alpha(L={L}): out of domain")
@@ -305,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     # when given, and one given after the subcommand overrides one before it.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int,
-                        help=f"working precision in bits (default {hj_family.DEFAULT_PRECISION})")
+                        help=f"working precision in bits (default {DEFAULT_PRECISION})")
     common.add_argument("--format", choices=("tsv", "json"))
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--guard-vertices", type=int)

@@ -98,12 +98,6 @@ from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
-DEFAULT_PRECISION = 256
-
-
-def json_float(x: float) -> float | str:
-    """x, or "inf" / "-inf" as the text form prints it: JSON has no infinity."""
-    return x if math.isfinite(x) else str(x)
 
 
 @dataclass(frozen=True)
@@ -141,26 +135,9 @@ class FixedPointVerdict:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    k: int
-    L: int
-    precision: int
-    max_iter: int
     trajectory: tuple[float, ...]  # midpoints a_0 .. a_J
     verdict: FixedPointVerdict
     threshold: float
-
-    def to_json_dict(self, max_trajectory: int) -> dict:
-        """The report as JSON, with at most max_trajectory (>= 0) trajectory entries."""
-        traj = self.trajectory[:max_trajectory]
-        return {
-            "parameters": {"k": self.k, "L": self.L, "precision": self.precision,
-                           "max_iter": self.max_iter},
-            "threshold": json_float(self.threshold),
-            "trajectory": list(map(json_float, traj)),
-            "trajectory_truncated": len(traj) < len(self.trajectory),
-            "verdict": {"kind": self.verdict.kind, "step": self.verdict.step,
-                        "value": json_float(self.verdict.value)},
-        }
 
 
 def h_vertex_count(j: int, k: int, L: int) -> int:
@@ -388,8 +365,7 @@ def _midpoint(lo: int, hi: int, P: int) -> float:
         return -math.inf
 
 
-def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
-                          precision: int = DEFAULT_PRECISION) -> FixedPointReport:
+def fixed_point_iteration(k: int, L: int, max_iter: int, precision: int) -> FixedPointReport:
     """Decide whether a_j = g(a_{j-1}) from a_0 = 1 stays above 2^{-1/(L-1)}.
 
     "converged" is certified without iterating by fact 4 of the module
@@ -423,9 +399,7 @@ def fixed_point_iteration(k: int, L: int, max_iter: int = 100_000,
                 break
         else:
             verdict = FixedPointVerdict("inconclusive", step=max_iter, value=trajectory[-1])
-    return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
-                            trajectory=tuple(trajectory), verdict=verdict,
-                            threshold=threshold)
+    return FixedPointReport(tuple(trajectory), verdict, threshold)
 
 
 def _newton(N: int, k: int, precision: int) -> int:
@@ -537,7 +511,7 @@ def _shearer_estimate(k: int) -> int:
         return int(n) + 1
 
 
-def shearer_upper_bound(k: int, precision: int = DEFAULT_PRECISION) -> int:
+def shearer_upper_bound(k: int, precision: int) -> int:
     """F_Shearer(k) = floor(max ell), certified by facts 1-3 and 5 of the module docstring.
 
     Probes L = F and F + 1 at the estimate F; if either disagrees, binary

@@ -65,28 +65,13 @@ class SelectionRule(Enum):
 
 @dataclass
 class RunStats:
-    total_resamples: int
     per_event_resamples: tuple[int, ...]
     terminated: bool
-    steps: int
-    seed: int
-    max_steps: int
-    rule: SelectionRule
-
-    def to_json_dict(self) -> dict:
-        return {"total_resamples": self.total_resamples,
-                "per_event_resamples": list(self.per_event_resamples),
-                "terminated": self.terminated,
-                "steps": self.steps,
-                "seed": self.seed,
-                "max_steps": self.max_steps,
-                "rule": self.rule.value}
+    steps: int  # one resample per step, so also the total resample count
 
 
-def run_mt(events: Sequence[Event], m: int,
-           rule: SelectionRule = SelectionRule.FIRST_INDEX,
-           seed: int = 0,
-           max_steps: int = 1_000_000) -> tuple[bytes, RunStats]:
+def run_mt(events: Sequence[Event], m: int, rule: SelectionRule, seed: int,
+           max_steps: int) -> tuple[bytes, RunStats]:
     """Run the resampling loop on m variables, each drawn as a fair coin.
 
     Returns the values (bytes, values[v-1] is x_v) and the stats.
@@ -149,8 +134,4 @@ def run_mt(events: Sequence[Event], m: int,
                     if at == len(true_events) or true_events[at] != i:
                         true_events.insert(at, i)
 
-    stats = RunStats(total_resamples=sum(per_event),
-                     per_event_resamples=tuple(per_event),
-                     terminated=not true_events, steps=steps, seed=seed,
-                     max_steps=max_steps, rule=rule)
-    return bytes(truth[1:m + 1]), stats
+    return bytes(truth[1:m + 1]), RunStats(tuple(per_event), not true_events, steps)

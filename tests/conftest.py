@@ -6,6 +6,11 @@ import pytest
 from satlll.events_graph import DepGraph
 from satlll.sat_model import Formula
 
+# The defaults of fixedpoint --max-iter and mt --max-steps, which the library
+# takes as required arguments; the precision's is satlll.cli.DEFAULT_PRECISION.
+MAX_ITER = 100_000
+MAX_STEPS = 1_000_000
+
 
 def random_graph(rng: random.Random, max_vertices: int = 12,
                  edge_probability: float = 0.35) -> DepGraph:

@@ -31,10 +31,10 @@ from mpmath import iv, mp
 from satlll import hj_family
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph, Event, literal_index
-from satlll.hj_family import (DEFAULT_PRECISION, FixedPointReport, FixedPointVerdict,
-                              _check_params, recurrence_sr)
+from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
+                              recurrence_sr)
 from satlll.sat_model import Formula
-from satlll.cli import DEFAULT_VERTEX_GUARD
+from satlll.cli import DEFAULT_PRECISION, DEFAULT_VERTEX_GUARD
 from satlll.shearer import (ProbabilityVector, ShearerVerdict, _check_probabilities,
                             independence_polynomial)
 
@@ -466,8 +466,7 @@ def fixed_point_bounds_by_intervals(t: Optional[Fraction], L: int, precision: in
         return threshold, (2 - iv_from_fraction(t)) ** (iv.mpf(-1) / (L - 1))
 
 
-def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
-                                       precision: int = DEFAULT_PRECISION,
+def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int, precision: int,
                                        enclosures: list | None = None) -> FixedPointReport:
     """``fixed_point_iteration`` with its violated loop on ``iv`` interval objects.
 
@@ -510,12 +509,10 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int = 100_000,
                 a = a_new
             else:
                 verdict = FixedPointVerdict("inconclusive", step=max_iter, value=midpoint_float(a))
-    return FixedPointReport(k=k, L=L, precision=precision, max_iter=max_iter,
-                            trajectory=tuple(trajectory), verdict=verdict,
-                            threshold=threshold_mid)
+    return FixedPointReport(tuple(trajectory), verdict, threshold_mid)
 
 
-def shearer_upper_bound_by_bisection(k: int, precision: int = DEFAULT_PRECISION) -> int:
+def shearer_upper_bound_by_bisection(k: int, precision: int) -> int:
     """F_Shearer(k) by binary search over [1, 2^k] for the largest L with
     max phi_{L-1} >= 0: about k certified probes where the estimate needs
     two.  The probes take shearer_upper_bound's floor of 2k + 128 bits."""

@@ -11,15 +11,15 @@ import mpmath
 
 from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha)
-from satlll.cli import main
+from satlll.cli import DEFAULT_PRECISION, main
 from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from satlll.hj_family import (DEFAULT_PRECISION, build_H, embed_H_in_G,
-                              fixed_point_iteration, recurrence_sr, shearer_upper_bound)
-from satlll.moser_tardos import run_mt
+from satlll.hj_family import (build_H, embed_H_in_G, fixed_point_iteration, recurrence_sr,
+                              shearer_upper_bound)
+from satlll.moser_tardos import SelectionRule, run_mt
 from satlll.sat_model import build_extremal_formula, dimacs_import
 from satlll.shearer import independence_polynomial, shearer_check
 
-from conftest import (random_formula, random_graph,
+from conftest import (MAX_ITER, MAX_STEPS, random_formula, random_graph,
                       random_low_occurrence_formula, random_probabilities)
 from oracles import (component_factorization, expansion_identity,
                      independence_polynomial_bruteforce, validate_occurrences,
@@ -48,7 +48,7 @@ def report(number, name):
 def test_criterion_01_table_reproduction():
     for k, (lll, sh, mt) in EXPECTED_TABLE.items():
         assert f_lll(k) == lll, k
-        assert shearer_upper_bound(k) == sh, k
+        assert shearer_upper_bound(k, DEFAULT_PRECISION) == sh, k
         assert f_mt(k) == mt, k
     report(1, "bound table k=9..20 reproduced exactly")
 
@@ -105,7 +105,7 @@ def test_criterion_04_shearer_small_case_verdicts():
     assert not bad.satisfied
 
     # consistency with the fixed-point route for the same parameters
-    assert fixed_point_iteration(2, 2).verdict.kind == "violated"
+    assert fixed_point_iteration(2, 2, MAX_ITER, DEFAULT_PRECISION).verdict.kind == "violated"
     report(4, "small-case verdicts and explicit/fixed-point consistency")
 
 
@@ -113,10 +113,10 @@ def test_criterion_05_fixed_point_boundary():
     # a = g(a) is phi_{L-1}(2 - a^{-(L-1)}) = 0: the iteration and the
     # threshold-curve certificate must put the boundary at the same L
     for k in EXPECTED_TABLE:
-        sh = shearer_upper_bound(k)
-        converged = fixed_point_iteration(k, sh)
+        sh = shearer_upper_bound(k, DEFAULT_PRECISION)
+        converged = fixed_point_iteration(k, sh, MAX_ITER, DEFAULT_PRECISION)
         assert converged.verdict.kind == "converged", k
-        violated = fixed_point_iteration(k, sh + 1)
+        violated = fixed_point_iteration(k, sh + 1, MAX_ITER, DEFAULT_PRECISION)
         assert violated.verdict.kind == "violated", k
         assert violated.verdict.step is not None
     report(5, "fixed point converged at F_Shearer, violated at F_Shearer+1, k=9..20")
@@ -197,7 +197,8 @@ def test_criterion_10_moser_tardos_termination():
     for trial in range(100):
         formula = instances[trial % len(instances)]
         events = events_from_formula(formula)
-        values, stats = run_mt(events, formula.variable_count, seed=seed + trial)
+        values, stats = run_mt(events, formula.variable_count, SelectionRule.FIRST_INDEX,
+                               seed + trial, MAX_STEPS)
         assert stats.terminated
         assert all(any(values[abs(v) - 1] == (v > 0) for v in formula.clause(i))
                    for i in range(formula.clause_count))
@@ -208,8 +209,8 @@ def test_criterion_10_moser_tardos_termination():
     n_seeds = 10_000
     single = [(-1,)]  # the clause ~x_1, false with probability 1/2
     for s in range(n_seeds):
-        _, stats = run_mt(single, 1, seed=s)
-        total += stats.total_resamples
+        _, stats = run_mt(single, 1, SelectionRule.FIRST_INDEX, s, MAX_STEPS)
+        total += stats.steps
     assert abs(total / n_seeds - 1) < 0.05
     report(10, "termination on 100/100 seeds; geometric mean within 5%")
 
@@ -217,8 +218,8 @@ def test_criterion_10_moser_tardos_termination():
 def test_criterion_11_ordering_separation():
     for k in range(9, 21):
         lll, sh, mt = EXPECTED_TABLE[k]
-        assert f_lll(k) <= shearer_upper_bound(k) < f_mt(k), k
-        assert gap_inequality(k, f_mt(k) - f_lll(k)).satisfied, k
+        assert f_lll(k) <= shearer_upper_bound(k, DEFAULT_PRECISION) < f_mt(k), k
+        assert gap_inequality(k, f_mt(k) - f_lll(k))[0], k
     report(11, "F_LLL <= F_Shearer < F_MT and gap inequality for k=9..20")
 
 

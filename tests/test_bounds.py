@@ -8,7 +8,7 @@ import pytest
 from satlll import bounds
 from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha, orderable_sets)
-from satlll.hj_family import DEFAULT_PRECISION
+from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import events_from_formula
 from satlll.sat_model import build_extremal_formula
@@ -31,15 +31,11 @@ def test_f_lll_and_gap_match_high_precision_mpmath():
             holds = f_mt(k) - lll >= rhs
             rhs = float(rhs)
         assert f_lll(k) == lll, k
-        report = gap_inequality(k, f_mt(k) - f_lll(k))
-        assert report.details == {"lhs": f_mt(k) - lll, "rhs": rhs}, k
-        assert report.satisfied == holds, k
+        assert gap_inequality(k, f_mt(k) - f_lll(k)) == (holds, rhs), k
 
 
 def test_gap_rhs_past_the_float_range_is_inf():
-    report = gap_inequality(1100, f_mt(1100) - f_lll(1100))
-    assert report.satisfied
-    assert report.details["rhs"] == math.inf
+    assert gap_inequality(1100, f_mt(1100) - f_lll(1100)) == (True, math.inf)
 
 
 def test_f_mt_values():
@@ -266,21 +262,12 @@ def test_harris_alpha_domain():
 
 def test_gap_inequality_table_range():
     for k in range(9, 21):
-        report = gap_inequality(k, f_mt(k) - f_lll(k))
-        assert report.satisfied, k
-        assert report.details["lhs"] == f_mt(k) - f_lll(k)
+        holds, _ = gap_inequality(k, f_mt(k) - f_lll(k))
+        assert holds, k
 
 
 def test_gap_inequality_k2_evaluated_honestly():
-    report = gap_inequality(2, f_mt(2) - f_lll(2))
+    holds, rhs = gap_inequality(2, f_mt(2) - f_lll(2))
     # f_mt(2) - f_lll(2) = 0 - 0 = 0 and rhs = 4/(8e) - 1 < 0, so it holds
-    assert report.criterion == "gap_inequality"
-    assert report.satisfied == (0 >= report.details["rhs"])
-
-
-def test_criterion_report_json():
-    report = gap_inequality(9, f_mt(9) - f_lll(9))
-    payload = report.to_json_dict()
-    assert payload["criterion"] == "gap_inequality"
-    assert payload["satisfied"] is True
-    assert payload["parameters"] == {"k": 9}
+    assert rhs < 0
+    assert holds == (0 >= rhs)

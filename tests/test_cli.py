@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll import bounds, cli, hj_family, moser_tardos, shearer
-from satlll.hj_family import DEFAULT_PRECISION
-from satlll.cli import (DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION, EXIT_DIMACS, EXIT_DOMAIN,
-                        EXIT_GUARD, main)
+from satlll.cli import (DEFAULT_PRECISION, DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION,
+                        EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD, main)
 from satlll.errors import CertificationError, DomainError
 from satlll.events_graph import DepGraph
 from satlll.events_graph import events_from_formula
 from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dimacs_export,
                               dimacs_import)
+
+from conftest import MAX_ITER, MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -200,14 +201,30 @@ def test_fixedpoint_text(capsys):
     assert "step=3" in out
 
 
-def test_fixedpoint_json_truncates_trajectory(capsys):
+@pytest.mark.parametrize("cap,length,truncated", [("0", 0, True), ("2", 2, True),
+                                                   ("4", 4, False), ("1000", 4, False)])
+def test_fixedpoint_json_caps_the_trajectory(capsys, cap, length, truncated):
+    # (2, 2) ends violated at step 3, so its trajectory a_0..a_3 has 4 entries.
     code, out, _ = run_cli(capsys, "--format", "json", "fixedpoint",
-                           "--k", "2", "--L", "2", "--max-trajectory", "2")
+                           "--k", "2", "--L", "2", "--max-trajectory", cap)
     assert code == 0
     payload = json.loads(out)
-    assert payload["verdict"]["kind"] == "violated"
-    assert len(payload["trajectory"]) == 2
-    assert payload["trajectory_truncated"] is True
+    assert list(payload) == ["parameters", "threshold", "trajectory", "trajectory_truncated",
+                             "verdict"]
+    assert payload["parameters"] == {"k": 2, "L": 2, "precision": DEFAULT_PRECISION,
+                                     "max_iter": MAX_ITER}
+    assert payload["verdict"]["kind"] == "violated" and payload["verdict"]["step"] == 3
+    assert len(payload["trajectory"]) == length
+    assert payload["trajectory_truncated"] is truncated
+    whole = hj_family.fixed_point_iteration(2, 2, MAX_ITER, DEFAULT_PRECISION).trajectory
+    assert payload["trajectory"] == list(whole[:length])
+
+
+def test_cli_defaults_are_the_ones_tests_pass_to_the_library():
+    fixedpoint = cli.PARSER.parse_args(["fixedpoint", "--k", "2", "--L", "2"])
+    assert (fixedpoint.max_iter, fixedpoint.max_trajectory) == (MAX_ITER, 1000)
+    mt = cli.PARSER.parse_args(["mt", "--cnf", "x.cnf"])
+    assert (mt.rule, mt.seed, mt.max_steps) == ("first-index", 0, MAX_STEPS)
 
 
 @pytest.mark.parametrize("output_format", ["tsv", "json"])
@@ -255,7 +272,12 @@ def test_mt_json(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["stats"]["terminated"] is True
     assert payload["satisfies_formula"] is True
-    assert payload["stats"]["rule"] == "uniform-random"
+    stats = payload["stats"]
+    assert list(stats) == ["total_resamples", "per_event_resamples", "terminated", "steps",
+                           "seed", "max_steps", "rule"]
+    assert (stats["rule"], stats["seed"], stats["max_steps"]) == ("uniform-random", 5, MAX_STEPS)
+    # total_resamples and steps both count the loop's iterations.
+    assert stats["total_resamples"] == sum(stats["per_event_resamples"]) == stats["steps"]
 
 
 def test_mt_reads_a_satlib_ending(capsys, tmp_path):
@@ -281,17 +303,21 @@ def test_mt_empty_formula(capsys, tmp_path):
 def mt_output_per_variable(formula, seed, max_steps, json_format):
     """mt's output formatted from a {variable: bool} dict, one variable at a time."""
     events = events_from_formula(formula)
-    values, stats = moser_tardos.run_mt(events, formula.variable_count, seed=seed,
-                                        max_steps=max_steps)
+    rule = moser_tardos.SelectionRule.FIRST_INDEX
+    values, stats = moser_tardos.run_mt(events, formula.variable_count, rule, seed, max_steps)
     assignment = {v: bool(values[v - 1]) for v in range(1, formula.variable_count + 1)}
     satisfies = stats.terminated and all(
         any(assignment[abs(z)] == (z > 0) for z in formula.clause(i))
         for i in range(formula.clause_count))
     if json_format:
-        return json.dumps({"stats": stats.to_json_dict(), "satisfies_formula": satisfies,
+        stats_json = {"total_resamples": sum(stats.per_event_resamples),
+                      "per_event_resamples": list(stats.per_event_resamples),
+                      "terminated": stats.terminated, "steps": stats.steps, "seed": seed,
+                      "max_steps": max_steps, "rule": rule.value}
+        return json.dumps({"stats": stats_json, "satisfies_formula": satisfies,
                            "assignment": {str(v): assignment[v] for v in sorted(assignment)}
                            if stats.terminated else None}, indent=2) + "\n"
-    lines = [f"terminated={stats.terminated} resamples={stats.total_resamples} "
+    lines = [f"terminated={stats.terminated} resamples={sum(stats.per_event_resamples)} "
              f"satisfies={satisfies}"]
     if stats.terminated:
         lines.append(" ".join(f"{v}={'T' if assignment[v] else 'F'}" for v in sorted(assignment)))
@@ -342,8 +368,13 @@ def test_bounds_json(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "bounds", "--k", "9")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["k", "F_LLL", "F_MT", "gap_inequality", "harris_alpha"]
     assert payload["F_LLL"] == 20 and payload["F_MT"] == 22
-    assert payload["gap_inequality"]["satisfied"] is True
+    gap = payload["gap_inequality"]
+    assert list(gap) == ["criterion", "satisfied", "parameters", "witness", "details"]
+    _, rhs = bounds.gap_inequality(9, 22 - 20)
+    assert gap == {"criterion": "gap_inequality", "satisfied": True, "parameters": {"k": 9},
+                   "witness": None, "details": {"lhs": 2, "rhs": rhs}}
     assert payload["harris_alpha"]["22"]["satisfied"] is True
     assert payload["harris_alpha"]["23"]["satisfied"] is False
 
@@ -587,6 +618,17 @@ def test_out_of_range_probability_is_one_error_line(capsys, tmp_path, p, line):
     target.write_text(json.dumps({"n": len(p), "edges": edges, "p": p}))
     code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
     assert (code, out, err) == (EXIT_DOMAIN, "", line)
+
+
+@pytest.mark.parametrize("p,kind", [({"1/3": 0, "1/4": 0}, "dict"), ("1/3", "str")],
+                         ids=["object", "string"])
+def test_graph_p_must_be_an_array(capsys, tmp_path, p, kind):
+    # Iterated, an object gives its keys and a string its characters.
+    target = tmp_path / "graph.json"
+    target.write_text(json.dumps({"n": 2, "edges": [], "p": p}))
+    code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"error: malformed graph JSON in {target}: "
+                                f"ValueError('p must be an array, got {kind}')\n")
 
 
 @pytest.mark.parametrize("p", [[True, "1/2"], ["1/2", False], [True, True]],

@@ -7,7 +7,7 @@ import pytest
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import (DepGraph, dependency_graph, literal_index,
                                  events_from_formula, lopsidependency_graph)
-from satlll.moser_tardos import run_mt
+from satlll.moser_tardos import SelectionRule, run_mt
 from satlll.sat_model import Formula, build_extremal_formula
 
 from conftest import random_formula
@@ -133,7 +133,8 @@ def _error_text(call):
 ])
 def test_every_entry_refuses_a_variable_outside_one_to_m_alike(events, m, expected):
     graph = DepGraph.from_edges(len(events), [])
-    calls = [lambda: run_mt(events, m), lambda: literal_index(events, m),
+    calls = [lambda: run_mt(events, m, SelectionRule.FIRST_INDEX, 0, 10),
+             lambda: literal_index(events, m),
              lambda: verify_lopsidependency(events, graph, m)]
     if m == max(abs(z) for e in events for z in e):  # the builders take m from the events
         calls += [lambda: lopsidependency_graph(events), lambda: dependency_graph(events)]

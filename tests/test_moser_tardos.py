@@ -11,7 +11,9 @@ from satlll import moser_tardos
 from satlll.moser_tardos import (COIN_CHUNK, RunStats, SelectionRule, coin_stream,
                                  fair_coins, run_mt)
 
-from conftest import random_formula, random_low_occurrence_formula
+from conftest import MAX_STEPS, random_formula, random_low_occurrence_formula
+
+FIRST_INDEX = SelectionRule.FIRST_INDEX
 
 
 def event_probability(event):
@@ -58,10 +60,7 @@ def run_mt_by_rescan(events, m, rule, seed, max_steps):
             values[variable - 1] = draw(resample_rng)
         per_event[chosen] += 1
         steps += 1
-    stats = RunStats(total_resamples=sum(per_event), per_event_resamples=tuple(per_event),
-                     terminated=not true_events, steps=steps, seed=seed,
-                     max_steps=max_steps, rule=rule)
-    return bytes(values), stats
+    return bytes(values), RunStats(tuple(per_event), terminated=not true_events, steps=steps)
 
 
 def test_incremental_run_matches_rescan():
@@ -77,7 +76,8 @@ def test_incremental_run_matches_rescan():
         expected = run_mt_by_rescan(events, m, rule, case, max_steps)
         values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=max_steps)
         assert values == expected[0], case
-        assert stats.to_json_dict() == expected[1].to_json_dict(), case
+        assert stats == expected[1], case
+        assert sum(stats.per_event_resamples) == stats.steps, case  # one resample a step
         seen.add((rule, not events, stats.terminated, stats.steps == max_steps))
     for rule in SelectionRule:
         assert (rule, True, True, False) in seen  # zero events
@@ -99,7 +99,7 @@ def test_incremental_run_matches_rescan_on_extremal_formulas(shape):
                 expected = run_mt_by_rescan(events, m, rule, seed, max_steps)
                 values, stats = run_mt(events, m, rule=rule, seed=seed, max_steps=max_steps)
                 assert values == expected[0], (rule, max_steps, seed)
-                assert stats.to_json_dict() == expected[1].to_json_dict(), (rule, max_steps, seed)
+                assert stats == expected[1], (rule, max_steps, seed)
                 if not stats.terminated:
                     cut.add(max_steps)
     assert cut  # some run stops at its limit
@@ -150,13 +150,13 @@ def test_lowest_probability_refuses_events_of_mixed_widths():
             expected = run_mt_by_rescan(events, m, rule, case, 40)
             values, stats = run_mt(events, m, rule=rule, seed=case, max_steps=40)
             assert values == expected[0], (case, rule)
-            assert stats.to_json_dict() == expected[1].to_json_dict(), (case, rule)
+            assert stats == expected[1], (case, rule)
     assert 0 < refused < 400
 
 
 def test_unknown_rule_is_refused():
     with pytest.raises(DomainError, match="unknown selection rule"):
-        run_mt([(-1,)], 1, rule="first-index")
+        run_mt([(-1,)], 1, "first-index", 0, MAX_STEPS)
 
 
 def satisfies(formula, values):
@@ -165,16 +165,16 @@ def satisfies(formula, values):
 
 
 def test_zero_events_returns_initial_assignment():
-    values, stats = run_mt([], 4, seed=7)
+    values, stats = run_mt([], 4, FIRST_INDEX, 7, MAX_STEPS)
     assert type(values) is bytes and len(values) == 4 and set(values) <= {0, 1}
     assert values == fair_coins(random.Random("7:init"), 4)
-    assert stats.total_resamples == 0
+    assert stats.per_event_resamples == ()
     assert stats.terminated
     assert stats.steps == 0
 
 
 def test_single_event_terminates():
-    values, stats = run_mt([(-1,)], 1, seed=3)
+    values, stats = run_mt([(-1,)], 1, FIRST_INDEX, 3, MAX_STEPS)
     assert stats.terminated
     assert values == b"\0"
 
@@ -184,30 +184,30 @@ def test_single_event_geometric_mean():
     total = 0
     n = 2000
     for seed in range(n):
-        _, stats = run_mt([(-1,)], 1, seed=seed)
-        total += stats.total_resamples
+        _, stats = run_mt([(-1,)], 1, FIRST_INDEX, seed, MAX_STEPS)
+        total += stats.steps
     assert abs(total / n - 1) < 0.08
 
 
 def test_reproducible_traces():
     formula = random_low_occurrence_formula(random.Random(5), k=3, m=24, n_clauses=6)
     events = events_from_formula(formula)
-    runs = [run_mt(events, formula.variable_count, rule=SelectionRule.UNIFORM_RANDOM,
-                   seed=42) for _ in range(2)]
+    runs = [run_mt(events, formula.variable_count, SelectionRule.UNIFORM_RANDOM, 42, MAX_STEPS)
+            for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
 
 
 def test_different_seeds_differ_eventually():
     events = [(-1, -2), (-3, -4)]
-    assignments = {run_mt(events, 4, seed=s)[0] for s in range(30)}
+    assignments = {run_mt(events, 4, FIRST_INDEX, s, MAX_STEPS)[0] for s in range(30)}
     assert len(assignments) > 1
 
 
 def test_max_steps_gives_unterminated():
     # contradictory pair on one variable can never be satisfied
     events = [(-1,), (1,)]
-    _, stats = run_mt(events, 1, seed=0, max_steps=25)
+    _, stats = run_mt(events, 1, FIRST_INDEX, 0, 25)
     assert not stats.terminated
     assert stats.steps == 25
 
@@ -216,7 +216,7 @@ def test_terminated_assignment_satisfies_formula(rng):
     for trial in range(20):
         formula = random_low_occurrence_formula(rng, k=3, m=30, n_clauses=7)
         events = events_from_formula(formula)
-        values, stats = run_mt(events, formula.variable_count, seed=trial)
+        values, stats = run_mt(events, formula.variable_count, FIRST_INDEX, trial, MAX_STEPS)
         assert stats.terminated
         assert satisfies(formula, values) and formula.is_satisfied_by(values)
         assert not any(holds(e, values) for e in events)
@@ -225,16 +225,8 @@ def test_terminated_assignment_satisfies_formula(rng):
 def test_bias_validation():
     # Every variable is a fair coin: a bias is no longer accepted.
     with pytest.raises(TypeError):
-        run_mt([(-1,)], 1, bias=[Fraction(0), Fraction(1)])
+        run_mt([(-1,)], 1, FIRST_INDEX, 0, MAX_STEPS, bias=[Fraction(0), Fraction(1)])
     with pytest.raises(DomainError):
-        run_mt([(-2,)], 1)
+        run_mt([(-2,)], 1, FIRST_INDEX, 0, MAX_STEPS)
     with pytest.raises(DomainError):
-        run_mt([], 1, max_steps=-1)
-
-
-def test_stats_json_round_trip_fields():
-    _, stats = run_mt([(-1,)], 1, seed=9)
-    payload = stats.to_json_dict()
-    assert payload["rule"] == "first-index"
-    assert payload["terminated"] is True
-    assert payload["total_resamples"] == sum(payload["per_event_resamples"])
+        run_mt([], 1, FIRST_INDEX, 0, -1)

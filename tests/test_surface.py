@@ -4,6 +4,10 @@ Every public top-level name defined in a satlll module must be read, as an
 ``ast`` Name or Attribute, somewhere under src/satlll, or be kept for a
 stated reason below.  Re-exports in ``__init__`` do not count as reads, so
 a function that only tests call fails here: it belongs in tests/oracles.py.
+
+Every defaulted parameter under src/satlll must be kept for a stated reason
+too: the CLI owns the defaults, so a library function takes each input it
+computes on as a required argument.
 """
 
 import ast
@@ -61,3 +65,50 @@ def test_every_kept_name_is_defined_and_unread():
     defined, reads = surface()
     names = {name for _, name in defined}
     assert sorted(name for name in KEPT if name not in names or name in reads) == []
+
+
+KEPT_DEFAULTS = {
+    "main.argv": "the satlll console script calls main() with no arguments",
+    "CertificationError.retry_precision": "raised both with and without a retry precision",
+    "DimacsError.line": "raised both with and without a line number",
+    "from_edges.payloads": "most graphs carry no payloads",
+    "_check_params.j": "fixed_point_iteration checks k and L, and has no j",
+    "build_H.vertex_guard": "the benchmark and embed_H_in_G build H_j without a guard",
+    "build_Hprime.vertex_guard": "the benchmark builds H'_j without a guard",
+    "build_extremal_formula.clause_guard": "embed_H_in_G builds the formula without a guard",
+    "_check_probabilities.open_interval": "its two callers pass different values",
+}
+
+
+def defaulted_parameters(tree: ast.Module) -> set[str]:
+    """'function.parameter' for every parameter with a default; a method is
+    named by its function, except __init__, which is named by its class."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                name = owner if name == "__init__" else name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_defaults = positional[len(positional) - len(args.defaults):]
+                with_defaults += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                                  if default is not None]
+                found.update(f"{name}.{arg.arg}" for arg in with_defaults)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def all_defaulted_parameters() -> set[str]:
+    return set().union(*(defaulted_parameters(ast.parse(path.read_text())) for path in SOURCES))
+
+
+def test_every_defaulted_parameter_is_kept_for_a_reason():
+    assert sorted(all_defaulted_parameters() - KEPT_DEFAULTS.keys()) == []
+
+
+def test_every_kept_default_is_still_a_default():
+    assert sorted(KEPT_DEFAULTS.keys() - all_defaulted_parameters()) == []

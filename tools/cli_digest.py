@@ -42,7 +42,11 @@ L = 2 and 3 for k = 5..20, which converge, fixedpoint at F_Shearer + 1 for
 k = 21..24, violated after 916 to 3353 steps, at --precision 64 and at the
 default, and table 640 640; then bounds for k = 2..60 at --precision 64
 and 80, where the printed alpha rounds most coarsely, and bounds for
-k = 1045..1048, where the gap's rhs first prints inf (at 1047).
+k = 1045..1048, where the gap's rhs first prints inf (at 1047); then
+fixedpoint with --max-iter 0 and 5 at (9, 22) and (20, 19312), which end
+inconclusive, and with --max-trajectory 0 and 2 at the violated (9, 22)
+and the converged (5, 2).  F_Shearer is taken at 256 bits, the CLI's
+default precision.
 Everything runs in tsv and in json.  The extremal files are read whole,
 and the SATLIB-style file and the eight small files line by line.  The
 SATLIB-style runs resample thousands of times, and seed 7 needs a second
@@ -213,7 +217,7 @@ def corpus():
     """The argv lists, in order; inputs are written on the way."""
     fixedpoint = []
     for k in range(5, 21):
-        f_shearer, f_moser_tardos = shearer_upper_bound(k), f_mt(k)
+        f_shearer, f_moser_tardos = shearer_upper_bound(k, 256), f_mt(k)
         fixedpoint += [["fixedpoint", "--k", str(k), "--L", str(L), "--max-trajectory", "100000"]
                        for L in sorted({f_shearer, f_shearer + 1, f_moser_tardos,
                                         f_moser_tardos + 1})]
@@ -273,12 +277,17 @@ def corpus():
                  for argv in fixedpoint]
     commands += [["fixedpoint", "--k", str(k), "--L", str(L)]
                  for k in range(5, 21) for L in (2, 3)]  # converged: phi_1 and phi_2
-    commands += [[*precision, "fixedpoint", "--k", str(k), "--L", str(shearer_upper_bound(k) + 1)]
+    commands += [[*precision, "fixedpoint", "--k", str(k),
+                  "--L", str(shearer_upper_bound(k, 256) + 1)]
                  for precision in (["--precision", "64"], []) for k in range(21, 25)]
     commands.append(["table", "640", "640"])
     commands += [["--precision", precision, "bounds", "--k", str(k)]
                  for precision in ("64", "80") for k in range(2, 61)]
     commands += [["bounds", "--k", str(k)] for k in range(1045, 1049)]  # rhs inf from 1047
+    commands += [["fixedpoint", "--k", k, "--L", L, "--max-iter", steps]
+                 for k, L in (("9", "22"), ("20", "19312")) for steps in ("0", "5")]
+    commands += [["fixedpoint", "--k", k, "--L", L, "--max-trajectory", cap]
+                 for k, L in (("9", "22"), ("5", "2")) for cap in ("0", "2")]
     return commands
 
 
