@@ -188,11 +188,14 @@ def _graph_from_json(path: str, guard_vertices: int):
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         _check_vertex_guard(n, guard_vertices)
+        # An object would give its keys, a string its characters, so edges and p are arrays.
+        if type(data["edges"]) is not list:
+            raise ValueError(f"edges must be an array, got {type(data['edges']).__name__}")
         edges = [tuple(e) for e in data["edges"]]
         if ("true" in text or "false" in text) and bool in map(type, chain.from_iterable(edges)):
             raise ValueError("edge endpoints must be integers, got a bool")  # not 1 or 0
         graph = DepGraph.from_edges(n, edges)
-        if type(data["p"]) is not list:  # an object would give its keys, a string its characters
+        if type(data["p"]) is not list:
             raise ValueError(f"p must be an array, got {type(data['p']).__name__}")
         p = _probabilities(data["p"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -228,8 +231,8 @@ def cmd_hj(args):
     guard = args.guard_vertices
     h = hj_family.build_H(args.j, args.k, args.L, vertex_guard=guard)
     hp = hj_family.build_Hprime(args.j, args.k, args.L, vertex_guard=guard)
-    state = hj_family.recurrence_sr(args.j, args.k, args.L)
-    s_rec, r_rec = state.s(args.j), state.r(args.j)
+    s, r = hj_family.recurrence_sr(args.j, args.k, args.L)
+    s_rec, r_rec = s[args.j], r[args.j]
     p = Fraction(1, 2 ** args.k)
     s_bf = shearer.independence_polynomial(h.graph, [p] * h.graph.n)
     r_bf = shearer.independence_polynomial(hp.graph, [p] * hp.graph.n)

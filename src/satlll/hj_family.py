@@ -95,7 +95,7 @@ from mpmath import mp
 
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from .sat_model import build_extremal_formula
+from .sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
 
@@ -105,25 +105,6 @@ class HGraph:
     graph: DepGraph
     root_left: tuple[int, ...]
     root_right: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RecurrenceState:
-    """Exact (s_j, r_j) trajectories; s is indexed from -1 (null-graph convention)."""
-
-    j: int
-    s_values: tuple[Fraction, ...]  # s_values[i] = s_{i-1}
-    r_values: tuple[Fraction, ...]  # r_values[i] = r_i
-
-    def s(self, i: int) -> Fraction:
-        if i < -1 or i > self.j:
-            raise DomainError(f"s_{i} not computed (have -1..{self.j})")
-        return self.s_values[i + 1]
-
-    def r(self, i: int) -> Fraction:
-        if i < 0 or i > self.j:
-            raise DomainError(f"r_{i} not computed (have 0..{self.j})")
-        return self.r_values[i]
 
 
 @dataclass(frozen=True)
@@ -145,12 +126,6 @@ def h_vertex_count(j: int, k: int, L: int) -> int:
     for _ in range(j):
         n = 2 * (L - 1) * (1 + (k - 1) * n)
     return n
-
-
-def hprime_vertex_count(j: int, k: int, L: int) -> int:
-    if j == 0:
-        return 0
-    return 1 + (k - 1) * h_vertex_count(j - 1, k, L)
 
 
 def _check_params(k: int, L: int, j: int = 0):
@@ -185,18 +160,19 @@ def _h_structure(j: int, k: int, L: int, root: tuple[int, int], offset: int,
     return left, right, cursor - offset
 
 
-def _build(label: str, root: tuple[int, int], count, j: int, k: int, L: int,
+def _build(label: str, root: tuple[int, int], j: int, k: int, L: int,
            vertex_guard: int) -> HGraph:
     """The graph _h_structure gives for root, or SizeGuardError past vertex_guard.
 
-    Both H_j and H'_j have at least j vertices, so j > vertex_guard is over
-    the guard without counting: the guard bounds the counting work too.
+    A root (a, b) carries (a + b)(1 + (k-1) |H_{j-1}|) vertices, none at
+    j = 0.  Both H_j and H'_j have at least j vertices, so j > vertex_guard
+    is over the guard without counting: the guard bounds the counting work too.
     """
     _check_params(k, L, j)
     label = f"{label}_{j}(k={k},L={L})"
     if j > vertex_guard:
         raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
-    n = count(j, k, L)
+    n = sum(root) * (1 + (k - 1) * h_vertex_count(j - 1, k, L)) if j else 0
     if n > vertex_guard:
         raise SizeGuardError(f"{label} has {n} vertices, guard is {vertex_guard}")
     edges: list[tuple[int, int]] = []
@@ -207,16 +183,16 @@ def _build(label: str, root: tuple[int, int], count, j: int, k: int, L: int,
 
 def build_H(j: int, k: int, L: int,
             vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H", (L - 1, L - 1), h_vertex_count, j, k, L, vertex_guard)
+    return _build("H", (L - 1, L - 1), j, k, L, vertex_guard)
 
 
 def build_Hprime(j: int, k: int, L: int,
                  vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H'", (0, 1), hprime_vertex_count, j, k, L, vertex_guard)
+    return _build("H'", (0, 1), j, k, L, vertex_guard)
 
 
-def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
-    """Exact s_0..s_j and r_0..r_j at p = 2^{-k}, with s_{-1} = s_0 = r_0 = 1."""
+def recurrence_sr(j: int, k: int, L: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact (s_0..s_j, r_0..r_j) at p = 2^{-k}, with s_{-1} = s_0 = r_0 = 1."""
     _check_params(k, L, j)
     p = Fraction(1, 2 ** k)
     s = [Fraction(1), Fraction(1)]  # s_{-1}, s_0
@@ -228,7 +204,7 @@ def recurrence_sr(j: int, k: int, L: int) -> RecurrenceState:
                - s[t] ** ((k - 1) * (2 * L - 2)))
         r.append(r_t)
         s.append(s_t)
-    return RecurrenceState(j=j, s_values=tuple(s), r_values=tuple(r))
+    return tuple(s[1:]), tuple(r)
 
 
 def _bits(n: int) -> list[int]:
@@ -561,7 +537,7 @@ def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
     hgraph = build_H(j, k, L)
     branching = (2 * L - 2) * (k - 1)
     stages = sum(branching ** d for d in range(j))
-    formula = build_extremal_formula(k, L, stages)
+    formula = build_extremal_formula(k, L, stages, DEFAULT_CLAUSE_GUARD)
     if j == 0:
         return EmbeddingResult(hgraph, {}, True, stages)
 

@@ -28,36 +28,13 @@ class Formula:
     ~x_v, so a formula costs one machine word per literal.  The constructor
     trusts its input (width >= 2, variable_count >= 0, whole clauses, every
     literal nonzero and within variable_count, no clause repeating a
-    variable); from_literals checks it, and both builders here ensure it.
+    variable): the two DIMACS readers check it and build_extremal_formula
+    ensures it.
     """
 
     width: int
     variable_count: int
     literals: array
-
-    @classmethod
-    def from_literals(cls, width: int, variable_count: int, literals) -> "Formula":
-        """A checked Formula; an array("q") is kept as given, any other iterable copied."""
-        if width < 2:
-            raise DomainError(f"formula width must be >= 2, got {width}")
-        if variable_count < 0:
-            raise DomainError("variable_count must be nonnegative")
-        if not isinstance(literals, array) or literals.typecode != "q":
-            try:
-                literals = array("q", literals)
-            except OverflowError:
-                raise DomainError("a literal does not fit in 64 bits") from None
-        m, w = variable_count, width
-        if len(literals) % w:
-            raise DomainError(f"{len(literals)} literals do not make clauses of width {w}")
-        if 0 in literals or (literals and (max(literals) > m or min(literals) < -m)):
-            at = next(at for at, v in enumerate(literals) if not 0 < abs(v) <= m)
-            raise DomainError(f"clause {at // w} uses variable {abs(literals[at])}, "
-                              f"outside [1, {m}]")
-        for idx, variables in enumerate(zip(*[map(abs, literals)] * w)):  # clause by clause
-            if len(set(variables)) < w:
-                raise DomainError(f"clause {idx} has repeated variables: {list(variables)}")
-        return cls(width, variable_count, literals)
 
     @property
     def clause_count(self) -> int:
@@ -83,8 +60,7 @@ def truth_table(values: bytes) -> bytearray:
     return bytearray(1) + values + values[::-1].translate(_NOT)
 
 
-def build_extremal_formula(k: int, L: int, r: int,
-                           clause_guard: int = DEFAULT_CLAUSE_GUARD) -> Formula:
+def build_extremal_formula(k: int, L: int, r: int, clause_guard: int) -> Formula:
     """Run r expansion stages; stage i expands variable i.
 
     Stage i appends L-1 clauses with literal x_i followed by L-1 clauses
@@ -173,7 +149,7 @@ def _by_lines(text: str) -> Formula:
     range, or a 0 closing an empty clause, at its line; a clause repeating
     a variable, at its first literal's line.  At the end: no header, an open
     clause (at its first line), a count other than the declared one, mixed
-    widths, then Formula.from_literals's (width 1, a negative count, 64 bits).
+    widths, width 1, a negative count, a literal beyond 64 bits.
     """
     variable_count = declared_clauses = None
     literals: list[int] = []
@@ -227,4 +203,12 @@ def _by_lines(text: str) -> Formula:
         raise DimacsError(f"header declares {declared_clauses} clauses, found {sum(widths.values())}")
     if len(widths) > 1:
         raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
-    return Formula.from_literals(min(widths, default=EMPTY_WIDTH), variable_count, literals)
+    width = min(widths, default=EMPTY_WIDTH)
+    if width < 2:
+        raise DomainError(f"formula width must be >= 2, got {width}")
+    if variable_count < 0:
+        raise DomainError("variable_count must be nonnegative")
+    try:
+        return Formula(width, variable_count, array("q", literals))
+    except OverflowError:
+        raise DomainError("a literal does not fit in 64 bits") from None

@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ def random_formula(rng: random.Random, k: int, m: int, n_clauses: int) -> Formul
     for _ in range(n_clauses):
         variables = rng.sample(range(1, m + 1), k)
         literals += [v if rng.random() < 0.5 else -v for v in variables]
-    return Formula.from_literals(width=k, variable_count=m, literals=literals)
+    return Formula(k, m, array("q", literals))
 
 
 def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
@@ -54,7 +55,7 @@ def random_low_occurrence_formula(rng: random.Random, k: int, m: int,
             picked.append(candidate)
             used_vars.add(candidate[0])
         literals += [v if pol else -v for v, pol in sorted(picked)]
-    return Formula.from_literals(width=k, variable_count=m, literals=literals)
+    return Formula(k, m, array("q", literals))
 
 
 @pytest.fixture

@@ -218,11 +218,11 @@ def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
     """Exact a_j = r_j / s_{j-1}^{k-1} and b_j = 2 a_j^{L-1} - 1 from the recurrence."""
     if j < 0:
         raise DomainError(f"j must be >= 0, got {j}")
-    state = recurrence_sr(j, k, L)
-    denom = state.s(j - 1) ** (k - 1)
+    s, r = recurrence_sr(j, k, L)
+    denom = (s[j - 1] if j else 1) ** (k - 1)  # s_{-1} = 1, where s[-1] would read s_j
     if denom == 0:
         raise DomainError(f"a_{j} undefined: s_{j-1} = 0")
-    a_j = state.r(j) / denom
+    a_j = r[j] / denom
     b_j = 2 * a_j ** (L - 1) - 1
     return a_j, b_j
 

@@ -16,7 +16,7 @@ from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_g
 from satlll.hj_family import (build_H, embed_H_in_G, fixed_point_iteration, recurrence_sr,
                               shearer_upper_bound)
 from satlll.moser_tardos import SelectionRule, run_mt
-from satlll.sat_model import build_extremal_formula, dimacs_import
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula, dimacs_import
 from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import (MAX_ITER, MAX_STEPS, random_formula, random_graph,
@@ -56,15 +56,15 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_recurrence_equals_bruteforce():
     for k, L, jmax in ((2, 2, 4), (2, 3, 2), (3, 2, 2)):
         p = Fraction(1, 2 ** k)
-        state = recurrence_sr(jmax, k, L)
+        s, r = recurrence_sr(jmax, k, L)
         for j in range(jmax + 1):
             from satlll.hj_family import build_Hprime
             h = build_H(j, k, L)
             hp = build_Hprime(j, k, L)
             s_bf = independence_polynomial(h.graph, [p] * h.graph.n)
             r_bf = independence_polynomial(hp.graph, [p] * hp.graph.n)
-            assert state.s(j) == s_bf, (k, L, j)
-            assert state.r(j) == r_bf, (k, L, j)
+            assert s[j] == s_bf, (k, L, j)
+            assert r[j] == r_bf, (k, L, j)
     report(2, "s_j/r_j recurrence matches exact polynomial evaluation")
 
 
@@ -92,10 +92,10 @@ def test_criterion_04_shearer_small_case_verdicts():
     assert not verdict.satisfied and verdict.witness == ()
 
     # explicit H_j route at (k, L) = (2, 2): s_j first drops <= 0 at j = 3
-    state = recurrence_sr(4, 2, 2)
-    first_bad = min(j for j in range(5) if state.s(j) <= 0)
+    s, _ = recurrence_sr(4, 2, 2)
+    first_bad = min(j for j in range(5) if s[j] <= 0)
     assert first_bad == 3
-    assert state.s(3) == Fraction(-1, 1024)
+    assert s[3] == Fraction(-1, 1024)
     p = [Fraction(1, 4)]
     for j in range(3):
         h = build_H(j, 2, 2)
@@ -126,7 +126,7 @@ def test_criterion_06_construction_invariants():
     for k in range(2, 6):
         for L in range(2, 5):
             for r in (0, 1, 2, 5, 20):
-                formula = build_extremal_formula(k, L, r)
+                formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
                 assert validate_occurrences(formula, L), (k, L, r)
     report(6, "occurrence bounds R0<=L, R1<=L-1 across the parameter sweep")
 
@@ -143,7 +143,7 @@ def test_criterion_07_embedding_verified():
 def test_criterion_08_lopsidependency_property():
     corpus = []
     for k, L, r in ((3, 2, 1), (3, 2, 2), (2, 2, 3), (2, 2, 5), (2, 3, 2)):
-        formula = build_extremal_formula(k, L, r)
+        formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
         corpus.append(formula)
     rng = random.Random(23)
     for _ in range(10):
@@ -177,7 +177,7 @@ def test_criterion_09_harris_agreement_and_boundary():
         alpha = harris_ksat_alpha(k, L, DEFAULT_PRECISION)
         checked += 1
         mu = Fraction(str(alpha)).limit_denominator(10 ** 15)
-        formula = build_extremal_formula(k, L, r)
+        formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
         events = events_from_formula(formula)
         p = [Fraction(1, 2 ** k)] * len(events)
         assert harris_check(events, [mu] * len(events), p).satisfied, (k, L, r)

@@ -11,7 +11,7 @@ from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_chec
 from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import events_from_formula
-from satlll.sat_model import build_extremal_formula
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 
 from oracles import orderable_sets_by_search, symmetric_lll_check
 
@@ -96,7 +96,7 @@ def test_orderable_shared_atom_pair_not_orderable():
 
 
 def test_orderable_never_contains_b_in_composite_set():
-    formula = build_extremal_formula(3, 2, 2)
+    formula = build_extremal_formula(3, 2, 2, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     for b_index in range(len(events)):
         for y in orderable_sets(b_index, events):
@@ -176,7 +176,7 @@ def test_harris_violated_witness():
 
 
 def test_harris_phi1_with_alpha():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     alpha = harris_ksat_alpha(3, 2, DEFAULT_PRECISION)
     # closed-form alpha is not quite a Fraction; a nearby rational suffices

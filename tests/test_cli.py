@@ -328,7 +328,7 @@ def mt_output_per_variable(formula, seed, max_steps, json_format):
     ("p cnf 0 0\n", "100", 0),
     ("p cnf 1 0\n", "100", 1),
     ("p cnf 2 1\n1 -2 0\n", "100", 2),
-    (dimacs_export(build_extremal_formula(9, 22, 200)), "1000000", 67_201),
+    (dimacs_export(build_extremal_formula(9, 22, 200, DEFAULT_CLAUSE_GUARD)), "1000000", 67_201),
     ("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", "5", 2),  # never terminates
 ], ids=["m0", "m1", "m2", "m67201", "unterminated"])
 def test_mt_output_equals_per_variable_formatting(capsys, tmp_path, text, max_steps,
@@ -618,6 +618,16 @@ def test_out_of_range_probability_is_one_error_line(capsys, tmp_path, p, line):
     target.write_text(json.dumps({"n": len(p), "edges": edges, "p": p}))
     code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
     assert (code, out, err) == (EXIT_DOMAIN, "", line)
+
+
+@pytest.mark.parametrize("edges,kind", [({}, "dict"), ("", "str")], ids=["object", "string"])
+def test_graph_edges_must_be_an_array(capsys, tmp_path, edges, kind):
+    # Iterated, both give no edges, and the check went on to SATISFIED.
+    target = tmp_path / "graph.json"
+    target.write_text(json.dumps({"n": 2, "edges": edges, "p": ["1/3", "1/3"]}))
+    code, out, err = run_cli(capsys, "check-shearer", "--graph", str(target))
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"error: malformed graph JSON in {target}: "
+                                f"ValueError('edges must be an array, got {kind}')\n")
 
 
 @pytest.mark.parametrize("p,kind", [({"1/3": 0, "1/4": 0}, "dict"), ("1/3", "str")],

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError
-from satlll.sat_model import (EMPTY_WIDTH, _by_lines, _whole_text, build_extremal_formula,
-                              dimacs_export, dimacs_import)
+from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, EMPTY_WIDTH, _by_lines, _whole_text,
+                              build_extremal_formula, dimacs_export, dimacs_import)
 
 from conftest import random_formula
 from dimacs_oracle import oracle_dimacs_import
@@ -116,6 +116,8 @@ BY_LINES = [
     "p cnf 3 2\n1 -2 3 0\n-1 2 -1 0\n",  # a repeated variable in the last clause
     "p cnf 9223372036854775808 1\n9223372036854775808 1 0\n",  # 2^63: DomainError
     "p cnf 9223372036854775808 1\n-9223372036854775808 1 0\n",  # -2^63 fits, read by lines
+    # width 1 and a literal beyond 64 bits: the width is refused first
+    "p cnf 18446744073709551616 1\n18446744073709551616 0\n",
     "p cnf 3 1\n1 -2 3 0\np cnf 3 2\n-1 2 -3 0\n",  # a second header
     "p cnf 3\x0c2\n1 -2 3 0\n-1 2 -3 0\n",  # \f ends the header line early
     "p cnf 3 2\r1 -2 3 0\r-1 2 -3 0\r",  # lone CR endings
@@ -158,7 +160,7 @@ def test_whole_text_reads_exactly_the_clean_files(text):
 
 @pytest.mark.parametrize("k,L,r", [(2, 2, 10), (3, 2, 4), (3, 3, 6), (4, 3, 5), (9, 22, 3)])
 def test_parsers_agree_on_constructions(k, L, r):
-    text = dimacs_export(build_extremal_formula(k, L, r))
+    text = dimacs_export(build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD))
     assert_same_outcome(text)
 
 

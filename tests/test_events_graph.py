@@ -1,5 +1,6 @@
 import random
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -8,7 +9,7 @@ from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import (DepGraph, dependency_graph, literal_index,
                                  events_from_formula, lopsidependency_graph)
 from satlll.moser_tardos import SelectionRule, run_mt
-from satlll.sat_model import Formula, build_extremal_formula
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, Formula, build_extremal_formula
 
 from conftest import random_formula
 from oracles import (connected_components, induced_subgraph, max_degree,
@@ -16,19 +17,19 @@ from oracles import (connected_components, induced_subgraph, max_degree,
 
 
 def test_events_of_phi1():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     assert events == [(1, 2, 3), (-1, 4, 5)]
 
 
 def test_atom_relation_is_irreflexive_on_clause_events():
-    formula = build_extremal_formula(3, 2, 2)
+    formula = build_extremal_formula(3, 2, 2, DEFAULT_CLAUSE_GUARD)
     for event in events_from_formula(formula):
         assert all(-z not in event for z in event)  # no event hits its own literals
 
 
 def test_lopsidependency_graph_phi1():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     graph = lopsidependency_graph(events_from_formula(formula))
     assert graph.edges() == [(0, 1)]
 
@@ -40,7 +41,7 @@ def test_same_polarity_sharing_no_lopsi_edge():
 
 
 def test_monotone_formula_edgeless(rng):
-    formula = Formula.from_literals(width=2, variable_count=6, literals=range(1, 7))
+    formula = Formula(width=2, variable_count=6, literals=array("q", range(1, 7)))
     assert lopsidependency_graph(events_from_formula(formula)).edges() == []
 
 
@@ -71,7 +72,7 @@ def _share_a_variable(a, b):
 def test_indexed_builders_match_pairwise_definitions(rng):
     formulas = [random_formula(rng, rng.randint(2, 4), rng.randint(4, 14), rng.randint(0, 20))
                 for _ in range(200)]
-    formulas += [build_extremal_formula(k, L, r)
+    formulas += [build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
                  for k, L, r in ((2, 2, 8), (3, 2, 6), (3, 3, 5), (4, 3, 4), (2, 4, 3))]
     for formula in formulas:
         events = events_from_formula(formula)
@@ -181,7 +182,7 @@ def test_from_edges_does_not_fill_the_tuple_free_lists():
 
 def test_lopsi_max_degree_bound_on_construction():
     for k, L in ((2, 2), (3, 2), (2, 3)):
-        formula = build_extremal_formula(k, L, 6)
+        formula = build_extremal_formula(k, L, 6, DEFAULT_CLAUSE_GUARD)
         graph = lopsidependency_graph(events_from_formula(formula))
         # positive literals meet <= L-1 opposite occurrences, the single
         # negative literal meets <= L, so degree <= (k-1)(L-1) + L
@@ -189,7 +190,7 @@ def test_lopsi_max_degree_bound_on_construction():
 
 
 def test_verify_lopsidependency_on_canonical_graph():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     graph = lopsidependency_graph(events)
     assert verify_lopsidependency(events, graph, formula.variable_count)

@@ -15,8 +15,7 @@ from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
-                              fixed_point_iteration, h_vertex_count,
-                              hprime_vertex_count, recurrence_sr,
+                              fixed_point_iteration, h_vertex_count, recurrence_sr,
                               shearer_upper_bound)
 from satlll.shearer import independence_polynomial
 
@@ -55,12 +54,15 @@ def test_h2_size_k2_L2():
 
 
 def test_size_recurrences():
+    # Each count is the n of a built graph, which _build checks against its traversal.
     for k, L in ((2, 2), (3, 2), (2, 3), (3, 3)):
-        expected = 0
-        for j in range(4):
-            assert h_vertex_count(j, k, L) == expected
-            assert hprime_vertex_count(j + 1, k, L) == 1 + (k - 1) * expected
-            expected = 2 * (L - 1) * (1 + (k - 1) * expected)
+        previous = 0  # |H_{j-1}|
+        for j in range(4):  # up to H_3(3, 3), with 292 vertices
+            h = build_H(j, k, L, vertex_guard=292).graph.n
+            hprime = build_Hprime(j, k, L, vertex_guard=292).graph.n
+            assert h_vertex_count(j, k, L) == h == 2 * (L - 1) * hprime
+            assert hprime == (1 + (k - 1) * previous if j else 0)
+            previous = h
 
 
 def test_root_is_complete_bipartite():
@@ -74,24 +76,25 @@ def test_root_is_complete_bipartite():
 
 
 def test_recurrence_base_and_first_step():
-    state = recurrence_sr(1, 2, 2)
-    assert state.s(-1) == 1 and state.s(0) == 1 and state.r(0) == 1
-    assert state.r(1) == Fraction(3, 4)
-    assert state.s(1) == Fraction(1, 2)
+    s, r = recurrence_sr(1, 2, 2)
+    assert len(s) == len(r) == 2
+    assert s[0] == 1 and r[0] == 1
+    assert r[1] == Fraction(3, 4)
+    assert s[1] == Fraction(1, 2)
 
 
 def test_s1_equals_root_polynomial():
     for k, L in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2)):
-        state = recurrence_sr(1, k, L)
-        assert state.s(1) == q_uniform(build_H(1, k, L), k)
+        s, _ = recurrence_sr(1, k, L)
+        assert s[1] == q_uniform(build_H(1, k, L), k)
 
 
 @pytest.mark.parametrize("k,L,jmax", [(2, 2, 4), (2, 3, 2), (3, 2, 2)])
 def test_recurrence_matches_bruteforce(k, L, jmax):
-    state = recurrence_sr(jmax, k, L)
+    s, r = recurrence_sr(jmax, k, L)
     for j in range(jmax + 1):
-        assert q_uniform(build_H(j, k, L), k) == state.s(j)
-        assert q_uniform(build_Hprime(j, k, L), k) == state.r(j)
+        assert q_uniform(build_H(j, k, L), k) == s[j]
+        assert q_uniform(build_Hprime(j, k, L), k) == r[j]
 
 
 def test_g_at_one():
@@ -114,12 +117,12 @@ def test_g_matches_a_sequence_exactly():
 def test_b_identity_from_exact_recurrence():
     # b_j = s_j / s_{j-1}^{(k-1)(2L-2)} whenever s_{j-1} != 0
     for k, L, jmax in ((2, 2, 3), (3, 2, 2), (2, 3, 2)):
-        state = recurrence_sr(jmax, k, L)
+        s, _ = recurrence_sr(jmax, k, L)
         for j in range(1, jmax + 1):
-            if state.s(j - 1) == 0:
+            if s[j - 1] == 0:
                 continue
             _, b_j = a_b_sequence(j, k, L)
-            assert b_j == state.s(j) / state.s(j - 1) ** ((k - 1) * (2 * L - 2))
+            assert b_j == s[j] / s[j - 1] ** ((k - 1) * (2 * L - 2))
 
 
 def test_g_domain_error():

@@ -6,7 +6,7 @@ import pytest
 
 from satlll.errors import DomainError
 from satlll.events_graph import events_from_formula
-from satlll.sat_model import build_extremal_formula
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 from satlll import moser_tardos
 from satlll.moser_tardos import (COIN_CHUNK, RunStats, SelectionRule, coin_stream,
                                  fair_coins, run_mt)
@@ -89,7 +89,7 @@ def test_incremental_run_matches_rescan():
 def test_incremental_run_matches_rescan_on_extremal_formulas(shape):
     # One variable lies in 2L - 2 events, L - 1 of each sign, so a flip of it
     # removes and re-tests many events at once.
-    formula = build_extremal_formula(*shape)
+    formula = build_extremal_formula(*shape, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     m = formula.variable_count
     cut = set()

@@ -6,52 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlll.errors import DimacsError, DomainError, SizeGuardError
-from satlll.sat_model import (EMPTY_WIDTH, Formula, build_extremal_formula,
+from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, EMPTY_WIDTH, Formula, build_extremal_formula,
                               dimacs_export, dimacs_import)
 
 from conftest import random_formula
 from oracles import extremal_formula_by_stages, occurrences, validate_occurrences
 
 
-def test_formula_refuses_variable_zero():
-    with pytest.raises(DomainError, match=r"clause 1 uses variable 0, outside \[1, 3\]"):
-        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 0, 3])
-
-
 def test_formula_refuses_repeated_variable():
-    with pytest.raises(DomainError, match=r"clause 1 has repeated variables: \[2, 2\]"):
-        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 2, -2])
     with pytest.raises(DimacsError, match=r"line 3: clause has repeated variables: \[1, 1\]"):
         dimacs_import("p cnf 2 2\n1 2 0\n1 -1 0\n")
 
 
-def test_formula_refuses_bad_layout():
-    with pytest.raises(DomainError, match=r"clause 0 uses variable 4, outside \[1, 3\]"):
-        Formula.from_literals(width=2, variable_count=3, literals=[1, -4])
-    with pytest.raises(DomainError, match="3 literals do not make clauses of width 2"):
-        Formula.from_literals(width=2, variable_count=3, literals=[1, 2, 3])
-    with pytest.raises(DomainError, match="width must be >= 2"):
-        Formula.from_literals(width=1, variable_count=3, literals=[1])
-    with pytest.raises(DomainError, match="64 bits"):
-        Formula.from_literals(width=2, variable_count=2 ** 70, literals=[1, 2 ** 65])
-
-
 def test_formula_constructor_trusts_its_input():
-    # Only from_literals checks; the builders make valid formulas themselves.
+    # Nothing checks here; the readers and the builder make valid formulas themselves.
     formula = Formula(2, 3, array("q", [1, 1, 2, 9]))
     assert list(formula.literals) == [1, 1, 2, 9]
-    literals = array("q", [1, -2])
-    assert Formula.from_literals(2, 3, literals).literals is literals
 
 
 def test_formula_layout_and_satisfaction():
-    formula = Formula.from_literals(width=2, variable_count=3, literals=(1, -2, 2, 3))
+    formula = Formula(width=2, variable_count=3, literals=array("q", (1, -2, 2, 3)))
     assert formula.clause_count == 2
     assert list(formula.clause(1)) == [2, 3]
-    assert formula == Formula.from_literals(2, 3, [1, -2, 2, 3])
+    assert formula == Formula(2, 3, array("q", [1, -2, 2, 3]))
     assert formula.is_satisfied_by(bytes([0, 0, 1]))
     assert not formula.is_satisfied_by(bytes([0, 1, 0]))
-    assert Formula.from_literals(width=3, variable_count=0, literals=[]).is_satisfied_by(b"")
+    assert Formula(width=3, variable_count=0, literals=array("q")).is_satisfied_by(b"")
 
 
 def satisfied_by_brute_force(formula, values):
@@ -76,19 +56,19 @@ def test_satisfaction_matches_brute_force():
         seen.add((formula.clause_count > 0, expected))
     assert seen == {(False, True), (True, True), (True, False)}
     for m in range(4):
-        assert Formula.from_literals(3, m, []).is_satisfied_by(bytes(m))
+        assert Formula(3, m, array("q")).is_satisfied_by(bytes(m))
 
 
 def test_satisfaction_refuses_values_of_another_length():
     # With one value short, truth[3] would read the end of the table, ~x_1's entry.
-    formula = Formula.from_literals(width=2, variable_count=3, literals=(1, -2, 2, 3))
+    formula = Formula(width=2, variable_count=3, literals=array("q", (1, -2, 2, 3)))
     for values in (bytes([0, 0]), bytes([0, 0, 1, 1]), b""):
         with pytest.raises(DomainError, match=f"{len(values)} values for 3 variables"):
             formula.is_satisfied_by(values)
 
 
 def test_occurrences_direct_count():
-    formula = Formula.from_literals(width=2, variable_count=3, literals=[1, 2, -1, 3])
+    formula = Formula(width=2, variable_count=3, literals=array("q", [1, 2, -1, 3]))
     profile = occurrences(formula)
     assert profile.R0(1) == 1 and profile.R1(1) == 1
     assert profile.R0(2) == 1 and profile.R1(2) == 0
@@ -97,13 +77,13 @@ def test_occurrences_direct_count():
 
 
 def test_occurrences_empty_formula():
-    formula = build_extremal_formula(3, 2, 0)
+    formula = build_extremal_formula(3, 2, 0, DEFAULT_CLAUSE_GUARD)
     assert formula.clause_count == 0
     assert occurrences(formula).variable_count == 0
 
 
 def test_construction_first_stage():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     assert formula.clause_count == 2
     assert formula.variable_count == 5
     assert list(formula.literals) == [1, 2, 3, -1, 4, 5]
@@ -114,7 +94,7 @@ SHAPES = [(k, L, r) for k in range(2, 11) for L in range(2, 8) for r in range(12
 
 def test_construction_matches_stage_loop():
     for k, L, r in SHAPES + [(9, 22, 200), (20, 3, 50)]:
-        formula = build_extremal_formula(k, L, r)
+        formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
         expected, parent, added = extremal_formula_by_stages(k, L, r)
         assert formula == expected, (k, L, r)
         assert formula.literals.typecode == "q"
@@ -128,7 +108,7 @@ def test_construction_matches_stage_loop():
 
 
 def test_construction_k2_L3_r2_counts():
-    formula = build_extremal_formula(2, 3, 2)
+    formula = build_extremal_formula(2, 3, 2, DEFAULT_CLAUSE_GUARD)
     assert formula.clause_count == 8
     profile = occurrences(formula)
     # variable 2 gains one positive occurrence at stage 1 and L-1 = 2 at stage 2
@@ -137,7 +117,7 @@ def test_construction_k2_L3_r2_counts():
 
 
 def test_construction_occurrence_bounds_hold():
-    formula = build_extremal_formula(3, 2, 5)
+    formula = build_extremal_formula(3, 2, 5, DEFAULT_CLAUSE_GUARD)
     assert validate_occurrences(formula, 2)
     profile = occurrences(formula)
     assert all(profile.R0(i) <= 2 and profile.R1(i) <= 1
@@ -146,12 +126,12 @@ def test_construction_occurrence_bounds_hold():
 
 def test_validate_occurrences_detects_violation():
     # variable 1 occurs positively L + 1 = 3 times with L = 2
-    formula = Formula.from_literals(width=2, variable_count=4, literals=[1, 2, 1, 3, 1, 4])
+    formula = Formula(width=2, variable_count=4, literals=array("q", [1, 2, 1, 3, 1, 4]))
     assert not validate_occurrences(formula, 2)
 
 
 def test_construction_fresh_variables_each_in_one_clause():
-    formula = build_extremal_formula(4, 3, 4)
+    formula = build_extremal_formula(4, 3, 4, DEFAULT_CLAUSE_GUARD)
     _, parent, added = extremal_formula_by_stages(4, 3, 4)
     profile = occurrences(formula)
     for child in parent:
@@ -164,13 +144,13 @@ def test_construction_guards():
     with pytest.raises(SizeGuardError):
         build_extremal_formula(3, 5, 100, clause_guard=10)
     with pytest.raises(DomainError):
-        build_extremal_formula(1, 2, 1)
+        build_extremal_formula(1, 2, 1, DEFAULT_CLAUSE_GUARD)
     with pytest.raises(DomainError):
-        build_extremal_formula(3, 1, 1)
+        build_extremal_formula(3, 1, 1, DEFAULT_CLAUSE_GUARD)
 
 
 def test_dimacs_export_phi1():
-    formula = build_extremal_formula(3, 2, 1)
+    formula = build_extremal_formula(3, 2, 1, DEFAULT_CLAUSE_GUARD)
     assert dimacs_export(formula) == "p cnf 5 2\n1 2 3 0\n-1 4 5 0\n"
 
 
@@ -209,5 +189,5 @@ def test_dimacs_round_trip(seed, k, n_clauses):
 
 
 def test_dimacs_round_trip_on_construction():
-    formula = build_extremal_formula(2, 3, 4)
+    formula = build_extremal_formula(2, 3, 4, DEFAULT_CLAUSE_GUARD)
     assert dimacs_import(dimacs_export(formula)) == formula

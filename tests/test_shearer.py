@@ -12,7 +12,7 @@ from satlll import shearer
 from satlll.errors import CertificationError, DomainError
 from satlll.events_graph import (DepGraph, events_from_formula,
                                  lopsidependency_graph)
-from satlll.sat_model import build_extremal_formula
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import random_graph, random_probabilities
@@ -299,7 +299,7 @@ def test_late_witness_cli_finishes_in_time(tmp_path):
 
 
 def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
-    formula = build_extremal_formula(3, 3, 9)
+    formula = build_extremal_formula(3, 3, 9, DEFAULT_CLAUSE_GUARD)
     graph = lopsidependency_graph(events_from_formula(formula))
     assert graph.n == 36
     p = [Fraction(1, 8)] * graph.n
@@ -332,7 +332,7 @@ def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
 def test_extremal_formulas_past_a_machine_word_and_the_guard(k, L, r, n, witness, value):
     # Vertex sets wider than a machine word, past the 40-vertex guard; the
     # expected verdicts, witnesses and values come from the frozenset engine.
-    formula = build_extremal_formula(k, L, r)
+    formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
     graph = lopsidependency_graph(events_from_formula(formula))
     assert graph.n == n
     verdict = shearer_check(graph, [Fraction(1, 2 ** k)] * n)

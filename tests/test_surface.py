@@ -75,7 +75,6 @@ KEPT_DEFAULTS = {
     "_check_params.j": "fixed_point_iteration checks k and L, and has no j",
     "build_H.vertex_guard": "the benchmark and embed_H_in_G build H_j without a guard",
     "build_Hprime.vertex_guard": "the benchmark builds H'_j without a guard",
-    "build_extremal_formula.clause_guard": "embed_H_in_G builds the formula without a guard",
     "_check_probabilities.open_interval": "its two callers pass different values",
 }
 

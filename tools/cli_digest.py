@@ -45,7 +45,8 @@ and 80, where the printed alpha rounds most coarsely, and bounds for
 k = 1045..1048, where the gap's rhs first prints inf (at 1047); then
 fixedpoint with --max-iter 0 and 5 at (9, 22) and (20, 19312), which end
 inconclusive, and with --max-trajectory 0 and 2 at the violated (9, 22)
-and the converged (5, 2).  F_Shearer is taken at 256 bits, the CLI's
+and the converged (5, 2); then check-shearer on two graph files whose
+edges is an object and a string, which exit 3.  F_Shearer is taken at 256 bits, the CLI's
 default precision.
 Everything runs in tsv and in json.  The extremal files are read whole,
 and the SATLIB-style file and the eight small files line by line.  The
@@ -288,6 +289,9 @@ def corpus():
                  for k, L in (("9", "22"), ("20", "19312")) for steps in ("0", "5")]
     commands += [["fixedpoint", "--k", k, "--L", L, "--max-trajectory", cap]
                  for k, L in (("9", "22"), ("5", "2")) for cap in ("0", "2")]
+    for name, edges in (("edges_object.json", {}), ("edges_string.json", "")):  # 3
+        Path(name).write_text(json.dumps({"n": 2, "edges": edges, "p": ["1/3", "1/3"]}))
+        commands.append(["check-shearer", "--graph", name])
     return commands
 
 

@@ -1,11 +1,13 @@
-"""Print the two size figures the ROADMAP tracks for src/satlll.
+"""Print the two size figures the ROADMAP tracks for src/satlll, then the
+line count of each module.
 
     python tools/src_stats.py
 
 lines: the total of `wc -l src/satlll/*.py`.  defaulted parameters: over
 every function and lambda, the `ast` count of positional `defaults` plus
 the keyword-only `kw_defaults` that are not None (a keyword-only parameter
-without a default has None there).
+without a default has None there).  Then one "lines <module>" line per
+module, so two checkouts' outputs diff module by module.
 """
 
 import ast
@@ -22,10 +24,12 @@ def defaulted_parameters(tree: ast.AST) -> int:
 
 def main():
     texts = [path.read_text() for path in SOURCES]
-    lines = sum(text.count("\n") for text in texts)
+    lines = [text.count("\n") for text in texts]
     defaults = sum(defaulted_parameters(ast.parse(text)) for text in texts)
-    print(f"lines\t{lines}")
+    print(f"lines\t{sum(lines)}")
     print(f"defaulted_parameters\t{defaults}")
+    for path, count in zip(SOURCES, lines):
+        print(f"lines {path.stem}\t{count}")
 
 
 if __name__ == "__main__":
