@@ -10,11 +10,10 @@ f_lll and the gap inequality are decided on rational brackets of e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
-
-from mpmath import fdiv, mp
 
 from .errors import DomainError, SizeGuardError
 from .events_graph import Event
@@ -165,14 +164,21 @@ def harris_ksat_alpha(k: int, L: int, precision: int) -> float:
     if L * k > 2 ** k - 1:
         raise DomainError(
             f"L={L} exceeds (2^k - 1)/k = {(2 ** k - 1)}/{k}; alpha would be negative")
+    from mpmath import fdiv, mp  # for the printed alpha only, so off the import path
+
     with mp.workprec(precision):  # printed only, so rounded to nearest
         return float((fdiv(2 ** k - 1, k * L) ** fdiv(1, k - 1) - 1) / L)
 
 
 def gap_inequality(k: int, lhs: int) -> tuple[bool, float]:
     """(holds, rhs): lhs >= rhs = 2^k / (2 e k^2) - 1 exactly, for lhs = f_mt(k) - f_lll(k)."""
-    # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): fdiv rounds it once to
-    # a float's 53 bits, and float() is inf past the float range.
-    return _decide_at_e(lambda p, q: (
-        (lhs + 1) * 2 * k * k * p >= 2 ** k * q,
-        float(fdiv(2 ** k * q - 2 * k * k * p, 2 * k * k * p, prec=53))))
+    # At e = p/q, rhs = (2^k q - 2 k^2 p) / (2 k^2 p): int true division
+    # rounds it once to the nearest float, and raises past the float range.
+    def value(p: int, q: int) -> tuple[bool, float]:
+        try:
+            rhs = (2 ** k * q - 2 * k * k * p) / (2 * k * k * p)
+        except OverflowError:
+            rhs = math.inf
+        return (lhs + 1) * 2 * k * k * p >= 2 ** k * q, rhs
+
+    return _decide_at_e(value)

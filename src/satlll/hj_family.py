@@ -90,9 +90,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-from mpmath import mp
-
 from .errors import CertificationError, DomainError, SizeGuardError
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
@@ -225,38 +222,51 @@ def _powers(lo: int, hi: int, bits: list[int], P: int):
     product is cut to P + 2 bits (one more when a cut rounds up), down for
     the lower end and up for the upper one, and its exponent takes the rest.
     The enclosures of fact 6 and u(a)^N in _phi_witness rest on both ends.
-    _newton reads only the lower end, and nothing rests on that: its
-    proposal is certified by an exact check.
+    _newton and _shearer_estimate read only the lower end, and nothing rests
+    on that: the one's proposal is certified by an exact check, and the
+    other only picks probes (fact 5).
     """
     width = P + 2
     m, e, n, f = 1, 0, 1, 0  # the products, m * 2^e and n * 2^f
     x, g, y, h = lo, -P, hi, -P  # the squares, x * 2^g and y * 2^h
     for bit in bits:
         if bit:
-            m, e = m * x, e + g
+            m *= x
+            e += g
             cut = m.bit_length() - width
             if cut > 0:
-                m, e = m >> cut, e + cut
-            n, f = n * y, f + h
+                m >>= cut
+                e += cut
+            n *= y
+            f += h
             cut = n.bit_length() - width
             if cut > 0:
-                n, f = -(-n >> cut), f + cut
-        x, g = x * x, 2 * g
+                n = -(-n >> cut)
+                f += cut
+        x *= x
+        g *= 2
         cut = x.bit_length() - width
         if cut > 0:
-            x, g = x >> cut, g + cut
-        y, h = y * y, 2 * h
+            x >>= cut
+            g += cut
+        y *= y
+        h *= 2
         cut = y.bit_length() - width
         if cut > 0:
-            y, h = -(-y >> cut), h + cut
-    m, e = m * x, e + g  # the top bit
+            y = -(-y >> cut)
+            h += cut
+    m *= x  # the top bit
+    e += g
     cut = m.bit_length() - width
     if cut > 0:
-        m, e = m >> cut, e + cut
-    n, f = n * y, f + h
+        m >>= cut
+        e += cut
+    n *= y
+    f += h
     cut = n.bit_length() - width
     if cut > 0:
-        n, f = -(-n >> cut), f + cut
+        n = -(-n >> cut)
+        f += cut
     return (m, e), (n, f)
 
 
@@ -308,25 +318,28 @@ def _enclosures(k: int, N: int, P: int):
     Only the last lo can be -math.inf: when the lower bound on a_{j-1}^N is
     within 2^{-P} of 1/2, that on 2 - a_{j-1}^{-N} can round to 0.
     """
-    one, S = 1 << P, P + 2
+    S = P + 2
     n_bits, k_bits = _bits(N), _bits(k - 1)
-    powers = (1, 0), (1, 0)  # a_0^N = 1
+    unit, two, half, top = 1 << S, 2 << P, 1 << S - 1, 1 << P + S
+    round_up = unit - 1
+    m = n = unit  # a_{j-1}^N in [m, n] / 2^S, from a_0^N = 1
     while True:
-        inv_lo, inv_hi = _quotient(P, *powers)  # a^{-N}, over 2^P
-        # g(a) = u(2 - a^{-N})
-        lo, hi = _u_bounds(2 * one - inv_hi, 2 * one - inv_lo, k, k_bits, P)
+        # g(a) = u(2 - a^{-N}), a^{-N} in [top // n, ceil(top / m)] / 2^P, m > half
+        lo, hi = _u_bounds(two + top // -m, two - top // n, k, k_bits, P)
         # a^N over 2^S, cut at 2^{-S}: _powers' own cut while lo^N > 1/2 (fact 6)
-        x, y, m, n = max(lo, 0) << 2, max(hi, 0) << 2, 1 << S, 1 << S
+        x, y, m, n = lo << 2 if lo > 0 else 0, hi << 2 if hi > 0 else 0, unit, unit
         for bit in n_bits:
             if bit:
-                m, n = m * x >> S, -(-n * y >> S)
-            x, y = x * x >> S, -(-y * y >> S)
-        m, n = m * x >> S, -(-n * y >> S)
-        if m > one << 1:
-            powers = (m, -S), (n, -S)
+                m = m * x >> S
+                n = n * y + round_up >> S
+            x = x * x >> S
+            y = y * y + round_up >> S
+        m = m * x >> S
+        n = n * y + round_up >> S
+        if m > half:
             yield lo, hi, None
             continue
-        yield lo, hi, "violated" if n <= one << 1 else "inconclusive"
+        yield lo, hi, "violated" if n <= half else "inconclusive"
         return
 
 
@@ -359,7 +372,9 @@ def fixed_point_iteration(k: int, L: int, max_iter: int, precision: int) -> Fixe
     if t is not None and t > 1:
         raise CertificationError(
             f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
-    with mp.workprec(precision):  # printed only, so rounded to nearest
+    import mpmath  # for the printed threshold and c only, so off the import path
+
+    with mpmath.mp.workprec(precision):  # printed only, so rounded to nearest
         exponent = mpmath.mpf(-1) / (L - 1)
         threshold = float(mpmath.mpf(2) ** exponent)
         if t is not None:
@@ -461,6 +476,17 @@ def _fixed_point_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
         return _phi_witness(N, k, _precision_floor(k))
 
 
+def _atanh(Z: int, W: int) -> int:
+    """atanh(z) 2^W for z = Z / 2^W in [0, 1/2], each term of its series rounded down."""
+    total = term = Z
+    square, i = Z * Z >> W, 1
+    while term:
+        term = term * square >> W
+        i += 2
+        total += term // i
+    return total
+
+
 def _shearer_estimate(k: int) -> int:
     """An estimate of F_Shearer(k); it only picks shearer_upper_bound's probes.
 
@@ -469,22 +495,35 @@ def _shearer_estimate(k: int) -> int:
     decreases in N, so psi decreases, and at its root t0, F = floor(N(t0)) + 1
     (fact 1).  psi(1) = N(1) ln u(1) < 0, and Newton from t = 1 descends onto
     t0 (psi' = N' ln u, as phi_{N(t)}' vanishes at t) in under ten steps for
-    k up to 3000; a step out of (2^{-k/(k-1)}, 1] ends it early.
+    k up to 3000; a step above 1, or to where x = c / t^(k-1) exceeds 1/2,
+    ends it early.  It runs on ints at W = 2k + 64 bits, t = T / 2^W, with
+    ln u = ln(1 - x) = -2 atanh(x / (2-x)) and ln(2-t) = 2 atanh((1-t) / (3-t)).
+    x, about 2^{-k}, is taken from t^(k-1) to relative precision, so ln u
+    keeps about k + 64 bits, and psi is good to about 2^{-k-56}, far below
+    the stopping step 2^{-k-32}: ln(2-t) is summed at k + 64 bits, as psi
+    needs no more.  N < 2^k, so floor(N) is resolved.
     """
-    with mp.workprec(k + 64):  # N < 2^k, so this resolves floor(N)
-        c = mpmath.mpf(2) ** -k
-        lower = c ** (mpmath.mpf(1) / (k - 1))
-        t = mpmath.mpf(1)
-        for _ in range(64):
-            tk1 = t ** (k - 1)
-            n = (t * tk1 - c * t) / (c * (k - 1) * (2 - t))
-            log_u = mpmath.log1p(-c / tk1)
-            dn = ((k * tk1 - c) / (c * (k - 1)) + n) / (2 - t)
-            step = (mpmath.log(2 - t) + n * log_u) / (dn * log_u)
-            if abs(step) < c * 2 ** -32 or not lower < t - step <= 1:
-                break  # settled far below what floor(N) needs, or astray
-            t -= step
-        return int(n) + 1
+    W, k_bits = 2 * k + 64, _bits(k - 1)
+    one, c = 1 << W, 1 << W - k  # 1 and 2^{-k}, over 2^W
+    T = one
+    for _ in range(64):
+        m, e = _powers(T, T, k_bits, W)[0]  # t^(k-1) >= m 2^e
+        x = (1 << W - k - e) // m  # c / t^(k-1), over 2^W
+        if x > one >> 1:
+            break  # astray: keep n from the t before
+        tk1 = m << e + W if e + W >= 0 else m >> -(e + W)  # t^(k-1), over 2^W
+        two_t = 2 * one - T  # 2 - t, over 2^W
+        n = (T * (tk1 - c) << k) // ((k - 1) * two_t)  # N(t), over 2^W
+        log_u = -2 * _atanh((x << W) // (2 * one - x), W)
+        log_2t = 2 * _atanh((one - T << W - k) // (two_t + one), W - k) << k  # to 2^{-k-64}
+        dn = ((((k * tk1 - c) << k) // (k - 1) + n) << W) // two_t  # N'(t)
+        step = (log_2t + (n * log_u >> W) << W) // (dn * log_u >> W)  # psi / psi'
+        if abs(step) < c >> 32:
+            break  # settled far below what floor(N) needs
+        T -= step
+        if not 0 < T <= one:
+            break  # astray
+    return (n >> W) + 1
 
 
 def shearer_upper_bound(k: int, precision: int) -> int:

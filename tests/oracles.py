@@ -4,13 +4,14 @@ Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the normalized
 recurrence and its map g on exact rationals, the threshold curve ell, an
-occurrence count, the test of max phi_N >= 0 on interval logarithms and
-on normalised Fractions, Newton's bracket of its maximizer on mpmath
-floats, one end of a power by square-and-multiply, the violated loop with
-every power cut to significant bits, the fixed-point iteration on interval
-objects, a binary search for F_Shearer, a search over orderings for the
-sets orderable to an event, the stage loop of the extremal construction,
-an exhaustive check of a lopsidependency graph over all 2^m assignments),
+occurrence count, the test of max phi_N >= 0 on interval logarithms and on
+normalised Fractions, Newton's bracket of its maximizer and the estimate of
+F_Shearer on mpmath floats, the gap's rhs by mpmath's division, one end of
+a power by square-and-multiply, the violated loop with every power cut to
+significant bits, the fixed-point iteration on interval objects, a binary
+search for F_Shearer, a search over orderings for the sets orderable to an
+event, the stage loop of the extremal construction, an exhaustive check of
+a lopsidependency graph over all 2^m assignments),
 so that tests can cross-check the production code against it.  The mpmath
 interval helpers they use live here too.
 """
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import mpmath
 from mpmath import iv, mp
 
-from satlll import hj_family
+from satlll import bounds, hj_family
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph, Event, literal_index
 from satlll.hj_family import (FixedPointReport, FixedPointVerdict, _check_params,
@@ -527,6 +528,33 @@ def shearer_upper_bound_by_bisection(k: int, precision: int) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+def shearer_estimate_by_mpmath(k: int) -> int:
+    """``hj_family._shearer_estimate`` with Newton's method on psi run on
+    mpmath floats at k + 64 bits, with mpmath's log and log1p."""
+    with mp.workprec(k + 64):  # N < 2^k, so this resolves floor(N)
+        c = mpmath.mpf(2) ** -k
+        lower = c ** (mpmath.mpf(1) / (k - 1))
+        t = mpmath.mpf(1)
+        for _ in range(64):
+            tk1 = t ** (k - 1)
+            n = (t * tk1 - c * t) / (c * (k - 1) * (2 - t))
+            log_u = mpmath.log1p(-c / tk1)
+            dn = ((k * tk1 - c) / (c * (k - 1)) + n) / (2 - t)
+            step = (mpmath.log(2 - t) + n * log_u) / (dn * log_u)
+            if abs(step) < c * 2 ** -32 or not lower < t - step <= 1:
+                break  # settled far below what floor(N) needs, or astray
+            t -= step
+        return int(n) + 1
+
+
+def gap_inequality_by_fdiv(k: int, lhs: int) -> tuple[bool, float]:
+    """``bounds.gap_inequality`` with rhs rounded by mpmath's fdiv to 53 bits,
+    then made a float, which is inf past the float range."""
+    return bounds._decide_at_e(lambda p, q: (
+        (lhs + 1) * 2 * k * k * p >= 2 ** k * q,
+        float(mpmath.fdiv(2 ** k * q - 2 * k * k * p, 2 * k * k * p, prec=53))))
 
 
 def orderable_sets_by_search(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:

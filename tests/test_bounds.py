@@ -13,7 +13,7 @@ from satlll.errors import DomainError, SizeGuardError
 from satlll.events_graph import events_from_formula
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 
-from oracles import orderable_sets_by_search, symmetric_lll_check
+from oracles import gap_inequality_by_fdiv, orderable_sets_by_search, symmetric_lll_check
 
 
 def test_f_lll_values():
@@ -258,6 +258,14 @@ def test_harris_alpha_verdict_is_l_at_most_f_mt():
 def test_harris_alpha_domain():
     with pytest.raises(DomainError):
         harris_ksat_alpha(3, 3, DEFAULT_PRECISION)  # 3 * 3 > 2^3 - 1 = 7
+
+
+@pytest.mark.parametrize("k", [*range(2, 61), *range(1045, 1049)])
+def test_gap_rhs_by_int_division_matches_fdiv(k):
+    # Both round the same quotient once to a float; at 1047 it first leaves
+    # the float range, where int division raises and fdiv gives inf.
+    lhs = f_mt(k) - f_lll(k)
+    assert gap_inequality(k, lhs) == gap_inequality_by_fdiv(k, lhs)
 
 
 def test_gap_inequality_table_range():

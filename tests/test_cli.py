@@ -469,6 +469,15 @@ def test_huge_k_is_refused_without_computing_f_mt(argv):
         "error: F_MT(1000000) + 1 has more than 4300 digits, the int-string limit\n")
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is imported only inside the functions that print its floats.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", "import satlll.cli, sys; assert 'mpmath' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_common_flags_after_subcommand(capsys):
     code, out, _ = run_cli(capsys, "table", "9", "9", "--format", "json")
     assert code == 0

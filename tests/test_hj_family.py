@@ -24,7 +24,8 @@ from oracles import (a_b_sequence, enclosures_by_powers, fixed_point_bounds_by_i
                      fixed_point_iteration_by_intervals, fraction_bracket, g_function,
                      maximizer_bracket_by_mpmath, phi_witness_by_fractions,
                      phi_witness_by_intervals, power_by_squaring, q_polynomial,
-                     shearer_upper_bound_by_bisection, threshold_ell)
+                     shearer_estimate_by_mpmath, shearer_upper_bound_by_bisection,
+                     threshold_ell)
 
 
 def q_uniform(hgraph, k):
@@ -572,11 +573,18 @@ def count_probes(monkeypatch) -> list:
 
 def test_shearer_upper_bound_takes_two_probes(monkeypatch):
     calls = count_probes(monkeypatch)
-    for k in range(2, 41):
+    for k in range(2, 121):
         calls.clear()
         F = shearer_upper_bound(k, 256)
         assert len(calls) <= 2, (k, calls)
         assert calls[-1] == F, k  # the probe of F + 1, which fails
+
+
+def test_shearer_estimate_matches_mpmath_newton():
+    # Newton on psi in fixed point at 2k + 64 bits against Newton on mpmath
+    # floats at k + 64 bits, with mpmath's logarithms.
+    for k in range(2, 201):
+        assert hj_family._shearer_estimate(k) == shearer_estimate_by_mpmath(k), k
 
 
 def test_shearer_upper_bound_survives_a_wrong_estimate(monkeypatch):
