@@ -231,43 +231,37 @@ def _powers(lo: int, hi: int, bits: list[int], P: int):
     x, g, y, h = lo, -P, hi, -P  # the squares, x * 2^g and y * 2^h
     for bit in bits:
         if bit:
-            m *= x
-            e += g
+            m, e = m * x, e + g
             cut = m.bit_length() - width
             if cut > 0:
-                m >>= cut
-                e += cut
-            n *= y
-            f += h
+                m, e = m >> cut, e + cut
+            n, f = n * y, f + h
             cut = n.bit_length() - width
             if cut > 0:
-                n = -(-n >> cut)
-                f += cut
-        x *= x
-        g *= 2
+                n, f = -(-n >> cut), f + cut
+        x, g = x * x, 2 * g
         cut = x.bit_length() - width
         if cut > 0:
-            x >>= cut
-            g += cut
-        y *= y
-        h *= 2
+            x, g = x >> cut, g + cut
+        y, h = y * y, 2 * h
         cut = y.bit_length() - width
         if cut > 0:
-            y = -(-y >> cut)
-            h += cut
-    m *= x  # the top bit
-    e += g
+            y, h = -(-y >> cut), h + cut
+    m, e = m * x, e + g  # the top bit
     cut = m.bit_length() - width
     if cut > 0:
-        m >>= cut
-        e += cut
-    n *= y
-    f += h
+        m, e = m >> cut, e + cut
+    n, f = n * y, f + h
     cut = n.bit_length() - width
     if cut > 0:
-        n = -(-n >> cut)
-        f += cut
+        n, f = -(-n >> cut), f + cut
     return (m, e), (n, f)
+
+
+def _fixed(m: int, e: int, s: int) -> int:
+    """floor(m * 2^(e + s)) for ints m >= 0, e and s: m * 2^e over 2^-s."""
+    shift = e + s
+    return m << shift if shift >= 0 else m >> -shift
 
 
 def _quotient(s: int, low: tuple[int, int], high: tuple[int, int]):
@@ -404,9 +398,7 @@ def _newton(N: int, k: int, precision: int) -> int:
     # M (2^(W+1) - T) + T - T pw / 2^W and 2^(k+W) q_N'(t) is (1 - M) 2^W - k pw.
     T = 1 << W if M + 1 <= 1 << k else 2 << W
     for _ in range(k + precision):
-        m, e = _powers(T, T, k_bits, W)[0]
-        shift = e + k + W
-        pw = m << shift if shift >= 0 else m >> -shift
+        pw = _fixed(*_powers(T, T, k_bits, W)[0], k + W)
         q = M * ((2 << W) - T) + T - (T * pw >> W)
         T_next = T - (q << W) // ((1 - M << W) - k * pw)
         if T_next >= T:
@@ -511,7 +503,7 @@ def _shearer_estimate(k: int) -> int:
         x = (1 << W - k - e) // m  # c / t^(k-1), over 2^W
         if x > one >> 1:
             break  # astray: keep n from the t before
-        tk1 = m << e + W if e + W >= 0 else m >> -(e + W)  # t^(k-1), over 2^W
+        tk1 = _fixed(m, e, W)  # t^(k-1), over 2^W
         two_t = 2 * one - T  # 2 - t, over 2^W
         n = (T * (tk1 - c) << k) // ((k - 1) * two_t)  # N(t), over 2^W
         log_u = -2 * _atanh((x << W) // (2 * one - x), W)

@@ -7,16 +7,17 @@ working tree, and write the results to BENCH_<pr>.json.
 The parent is extracted with ``git archive REV | tar -x`` into a temporary
 directory, so the repository's .git is not touched; the directory is
 removed at exit.  Each pair runs ``python3 perfbench/run.py --workload W
---seed S --seconds T --trace X`` once in the parent's tree and once in this
+--seed S --seconds T --trace 0`` once in the parent's tree and once in this
 one, one run after the other, and the side that runs first alternates from
-pair to pair.  Each run's last stdout line is its JSON result.
+pair to pair.  Each run's last stdout line is its JSON result: the
+end-to-end metrics, all of them better lower.
 
 BENCH_<pr>.json, at the root of this tree, holds one entry per workload;
 a later call for another workload adds its entry and keeps the others.  An
 entry holds the settings, each pair's metrics on both sides, and per
 metric each side's median and quartiles (``statistics.quantiles``, n = 4,
-inclusive) and the change's wins: the pairs in which it read lower, as
-every metric of the benchmark is better lower.  Ties count for neither.
+inclusive) and the change's wins: the pairs in which it read lower.  Ties
+count for neither.
 A run that fails or reports a failed operation stops the script.
 """
 
@@ -42,7 +43,6 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
 
@@ -62,7 +62,7 @@ def extract(rev: str, into: Path) -> str:
 
 def run(tree: Path, args) -> dict[str, float]:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-            str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+            str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=10 * args.seconds + 600)
     lines = done.stdout.strip().splitlines()
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
                          "ties": sum(c == p for p, c in zip(parent, change))}
     report["python"] = platform.python_version()
     report["workloads"][args.workload] = {
-        "parent": sha, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+        "parent": sha, "seed": args.seed, "seconds": args.seconds, "trace": 0,
         "pairs": pairs, "metrics": metrics}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
