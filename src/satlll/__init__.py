@@ -1,8 +1,8 @@
 """Exact comparison of convergence criteria for the variable-assignment LLLL
 on bounded-occurrence k-SAT."""
 
-from .bounds import (CriterionReport, f_lll, f_mt, gap_inequality, harris_check,
-                     harris_ksat_alpha, orderable_sets)
+from .bounds import (HarrisVerdict, f_lll, f_mt, gap_inequality, harris_check,
+                     harris_ksat_alpha)
 from .errors import (CertificationError, DimacsError, DomainError, SatLllError,
                      SizeGuardError)
 from .events_graph import (DepGraph, dependency_graph, events_from_formula,

@@ -2,32 +2,33 @@
 
 f_lll and f_mt are the per-literal occurrence bounds provable from the
 symmetric LLL and from the resampling-convergence criterion; their gap
-grows like 2^k / (2 e k^2).  The generic criterion enumerates orderable
-sets of bad events exactly; the k-SAT specialization optimizes a single
-weight alpha in closed form.  Every verdict and integer here is exact:
-f_lll and the gap inequality are decided on rational brackets of e.
+grows like 2^k / (2 e k^2).  The generic criterion sums exactly over the
+orderable sets of the masks at which events hit each bad event; the k-SAT
+specialization optimizes a single weight alpha in closed form.  Every
+verdict and integer here is exact: f_lll and the gap inequality are
+decided on rational brackets of e.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 from .errors import DomainError, SizeGuardError
-from .events_graph import Event
+from .events_graph import Event, literal_index
 
-EVENT_GUARD = 16  # orderable_sets enumerates subsets of the events
+MASK_GUARD = 16  # the sum enumerates sets of the distinct masks hitting one event
 
 
 @dataclass(frozen=True)
-class CriterionReport:
-    criterion: str
+class HarrisVerdict:
     satisfied: bool
-    parameters: dict
-    witness: Optional[int] = None  # index of the failing event, if any
-    details: dict = field(default_factory=dict)
+    witness: Optional[int]  # index of the first failing event, if any
+    margin: Fraction  # mu(B) - P(B) * sum at the witness, else the least over all B
 
 
 def _decide_at_e(value):
@@ -76,47 +77,53 @@ def _peels(masks: list[int]) -> bool:
     return True
 
 
-def orderable_sets(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:
-    """All Y that are orderable to events[b_index], as frozensets of indices.
+def _orderable_sum(b_index: int, events: Sequence[Event], mu: Sequence[Fraction],
+                   lits: list[int], holders: list[int]) -> Fraction:
+    """Sum over the Y orderable to B = events[b_index] of prod over Y of mu.
 
-    Yields the empty set first (its product is the term 1 of the criterion),
-    then the singleton {B}, then, in lexicographic order, every nonempty set
-    of other events with an ordering in which each hits a literal of B that
-    no earlier one hits.  Event A hits the literal z of B iff -z is in A.
-
-    Y is orderable iff peeling empties it, removing one at a time a member
-    that hits a literal of B no remaining member hits: the last element of
-    an ordering is one, and a peeling reversed is an ordering.  Dropping
-    members from an ordering leaves one, so subsets of orderable sets are
-    orderable.  Hence any peelable member may go first, and all of them at
-    once (removals only make literals less hit), and the search need only
-    grow orderable sets.  A member's hits are a bit mask over B's positions.
+    Y runs over the empty set (term 1), {B}, and the nonempty sets of other
+    events with an ordering in which each hits a literal of B that no
+    earlier one hits.  A hits the literal z of B iff -z is in A, found in
+    the literal index (lits, holders); A's hits are a mask over B's
+    positions.  Y is orderable iff peeling empties it, removing one at a
+    time a member that hits a literal no remaining member hits: the last
+    of an ordering is one, and a peeling reversed is an ordering.  So Y
+    holds at most one event per mask, its masks decide it, and the sum is
+    1 + mu(B) + sum over the orderable sets M of distinct masks of prod
+    over M of S_m, the sum of mu over the events hitting B at m.  Subsets
+    of orderable sets are orderable, so only orderable sets are grown.
+    SizeGuardError past MASK_GUARD distinct masks.
     """
-    if len(events) > EVENT_GUARD:
-        raise SizeGuardError(f"{len(events)} events exceeds enumeration guard {EVENT_GUARD}")
-    b = events[b_index]
-    yield frozenset()
-    yield frozenset({b_index})
+    hits: dict[int, int] = {}
+    for j, z in enumerate(events[b_index]):
+        for i in holders[bisect_left(lits, -z):bisect_right(lits, -z)]:
+            hits[i] = hits.get(i, 0) | 1 << j
+    weights: dict[int, Fraction] = {}
+    for i, mask in hits.items():
+        weights[mask] = weights.get(mask, 0) + mu[i]
+    if len(weights) > MASK_GUARD:
+        raise SizeGuardError(
+            f"event {b_index} is hit at {len(weights)} distinct masks, guard is {MASK_GUARD}")
+    masks = list(weights.items())
 
-    hits = [(i, mask) for i, event in enumerate(events) if i != b_index
-            if (mask := sum(1 << j for j, z in enumerate(b) if -z in event))]
+    def grow(chosen: list[int], product: Fraction, start: int) -> Fraction:
+        total = product
+        for c in range(start, len(masks)):
+            mask, weight = masks[c]
+            if _peels(chosen + [mask]):
+                total += grow(chosen + [mask], product * weight, c + 1)
+        return total
 
-    def grow(chosen: tuple[int, ...], masks: list[int], start: int):
-        for c in range(start, len(hits)):
-            i, mask = hits[c]
-            if _peels(masks + [mask]):
-                yield frozenset(chosen + (i,))
-                yield from grow(chosen + (i,), masks + [mask], c + 1)
-
-    yield from grow((), [], 0)
+    return mu[b_index] + grow([], Fraction(1), 0)
 
 
 def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
-                 p: Sequence[Fraction]) -> CriterionReport:
+                 p: Sequence[Fraction]) -> HarrisVerdict:
     """Exact test of mu(B) >= P(B) * sum over orderable Y of prod mu, for every B.
 
-    The sum runs over every Y that orderable_sets yields, the empty Y (term
-    1) included, so mu = 0 fails wherever P(B) > 0.
+    The sum runs over the empty Y (term 1) too, so mu = 0 fails wherever
+    P(B) > 0.  The margin is mu(B) - P(B) * sum at the first B that fails,
+    else the least over all B (0 for no events).
     """
     if len(mu) != len(events) or len(p) != len(events):
         raise DomainError("mu and p must have one entry per event")
@@ -124,26 +131,17 @@ def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
     p = [Fraction(x) for x in p]
     if any(x < 0 for x in mu):
         raise DomainError("mu weights must be nonnegative")
+    if not all(0 <= x <= 1 for x in p):
+        raise DomainError("probabilities must lie in [0, 1]")
+    lits, holders = literal_index(events, max(map(abs, chain.from_iterable(events)), default=0))
 
     margins = []
     for b_index in range(len(events)):
-        total = Fraction(0)
-        for y in orderable_sets(b_index, events):
-            term = Fraction(1)
-            for i in y:
-                term *= mu[i]
-            total += term
-        margin = mu[b_index] - p[b_index] * total
-        margins.append(margin)
+        margin = mu[b_index] - p[b_index] * _orderable_sum(b_index, events, mu, lits, holders)
         if margin < 0:
-            return CriterionReport(
-                criterion="harris", satisfied=False,
-                parameters={"events": len(events)},
-                witness=b_index,
-                details={"margin": str(margin)})
-    return CriterionReport(criterion="harris", satisfied=True,
-                           parameters={"events": len(events)},
-                           details={"min_margin": str(min(margins, default=Fraction(0)))})
+            return HarrisVerdict(False, b_index, margin)
+        margins.append(margin)
+    return HarrisVerdict(True, None, min(margins, default=Fraction(0)))
 
 
 def harris_ksat_alpha(k: int, L: int, precision: int) -> float:

@@ -558,7 +558,8 @@ def gap_inequality_by_fdiv(k: int, lhs: int) -> tuple[bool, float]:
 
 
 def orderable_sets_by_search(b_index: int, events: Sequence[Event]) -> Iterator[frozenset[int]]:
-    """``orderable_sets`` by a memoized search over orderings of every subset.
+    """The sets Y orderable to events[b_index], by a memoized search over
+    orderings of every subset, with no peeling and no masks.
 
     Yields the empty set, then {B}, then the orderable sets of disagreeing
     events by size: each of the 2^c subsets of the c events that hit a

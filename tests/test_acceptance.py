@@ -247,9 +247,9 @@ def test_criterion_12_separation_on_an_explicit_formula(tmp_path, capsys):
     p = [Fraction(1, 4)] * len(events)
     mu = [Fraction(5, 3), Fraction(2), Fraction(5, 3), Fraction(2), Fraction(5, 3)]
     at_mu = harris_check(events, mu, p)
-    assert at_mu.satisfied and at_mu.details == {"min_margin": "0"}
+    assert at_mu.satisfied and at_mu.margin == 0
     eps = Fraction(1, 10 ** 9)
     above = harris_check(events, [x * (1 + eps) for x in mu], p)
-    assert above.satisfied and above.details == {"min_margin": "1/4000000000"}
+    assert above.satisfied and above.margin == Fraction(1, 4000000000)
     assert not harris_check(events, [x * (1 - eps) for x in mu], p).satisfied
     report(12, "explicit 2-CNF: Shearer violated, resampling criterion satisfied")

@@ -5,12 +5,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from satlll import bounds
-from satlll.bounds import (EVENT_GUARD, f_lll, f_mt, gap_inequality, harris_check,
-                           harris_ksat_alpha, orderable_sets)
+from satlll.bounds import (MASK_GUARD, _orderable_sum, f_lll, f_mt, gap_inequality,
+                           harris_check, harris_ksat_alpha)
 from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import DomainError, SizeGuardError
-from satlll.events_graph import events_from_formula
+from satlll.events_graph import events_from_formula, literal_index
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 
 from oracles import gap_inequality_by_fdiv, orderable_sets_by_search, symmetric_lll_check
@@ -72,7 +71,7 @@ def test_symmetric_lll_domain():
 
 def test_orderable_isolated_event():
     events = [(1,), (2,)]  # no disagreement anywhere
-    assert list(orderable_sets(0, events)) == [frozenset(), frozenset({0})]
+    assert list(orderable_sets_by_search(0, events)) == [frozenset(), frozenset({0})]
 
 
 def test_orderable_two_independent_hitters():
@@ -80,7 +79,7 @@ def test_orderable_two_independent_hitters():
     b = (1, 2)
     b1 = (-1, 3)
     b2 = (-2, 4)
-    found = set(orderable_sets(0, [b, b1, b2]))
+    found = set(orderable_sets_by_search(0, [b, b1, b2]))
     assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
                      frozenset({1, 2})}
 
@@ -90,7 +89,7 @@ def test_orderable_shared_atom_pair_not_orderable():
     b = (1, 2)
     b1 = (-1, 3)
     b1_prime = (-1, 4)
-    found = set(orderable_sets(0, [b, b1, b1_prime]))
+    found = set(orderable_sets_by_search(0, [b, b1, b1_prime]))
     assert frozenset({1, 2}) not in found
     assert found == {frozenset(), frozenset({0}), frozenset({1}), frozenset({2})}
 
@@ -99,7 +98,7 @@ def test_orderable_never_contains_b_in_composite_set():
     formula = build_extremal_formula(3, 2, 2, DEFAULT_CLAUSE_GUARD)
     events = events_from_formula(formula)
     for b_index in range(len(events)):
-        for y in orderable_sets(b_index, events):
+        for y in orderable_sets_by_search(b_index, events):
             if y != frozenset({b_index}):
                 assert b_index not in y
 
@@ -110,38 +109,57 @@ def random_events(rng: random.Random, k: int, m: int, count: int) -> list[tuple[
             for _ in range(count)]
 
 
-def test_orderable_sets_match_the_ordering_search(monkeypatch):
+def test_orderable_sets_match_the_ordering_search():
+    # Each B's sum, and harris_check's verdict, witness and exact margin,
+    # against the sums over the sets that the ordering search yields.
     rng = random.Random(15)
-    cases = []
+    verdicts = set()
     for _ in range(250):
         k = rng.randint(2, 4)
         events = random_events(rng, k, rng.randint(k, k + 3), rng.randint(1, 8))
-        for b in range(len(events)):
-            found = list(orderable_sets(b, events))
-            reference = list(orderable_sets_by_search(b, events))
-            assert found[:2] == [frozenset(), frozenset({b})]
-            assert sorted(map(sorted, found)) == sorted(map(sorted, reference)), (events, b)
         mu = [Fraction(rng.randint(0, 8), 16) for _ in events]
-        cases.append((events, mu, [Fraction(1, 2 ** k)] * len(events)))
-    reports = [harris_check(*case) for case in cases]
-    assert {report.satisfied for report in reports} == {True, False}
-    monkeypatch.setattr(bounds, "orderable_sets", orderable_sets_by_search)
-    assert reports == [harris_check(*case) for case in cases]
+        p = [Fraction(1, 2 ** k)] * len(events)
+        lits, holders = literal_index(events, k + 3)
+        margins = []
+        for b in range(len(events)):
+            total = sum(math.prod(mu[i] for i in y) for y in orderable_sets_by_search(b, events))
+            assert _orderable_sum(b, events, mu, lits, holders) == total, (events, mu, b)
+            margins.append(mu[b] - p[b] * total)
+        failing = [b for b, margin in enumerate(margins) if margin < 0]
+        expected = ((False, failing[0], margins[failing[0]]) if failing
+                    else (True, None, min(margins, default=Fraction(0))))
+        report = harris_check(events, mu, p)
+        assert (report.satisfied, report.witness, report.margin) == expected, (events, mu)
+        verdicts.add(report.satisfied)
+    assert verdicts == {True, False}
 
 
-# Totals over all B of 16 events on 5 variables, pinned from the ordering
-# search, which is not run here: it took 72 s on the 4-CNF (CPython 3.11,
-# 2-vCPU Xeon VM), where peeling takes under 0.1 s.
+# Totals over all B of 16 events on 5 variables at mu = 1, that is, the
+# counts of (B, Y) with Y orderable to B, the empty Y and {B} included,
+# pinned from the ordering search, which is not run here: it took 72 s on
+# the 4-CNF (CPython 3.11, 2-vCPU Xeon VM).
 @pytest.mark.parametrize("k,total", [(2, 205), (3, 1747), (4, 7890)])
 def test_orderable_set_totals_at_the_event_guard(k, total):
-    events = random_events(random.Random(k), k, 5, EVENT_GUARD)
-    assert sum(1 for b in range(EVENT_GUARD) for _ in orderable_sets(b, events)) == total
+    events = random_events(random.Random(k), k, 5, 16)
+    lits, holders = literal_index(events, 5)
+    assert sum(_orderable_sum(b, events, [1] * 16, lits, holders) for b in range(16)) == total
 
 
 def test_orderable_guard():
-    events = [(i,) for i in range(1, EVENT_GUARD + 2)]
-    with pytest.raises(SizeGuardError, match=f"{EVENT_GUARD + 1} events exceeds"):
-        list(orderable_sets(0, events))
+    # B = (1, ..., 5) hit at the masks 1..17 over its positions: 17 distinct masks.
+    b = (1, 2, 3, 4, 5)
+    events = [b] + [tuple(-z for j, z in enumerate(b) if mask >> j & 1)
+                    for mask in range(1, MASK_GUARD + 2)]
+    with pytest.raises(SizeGuardError, match=f"event 0 is hit at {MASK_GUARD + 1} distinct masks"):
+        harris_check(events, [Fraction(1)] * len(events), [Fraction(0)] * len(events))
+
+
+def test_harris_check_refuses_probabilities_outside_the_unit_interval():
+    for p in (Fraction(-1), Fraction(3, 2)):
+        with pytest.raises(DomainError, match="probabilities"):
+            harris_check([(1,)], [Fraction(1)], [p])
+    with pytest.raises(DomainError, match="variable 0"):
+        harris_check([(1, 0)], [Fraction(1)], [Fraction(1, 4)])
 
 
 def test_harris_isolated_event():
@@ -156,14 +174,14 @@ def test_harris_zero_mu_refused():
     report = harris_check(events, [Fraction(0)] * 2, [Fraction(1, 2)] * 2)
     assert not report.satisfied  # 0 >= 1/2 * (1 + 0 + 0) fails
     assert report.witness == 0
-    assert report.details == {"margin": "-1/2"}
+    assert report.margin == Fraction(-1, 2)
 
 
 def test_harris_violated_witness():
     events = [(1,)]
     report = harris_check(events, [Fraction(1, 10)], [Fraction(1, 2)])
     assert not report.satisfied  # 1/10 < 1/2 * (1 + 1/10)
-    assert report.details == {"margin": "-9/20"}
+    assert report.margin == Fraction(-9, 20)
     report = harris_check(events, [Fraction(1)], [Fraction(1, 2)])
     assert report.satisfied  # equality: 1 = 1/2 * (1 + 1)
     # a disagreeing partner adds its own term to the sum
@@ -172,7 +190,7 @@ def test_harris_violated_witness():
     assert not report.satisfied  # 1 < 1/2 * (1 + 1 + 1)
     assert report.witness == 0
     report = harris_check(events, [Fraction(1)] * 2, [Fraction(1, 3)] * 2)
-    assert report.satisfied and report.details == {"min_margin": "0"}
+    assert report.satisfied and report.margin == 0
 
 
 def test_harris_phi1_with_alpha():
@@ -203,7 +221,8 @@ def star_events(k: int, L: int) -> list[tuple[int, ...]]:
 
 
 @pytest.mark.parametrize("k,L,satisfied", [(3, 1, True), (4, 1, True), (3, 2, False),
-                                           (4, 2, False), (4, 3, False)])
+                                           (4, 2, False), (4, 3, False), (6, 4, True),
+                                           (6, 5, False), (9, 22, True), (9, 23, False)])
 def test_harris_check_agrees_with_closed_form_on_star(k, L, satisfied):
     alpha = harris_ksat_alpha(k, L, DEFAULT_PRECISION)
     assert (L <= f_mt(k)) == satisfied
@@ -211,13 +230,30 @@ def test_harris_check_agrees_with_closed_form_on_star(k, L, satisfied):
     events = star_events(k, L)
     report = harris_check(events, [mu] * len(events), [Fraction(1, 2 ** k)] * len(events))
     # B has the least margin, and the generic sum is the closed form exactly.
-    margin = str(mu - Fraction(1, 2 ** k) * (mu + (1 + L * mu) ** k))
-    assert report.satisfied == satisfied
-    if satisfied:
-        assert report.details == {"min_margin": margin}
-    else:
-        assert report.witness == 0
-        assert report.details == {"margin": margin}
+    margin = mu - Fraction(1, 2 ** k) * (mu + (1 + L * mu) ** k)
+    assert (report.satisfied, report.witness, report.margin) == (
+        satisfied, None if satisfied else 0, margin)
+
+
+def test_harris_check_decides_an_extremal_k9_formula():
+    # 8400 events, each hit at no more than nine distinct one-literal masks.
+    formula = build_extremal_formula(9, 22, 200, DEFAULT_CLAUSE_GUARD)
+    events = events_from_formula(formula)
+    mu = Fraction(str(harris_ksat_alpha(9, 22, DEFAULT_PRECISION))).limit_denominator(10 ** 15)
+    report = harris_check(events, [mu] * len(events), [Fraction(1, 2 ** 9)] * len(events))
+    assert report.satisfied and report.witness is None and report.margin > 0
+
+
+@pytest.mark.parametrize("L", [2, 5, 22])
+def test_orderable_sum_of_extremal_clause_zero(L):
+    # Each of the nine literals of clause 0 is hit, alone, by the L - 1
+    # clauses of the opposite sign that its variable's stage adds.
+    formula = build_extremal_formula(9, L, 20, DEFAULT_CLAUSE_GUARD)
+    events = events_from_formula(formula)
+    mu = Fraction(1, 3 * L)
+    lits, holders = literal_index(events, formula.variable_count)
+    assert _orderable_sum(0, events, [mu] * len(events), lits, holders) == (
+        mu + (1 + (L - 1) * mu) ** 9)
 
 
 def test_harris_alpha_boundary_k9():
