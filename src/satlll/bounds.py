@@ -92,29 +92,36 @@ def _orderable_sum(b_index: int, events: Sequence[Event], mu: Sequence[Fraction]
     1 + mu(B) + sum over the orderable sets M of distinct masks of prod
     over M of S_m, the sum of mu over the events hitting B at m.  Subsets
     of orderable sets are orderable, so only orderable sets are grown.
+    The hitters' mu share one denominator D, so S_m = s_m / D with int s_m,
+    and the sums and products run on ints over the one scale D^n, n the
+    number of masks: a set of t masks carries its product of s_m times
+    D^(n - t), an int, since t <= n.
     SizeGuardError past MASK_GUARD distinct masks.
     """
     hits: dict[int, int] = {}
     for j, z in enumerate(events[b_index]):
         for i in holders[bisect_left(lits, -z):bisect_right(lits, -z)]:
             hits[i] = hits.get(i, 0) | 1 << j
-    weights: dict[int, Fraction] = {}
+    denominator = math.lcm(*(mu[i].denominator for i in hits))
+    weights: dict[int, int] = {}
     for i, mask in hits.items():
-        weights[mask] = weights.get(mask, 0) + mu[i]
+        weights[mask] = (weights.get(mask, 0)
+                         + mu[i].numerator * (denominator // mu[i].denominator))
     if len(weights) > MASK_GUARD:
         raise SizeGuardError(
             f"event {b_index} is hit at {len(weights)} distinct masks, guard is {MASK_GUARD}")
     masks = list(weights.items())
 
-    def grow(chosen: list[int], product: Fraction, start: int) -> Fraction:
+    def grow(chosen: list[int], product: int, start: int) -> int:
         total = product
         for c in range(start, len(masks)):
             mask, weight = masks[c]
             if _peels(chosen + [mask]):
-                total += grow(chosen + [mask], product * weight, c + 1)
+                total += grow(chosen + [mask], product * weight // denominator, c + 1)
         return total
 
-    return mu[b_index] + grow([], Fraction(1), 0)
+    scale = denominator ** len(masks)
+    return mu[b_index] + Fraction(grow([], scale, 0), scale)
 
 
 def harris_check(events: Sequence[Event], mu: Sequence[Fraction],

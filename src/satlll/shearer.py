@@ -4,8 +4,9 @@ The sign decisions Q > 0 must be error-free, so all arithmetic is exact,
 on integers.  One memoized function evaluates Y_W, an integer multiple of
 Z_W (defined below), on vertex sets W held as ints, bit v for vertex v.
 Write p_v = a_v / d_v in lowest terms and Y_W = Z_W * prod_{u in W} d_u.
-With v the least vertex of W, C its component in G[W] (a bit BFS) and
-N[v] = {v} + N(v), Z_W = Z_C * Z_{W - C} if C != W, else
+With v the least vertex of W, N[v] = {v} + N(v) and C its component in
+G[W] (a bit BFS that starts from N[v] & W and stops once C = W),
+Z_W = Z_C * Z_{W - C} if C != W, else
 Z_W = Z_{W - v} - p_v * Z_{W - N[v]}; multiplying by prod_W d_u gives
 
     Y_W = Y_C * Y_{W - C}                                  if C != W,
@@ -124,8 +125,11 @@ class _QEngine:
         if cached is not None:
             return cached
         closed = self.closed
-        component = frontier = low = mask & -mask
-        while frontier:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        component = closed[v] & mask
+        frontier = component ^ low
+        while frontier and component != mask:
             reach = 0
             while frontier:
                 bit = frontier & -frontier
@@ -136,7 +140,6 @@ class _QEngine:
         if component != mask:
             result = self.q(component) * self.q(mask & ~component)
         else:
-            v = low.bit_length() - 1
             denominators = self.denominators
             coefficient = self.numerators[v]  # a_v * D(v, W)
             neighbours = mask & closed[v] ^ low

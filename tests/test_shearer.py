@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +84,36 @@ def test_engine_on_coprime_denominators_matches_enumeration(rng):
         else:
             kinds.add("satisfied")
     assert kinds == {"satisfied", "empty witness", "non-empty witness"}
+
+
+def assert_engine_on_every_vertex_set(graph, p):
+    """q(W) = Z_W * prod_{u in W} d_u for every mask W, Z_W by enumeration."""
+    engine = shearer._QEngine(graph, p)
+    for mask in range(1 << graph.n):
+        vertices = [v for v in range(graph.n) if mask >> v & 1]
+        z = independence_polynomial_bruteforce(
+            induced_subgraph(graph, vertices), (), [p[v] for v in vertices])
+        assert engine.q(mask) == z * math.prod(p[v].denominator for v in vertices), (
+            graph.edges(), p, bin(mask))
+
+
+def test_engine_on_every_vertex_set(rng):
+    # Every state the engine can reach, not only those on a verdict's path.
+    for _ in range(30):
+        graph = random_graph(rng, max_vertices=8)
+        assert_engine_on_every_vertex_set(graph, coprime_probabilities(rng, graph.n))
+
+
+@pytest.mark.parametrize("n,edges", [
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)]),  # 0 is adjacent to all of V
+    (5, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # 0 is isolated in V
+    (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # from 0, 2 at depth 2 and 5 at depth 5
+    (7, [(0, 4), (4, 6), (6, 2), (1, 3), (3, 5)]),  # V has two components
+])
+def test_engine_on_every_vertex_set_by_hand(n, edges):
+    graph = DepGraph.from_edges(n, edges)
+    p = [Fraction(v + 1, d) for v, d in enumerate(COPRIME_DENOMINATORS[:n])]
+    assert_engine_on_every_vertex_set(graph, p)
 
 
 def test_independence_polynomial_at_the_ends_of_the_interval(rng):
@@ -307,6 +338,32 @@ def test_extremal_3_3_9_satisfied_by_suffix_and_prefix_chains():
     # The same verdict by the other chain, {0} < {0, 1} < ... < V.
     for i in range(1, graph.n + 1):
         assert independence_polynomial(induced_subgraph(graph, range(i)), p[:i]) > 0
+
+
+def extremal_graph(k, L, r):
+    formula = build_extremal_formula(k, L, r, DEFAULT_CLAUSE_GUARD)
+    return lopsidependency_graph(events_from_formula(formula))
+
+
+@pytest.mark.parametrize("case,entries", [
+    (lambda: (extremal_graph(3, 3, 9), [Fraction(1, 8)] * 36), 123),
+    (lambda: (extremal_graph(3, 3, 20), [Fraction(1, 8)] * 80), 207),
+    (lambda: late_witness_graph(32), 601),
+], ids=["extremal_3_3_9", "extremal_3_3_20", "late_witness_32"])
+def test_memo_entries_after_shearer_check(monkeypatch, case, entries):
+    # The engine's work: which vertex sets a verdict evaluates, Y_empty
+    # included.  A change that alters which states exist changes the count.
+    engines = []
+    init = shearer._QEngine.__init__
+
+    def recording_init(engine, *args):
+        init(engine, *args)
+        engines.append(engine)
+
+    monkeypatch.setattr(shearer._QEngine, "__init__", recording_init)
+    graph, p = case()
+    shearer_check(graph, p)
+    assert [len(engine.memo) for engine in engines] == [entries]
 
 
 def test_failed_chain_without_witness_is_never_satisfied(monkeypatch):
