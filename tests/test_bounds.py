@@ -117,13 +117,14 @@ def test_orderable_sets_match_the_ordering_search():
     for _ in range(250):
         k = rng.randint(2, 4)
         events = random_events(rng, k, rng.randint(k, k + 3), rng.randint(1, 8))
-        mu = [Fraction(rng.randint(0, 8), 16) for _ in events]
+        weights = [rng.randint(0, 8) for _ in events]
+        mu = [Fraction(w, 16) for w in weights]
         p = [Fraction(1, 2 ** k)] * len(events)
         lits, holders = literal_index(events, k + 3)
         margins = []
         for b in range(len(events)):
             total = sum(math.prod(mu[i] for i in y) for y in orderable_sets_by_search(b, events))
-            assert _orderable_sum(b, events, mu, lits, holders) == total, (events, mu, b)
+            assert _orderable_sum(b, events, weights, 16, lits, holders) == total, (events, mu, b)
             margins.append(mu[b] - p[b] * total)
         failing = [b for b, margin in enumerate(margins) if margin < 0]
         expected = ((False, failing[0], margins[failing[0]]) if failing
@@ -134,6 +135,26 @@ def test_orderable_sets_match_the_ordering_search():
     assert verdicts == {True, False}
 
 
+def test_harris_margin_on_denominators_that_do_not_divide_each_other():
+    # harris_check puts every mu over their lcm; a scale that is not a
+    # multiple of each denominator would show as a wrong margin.
+    rng = random.Random(16)
+    for _ in range(100):
+        k = rng.randint(2, 3)
+        events = random_events(rng, k, rng.randint(k, k + 2), rng.randint(1, 6))
+        mu = [Fraction(rng.randint(1, d - 1), d)
+              for d in rng.choices((3, 5, 7, 16), k=len(events))]
+        p = [Fraction(1, 2 ** k)] * len(events)
+        margins = [mu[b] - p[b] * sum(math.prod(mu[i] for i in y)
+                                      for y in orderable_sets_by_search(b, events))
+                   for b in range(len(events))]
+        failing = [b for b, margin in enumerate(margins) if margin < 0]
+        expected = ((False, failing[0], margins[failing[0]]) if failing
+                    else (True, None, min(margins)))
+        report = harris_check(events, mu, p)
+        assert (report.satisfied, report.witness, report.margin) == expected, (events, mu)
+
+
 # Totals over all B of 16 events on 5 variables at mu = 1, that is, the
 # counts of (B, Y) with Y orderable to B, the empty Y and {B} included,
 # pinned from the ordering search, which is not run here: it took 72 s on
@@ -142,7 +163,7 @@ def test_orderable_sets_match_the_ordering_search():
 def test_orderable_set_totals_at_the_event_guard(k, total):
     events = random_events(random.Random(k), k, 5, 16)
     lits, holders = literal_index(events, 5)
-    assert sum(_orderable_sum(b, events, [1] * 16, lits, holders) for b in range(16)) == total
+    assert sum(_orderable_sum(b, events, [1] * 16, 1, lits, holders) for b in range(16)) == total
 
 
 def test_orderable_guard():
@@ -252,7 +273,7 @@ def test_orderable_sum_of_extremal_clause_zero(L):
     events = events_from_formula(formula)
     mu = Fraction(1, 3 * L)
     lits, holders = literal_index(events, formula.variable_count)
-    assert _orderable_sum(0, events, [mu] * len(events), lits, holders) == (
+    assert _orderable_sum(0, events, [1] * len(events), 3 * L, lits, holders) == (
         mu + (1 + (L - 1) * mu) ** 9)
 
 

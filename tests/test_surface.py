@@ -11,6 +11,8 @@ computes on as a required argument.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import satlll
@@ -111,3 +113,13 @@ def test_every_defaulted_parameter_is_kept_for_a_reason():
 
 def test_every_kept_default_is_still_a_default():
     assert sorted(KEPT_DEFAULTS.keys() - all_defaulted_parameters()) == []
+
+
+def test_src_stats_counts_the_listed_defaults():
+    # tools/src_stats.py prints the ROADMAP's figure with its own ast walk;
+    # the two walks must agree, so that figure and this list cannot drift.
+    script = Path(__file__).resolve().parents[1] / "tools" / "src_stats.py"
+    result = subprocess.run([sys.executable, str(script)], check=True,
+                            capture_output=True, text=True)
+    figures = dict(line.split("\t") for line in result.stdout.splitlines())
+    assert int(figures["defaulted_parameters"]) == len(all_defaulted_parameters())
