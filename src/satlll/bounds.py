@@ -77,10 +77,10 @@ def _peels(masks: list[int]) -> bool:
     return True
 
 
-def _orderable_sum(b_index: int, events: Sequence[Event], weights: Sequence[int],
-                   denominator: int, lits: list[int], holders: list[int]) -> Fraction:
+def _orderable_sum(b_index: int, events: Sequence[Event], numerators: Sequence[int],
+                   denominators: Sequence[int], lits: list[int], holders: list[int]) -> Fraction:
     """Sum over the Y orderable to B = events[b_index] of prod over Y of mu,
-    for mu_i = weights[i] / denominator.
+    for mu_i = numerators[i] / denominators[i].
 
     Y runs over the empty set (term 1), {B}, and the nonempty sets of other
     events with an ordering in which each hits a literal of B that no
@@ -93,19 +93,20 @@ def _orderable_sum(b_index: int, events: Sequence[Event], weights: Sequence[int]
     1 + mu(B) + sum over the orderable sets M of distinct masks of prod
     over M of S_m, the sum of mu over the events hitting B at m.  Subsets
     of orderable sets are orderable, so only orderable sets are grown.
-    Every mu shares the one denominator D, so S_m = s_m / D with int s_m,
-    the sum of the hitters' weights, and the sums and products run on ints
-    over the one scale D^n, n the number of masks: a set of t masks carries
-    its product of s_m times D^(n - t), an int, since t <= n.
+    The hitters' mu share one denominator D, their lcm, so S_m = s_m / D
+    with int s_m, and the sums and products run on ints over the one scale
+    D^n, n the number of masks: a set of t masks carries its product of s_m
+    times D^(n - t), an int, since t <= n.
     SizeGuardError past MASK_GUARD distinct masks.
     """
     hits: dict[int, int] = {}
     for j, z in enumerate(events[b_index]):
         for i in holders[bisect_left(lits, -z):bisect_right(lits, -z)]:
             hits[i] = hits.get(i, 0) | 1 << j
+    denominator = math.lcm(*{denominators[i] for i in hits})
     sums: dict[int, int] = {}
     for i, mask in hits.items():
-        sums[mask] = sums.get(mask, 0) + weights[i]
+        sums[mask] = sums.get(mask, 0) + numerators[i] * (denominator // denominators[i])
     if len(sums) > MASK_GUARD:
         raise SizeGuardError(
             f"event {b_index} is hit at {len(sums)} distinct masks, guard is {MASK_GUARD}")
@@ -120,8 +121,8 @@ def _orderable_sum(b_index: int, events: Sequence[Event], weights: Sequence[int]
         return total
 
     scale = denominator ** len(masks)
-    return Fraction(weights[b_index] * scale + denominator * grow([], scale, 0),
-                    denominator * scale)
+    return (Fraction(numerators[b_index], denominators[b_index])
+            + Fraction(grow([], scale, 0), scale))
 
 
 def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
@@ -141,13 +142,13 @@ def harris_check(events: Sequence[Event], mu: Sequence[Fraction],
     if not all(0 <= x <= 1 for x in p):
         raise DomainError("probabilities must lie in [0, 1]")
     lits, holders = literal_index(events, max(map(abs, chain.from_iterable(events)), default=0))
-    denominator = math.lcm(*[x.denominator for x in mu])  # a list: see hj_family._bits
-    weights = [x.numerator * (denominator // x.denominator) for x in mu]
+    numerators = [x.numerator for x in mu]
+    denominators = [x.denominator for x in mu]
 
     margins = []
     for b_index in range(len(events)):
-        margin = mu[b_index] - p[b_index] * _orderable_sum(b_index, events, weights, denominator,
-                                                           lits, holders)
+        margin = mu[b_index] - p[b_index] * _orderable_sum(b_index, events, numerators,
+                                                           denominators, lits, holders)
         if margin < 0:
             return HarrisVerdict(False, b_index, margin)
         margins.append(margin)

@@ -3,29 +3,23 @@
 The sign decisions Q > 0 must be error-free, so all arithmetic is exact,
 on integers.  One memoized function evaluates Y_W, an integer multiple of
 Z_W (defined below), on vertex sets W held as ints, bit v for vertex v.
-Put every p_v over one denominator D, the lcm of the denominators of p in
-lowest terms, so p_v = c_v / D with int c_v, and Y_W = Z_W * D^|W|.
+Write p_v = a_v / d_v in lowest terms and Y_W = Z_W * prod_{u in W} d_u.
 With v the least vertex of W, N[v] = {v} + N(v) and C its component in
 G[W] (a bit BFS that starts from N[v] & W and stops once C = W),
 Z_W = Z_C * Z_{W - C} if C != W, else
-Z_W = Z_{W - v} - p_v * Z_{W - N[v]}; multiplying by D^|W| gives
+Z_W = Z_{W - v} - p_v * Z_{W - N[v]}; multiplying by prod_W d_u gives
 
     Y_W = Y_C * Y_{W - C}                                  if C != W,
-    Y_W = D * Y_{W - v} - c_v * D^deg * Y_{W - N[v]}        otherwise,
+    Y_W = d_v * Y_{W - v} - a_v * D(v, W) * Y_{W - N[v]}   otherwise,
 
-where deg = |N(v) & W|, from Y_empty = 1.  D^|W| is positive, so Y_W has
-the sign of Z_W, and every sign test reads Y_W directly.  A Fraction is
-formed only where a value leaves the engine: independence_polynomial
-returns Z_V = Y_V / D^n, and a witness value is
-Q(G, S, p) = prod_S c_v * Y_R / D^(|S| + |R|), both exact.  Under one
-uniform p = a/d, D = d and c_v = a.  The one scale costs where the
-denominators share no factors, since Y_W then carries D^|W| in place of
-prod_W d_u: with distinct primes >= 101 as denominators, three verdicts on
-G(40, 0.15) took 0.13 s against 0.04 s on per-vertex scales, and three on
-G(60, 0.2) 5.9 s against 1.1 s (CPython 3.11, 2 shared vCPUs).  Uniform
-p, which every CNF, hj and benchmark input has, keeps the per-vertex
-values, and it and p_v = s / (deg v + 1) ran a few percent faster.  The
-tests keep a direct subset enumeration as an independent oracle.
+where D(v, W) = prod_{u in N(v) & W} d_u, from Y_empty = 1.  Each scale
+prod_W d_u is positive, so Y_W has the sign of Z_W, and every sign test
+reads Y_W directly.  (One common scale D^|W|, D the lcm of the d_v, would
+also do, but its values grow much faster when the d_v differ.)  A Fraction
+is formed only where a value leaves the engine: independence_polynomial
+returns Z_V = Y_V / prod_V d_u, and a witness value is
+Q(G, S, p) = prod_S a_v * Y_R / prod_{S + R} d_u, both exact.  The tests
+keep a direct subset enumeration as an independent oracle.
 
 Shearer verdicts are decided along one chain of vertex sets.  Write
 Z_W = Q(G[W], empty, p) = sum over independent T <= W of prod_{i in T} (-p_i),
@@ -68,7 +62,6 @@ earlier child's subtree); either way it precedes T, which is impossible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -118,12 +111,11 @@ def _vertices(mask: int):
 
 
 class _QEngine:
-    """Memoized Y_W = Z_W * D^|W| for vertex sets W given as int masks."""
+    """Memoized Y_W = Z_W * prod_{u in W} d_u for vertex sets W given as int masks."""
 
     def __init__(self, graph: DepGraph, probs: list[Fraction]):
-        # A list, not a generator, to unpack: see hj_family._bits.
-        self.denominator = denominator = math.lcm(*[x.denominator for x in probs])
-        self.weights = [x.numerator * (denominator // x.denominator) for x in probs]
+        self.numerators = [x.numerator for x in probs]
+        self.denominators = [x.denominator for x in probs]
         self.closed = [sum(map((1).__lshift__, nbrs), 1 << v)
                        for v, nbrs in enumerate(graph.adjacency)]
         self.memo: dict[int, int] = {0: 1}
@@ -148,18 +140,31 @@ class _QEngine:
         if component != mask:
             result = self.q(component) * self.q(mask & ~component)
         else:
-            d = self.denominator
-            degree = (mask & closed[v]).bit_count() - 1  # |N(v) & W|
-            result = (d * self.q(mask ^ low)
-                      - self.weights[v] * d ** degree * self.q(mask & ~closed[v]))
+            denominators = self.denominators
+            coefficient = self.numerators[v]  # a_v * D(v, W)
+            neighbours = mask & closed[v] ^ low
+            while neighbours:
+                bit = neighbours & -neighbours
+                coefficient *= denominators[bit.bit_length() - 1]
+                neighbours ^= bit
+            result = (denominators[v] * self.q(mask ^ low)
+                      - coefficient * self.q(mask & ~closed[v]))
         self.memo[mask] = result
         return result
+
+    def scale(self, mask: int) -> int:
+        """prod_{u in mask} d_u, so that Z_W = Fraction(q(W), scale(W))."""
+        product = 1
+        for u in _vertices(mask):
+            product *= self.denominators[u]
+        return product
 
 
 def independence_polynomial(graph: DepGraph, p: ProbabilityVector) -> Fraction:
     """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
     engine = _QEngine(graph, _check_probabilities(graph, p))
-    return Fraction(engine.q((1 << graph.n) - 1), engine.denominator ** graph.n)
+    vertices = (1 << graph.n) - 1
+    return Fraction(engine.q(vertices), engine.scale(vertices))
 
 
 def _chain_fails(engine: _QEngine, region: int) -> bool:
@@ -186,7 +191,7 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
     if not _chain_fails(engine, region):
         return ShearerVerdict(True)
     witness: tuple[int, ...] = ()
-    numerator = 1  # prod_{v in S} c_v
+    numerator = 1  # prod_{v in S} a_v
     while engine.q(region) > 0:
         # A v below max S never qualifies (its violating sets would precede
         # S), so skipping it only saves chain tests.
@@ -199,9 +204,9 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
             raise CertificationError("the suffix chain has Z <= 0 but no independent set "
                                      "violates Shearer's condition")
         witness += (v,)
-        numerator *= engine.weights[v]
+        numerator *= engine.numerators[v]
         region = child
-    # Q(G, S, p) = prod_S c_v / D^|S| * Y_R / D^|R|.
+    # Q(G, S, p) = prod_S a_v / prod_S d_v * Y_R / prod_R d_u, with S and R disjoint.
     value = Fraction(numerator * engine.q(region),
-                     engine.denominator ** (len(witness) + region.bit_count()))
+                     engine.scale(region | sum(1 << v for v in witness)))
     return ShearerVerdict(False, witness=witness, witness_value=value)

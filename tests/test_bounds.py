@@ -124,7 +124,8 @@ def test_orderable_sets_match_the_ordering_search():
         margins = []
         for b in range(len(events)):
             total = sum(math.prod(mu[i] for i in y) for y in orderable_sets_by_search(b, events))
-            assert _orderable_sum(b, events, weights, 16, lits, holders) == total, (events, mu, b)
+            assert _orderable_sum(b, events, weights, [16] * len(events),
+                                  lits, holders) == total, (events, mu, b)
             margins.append(mu[b] - p[b] * total)
         failing = [b for b, margin in enumerate(margins) if margin < 0]
         expected = ((False, failing[0], margins[failing[0]]) if failing
@@ -136,8 +137,8 @@ def test_orderable_sets_match_the_ordering_search():
 
 
 def test_harris_margin_on_denominators_that_do_not_divide_each_other():
-    # harris_check puts every mu over their lcm; a scale that is not a
-    # multiple of each denominator would show as a wrong margin.
+    # Each B's sum puts its hitters' mu over their lcm; a scale that is not
+    # a multiple of each denominator would show as a wrong margin.
     rng = random.Random(16)
     for _ in range(100):
         k = rng.randint(2, 3)
@@ -163,7 +164,7 @@ def test_harris_margin_on_denominators_that_do_not_divide_each_other():
 def test_orderable_set_totals_at_the_event_guard(k, total):
     events = random_events(random.Random(k), k, 5, 16)
     lits, holders = literal_index(events, 5)
-    assert sum(_orderable_sum(b, events, [1] * 16, 1, lits, holders) for b in range(16)) == total
+    assert sum(_orderable_sum(b, events, [1] * 16, [1] * 16, lits, holders) for b in range(16)) == total
 
 
 def test_orderable_guard():
@@ -273,7 +274,7 @@ def test_orderable_sum_of_extremal_clause_zero(L):
     events = events_from_formula(formula)
     mu = Fraction(1, 3 * L)
     lits, holders = literal_index(events, formula.variable_count)
-    assert _orderable_sum(0, events, [1] * len(events), 3 * L, lits, holders) == (
+    assert _orderable_sum(0, events, [1] * len(events), [3 * L] * len(events), lits, holders) == (
         mu + (1 + (L - 1) * mu) ** 9)
 
 

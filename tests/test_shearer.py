@@ -56,9 +56,7 @@ def test_engine_matches_bruteforce(rng):
                 == independence_polynomial_bruteforce(graph, (), p))
 
 
-# Pairwise coprime, so the engine's one denominator D, their lcm over all
-# of p, is their product, and D / d_v > 1 for every v: a slip that puts d_v
-# where D belongs shows.
+# Pairwise coprime, so every vertex set W has its own scale prod_{u in W} d_u.
 COPRIME_DENOMINATORS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -78,8 +76,8 @@ def degree_probabilities(rng, graph):
 
 
 def test_engine_on_coprime_denominators_matches_enumeration(rng):
-    # A slip in scaling Y_W by D^|W| shows as a wrong Z_V, a wrong witness
-    # value or a flipped sign.
+    # A slip in the per-vertex scaling of Y_W shows as a wrong Z_V, a wrong
+    # witness value or a flipped sign.
     for probabilities in (coprime_probabilities, degree_probabilities):
         kinds = set()
         for _ in range(200):
@@ -99,45 +97,44 @@ def test_engine_on_coprime_denominators_matches_enumeration(rng):
         assert kinds == {"satisfied", "empty witness", "non-empty witness"}, probabilities
 
 
-def assert_engine_on_every_vertex_set(graph, p, denominator):
-    """q(W) = Z_W * denominator^|W| for every mask W, Z_W by enumeration."""
+def assert_engine_on_every_vertex_set(graph, p):
+    """q(W) = Z_W * prod_{u in W} d_u for every mask W, Z_W by enumeration."""
     engine = shearer._QEngine(graph, p)
     for mask in range(1 << graph.n):
         vertices = [v for v in range(graph.n) if mask >> v & 1]
         z = independence_polynomial_bruteforce(
             induced_subgraph(graph, vertices), (), [p[v] for v in vertices])
-        assert engine.q(mask) == z * denominator ** len(vertices), (
+        assert engine.q(mask) == z * math.prod(p[v].denominator for v in vertices), (
             graph.edges(), p, bin(mask))
 
 
 def test_engine_on_every_vertex_set(rng):
     # Every state the engine can reach, not only those on a verdict's path.
-    # D is the lcm of the denominators over all of p, not over W.  Under one
-    # p = a/d it is d: the values the memo has always held, so a change to
-    # them fails here.
+    # Under one p = a/d the scale is d^|W|.
     for _ in range(30):
         graph = random_graph(rng, max_vertices=8)
-        p = coprime_probabilities(rng, graph)
-        assert_engine_on_every_vertex_set(graph, p, math.lcm(*(x.denominator for x in p)))
+        assert_engine_on_every_vertex_set(graph, coprime_probabilities(rng, graph))
         uniform = Fraction(rng.randint(1, 8), rng.choice((9, 10, 12, 101)))
-        assert_engine_on_every_vertex_set(graph, [uniform] * graph.n, uniform.denominator)
+        assert_engine_on_every_vertex_set(graph, [uniform] * graph.n)
 
 
-@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's tuple free lists")
-def test_engine_does_not_fill_the_tuple_free_lists():
-    # The lcm of the denominators unpacks its arguments into a tuple; one
-    # built from a generator is over-allocated and shrunk, and CPython's free
-    # list for length n < 20 keeps each one released: a generator there left
-    # about 2700 blocks after 300 rounds, and the benchmark's peak RSS grew.
-    cases = [(DepGraph.from_edges(n, [(u, u + 1) for u in range(n - 1)]),
-              [Fraction(1, 9)] * n) for n in range(10, 20)]
-    for graph, p in cases:
-        shearer._QEngine(graph, p)
-    before = sys.getallocatedblocks()
-    for _ in range(300):
-        for graph, p in cases:
-            shearer._QEngine(graph, p)
-    assert sys.getallocatedblocks() - before < 100
+def test_engine_values_stay_within_their_per_vertex_scale(rng):
+    # |Z_W| <= prod_W (1 + p_u) <= 2^|W|, so Y_W has at most |W| bits more
+    # than prod_W d_u.  One scale D^|W|, D the lcm over all of p, would give
+    # every Y_W |W| times the bits of all 40 denominators here, and the
+    # engine's time would grow with them.
+    primes = [d for d in range(101, 1000) if all(d % f for f in range(2, 32))]
+    n = 40
+    graph = DepGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < 0.15])
+    p = [Fraction(rng.randint(1, d // 10), d) for d in rng.sample(primes, n)]
+    engine = shearer._QEngine(graph, p)
+    for v in range(n):
+        engine.q((1 << n) - (1 << v))
+    assert len(engine.memo) > n
+    for mask, value in engine.memo.items():
+        assert value.bit_length() <= 1 + sum(p[u].denominator.bit_length() + 1
+                                             for u in shearer._vertices(mask)), bin(mask)
 
 
 @pytest.mark.parametrize("n,edges", [
@@ -149,7 +146,7 @@ def test_engine_does_not_fill_the_tuple_free_lists():
 def test_engine_on_every_vertex_set_by_hand(n, edges):
     graph = DepGraph.from_edges(n, edges)
     p = [Fraction(v + 1, d) for v, d in enumerate(COPRIME_DENOMINATORS[:n])]
-    assert_engine_on_every_vertex_set(graph, p, math.prod(COPRIME_DENOMINATORS[:n]))
+    assert_engine_on_every_vertex_set(graph, p)
 
 
 def test_independence_polynomial_at_the_ends_of_the_interval(rng):
