@@ -13,6 +13,14 @@ class SizeGuardError(SatLllError):
     """A configurable size guard (vertices, clauses, enumeration cap) was exceeded."""
 
 
+def guard_count(n: int, guard: int) -> str:
+    """n, or "more than guard" when str() refuses n's digits (the int-string limit)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"more than {guard}"
+
+
 class CertificationError(SatLllError):
     """A comparison could not be certified at the working precision.
 
@@ -28,10 +36,7 @@ class CertificationError(SatLllError):
 
 
 class DimacsError(SatLllError):
-    """Malformed DIMACS input.  Carries the 1-based line number when known."""
+    """Malformed DIMACS input.  The message starts with the 1-based line number when known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")

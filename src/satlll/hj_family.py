@@ -86,11 +86,12 @@ When fact 4 finds no witness, the iteration itself decides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CertificationError, DomainError, SizeGuardError
+from .errors import CertificationError, DomainError, SizeGuardError, guard_count
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 
@@ -100,8 +101,6 @@ DEFAULT_H_VERTEX_GUARD = 200
 @dataclass(frozen=True)
 class HGraph:
     graph: DepGraph
-    root_left: tuple[int, ...]
-    root_right: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,13 +117,6 @@ class FixedPointReport:
     threshold: float
 
 
-def h_vertex_count(j: int, k: int, L: int) -> int:
-    n = 0
-    for _ in range(j):
-        n = 2 * (L - 1) * (1 + (k - 1) * n)
-    return n
-
-
 def _check_params(k: int, L: int, j: int = 0):
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -135,26 +127,25 @@ def _check_params(k: int, L: int, j: int = 0):
 
 
 def _h_structure(j: int, k: int, L: int, root: tuple[int, int], offset: int,
-                 edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Append the edges of a depth-j graph on vertices offset.. and return
-    (left root, right root, size).
+                 edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Append the edges of a depth-j graph on vertices offset.. and return (right root, size).
 
     Its root is a complete bipartite graph with halves of root = (left, right)
     sizes, and each root vertex is wired to the right root halves of k-1
     fresh copies of H_{j-1}: root (L-1, L-1) gives H_j, and (0, 1) gives H'_j.
     """
     if j == 0:
-        return (), (), 0
+        return (), 0
     left = tuple(range(offset, offset + root[0]))
     right = tuple(range(offset + root[0], offset + sum(root)))
     edges.extend((u, v) for u in left for v in right)
     cursor = offset + sum(root)
     for v in left + right:
         for _ in range(k - 1):
-            _, sub_right, sub_size = _h_structure(j - 1, k, L, (L - 1, L - 1), cursor, edges)
+            sub_right, sub_size = _h_structure(j - 1, k, L, (L - 1, L - 1), cursor, edges)
             edges.extend((v, u) for u in sub_right)
             cursor += sub_size
-    return left, right, cursor - offset
+    return right, cursor - offset
 
 
 def _build(label: str, root: tuple[int, int], j: int, k: int, L: int,
@@ -162,20 +153,27 @@ def _build(label: str, root: tuple[int, int], j: int, k: int, L: int,
     """The graph _h_structure gives for root, or SizeGuardError past vertex_guard.
 
     A root (a, b) carries (a + b)(1 + (k-1) |H_{j-1}|) vertices, none at
-    j = 0.  Both H_j and H'_j have at least j vertices, so j > vertex_guard
-    is over the guard without counting: the guard bounds the counting work too.
+    j = 0.  The guard bounds the counting work: H_j and H'_j have at least
+    j vertices, and |H_i| at least doubles per level, so counting stops once
+    it is over the guard and too long to print (over 4 bits per allowed digit).
     """
     _check_params(k, L, j)
     label = f"{label}_{j}(k={k},L={L})"
     if j > vertex_guard:
         raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
-    n = sum(root) * (1 + (k - 1) * h_vertex_count(j - 1, k, L)) if j else 0
+    n = 0  # |H_{j-1}|, or a lower bound once counting stops
+    for _ in range(j - 1):
+        n = 2 * (L - 1) * (1 + (k - 1) * n)
+        if n > vertex_guard and n.bit_length() > 4 * sys.get_int_max_str_digits() > 0:
+            break
+    n = sum(root) * (1 + (k - 1) * n) if j else 0
     if n > vertex_guard:
-        raise SizeGuardError(f"{label} has {n} vertices, guard is {vertex_guard}")
+        raise SizeGuardError(f"{label} has {guard_count(n, vertex_guard)} vertices, "
+                             f"guard is {vertex_guard}")
     edges: list[tuple[int, int]] = []
-    left, right, size = _h_structure(j, k, L, root, 0, edges)
+    _, size = _h_structure(j, k, L, root, 0, edges)
     assert size == n
-    return HGraph(DepGraph.from_edges(n, edges), left, right)
+    return HGraph(DepGraph.from_edges(n, edges))
 
 
 def build_H(j: int, k: int, L: int,

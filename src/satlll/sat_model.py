@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .errors import DimacsError, DomainError, SizeGuardError
+from .errors import DimacsError, DomainError, SizeGuardError, guard_count
 
 DEFAULT_CLAUSE_GUARD = 200_000
 
@@ -83,8 +83,8 @@ def build_extremal_formula(k: int, L: int, r: int, clause_guard: int) -> Formula
         raise DomainError(f"stage count r must be >= 0, got {r}")
     total_clauses = r * (2 * L - 2)
     if total_clauses > clause_guard:
-        raise SizeGuardError(
-            f"construction would produce {total_clauses} clauses, guard is {clause_guard}")
+        count = guard_count(total_clauses, clause_guard)
+        raise SizeGuardError(f"construction would produce {count} clauses, guard is {clause_guard}")
 
     m = total_clauses * (k - 1) + 1 if r > 0 else 0
     literals = array("q", [0]) * (total_clauses * k)

@@ -79,18 +79,14 @@ class ShearerVerdict:
     witness_value: Optional[Fraction] = None
 
 
-def _check_probabilities(graph: DepGraph, p: ProbabilityVector,
-                         open_interval: bool = False) -> list[Fraction]:
+def _check_probabilities(graph: DepGraph, p: ProbabilityVector) -> list[Fraction]:
     if len(p) != graph.n:
         raise DomainError(f"probability vector length {len(p)} != {graph.n} vertices")
     # x = a/d in lowest terms with d > 0, so the range is checked on ints.
     probs = [x if type(x) is Fraction else Fraction(x) for x in p]
     for i, x in enumerate(probs):
-        if open_interval:
-            if not 0 < x.numerator < x.denominator:
-                raise DomainError(f"{_entry(i, x)} must lie in the open interval (0,1)")
-        elif not 0 <= x.numerator <= x.denominator:
-            raise DomainError(f"{_entry(i, x)} must lie in [0,1]")
+        if not 0 < x.numerator < x.denominator:
+            raise DomainError(f"{_entry(i, x)} must lie in the open interval (0,1)")
     return probs
 
 
@@ -161,7 +157,7 @@ class _QEngine:
 
 
 def independence_polynomial(graph: DepGraph, p: ProbabilityVector) -> Fraction:
-    """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i)."""
+    """Z_V = Q(G, empty, p) = sum over independent T of prod_{i in T} (-p_i), p in (0,1)^n."""
     engine = _QEngine(graph, _check_probabilities(graph, p))
     vertices = (1 << graph.n) - 1
     return Fraction(engine.q(vertices), engine.scale(vertices))
@@ -186,7 +182,7 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
     descent in the module docstring with at most n chain tests per vertex;
     it is () exactly when Z_V <= 0.
     """
-    engine = _QEngine(graph, _check_probabilities(graph, p, open_interval=True))
+    engine = _QEngine(graph, _check_probabilities(graph, p))
     region = (1 << graph.n) - 1
     if not _chain_fails(engine, region):
         return ShearerVerdict(True)

@@ -2,18 +2,18 @@
 
 Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
-component factorization, expansion over a pivot set, the normalized
-recurrence and its map g on exact rationals, the threshold curve ell, an
-occurrence count, the test of max phi_N >= 0 on interval logarithms and on
-normalised Fractions, Newton's bracket of its maximizer and the estimate of
-F_Shearer on mpmath floats, the gap's rhs by mpmath's division, one end of
-a power by square-and-multiply, the violated loop with every power cut to
-significant bits, the fixed-point iteration on interval objects, a binary
-search for F_Shearer, a search over orderings for the sets orderable to an
-event, the stage loop of the extremal construction, an exhaustive check of
-a lopsidependency graph over all 2^m assignments),
-so that tests can cross-check the production code against it.  The mpmath
-interval helpers they use live here too.
+component factorization, expansion over a pivot set, the closed form of
+|H_j|, the normalized recurrence and its map g on exact rationals, the
+threshold curve ell, an occurrence count, the test of max phi_N >= 0 on
+interval logarithms and on normalised Fractions, Newton's bracket of its
+maximizer and the estimate of F_Shearer on mpmath floats, the gap's rhs
+by mpmath's division, one end of a power by square-and-multiply, the
+violated loop with every power cut to significant bits, the fixed-point
+iteration on interval objects, a binary search for F_Shearer, a search
+over orderings for the sets orderable to an event, the stage loop of the
+extremal construction, an exhaustive check of a lopsidependency graph over
+all 2^m assignments), so that tests can cross-check the production code
+against it.  The mpmath interval helpers they use live here too.
 """
 
 from __future__ import annotations
@@ -213,6 +213,13 @@ def expansion_identity(graph: DepGraph, x: Iterable[int], p: ProbabilityVector,
             term *= -probs[v]
         total += term
     return total
+
+
+def h_vertex_count(j: int, k: int, L: int) -> int:
+    """|H_j| = b (a^j - 1) / (a - 1), a = 2(L-1)(k-1) and b = 2(L-1), which solves
+    |H_j| = b (1 + (k-1) |H_{j-1}|) from |H_0| = 0."""
+    a, b = 2 * (L - 1) * (k - 1), 2 * (L - 1)
+    return b * (a ** j - 1) // (a - 1)
 
 
 def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dima
                               dimacs_import)
 
 from conftest import MAX_ITER, MAX_STEPS
+from oracles import h_vertex_count
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +180,52 @@ def test_hj_guard(capsys):
     code, _, _ = run_cli(capsys, "--guard-vertices", "4",
                          "hj", "--j", "2", "--k", "2", "--L", "2")
     assert code == EXIT_GUARD
+
+
+HUGE = str(10 ** 4299)  # 4300 digits, the most that int() reads
+HUGE_K = str(9 * 10 ** 4299)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--guard-vertices", "15000", "hj", "--j", "15000", "--k", "2", "--L", "2"],
+     "H_15000(k=2,L=2) has more than 15000 vertices, guard is 15000"),
+    (["hj", "--j", "2", "--k", HUGE_K, "--L", "2"],
+     f"H_2(k={HUGE_K},L=2) has more than 40 vertices, guard is 40"),
+    (["construct", "--k", "2", "--L", HUGE, "--r", HUGE],
+     "construction would produce more than 200000 clauses, guard is 200000"),
+], ids=["hj-levels", "hj-k", "construct"])
+def test_a_count_too_long_to_print_is_refused_in_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (EXIT_GUARD, "", f"error: {message}\n")
+
+
+def test_the_longest_printable_count_is_printed(capsys):
+    # |H_14000| has 4215 digits, within the int-string limit.
+    count = h_vertex_count(14000, 2, 2)
+    assert len(str(count)) == 4215
+    assert run_cli(capsys, "--guard-vertices", "14000", "hj", "--j", "14000", "--k", "2",
+                   "--L", "2") == (EXIT_GUARD, "", f"error: H_14000(k=2,L=2) has {count} "
+                                   "vertices, guard is 14000\n")
+
+
+def test_a_guard_of_a_million_levels_stops_counting(capsys):
+    # The count at least doubles per level, so it is past the int-string
+    # limit after about 14300 of them.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--guard-vertices", "1000000",
+                             "hj", "--j", "1000000", "--k", "2", "--L", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (EXIT_GUARD, "", "error: H_1000000(k=2,L=2) has more than "
+                                "1000000 vertices, guard is 1000000\n")
+
+
+@pytest.mark.parametrize("argv,variable", [(["--guard-vertices", "0"], None),
+                                           (["--guard-clauses", "-1"], None),
+                                           ([], "SATLLL_GUARD_VERTICES")])
+def test_guards_must_be_positive(capsys, monkeypatch, argv, variable):
+    if variable:
+        monkeypatch.setenv(variable, "0")
+    assert run_cli(capsys, *argv, "bounds", "--k", "9") == (
+        EXIT_DOMAIN, "", "error: guards must be positive\n")
 
 
 @pytest.mark.parametrize("n,expected", [(900, (0, "SATISFIED\n", "")),
@@ -377,6 +425,19 @@ def test_bounds_json(capsys):
                    "witness": None, "details": {"lhs": 2, "rhs": rhs}}
     assert payload["harris_alpha"]["22"]["satisfied"] is True
     assert payload["harris_alpha"]["23"]["satisfied"] is False
+
+
+def test_bounds_at_k_2_is_out_of_domain_at_l_0(capsys):
+    assert run_cli(capsys, "bounds", "--k", "2") == (0, (
+        "F_LLL(2) = 0\n"
+        "F_MT(2) = 0\n"
+        "gap_inequality: True (lhs=0 rhs=-0.816060)\n"
+        "harris_alpha(L=0): out of domain\n"
+        "harris_alpha(L=1): alpha=0.50000000 satisfied=False\n"), "")
+    code, out, err = run_cli(capsys, "--format", "json", "bounds", "--k", "2")
+    assert (code, err) == (0, "")
+    assert '"0": null' in out
+    assert json.loads(out)["harris_alpha"] == {"0": None, "1": {"alpha": 0.5, "satisfied": False}}
 
 
 def test_f_lll_is_exact_past_53_bits(capsys):

@@ -15,14 +15,13 @@ from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph
 from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
-                              fixed_point_iteration, h_vertex_count, recurrence_sr,
-                              shearer_upper_bound)
+                              fixed_point_iteration, recurrence_sr, shearer_upper_bound)
 from satlll.shearer import independence_polynomial
 
 from conftest import MAX_ITER
 from oracles import (a_b_sequence, enclosures_by_powers, fixed_point_bounds_by_intervals,
                      fixed_point_iteration_by_intervals, fraction_bracket, g_function,
-                     maximizer_bracket_by_mpmath, phi_witness_by_fractions,
+                     h_vertex_count, maximizer_bracket_by_mpmath, phi_witness_by_fractions,
                      phi_witness_by_intervals, power_by_squaring, q_polynomial,
                      shearer_estimate_by_mpmath, shearer_upper_bound_by_bisection,
                      threshold_ell)
@@ -34,8 +33,7 @@ def q_uniform(hgraph, k):
 
 
 def test_h0_and_h1_shapes():
-    h0 = build_H(0, 3, 4)
-    assert h0.graph.n == 0 and h0.root_left == () and h0.root_right == ()
+    assert build_H(0, 3, 4).graph.n == 0
     h1 = build_H(1, 3, 4)
     # H_1 is exactly K_{L-1,L-1}
     assert h1.graph.n == 6
@@ -46,7 +44,6 @@ def test_hprime1_is_isolated_vertex():
     hp1 = build_Hprime(1, 4, 3)
     assert hp1.graph.n == 1
     assert hp1.graph.edges() == []
-    assert hp1.root_right == (0,)
 
 
 def test_h2_size_k2_L2():
@@ -66,14 +63,26 @@ def test_size_recurrences():
             previous = h
 
 
-def test_root_is_complete_bipartite():
-    h = build_H(2, 3, 3)
-    for u in h.root_left:
-        for v in h.root_right:
-            assert v in h.graph.adjacency[u]
-    for u in h.root_left:
-        for v in h.root_left:
-            assert v not in h.graph.adjacency[u] or u == v
+@pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_roots_come_first_and_copies_follow_in_order(k, L):
+    # The numbering embed_H_in_G's mapping relies on: H_j's left root is
+    # 0..L-2 and its right root L-1..2L-3, H'_j's root is vertex 0, and
+    # each root vertex in turn is wired to the right roots of its k-1 copies
+    # of H_{j-1}, numbered one after another after the root.
+    for j in range(1, 4):
+        size = h_vertex_count(j - 1, k, L)
+        for build, left, right in ((build_H, range(L - 1), range(L - 1, 2 * L - 2)),
+                                   (build_Hprime, range(0), range(1))):
+            adjacency = build(j, k, L, vertex_guard=292).graph.adjacency
+            start = len(left) + len(right)  # of the next copy
+            for v in (*left, *right):
+                expected = set(right if v in left else left)
+                for _ in range(k - 1):
+                    if size:
+                        expected.update(range(start + L - 1, start + 2 * L - 2))
+                    start += size
+                assert adjacency[v] == expected, (j, v)
+            assert start == len(adjacency)
 
 
 def test_recurrence_base_and_first_step():

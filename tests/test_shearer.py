@@ -149,18 +149,19 @@ def test_engine_on_every_vertex_set_by_hand(n, edges):
     assert_engine_on_every_vertex_set(graph, p)
 
 
-def test_independence_polynomial_at_the_ends_of_the_interval(rng):
-    # [0, 1] admits p_v = 0 and p_v = 1, whose d_v is 1.
-    assert independence_polynomial(k2(), [Fraction(1), Fraction(1)]) == -1
-    assert independence_polynomial(k2(), [Fraction(1), Fraction(0)]) == 0
-    assert (independence_polynomial(path3(), [Fraction(1), Fraction(2, 7), Fraction(1)])
-            == Fraction(-2, 7))
-    for _ in range(60):
-        graph = random_graph(rng, max_vertices=9)
-        p = [rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(1, 6), 7), Fraction(2, 9)))
-             for _ in range(graph.n)]
-        z = independence_polynomial(graph, p)
-        assert type(z) is Fraction and z == independence_polynomial_bruteforce(graph, (), p)
+@pytest.mark.parametrize("entry", [independence_polynomial, shearer_check])
+def test_both_entry_points_refuse_the_ends_of_the_interval(entry):
+    # Each vector's first entry at 0 or 1 is named, whatever type it came as.
+    for graph, p, message in (
+            (k2(), [Fraction(0), HALF], "p[0]=0"),
+            (k2(), [Fraction(1), HALF], "p[0]=1"),
+            (k2(), [HALF, Fraction(1)], "p[1]=1"),
+            (path3(), [Fraction(2, 7), Fraction(0), Fraction(1)], "p[1]=0"),
+            *((DepGraph.from_edges(1, []), [end], f"p[0]={Fraction(end)}")
+              for end in (0, 1.0, "0/5", Fraction(1)))):
+        with pytest.raises(DomainError) as excinfo:
+            entry(graph, p)
+        assert str(excinfo.value) == f"{message} must lie in the open interval (0,1)"
 
 
 def test_base_set_factorization(rng):
@@ -226,42 +227,29 @@ def test_shearer_edgeless_satisfied(rng):
     assert shearer_check(graph, p).satisfied
 
 
-def test_shearer_rejects_boundary_probabilities():
-    with pytest.raises(DomainError):
-        shearer_check(k2(), [Fraction(0), HALF])
-    with pytest.raises(DomainError):
-        shearer_check(k2(), [Fraction(1), HALF])
-
-
-# (value, open interval, message) of each vector [1/2, value, value] that is refused:
-# the first of the two bad entries is named.
-OUT_OF_RANGE = [(value, open_interval, f"p[1]={value} must lie in {interval}")
+# (value, message) of each vector [1/2, value, value] that is refused: the first of
+# the two bad entries is named.
+OUT_OF_RANGE = [(value, f"p[1]={value} must lie in the open interval (0,1)")
                 for value in (Fraction(-1, 3), Fraction(4, 3),
-                              Fraction(10 ** 4000 + 1, 10 ** 4000))
-                for open_interval, interval in ((True, "the open interval (0,1)"),
-                                                (False, "[0,1]"))]
-OUT_OF_RANGE += [(Fraction(end), True, f"p[1]={end} must lie in the open interval (0,1)")
-                 for end in (0, 1)]
+                              Fraction(10 ** 4000 + 1, 10 ** 4000), Fraction(0), Fraction(1))]
 
 
-@pytest.mark.parametrize("value,open_interval,message", OUT_OF_RANGE)
-def test_check_probabilities_names_the_first_entry_out_of_range(value, open_interval, message):
+@pytest.mark.parametrize("entry", [independence_polynomial, shearer_check])
+@pytest.mark.parametrize("value,message", OUT_OF_RANGE)
+def test_check_probabilities_names_the_first_entry_out_of_range(value, message, entry):
     graph = DepGraph.from_edges(3, [])
     with pytest.raises(DomainError) as excinfo:
-        shearer._check_probabilities(graph, [HALF, value, value], open_interval)
+        entry(graph, [HALF, value, value])
     assert str(excinfo.value) == message
 
 
 def test_check_probabilities_keeps_fractions_and_converts_the_rest():
     huge = Fraction(10 ** 4000 - 1, 10 ** 4000)
-    inside = [HALF, huge, 0.25, "3/7", Decimal("0.1")]
-    expected = [HALF, huge, Fraction(1, 4), Fraction(3, 7), Fraction(1, 10)]
-    ends = [0, 1.0, "0/5", Fraction(1)]
-    for p, open_interval, tail in ((inside, True, []), (inside + ends, False, [0, 1, 0, 1])):
-        probs = shearer._check_probabilities(DepGraph.from_edges(len(p), []), p, open_interval)
-        assert probs == expected + tail
-        assert all(type(x) is Fraction for x in probs)
-        assert probs[0] is HALF and probs[1] is huge
+    p = [HALF, huge, 0.25, "3/7", Decimal("0.1")]
+    probs = shearer._check_probabilities(DepGraph.from_edges(len(p), []), p)
+    assert probs == [HALF, huge, Fraction(1, 4), Fraction(3, 7), Fraction(1, 10)]
+    assert all(type(x) is Fraction for x in probs)
+    assert probs[0] is HALF and probs[1] is huge
 
 
 def test_independent_set_enumeration_is_lexicographic():

@@ -2,8 +2,10 @@
 
 Every public top-level name defined in a satlll module must be read, as an
 ``ast`` Name or Attribute, somewhere under src/satlll, or be kept for a
-stated reason below.  Re-exports in ``__init__`` do not count as reads, so
-a function that only tests call fails here: it belongs in tests/oracles.py.
+stated reason below, so a function that only tests call fails here: it
+belongs in tests/oracles.py.  One level down, every dataclass field, method
+and ``self.`` attribute of a class under src/satlll must be read as an
+attribute there, or be kept for a stated reason.
 
 Every defaulted parameter under src/satlll must be kept for a stated reason
 too: the CLI owns the defaults, so a library function takes each input it
@@ -11,6 +13,7 @@ computes on as a required argument.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import satlll
 
 SOURCES = sorted(Path(satlll.__file__).parent.glob("*.py"))
+SRC_STATS = Path(__file__).resolve().parents[1] / "tools" / "src_stats.py"
 
 KEPT = {
     "dependency_graph": "the benchmark's formula_resample workload and self-test call it",
@@ -50,8 +54,7 @@ def read_names(tree: ast.Module) -> set[str]:
 def surface() -> tuple[set[tuple[str, str]], set[str]]:
     """(module, name) for every public top-level name, and every name read."""
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    defined = {(module, name) for module, tree in trees.items() if module != "__init__"
-               for name in defined_names(tree)}
+    defined = {(module, name) for module, tree in trees.items() for name in defined_names(tree)}
     return defined, set().union(*map(read_names, trees.values()))
 
 
@@ -69,6 +72,64 @@ def test_every_kept_name_is_defined_and_unread():
     assert sorted(name for name in KEPT if name not in names or name in reads) == []
 
 
+KEPT_FIELDS = {
+    "DepGraph.edges": "the benchmark's self-test drops an edge through it",
+    "DepGraph.payloads": "the benchmark's self-test passes it through",
+    "HarrisVerdict.margin": "the exact margin, for the planned separate subcommand",
+    "EmbeddingResult.hgraph": "the H_j embedding's result, for the planned separate subcommand",
+    "EmbeddingResult.mapping": "the H_j embedding's result, for the planned separate subcommand",
+    "EmbeddingResult.verified": "the H_j embedding's result, for the planned separate subcommand",
+    "EmbeddingResult.stages": "the H_j embedding's result, for the planned separate subcommand",
+}
+
+
+def defined_fields(tree: ast.Module) -> set[str]:
+    """'Class.name' for every annotated field and non-dunder method in a class
+    body, and every attribute a method stores on self."""
+    found = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.add(f"{cls.name}.{node.target.id}")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("__")):
+                found.add(f"{cls.name}.{node.name}")
+        found.update(f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return found
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute loaded, as x.name or as getattr(x, "name", ...)."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def field_surface() -> tuple[set[str], set[str]]:
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    return set().union(*map(defined_fields, trees)), set().union(*map(read_attributes, trees))
+
+
+def test_every_field_is_read_under_src_or_kept_for_a_reason():
+    defined, reads = field_surface()
+    unread = sorted(field for field in defined
+                    if field.split(".")[1] not in reads and field not in KEPT_FIELDS)
+    assert unread == []
+
+
+def test_every_kept_field_is_defined_and_unread():
+    defined, reads = field_surface()
+    assert sorted(field for field in KEPT_FIELDS
+                  if field not in defined or field.split(".")[1] in reads) == []
+
+
 KEPT_DEFAULTS = {
     "main.argv": "the satlll console script calls main() with no arguments",
     "CertificationError.retry_precision": "raised both with and without a retry precision",
@@ -77,34 +138,19 @@ KEPT_DEFAULTS = {
     "_check_params.j": "fixed_point_iteration checks k and L, and has no j",
     "build_H.vertex_guard": "the benchmark and embed_H_in_G build H_j without a guard",
     "build_Hprime.vertex_guard": "the benchmark builds H'_j without a guard",
-    "_check_probabilities.open_interval": "its two callers pass different values",
 }
 
 
-def defaulted_parameters(tree: ast.Module) -> set[str]:
-    """'function.parameter' for every parameter with a default; a method is
-    named by its function, except __init__, which is named by its class."""
-    found = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                name = getattr(child, "name", "<lambda>")
-                name = owner if name == "__init__" else name
-                args = child.args
-                positional = args.posonlyargs + args.args
-                with_defaults = positional[len(positional) - len(args.defaults):]
-                with_defaults += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                                  if default is not None]
-                found.update(f"{name}.{arg.arg}" for arg in with_defaults)
-            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
-
-    visit(tree, None)
-    return found
+def load_src_stats():
+    spec = importlib.util.spec_from_file_location("src_stats", SRC_STATS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def all_defaulted_parameters() -> set[str]:
-    return set().union(*(defaulted_parameters(ast.parse(path.read_text())) for path in SOURCES))
+    walk = load_src_stats().defaulted_parameters
+    return set().union(*(walk(ast.parse(path.read_text())) for path in SOURCES))
 
 
 def test_every_defaulted_parameter_is_kept_for_a_reason():
@@ -115,11 +161,9 @@ def test_every_kept_default_is_still_a_default():
     assert sorted(KEPT_DEFAULTS.keys() - all_defaulted_parameters()) == []
 
 
-def test_src_stats_counts_the_listed_defaults():
-    # tools/src_stats.py prints the ROADMAP's figure with its own ast walk;
-    # the two walks must agree, so that figure and this list cannot drift.
-    script = Path(__file__).resolve().parents[1] / "tools" / "src_stats.py"
-    result = subprocess.run([sys.executable, str(script)], check=True,
+def test_src_stats_prints_the_number_of_listed_defaults():
+    # The ROADMAP's figure is the number of reasons listed above.
+    result = subprocess.run([sys.executable, str(SRC_STATS)], check=True,
                             capture_output=True, text=True)
     figures = dict(line.split("\t") for line in result.stdout.splitlines())
-    assert int(figures["defaulted_parameters"]) == len(all_defaulted_parameters())
+    assert int(figures["defaulted_parameters"]) == len(KEPT_DEFAULTS)
