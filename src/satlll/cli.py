@@ -284,10 +284,33 @@ def cmd_mt(args):
                    if stats.terminated else None}
     lines = [f"terminated={stats.terminated} resamples={stats.steps} "
              f"satisfies={satisfies}"]
-    if stats.terminated:  # "1=T 2=F ...": one % over the whole line
-        pairs = zip(range(1, m + 1), values.translate(_LETTERS).decode())
-        lines.append(("%d=%s " * m)[:-1] % tuple(chain.from_iterable(pairs)))
+    if stats.terminated:
+        lines.append(_assignment_line(values))
     return 0, "\n".join(lines) + "\n"
+
+
+def _assignment_line(values: bytes) -> str:
+    """"1=T 2=F ...", written by byte columns.
+
+    The variables v of d digits, lo = 10^(d-1) <= v < hi, take records
+    "v=X " of d + 3 bytes, so each record offset is one strided slice: digit
+    i of v, from the right, at offset d-1-i, runs through the cycle
+    "0"*10^i ... "9"*10^i entered at lo mod 10^(i+1); "=", the letter and
+    the space follow.
+    """
+    letters, line, lo, d = values.translate(_LETTERS), bytearray(), 1, 1
+    while lo <= len(values):
+        hi = min(10 * lo, len(values) + 1)
+        n, size = hi - lo, d + 3
+        group = bytearray(b"=? ".rjust(size)) * n
+        group[d + 1::size] = letters[lo - 1:hi - 1]
+        for i in range(d):
+            cycle = b"".join(bytes([c]) * 10 ** i for c in b"0123456789")
+            start = lo % len(cycle)
+            group[d - 1 - i::size] = (cycle * ((start + n) // len(cycle) + 1))[start:start + n]
+        line += group
+        lo, d = hi, d + 1
+    return line[:-1].decode()
 
 
 def cmd_bounds(args):

@@ -79,7 +79,7 @@ def literal_index(events: Sequence[Event], m: int) -> tuple[list[int], list[int]
     if lits and (lits[0] < -m or lits[-1] > m or lits[zero:zero + 1] == [0]):
         z = next(z for z in flat if not 0 < abs(z) <= m)
         raise DomainError(f"event mentions variable {abs(z)}, outside [1, {m}]")
-    owner = list(chain.from_iterable(map(repeat, range(len(events)), map(len, events))))
+    owner = [i for i, event in enumerate(events) for _ in event]
     return lits, list(map(owner.__getitem__, order))
 
 

@@ -48,7 +48,10 @@ class Formula:
         if len(values) != self.variable_count:
             raise DomainError(f"{len(values)} values for {self.variable_count} variables")
         truth = bytes(map(truth_table(values).__getitem__, self.literals))
-        return all(map(any, zip(*[iter(truth)] * self.width)))  # any over each clause
+        ored = 0  # byte i is nonzero iff clause i has a true literal
+        for j in range(self.width):
+            ored |= int.from_bytes(truth[j::self.width], "little")
+        return 0 not in ored.to_bytes(self.clause_count, "little")
 
 
 _NOT = bytes([1, 0]) + bytes(254)  # 0 <-> 1, for the values of the negative literals
@@ -82,11 +85,13 @@ def build_extremal_formula(k: int, L: int, r: int, clause_guard: int) -> Formula
     if r < 0:
         raise DomainError(f"stage count r must be >= 0, got {r}")
     total_clauses = r * (2 * L - 2)
-    if total_clauses > clause_guard:
-        count = guard_count(total_clauses, clause_guard)
-        raise SizeGuardError(f"construction would produce {count} clauses, guard is {clause_guard}")
-
     m = total_clauses * (k - 1) + 1 if r > 0 else 0
+    # Both counts are bounded, as mt and check-shearer bound what they read.
+    for count, noun in ((total_clauses, "clauses"), (m, "variables")):
+        if count > clause_guard:
+            raise SizeGuardError(f"construction would produce {guard_count(count, clause_guard)} "
+                                 f"{noun}, guard is {clause_guard}")
+
     literals = array("q", [0]) * (total_clauses * k)
     signed = chain.from_iterable(zip(range(1, r + 1), range(-1, -r - 1, -1)))  # 1, -1, 2, ...
     literals[::k] = array("q", chain.from_iterable(map(repeat, signed, repeat(L - 1))))

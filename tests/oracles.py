@@ -12,8 +12,9 @@ violated loop with every power cut to significant bits, the fixed-point
 iteration on interval objects, a binary search for F_Shearer, a search
 over orderings for the sets orderable to an event, the stage loop of the
 extremal construction, an exhaustive check of a lopsidependency graph over
-all 2^m assignments), so that tests can cross-check the production code
-against it.  The mpmath interval helpers they use live here too.
+all 2^m assignments, satisfaction by any over each clause, mt's assignment
+line by one % over the whole line), so that tests can cross-check the
+production code against it.  The mpmath interval helpers they use live here too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import mpmath
@@ -306,6 +307,19 @@ def extremal_formula_by_stages(k: int, L: int, r: int):
         clause_count += 2 * L - 2
     formula = Formula(width=k, variable_count=next_var - 1 if r > 0 else 0, literals=literals)
     return formula, parent, added
+
+
+def satisfied_clause_by_clause(formula: Formula, values: bytes) -> bool:
+    """Some literal of each clause is true, where values[v-1] is x_v."""
+    return all(any(values[abs(z) - 1] == (z > 0) for z in formula.clause(i))
+               for i in range(formula.clause_count))
+
+
+def assignment_line_by_format(values: bytes) -> str:
+    """mt's line "1=T 2=F ...", by one % over the whole line."""
+    m = len(values)
+    pairs = zip(range(1, m + 1), values.translate(bytes.maketrans(b"\0\1", b"FT")).decode())
+    return ("%d=%s " * m)[:-1] % tuple(chain.from_iterable(pairs))
 
 
 def max_degree(graph: DepGraph) -> int:

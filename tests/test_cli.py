@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dima
                               dimacs_import)
 
 from conftest import MAX_ITER, MAX_STEPS
-from oracles import h_vertex_count
+from oracles import assignment_line_by_format, h_vertex_count
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,17 @@ def test_construct_guard_exit(capsys):
     assert code == EXIT_GUARD
 
 
+@pytest.mark.parametrize("k, count", [("1000000000000000000000", "1999999999999999999999"),
+                                      ("100000000", "199999999")])
+def test_construct_refuses_a_width_past_the_variable_guard(capsys, k, count):
+    # Two clauses only, but more variables than mt --cnf would read.
+    start = time.perf_counter()
+    result = run_cli(capsys, "construct", "--k", k, "--L", "2", "--r", "1")
+    assert time.perf_counter() - start < 1
+    assert result == (EXIT_GUARD, "", f"error: construction would produce {count} variables, "
+                      "guard is 200000\n")
+
+
 def test_check_shearer_violated_graph(capsys, tmp_path):
     target = tmp_path / "k2.json"
     target.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}))
@@ -193,7 +205,9 @@ HUGE_K = str(9 * 10 ** 4299)
      f"H_2(k={HUGE_K},L=2) has more than 40 vertices, guard is 40"),
     (["construct", "--k", "2", "--L", HUGE, "--r", HUGE],
      "construction would produce more than 200000 clauses, guard is 200000"),
-], ids=["hj-levels", "hj-k", "construct"])
+    (["construct", "--k", HUGE_K, "--L", "2", "--r", "1"],
+     "construction would produce more than 200000 variables, guard is 200000"),
+], ids=["hj-levels", "hj-k", "construct", "construct-k"])
 def test_a_count_too_long_to_print_is_refused_in_one_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (EXIT_GUARD, "", f"error: {message}\n")
 
@@ -395,6 +409,28 @@ def test_mt_output_equals_per_variable_formatting(capsys, tmp_path, text, max_st
             if max_steps == "5":
                 assert (json.loads(out)["assignment"] is None if json_format
                         else out.startswith("terminated=False") and out.count("\n") == 1)
+
+
+def test_assignment_line_matches_one_format():
+    # Every group boundary up to seven digits, each digit count's first and
+    # last variable, and a group that holds one variable.
+    counts = [*range(1201), *(10 ** d + e for d in range(1, 7) for e in (-1, 0, 1))]
+    low_bit = bytes(i & 1 for i in range(256))
+    for m in counts:
+        values = random.Random(m).randbytes(m).translate(low_bit)
+        assert cli._assignment_line(values) == assignment_line_by_format(values), m
+
+
+def test_mt_prints_a_six_digit_assignment_line(capsys, tmp_path):
+    formula = build_extremal_formula(9, 22, 300, DEFAULT_CLAUSE_GUARD)
+    assert formula.variable_count == 100_801
+    target = tmp_path / "x9_22_300.cnf"
+    target.write_text(dimacs_export(formula))
+    code, out, err = run_cli(capsys, "mt", "--cnf", str(target), "--seed", "7")
+    values, _ = moser_tardos.run_mt(events_from_formula(formula), formula.variable_count,
+                                    moser_tardos.SelectionRule.FIRST_INDEX, 7, MAX_STEPS)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [assignment_line_by_format(values)]
 
 
 def test_check_shearer_empty_formula(capsys, tmp_path):

@@ -12,6 +12,7 @@ from satlll.moser_tardos import (COIN_CHUNK, RunStats, SelectionRule, coin_strea
                                  fair_coins, run_mt)
 
 from conftest import MAX_STEPS, random_formula, random_low_occurrence_formula
+from oracles import satisfied_clause_by_clause
 
 FIRST_INDEX = SelectionRule.FIRST_INDEX
 
@@ -159,11 +160,6 @@ def test_unknown_rule_is_refused():
         run_mt([(-1,)], 1, "first-index", 0, MAX_STEPS)
 
 
-def satisfies(formula, values):
-    return all(any(values[abs(v) - 1] == (v > 0) for v in formula.clause(i))
-               for i in range(formula.clause_count))
-
-
 def test_zero_events_returns_initial_assignment():
     values, stats = run_mt([], 4, FIRST_INDEX, 7, MAX_STEPS)
     assert type(values) is bytes and len(values) == 4 and set(values) <= {0, 1}
@@ -218,7 +214,7 @@ def test_terminated_assignment_satisfies_formula(rng):
         events = events_from_formula(formula)
         values, stats = run_mt(events, formula.variable_count, FIRST_INDEX, trial, MAX_STEPS)
         assert stats.terminated
-        assert satisfies(formula, values) and formula.is_satisfied_by(values)
+        assert satisfied_clause_by_clause(formula, values) and formula.is_satisfied_by(values)
         assert not any(holds(e, values) for e in events)
 
 

@@ -10,7 +10,8 @@ from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, EMPTY_WIDTH, Formula, build_
                               dimacs_export, dimacs_import)
 
 from conftest import random_formula
-from oracles import extremal_formula_by_stages, occurrences, validate_occurrences
+from oracles import (extremal_formula_by_stages, occurrences, satisfied_clause_by_clause,
+                     validate_occurrences)
 
 
 def test_formula_refuses_repeated_variable():
@@ -34,11 +35,6 @@ def test_formula_layout_and_satisfaction():
     assert Formula(width=3, variable_count=0, literals=array("q")).is_satisfied_by(b"")
 
 
-def satisfied_by_brute_force(formula, values):
-    return all(any(values[abs(z) - 1] == (z > 0) for z in formula.clause(i))
-               for i in range(formula.clause_count))
-
-
 def test_satisfaction_matches_brute_force():
     seen = set()
     for case in range(600):
@@ -51,12 +47,42 @@ def test_satisfaction_matches_brute_force():
             for z in formula.clause(rng.randrange(formula.clause_count)):
                 values[abs(z) - 1] = z < 0
         values = bytes(values)
-        expected = satisfied_by_brute_force(formula, values)
+        expected = satisfied_clause_by_clause(formula, values)
         assert formula.is_satisfied_by(values) == expected, case
         seen.add((formula.clause_count > 0, expected))
     assert seen == {(False, True), (True, True), (True, False)}
-    for m in range(4):
-        assert Formula(3, m, array("q")).is_satisfied_by(bytes(m))
+    for k in range(2, 10):  # no clauses: all([]) holds, as no byte of the OR is 0
+        for m in range(4):
+            assert Formula(k, m, array("q")).is_satisfied_by(bytes(m))
+
+
+def formula_false_only_at(rng, k, m, n, false_clause):
+    """(formula, values): n random width-k clauses on m variables, of which
+    values falsify exactly the one at index false_clause."""
+    values = bytes(rng.getrandbits(1) for _ in range(m))
+    literals = []
+    for i in range(n):
+        clause = [v if rng.getrandbits(1) else -v for v in rng.sample(range(1, m + 1), k)]
+        if i == false_clause:
+            clause = [v if values[v - 1] == 0 else -v for v in map(abs, clause)]
+        elif not any(values[abs(z) - 1] == (z > 0) for z in clause):
+            clause[rng.randrange(k)] *= -1  # now true
+        literals += clause
+    return Formula(k, m, array("q", literals)), values
+
+
+def test_satisfaction_by_columns_matches_any_per_clause():
+    # One false clause, at the first and at the last position, and none:
+    # the OR of the slot columns must find it in the low and the high byte.
+    rng = random.Random(35)
+    for k in range(2, 10):
+        for n in (1, 2, 7, 300):
+            for false_clause in dict.fromkeys((0, n - 1, None)):
+                formula, values = formula_false_only_at(rng, k, rng.randint(k, 3 * k), n,
+                                                        false_clause)
+                expected = false_clause is None
+                assert satisfied_clause_by_clause(formula, values) == expected
+                assert formula.is_satisfied_by(values) == expected, (k, n, false_clause)
 
 
 def test_satisfaction_refuses_values_of_another_length():
@@ -143,6 +169,10 @@ def test_construction_fresh_variables_each_in_one_clause():
 def test_construction_guards():
     with pytest.raises(SizeGuardError):
         build_extremal_formula(3, 5, 100, clause_guard=10)
+    # 2 clauses, but 2(k-1) + 1 variables, which the guard bounds too.
+    with pytest.raises(SizeGuardError, match="would produce 11 variables, guard is 10$"):
+        build_extremal_formula(6, 2, 1, clause_guard=10)
+    assert build_extremal_formula(5, 2, 1, clause_guard=10).variable_count == 9
     with pytest.raises(DomainError):
         build_extremal_formula(1, 2, 1, DEFAULT_CLAUSE_GUARD)
     with pytest.raises(DomainError):

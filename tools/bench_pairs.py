@@ -17,7 +17,16 @@ a later call for another workload adds its entry and keeps the others.  An
 entry holds the settings, each pair's metrics on both sides, and per
 metric each side's median and quartiles (``statistics.quantiles``, n = 4,
 inclusive) and the change's wins: the pairs in which it read lower.  Ties
-count for neither.
+count for neither.  Each metric's verdict, by the pairing rule of the
+choosing-metrics guide, with its bound from BENCHMARK.json's end_to_end:
+
+- gain: the change wins at least nine tenths of the pairs, and the parent's
+  median exceeds the change's by more than the parent's q3 - q1;
+- worse: the change's median exceeds the parent's by more than the bound,
+  as a fraction of the parent's median;
+- unresolved: the parent's q3 - q1 exceeds the bound times its median;
+- within bound: every other case, the first that holds deciding.
+
 A run that fails or reports a failed operation stops the script.
 """
 
@@ -80,6 +89,19 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: dict[str, float], change: dict[str, float], wins: int, pairs: int,
+            bound: float) -> str:
+    """gain, worse, unresolved or within bound, for the summaries of one metric."""
+    spread = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * pairs and parent["median"] - change["median"] > spread:
+        return "gain"
+    if change["median"] > parent["median"] * (1 + bound):
+        return "worse"
+    if spread > bound * parent["median"]:
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.pairs < 2:
@@ -99,13 +121,18 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
                 for name in pair["parent"]), flush=True)
+    bounds = {metric["name"]: metric["bound"]
+              for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     metrics = {}
     for name in pairs[0]["parent"]:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        metrics[name] = {"parent": summary(parent), "change": summary(change),
-                         "change_wins": sum(c < p for p, c in zip(parent, change)),
-                         "ties": sum(c == p for p, c in zip(parent, change))}
+        entry = metrics[name] = {"parent": summary(parent), "change": summary(change),
+                                 "change_wins": sum(c < p for p, c in zip(parent, change)),
+                                 "ties": sum(c == p for p, c in zip(parent, change))}
+        entry["verdict"] = verdict(entry["parent"], entry["change"], entry["change_wins"],
+                                   len(pairs), bounds[name])
+        print(f"{name}: {entry['verdict']}")
     report["python"] = platform.python_version()
     report["workloads"][args.workload] = {
         "parent": sha, "seed": args.seed, "seconds": args.seconds, "trace": 0,

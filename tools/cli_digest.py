@@ -23,8 +23,9 @@ exit 3 on a repeated bad entry (out of range, an int, "1/0", a list), on
 the extremal formulas (3,3,4..9), (3,2,10), (2,2,12) and (9,22,100), and
 with --guard-vertices 5000 on (3,3,40), (2,2,400) and (9,22,100);
 construct to stdout at (2,2,0), (2,3,1), (12,3,5) and (9,22,200); hj on
-small (j, k, L); mt under each rule on those formulas and on (9,22,200)
-(67201 variables), on a file without clauses (p cnf 5 0), on a
+small (j, k, L); mt under each rule on those formulas, on (9,22,200)
+(67201 variables) and on (9,22,300) (100801 variables, constructed to a
+file only), on a file without clauses (p cnf 5 0), on a
 SATLIB-style file (c lines, a % ending) and on seeded random mixed-sign
 3-SAT and 4-SAT files in the benchmark's shape (0.6 and 1.2 clauses per
 variable, 300 and 600 clauses), two seeds each, and once with
@@ -242,11 +243,11 @@ def corpus():
         commands.append(["--guard-vertices", "5000", "check-shearer", "--cnf", name])
     commands += [["construct", "--k", str(k), "--L", str(L), "--r", str(r)]
                  for k, L, r in PRINTED]
-    commands.append(["--out", "x9_22_200.cnf", "construct", "--k", "9", "--L", "22",
-                     "--r", "200"])
+    commands += [["--out", f"x9_22_{r}.cnf", "construct", "--k", "9", "--L", "22",
+                  "--r", str(r)] for r in (200, 300)]  # five- and six-digit variables
     Path("empty.cnf").write_text("p cnf 5 0\n")
     commands += [["mt", "--cnf", name, "--rule", rule, "--seed", str(seed)]
-                 for name in ("x9_22_200.cnf", "empty.cnf") for rule in RULES
+                 for name in ("x9_22_200.cnf", "x9_22_300.cnf", "empty.cnf") for rule in RULES
                  for seed in (0, 7)]
     satlib = write_satlib_style()
     commands += [["mt", "--cnf", satlib, "--rule", rule, "--seed", str(seed)]
