@@ -1,16 +1,28 @@
 """The H_j / H'_j graph families, their recurrences, and the threshold curve.
 
-H_{j+1} is a fresh complete bipartite root K_{L-1,L-1} where every root
-vertex gains k-1 fresh copies of H_j, wired to the right half of each
-copy's root.  H'_{j+1} is a single vertex wired the same way.  Their
-independence-polynomial values at uniform probability p = 2^{-k},
+H_j is the lopsidependency graph of the extremal formula of
+S_j = sum_{d<j} ((2L-2)(k-1))^d stages, and H'_j its subgraph on clause 0
+and the clauses descending from it: the paper's H_{j+1} is a complete
+bipartite root K_{L-1,L-1} whose every vertex is wired to the right root
+halves of k-1 copies of H_j, and H'_{j+1} a single vertex wired the same
+way.  Proof: stage i expands variable i, and variables are numbered in
+clause order, so the stages run breadth first and the first S_j expand
+the variables of depth below j.  ~x_v lies only in the negative half of
+v's stage, and x_v only in its positive half and in the clause that
+introduced v.  So each stage's halves form a root K_{L-1,L-1}, a clause's
+k-1 fresh positive variables conflict only with the negative (right)
+halves of their own stages, and depth-j variables, never expanded, with
+nothing.  A clause of stage i >= 2 descends from clause (i-2) // (k-1),
+which introduced variable i; clause 0 with its descendants is H'_j.
+Their independence-polynomial values at uniform probability p = 2^{-k},
 
     s_j = Q(H_j),   r_j = Q(H'_j),
 
 obey a mutual recurrence whose normalized form a_j = r_j / s_{j-1}^{k-1}
 is a pure first-order iteration a_j = g(a_{j-1}).  Once a_j falls to
 2^{-2/(2L-2)} the Shearer condition fails for some H_j, hence for the
-extremal formula's lopsidependency graph.
+lopsidependency graph of any deeper extremal formula, whose first |H_j|
+clauses induce H_j.
 
 The threshold curve is ell(t) = 1 - ln(2-t) / ln u(t) with
 u(t) = 1 - c t^{1-k}, c = 2^{-k}, on the open domain (2^{-k/(k-1)}, 2),
@@ -89,11 +101,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .errors import CertificationError, DomainError, SizeGuardError, guard_count
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from .sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
+from .sat_model import build_extremal_formula
 
 DEFAULT_H_VERTEX_GUARD = 200
 
@@ -126,36 +139,15 @@ def _check_params(k: int, L: int, j: int = 0):
         raise DomainError(f"j must be >= 0, got {j}")
 
 
-def _h_structure(j: int, k: int, L: int, root: tuple[int, int], offset: int,
-                 edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """Append the edges of a depth-j graph on vertices offset.. and return (right root, size).
+def _build(label: str, prime: bool, j: int, k: int, L: int, vertex_guard: int) -> HGraph:
+    """H_j's graph, or H'_j's if prime, or SizeGuardError past vertex_guard.
 
-    Its root is a complete bipartite graph with halves of root = (left, right)
-    sizes, and each root vertex is wired to the right root halves of k-1
-    fresh copies of H_{j-1}: root (L-1, L-1) gives H_j, and (0, 1) gives H'_j.
-    """
-    if j == 0:
-        return (), 0
-    left = tuple(range(offset, offset + root[0]))
-    right = tuple(range(offset + root[0], offset + sum(root)))
-    edges.extend((u, v) for u in left for v in right)
-    cursor = offset + sum(root)
-    for v in left + right:
-        for _ in range(k - 1):
-            sub_right, sub_size = _h_structure(j - 1, k, L, (L - 1, L - 1), cursor, edges)
-            edges.extend((v, u) for u in sub_right)
-            cursor += sub_size
-    return right, cursor - offset
-
-
-def _build(label: str, root: tuple[int, int], j: int, k: int, L: int,
-           vertex_guard: int) -> HGraph:
-    """The graph _h_structure gives for root, or SizeGuardError past vertex_guard.
-
-    A root (a, b) carries (a + b)(1 + (k-1) |H_{j-1}|) vertices, none at
-    j = 0.  The guard bounds the counting work: H_j and H'_j have at least
-    j vertices, and |H_i| at least doubles per level, so counting stops once
-    it is over the guard and too long to print (over 4 bits per allowed digit).
+    |H_j| = (2L-2)(1 + (k-1)|H_{j-1}|) and |H'_j| = 1 + (k-1)|H_{j-1}|, none
+    at j = 0, are counted first.  The guard bounds the counting work: H_j and
+    H'_j have at least j vertices, and |H_i| at least doubles per level, so
+    counting stops once it is over the guard and too long to print (over 4
+    bits per allowed digit).  Both come from the formula of |H_j| / (2L-2)
+    stages, guarded by its own variable count, so only the vertex guard refuses.
     """
     _check_params(k, L, j)
     label = f"{label}_{j}(k={k},L={L})"
@@ -166,24 +158,31 @@ def _build(label: str, root: tuple[int, int], j: int, k: int, L: int,
         n = 2 * (L - 1) * (1 + (k - 1) * n)
         if n > vertex_guard and n.bit_length() > 4 * sys.get_int_max_str_digits() > 0:
             break
-    n = sum(root) * (1 + (k - 1) * n) if j else 0
+    n = (1 if prime else 2 * L - 2) * (1 + (k - 1) * n) if j else 0
     if n > vertex_guard:
         raise SizeGuardError(f"{label} has {guard_count(n, vertex_guard)} vertices, "
                              f"guard is {vertex_guard}")
-    edges: list[tuple[int, int]] = []
-    _, size = _h_structure(j, k, L, root, 0, edges)
-    assert size == n
-    return HGraph(DepGraph.from_edges(n, edges))
+    clauses = (2 * L - 2) * n if prime else n  # |H_j|
+    formula = build_extremal_formula(k, L, clauses // (2 * L - 2), clauses * (k - 1) + 1)
+    events = events_from_formula(formula)
+    if prime:
+        # Stage i >= 2 expands a variable of clause (i-2) // (k-1), its parent.
+        keep = [True] + [False] * (2 * L - 3)  # stage 1: clause 0 alone
+        for c in range(2 * L - 2, clauses):
+            keep.append(keep[(c // (2 * L - 2) - 1) // (k - 1)])
+        events = list(compress(events, keep))
+    assert len(events) == n
+    return HGraph(lopsidependency_graph(events))
 
 
 def build_H(j: int, k: int, L: int,
             vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H", (L - 1, L - 1), j, k, L, vertex_guard)
+    return _build("H", False, j, k, L, vertex_guard)
 
 
 def build_Hprime(j: int, k: int, L: int,
                  vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H'", (0, 1), j, k, L, vertex_guard)
+    return _build("H'", True, j, k, L, vertex_guard)
 
 
 def recurrence_sr(j: int, k: int, L: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -542,54 +541,3 @@ def shearer_upper_bound(k: int, precision: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-@dataclass(frozen=True)
-class EmbeddingResult:
-    hgraph: HGraph
-    mapping: dict[int, int]  # H_j vertex -> clause index
-    verified: bool
-    stages: int
-
-
-def embed_H_in_G(j: int, k: int, L: int) -> EmbeddingResult:
-    """Constructively embed H_j into the lopsidependency graph of the extremal formula.
-
-    Variables are expanded breadth-first to tree-depth j from variable 1;
-    the H_j root's left/right halves map to the positive/negative clause
-    halves added when expanding variable 1, and each child copy recurses
-    through the fresh variables of the parent clause.  The mapping is then
-    verified to be an induced-subgraph isomorphism: it is one-to-one onto
-    H_j's vertices, and each vertex's neighbours are the pre-image of its
-    clause's lopsidependency neighbours (so edges and non-edges both match).
-    """
-    hgraph = build_H(j, k, L)
-    branching = (2 * L - 2) * (k - 1)
-    stages = sum(branching ** d for d in range(j))
-    formula = build_extremal_formula(k, L, stages, DEFAULT_CLAUSE_GUARD)
-    if j == 0:
-        return EmbeddingResult(hgraph, {}, True, stages)
-
-    clause_order: list[int] = []
-
-    def place(depth: int, variable: int):
-        # Expanding variable i added clauses c..c+2L-3, c = (i-1)(2L-2): the
-        # positive half c..c+L-2, then the negative half.
-        start = (variable - 1) * (2 * L - 2)
-        root_clauses = range(start, start + 2 * L - 2)
-        clause_order.extend(root_clauses)
-        if depth == 1:
-            return
-        for clause_idx in root_clauses:
-            for child in map(abs, formula.clause(clause_idx)):
-                if child != variable:
-                    place(depth - 1, child)
-
-    place(j, 1)
-    mapping = dict(enumerate(clause_order))
-    lopsi = lopsidependency_graph(events_from_formula(formula))
-    vertex_of = {clause: v for v, clause in mapping.items()}
-    verified = len(vertex_of) == len(mapping) == hgraph.graph.n and all(
-        nbrs == {vertex_of[c] for c in lopsi.adjacency[mapping[v]] if c in vertex_of}
-        for v, nbrs in enumerate(hgraph.graph.adjacency))
-    return EmbeddingResult(hgraph, mapping, verified, stages)

@@ -40,9 +40,6 @@ class Formula:
     def clause_count(self) -> int:
         return len(self.literals) // self.width
 
-    def clause(self, i: int) -> array:
-        return self.literals[i * self.width:(i + 1) * self.width]
-
     def is_satisfied_by(self, values: bytes) -> bool:
         """Every clause has a true literal, where values[v-1] is x_v (0 or 1)."""
         if len(values) != self.variable_count:

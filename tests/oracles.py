@@ -3,18 +3,19 @@
 Each recomputes a quantity by a route other than the one ``satlll`` takes
 (direct subset enumeration, a Shearer check over every independent set,
 component factorization, expansion over a pivot set, the closed form of
-|H_j|, the normalized recurrence and its map g on exact rationals, the
-threshold curve ell, an occurrence count, the test of max phi_N >= 0 on
-interval logarithms and on normalised Fractions, Newton's bracket of its
-maximizer and the estimate of F_Shearer on mpmath floats, the gap's rhs
-by mpmath's division, one end of a power by square-and-multiply, the
-violated loop with every power cut to significant bits, the fixed-point
-iteration on interval objects, a binary search for F_Shearer, a search
-over orderings for the sets orderable to an event, the stage loop of the
-extremal construction, an exhaustive check of a lopsidependency graph over
-all 2^m assignments, satisfaction by any over each clause, mt's assignment
-line by one % over the whole line), so that tests can cross-check the
-production code against it.  The mpmath interval helpers they use live here too.
+|H_j|, H_j and H'_j built by hand and placed in the extremal formula, the
+normalized recurrence and its map g on exact rationals, the threshold
+curve ell, an occurrence count, the test of max phi_N >= 0 on interval
+logarithms and on normalised Fractions, Newton's bracket of its maximizer
+and the estimate of F_Shearer on mpmath floats, the gap's rhs by mpmath's
+division, one end of a power by square-and-multiply, the violated loop
+with every power cut to significant bits, the fixed-point iteration on
+interval objects, a binary search for F_Shearer, a search over orderings
+for the sets orderable to an event, the stage loop of the extremal
+construction, an exhaustive check of a lopsidependency graph over all 2^m
+assignments, satisfaction by any over each clause, mt's assignment line by
+one % over the whole line), so that tests can cross-check the production
+code against it.  The mpmath interval helpers they use live here too.
 """
 
 from __future__ import annotations
@@ -223,6 +224,70 @@ def h_vertex_count(j: int, k: int, L: int) -> int:
     return b * (a ** j - 1) // (a - 1)
 
 
+def h_graph_by_recursion(j: int, k: int, L: int, prime: bool) -> DepGraph:
+    """H_j, or H'_j if prime, built by hand from the recursive definition.
+
+    A depth-j graph has a complete bipartite root with halves of sizes
+    (L-1, L-1), (0, 1) for H'_j, and each root vertex is wired to the right
+    root halves of k-1 fresh copies of H_{j-1}.  The root is numbered first,
+    left half then right, and then each root vertex's copies in turn.
+    """
+    edges: list[tuple[int, int]] = []
+
+    def build(depth: int, root: tuple[int, int], offset: int) -> tuple[range, int]:
+        """Append the edges of a depth-depth graph on offset.. and return (right root, size)."""
+        if depth == 0:
+            return range(0), 0
+        left = range(offset, offset + root[0])
+        right = range(offset + root[0], offset + sum(root))
+        edges.extend((u, v) for u in left for v in right)
+        cursor = offset + sum(root)
+        for v in (*left, *right):
+            for _ in range(k - 1):
+                sub_right, sub_size = build(depth - 1, (L - 1, L - 1), cursor)
+                edges.extend((v, u) for u in sub_right)
+                cursor += sub_size
+        return right, cursor - offset
+
+    _, n = build(j, (0, 1) if prime else (L - 1, L - 1), 0)
+    return DepGraph.from_edges(n, edges)
+
+
+def isomorphic_by_placement(graph: DepGraph, j: int, k: int, L: int, prime: bool) -> bool:
+    """graph is h_graph_by_recursion(j, k, L, prime) placed breadth first in the
+    extremal formula of S_j stages, its clauses kept in order.
+
+    The formula comes from extremal_formula_by_stages, whose added[v] are
+    the clause halves that expanding variable v added.  H_j's root goes to
+    variable 1's halves, and H'_j's to clause 0; the copies below a root
+    clause go, in the hand builder's order, to the halves of the clause's
+    fresh variables.  A placed clause stands for its rank among the placed
+    clauses.  The map must be one-to-one onto graph's vertices, and each
+    vertex's neighbours must map onto exactly its image's neighbours, so
+    edges and non-edges both match.
+    """
+    hand = h_graph_by_recursion(j, k, L, prime)
+    branching = (2 * L - 2) * (k - 1)
+    formula, _, added = extremal_formula_by_stages(k, L, sum(branching ** d for d in range(j)))
+    clauses, order = clauses_of(formula), []  # order: the clause of each hand-built vertex
+
+    def place(depth: int, variable: int, root: tuple[int, ...]):
+        order.extend(root)
+        if depth > 1:
+            for clause in root:
+                for child in map(abs, clauses[clause]):
+                    if child != variable:
+                        place(depth - 1, child, added[child][0] + added[child][1])
+
+    if j:
+        place(j, 1, added[1][0][:1] if prime else added[1][0] + added[1][1])
+    rank = {clause: i for i, clause in enumerate(sorted(order))}
+    image = [rank[clause] for clause in order]
+    return len(rank) == len(order) == hand.n == graph.n and all(
+        {image[u] for u in nbrs} == graph.adjacency[image[v]]
+        for v, nbrs in enumerate(hand.adjacency))
+
+
 def a_b_sequence(j: int, k: int, L: int) -> tuple[Fraction, Fraction]:
     """Exact a_j = r_j / s_{j-1}^{k-1} and b_j = 2 a_j^{L-1} - 1 from the recurrence."""
     if j < 0:
@@ -309,10 +374,16 @@ def extremal_formula_by_stages(k: int, L: int, r: int):
     return formula, parent, added
 
 
+def clauses_of(formula: Formula) -> list[array]:
+    """Each clause i of formula, its literals[i*width:(i+1)*width]."""
+    width = formula.width
+    return [formula.literals[i * width:(i + 1) * width] for i in range(formula.clause_count)]
+
+
 def satisfied_clause_by_clause(formula: Formula, values: bytes) -> bool:
     """Some literal of each clause is true, where values[v-1] is x_v."""
-    return all(any(values[abs(z) - 1] == (z > 0) for z in formula.clause(i))
-               for i in range(formula.clause_count))
+    return all(any(values[abs(z) - 1] == (z > 0) for z in clause)
+               for clause in clauses_of(formula))
 
 
 def assignment_line_by_format(values: bytes) -> str:

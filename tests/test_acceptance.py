@@ -13,7 +13,7 @@ from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha)
 from satlll.cli import DEFAULT_PRECISION, main
 from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from satlll.hj_family import (build_H, embed_H_in_G, fixed_point_iteration, recurrence_sr,
+from satlll.hj_family import (build_H, build_Hprime, fixed_point_iteration, recurrence_sr,
                               shearer_upper_bound)
 from satlll.moser_tardos import SelectionRule, run_mt
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula, dimacs_import
@@ -21,9 +21,9 @@ from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import (MAX_ITER, MAX_STEPS, random_formula, random_graph,
                       random_low_occurrence_formula, random_probabilities)
-from oracles import (component_factorization, expansion_identity,
-                     independence_polynomial_bruteforce, validate_occurrences,
-                     verify_lopsidependency)
+from oracles import (component_factorization, expansion_identity, h_vertex_count,
+                     independence_polynomial_bruteforce, isomorphic_by_placement,
+                     validate_occurrences, verify_lopsidependency)
 
 EXPECTED_TABLE = {
     9: (20, 21, 22),
@@ -58,7 +58,6 @@ def test_criterion_02_recurrence_equals_bruteforce():
         p = Fraction(1, 2 ** k)
         s, r = recurrence_sr(jmax, k, L)
         for j in range(jmax + 1):
-            from satlll.hj_family import build_Hprime
             h = build_H(j, k, L)
             hp = build_Hprime(j, k, L)
             s_bf = independence_polynomial(h.graph, [p] * h.graph.n)
@@ -132,12 +131,14 @@ def test_criterion_06_construction_invariants():
 
 
 def test_criterion_07_embedding_verified():
-    for j in (0, 1, 2):
+    for j in (0, 1, 2, 3):
         for k in (2, 3):
             for L in (2, 3):
-                result = embed_H_in_G(j, k, L)
-                assert result.verified, (j, k, L)
-    report(7, "induced-subgraph embeddings verified for j<=2, k,L in {2,3}")
+                n = h_vertex_count(j, k, L)
+                for build, prime in ((build_H, False), (build_Hprime, True)):
+                    graph = build(j, k, L, vertex_guard=n).graph
+                    assert isomorphic_by_placement(graph, j, k, L, prime), (j, k, L, prime)
+    report(7, "H_j and H'_j are the hand-built graphs placed in the formula, j<=3, k,L in {2,3}")
 
 
 def test_criterion_08_lopsidependency_property():
@@ -200,8 +201,7 @@ def test_criterion_10_moser_tardos_termination():
         values, stats = run_mt(events, formula.variable_count, SelectionRule.FIRST_INDEX,
                                seed + trial, MAX_STEPS)
         assert stats.terminated
-        assert all(any(values[abs(v) - 1] == (v > 0) for v in formula.clause(i))
-                   for i in range(formula.clause_count))
+        assert all(any(values[abs(v) - 1] == (v > 0) for v in event) for event in events)
         successes += 1
     assert successes == 100
 

@@ -369,8 +369,7 @@ def mt_output_per_variable(formula, seed, max_steps, json_format):
     values, stats = moser_tardos.run_mt(events, formula.variable_count, rule, seed, max_steps)
     assignment = {v: bool(values[v - 1]) for v in range(1, formula.variable_count + 1)}
     satisfies = stats.terminated and all(
-        any(assignment[abs(z)] == (z > 0) for z in formula.clause(i))
-        for i in range(formula.clause_count))
+        any(assignment[abs(z)] == (z > 0) for z in event) for event in events)
     if json_format:
         stats_json = {"total_resamples": sum(stats.per_event_resamples),
                       "per_event_resamples": list(stats.per_event_resamples),

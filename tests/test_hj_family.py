@@ -13,16 +13,19 @@ from satlll import hj_family
 from satlll.bounds import f_lll, f_mt
 from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import CertificationError, DomainError, SizeGuardError
-from satlll.events_graph import DepGraph
-from satlll.hj_family import (build_H, build_Hprime, embed_H_in_G,
-                              fixed_point_iteration, recurrence_sr, shearer_upper_bound)
-from satlll.shearer import independence_polynomial
+from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_graph
+from satlll.hj_family import (build_H, build_Hprime, fixed_point_iteration, recurrence_sr,
+                              shearer_upper_bound)
+from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
+from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import MAX_ITER
 from oracles import (a_b_sequence, enclosures_by_powers, fixed_point_bounds_by_intervals,
                      fixed_point_iteration_by_intervals, fraction_bracket, g_function,
-                     h_vertex_count, maximizer_bracket_by_mpmath, phi_witness_by_fractions,
-                     phi_witness_by_intervals, power_by_squaring, q_polynomial,
+                     h_graph_by_recursion, h_vertex_count, induced_subgraph,
+                     isomorphic_by_placement, maximizer_bracket_by_mpmath,
+                     phi_witness_by_fractions, phi_witness_by_intervals,
+                     power_by_squaring, q_polynomial,
                      shearer_estimate_by_mpmath, shearer_upper_bound_by_bisection,
                      threshold_ell)
 
@@ -52,7 +55,7 @@ def test_h2_size_k2_L2():
 
 
 def test_size_recurrences():
-    # Each count is the n of a built graph, which _build checks against its traversal.
+    # Each count is the n of a built graph, which _build checks against its formula.
     for k, L in ((2, 2), (3, 2), (2, 3), (3, 3)):
         previous = 0  # |H_{j-1}|
         for j in range(4):  # up to H_3(3, 3), with 292 vertices
@@ -65,15 +68,15 @@ def test_size_recurrences():
 
 @pytest.mark.parametrize("k,L", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_roots_come_first_and_copies_follow_in_order(k, L):
-    # The numbering embed_H_in_G's mapping relies on: H_j's left root is
-    # 0..L-2 and its right root L-1..2L-3, H'_j's root is vertex 0, and
-    # each root vertex in turn is wired to the right roots of its k-1 copies
-    # of H_{j-1}, numbered one after another after the root.
+    # The numbering isomorphic_by_placement relies on: the hand-built H_j's
+    # left root is 0..L-2 and its right root L-1..2L-3, H'_j's root is
+    # vertex 0, and each root vertex in turn is wired to the right roots of
+    # its k-1 copies of H_{j-1}, numbered one after another after the root.
     for j in range(1, 4):
         size = h_vertex_count(j - 1, k, L)
-        for build, left, right in ((build_H, range(L - 1), range(L - 1, 2 * L - 2)),
-                                   (build_Hprime, range(0), range(1))):
-            adjacency = build(j, k, L, vertex_guard=292).graph.adjacency
+        for prime, left, right in ((False, range(L - 1), range(L - 1, 2 * L - 2)),
+                                   (True, range(0), range(1))):
+            adjacency = h_graph_by_recursion(j, k, L, prime).adjacency
             start = len(left) + len(right)  # of the next copy
             for v in (*left, *right):
                 expected = set(right if v in left else left)
@@ -649,44 +652,63 @@ def test_shearer_upper_bound_refuses_without_precision():
 
 
 def test_embed_j0_trivial():
-    result = embed_H_in_G(0, 3, 2)
-    assert result.verified
-    assert result.mapping == {}
+    for build, prime in ((build_H, False), (build_Hprime, True)):
+        graph = build(0, 3, 2).graph
+        assert graph.n == 0
+        assert isomorphic_by_placement(graph, 0, 3, 2, prime)
 
 
 def test_embed_j1_k3_L2():
-    result = embed_H_in_G(1, 3, 2)
-    assert result.verified
-    assert result.stages == 1
-    assert result.mapping == {0: 0, 1: 1}
+    # H_1 is K_{1,1}: the stage-1 clauses with x_1 and with ~x_1.
+    graph = build_H(1, 3, 2).graph
+    assert graph.edges() == [(0, 1)]
+    assert graph.payloads == ((1, 2, 3), (-1, 4, 5))
+    assert isomorphic_by_placement(graph, 1, 3, 2, False)
 
 
-def test_embed_j2():
-    for k, L in ((2, 2), (2, 3), (3, 2)):
-        result = embed_H_in_G(2, k, L)
-        assert result.verified, (k, L)
-        assert len(set(result.mapping.values())) == result.hgraph.graph.n
+@pytest.mark.parametrize("build,prime", [(build_H, False), (build_Hprime, True)],
+                         ids=["H", "H'"])
+def test_embed_formula_graphs_are_the_hand_built_graphs(build, prime):
+    shapes = [(k, L) for k in (2, 3) for L in (2, 3)] + [(4, 2), (2, 4)]
+    for j in range(4):
+        for k, L in shapes:
+            n = h_vertex_count(j, k, L)
+            if n <= 300:
+                assert isomorphic_by_placement(build(j, k, L, vertex_guard=n).graph,
+                                               j, k, L, prime), (j, k, L)
 
 
+def test_the_first_clauses_of_a_deeper_formula_induce_H_j():
+    # H_j sits in the lopsidependency graph of every deeper extremal formula,
+    # where Shearer then fails with it: as its first |H_j| clauses, unchanged.
+    for j, k, L in ((3, 2, 2), (2, 3, 2), (2, 2, 3), (1, 4, 3)):
+        h = build_H(j, k, L).graph
+        stages = h_vertex_count(j + 1, k, L) // (2 * L - 2)
+        formula = build_extremal_formula(k, L, stages, DEFAULT_CLAUSE_GUARD)
+        deeper = lopsidependency_graph(events_from_formula(formula))
+        assert deeper.n > h.n
+        assert induced_subgraph(deeper, range(h.n)) == h, (j, k, L)
+
+
+@pytest.mark.parametrize("build,prime", [(build_H, False), (build_Hprime, True)],
+                         ids=["H", "H'"])
 @pytest.mark.parametrize("h_edge", [True, False], ids=["drop-image-edge", "add-image-non-edge"])
-def test_embed_refuses_a_wrong_lopsidependency_graph(monkeypatch, h_edge):
-    # Toggle one pair of image clauses in the lopsidependency graph: an edge of
-    # H_2's image goes missing, or a non-edge of H_2 gains an image edge.
-    good = embed_H_in_G(2, 3, 2)
-    h = good.hgraph.graph
-    u, v = next((u, v) for u in range(h.n) for v in range(u + 1, h.n)
-                if (v in h.adjacency[u]) == h_edge)
-    pair = (good.mapping[u], good.mapping[v])
-    build = hj_family.lopsidependency_graph
+def test_embed_refuses_a_wrong_lopsidependency_graph(monkeypatch, build, prime, h_edge):
+    # Toggle one pair of clauses in the lopsidependency graph build reads:
+    # an edge of H_2's image goes missing, or a non-edge gains an edge.
+    good = build(2, 3, 2).graph
+    assert isomorphic_by_placement(good, 2, 3, 2, prime)
+    pair = next((u, v) for u in range(good.n) for v in range(u + 1, good.n)
+                if (v in good.adjacency[u]) == h_edge)
+    lopsided = hj_family.lopsidependency_graph
 
     def toggled(events):
-        graph = build(events)
-        assert (pair[1] in graph.adjacency[pair[0]]) == h_edge
-        edges = [e for e in graph.edges() if set(e) != set(pair)]
+        graph = lopsided(events)
+        edges = [e for e in graph.edges() if e != pair]
         return DepGraph.from_edges(graph.n, edges if h_edge else edges + [pair])
 
     monkeypatch.setattr(hj_family, "lopsidependency_graph", toggled)
-    assert embed_H_in_G(2, 3, 2).verified is False
+    assert isomorphic_by_placement(build(2, 3, 2).graph, 2, 3, 2, prime) is False
 
 
 def test_build_guard():
@@ -696,3 +718,40 @@ def test_build_guard():
     for build in (build_H, build_Hprime):
         with pytest.raises(SizeGuardError, match="at least 10000000 vertices, guard is 40"):
             build(10 ** 7, 2, 2, vertex_guard=40)
+
+
+def test_the_formula_route_adds_no_refusal():
+    # 200 vertices, past no guard, though their formula has 200001
+    # variables, more than DEFAULT_CLAUSE_GUARD.
+    assert h_vertex_count(1, 1001, 101) == 200 < DEFAULT_CLAUSE_GUARD < 200 * 1000 + 1
+    assert build_H(1, 1001, 101, vertex_guard=200).graph.n == 200
+
+
+# (k, L): fixedpoint's violated step j, |H_{j-1}| and |H_j|.
+VIOLATED_AT = {(2, 2): (3, 6, 14), (3, 3): (3, 36, 292), (3, 4): (2, 6, 78),
+               (4, 5): (2, 8, 200), (2, 3): (2, 4, 20), (2, 4): (1, 0, 6),
+               (3, 5): (2, 8, 136), (4, 6): (2, 10, 310), (5, 8): (2, 14, 798)}
+
+
+@pytest.mark.parametrize("k,L", VIOLATED_AT)
+def test_fixed_point_step_is_the_first_depth_where_shearer_fails(k, L):
+    # Fact 6's interval iteration and the exact engine on one column.
+    step, holds, fails = VIOLATED_AT[k, L]
+    verdict = fixed_point_iteration(k, L, 1000, 64).verdict
+    assert (verdict.kind, verdict.step) == ("violated", step)
+    p = Fraction(1, 2 ** k)
+    for j, n, satisfied in ((step - 1, holds, True), (step, fails, False)):
+        graph = build_H(j, k, L, vertex_guard=n).graph
+        assert graph.n == n
+        assert shearer_check(graph, [p] * n).satisfied is satisfied, j
+
+
+@pytest.mark.parametrize("k,L,deepest", [(4, 2, 518), (5, 3, 68), (6, 4, 186)])
+def test_shearer_holds_below_1000_vertices_where_the_fixed_point_converges(k, L, deepest):
+    assert fixed_point_iteration(k, L, 1000, 64).verdict.kind == "converged"
+    depths = [j for j in range(20) if h_vertex_count(j, k, L) < 1000]
+    assert h_vertex_count(depths[-1], k, L) == deepest
+    p = Fraction(1, 2 ** k)
+    for j in depths:
+        graph = build_H(j, k, L, vertex_guard=deepest).graph
+        assert shearer_check(graph, [p] * graph.n).satisfied, j

@@ -10,8 +10,8 @@ from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, EMPTY_WIDTH, Formula, build_
                               dimacs_export, dimacs_import)
 
 from conftest import random_formula
-from oracles import (extremal_formula_by_stages, occurrences, satisfied_clause_by_clause,
-                     validate_occurrences)
+from oracles import (clauses_of, extremal_formula_by_stages, occurrences,
+                     satisfied_clause_by_clause, validate_occurrences)
 
 
 def test_formula_refuses_repeated_variable():
@@ -28,7 +28,7 @@ def test_formula_constructor_trusts_its_input():
 def test_formula_layout_and_satisfaction():
     formula = Formula(width=2, variable_count=3, literals=array("q", (1, -2, 2, 3)))
     assert formula.clause_count == 2
-    assert list(formula.clause(1)) == [2, 3]
+    assert clauses_of(formula) == [array("q", [1, -2]), array("q", [2, 3])]
     assert formula == Formula(2, 3, array("q", [1, -2, 2, 3]))
     assert formula.is_satisfied_by(bytes([0, 0, 1]))
     assert not formula.is_satisfied_by(bytes([0, 1, 0]))
@@ -44,7 +44,7 @@ def test_satisfaction_matches_brute_force():
         formula = random_formula(rng, k, m, rng.choice([0, 1, rng.randint(2, 12)]))
         values = bytearray(rng.getrandbits(1) for _ in range(m))
         if formula.clause_count and case % 2:  # falsify one clause
-            for z in formula.clause(rng.randrange(formula.clause_count)):
+            for z in clauses_of(formula)[rng.randrange(formula.clause_count)]:
                 values[abs(z) - 1] = z < 0
         values = bytes(values)
         expected = satisfied_clause_by_clause(formula, values)
@@ -126,7 +126,7 @@ def test_construction_matches_stage_loop():
         assert formula.literals.typecode == "q"
         m = formula.variable_count
         assert m == (r * (2 * L - 2) * (k - 1) + 1 if r else 0)
-        # The closed forms hj_family.embed_H_in_G and the docstring rest on.
+        # The closed forms hj_family.build_H and the docstring rest on.
         assert parent == {v: (v - 2) // ((2 * L - 2) * (k - 1)) + 1 for v in range(2, m + 1)}
         starts = {i: (i - 1) * (2 * L - 2) for i in range(1, r + 1)}
         assert added == {i: (tuple(range(c, c + L - 1)), tuple(range(c + L - 1, c + 2 * L - 2)))

@@ -26,7 +26,6 @@ SRC_STATS = Path(__file__).resolve().parents[1] / "tools" / "src_stats.py"
 KEPT = {
     "dependency_graph": "the benchmark's formula_resample workload and self-test call it",
     "harris_check": "the generic resampling criterion, for the planned separate subcommand",
-    "embed_H_in_G": "the H_j embedding, for the planned separate subcommand",
 }
 
 
@@ -76,10 +75,6 @@ KEPT_FIELDS = {
     "DepGraph.edges": "the benchmark's self-test drops an edge through it",
     "DepGraph.payloads": "the benchmark's self-test passes it through",
     "HarrisVerdict.margin": "the exact margin, for the planned separate subcommand",
-    "EmbeddingResult.hgraph": "the H_j embedding's result, for the planned separate subcommand",
-    "EmbeddingResult.mapping": "the H_j embedding's result, for the planned separate subcommand",
-    "EmbeddingResult.verified": "the H_j embedding's result, for the planned separate subcommand",
-    "EmbeddingResult.stages": "the H_j embedding's result, for the planned separate subcommand",
 }
 
 
@@ -136,7 +131,7 @@ KEPT_DEFAULTS = {
     "DimacsError.line": "raised both with and without a line number",
     "from_edges.payloads": "most graphs carry no payloads",
     "_check_params.j": "fixed_point_iteration checks k and L, and has no j",
-    "build_H.vertex_guard": "the benchmark and embed_H_in_G build H_j without a guard",
+    "build_H.vertex_guard": "the benchmark builds H_j without a guard",
     "build_Hprime.vertex_guard": "the benchmark builds H'_j without a guard",
 }
 

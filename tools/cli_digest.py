@@ -47,8 +47,10 @@ k = 1045..1048, where the gap's rhs first prints inf (at 1047); then
 fixedpoint with --max-iter 0 and 5 at (9, 22) and (20, 19312), which end
 inconclusive, and with --max-trajectory 0 and 2 at the violated (9, 22)
 and the converged (5, 2); then check-shearer on two graph files whose
-edges is an object and a string, which exit 3.  F_Shearer is taken at 256 bits, the CLI's
-default precision.
+edges is an object and a string, which exit 3; then hj past the default
+vertex guard, on H_3 at (3, 3) (292 vertices), H_2 at (4, 5) and, with
+--format json given after the subcommand, H_2 at (5, 4).  F_Shearer is
+taken at 256 bits, the CLI's default precision.
 Everything runs in tsv and in json.  The extremal files are read whole,
 and the SATLIB-style file and the eight small files line by line.  The
 SATLIB-style runs resample thousands of times, and seed 7 needs a second
@@ -92,6 +94,11 @@ F_SHEARER_200 = "2955834144021611738375928619524554769177806039044019000190"
 RATIOS = (0.6, 1.2)
 # Decided past the default vertex guard: 160, 800 and 4200 vertices.
 UNGUARDED = [(3, 3, 40), (2, 2, 400), (9, 22, 100)]
+# hj past the default vertex guard: 292, 200 and 150 vertices of H_j.
+HJ_GUARDED = [["hj", "--guard-vertices", "300", "--j", "3", "--k", "3", "--L", "3"],
+              ["hj", "--guard-vertices", "200", "--j", "2", "--k", "4", "--L", "5"],
+              ["hj", "--guard-vertices", "200", "--format", "json",
+               "--j", "2", "--k", "5", "--L", "4"]]
 # Printed by construct: no clause, one stage, wide clauses, and the largest formula.
 PRINTED = [(2, 2, 0), (2, 3, 1), (12, 3, 5), (9, 22, 200)]
 # Read only line by line: layouts no clean file has, and inputs that exit 6
@@ -293,6 +300,7 @@ def corpus():
     for name, edges in (("edges_object.json", {}), ("edges_string.json", "")):  # 3
         Path(name).write_text(json.dumps({"n": 2, "edges": edges, "p": ["1/3", "1/3"]}))
         commands.append(["check-shearer", "--graph", name])
+    commands += HJ_GUARDED
     return commands
 
 
