@@ -227,16 +227,21 @@ def cmd_check_shearer(args):
 
 
 def cmd_hj(args):
-    # The graphs are built first: their vertex guard also bounds the recurrence.
-    guard = args.guard_vertices
-    h = hj_family.build_H(args.j, args.k, args.L, vertex_guard=guard)
-    hp = hj_family.build_Hprime(args.j, args.k, args.L, vertex_guard=guard)
+    # H_size's vertex guard bounds the recurrence, which runs next.  At j = 1 it
+    # leaves k free (|H_j| >= 4k - 2 only from j = 2), so s_j and r_j, with
+    # r_1 = 1 - 2^-k, must print before the formulas' n*k literals are built.
+    # |H'_j| <= |H_j|, so build_Hprime's guard passes once H_size's does.
+    guard, what = args.guard_vertices, f"s_{args.j} or r_{args.j}"
+    hj_family.H_size(False, args.j, args.k, args.L, guard)
     s, r = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = s[args.j], r[args.j]
+    _check_printable(what, s_rec, r_rec)
+    h = hj_family.build_H(args.j, args.k, args.L, vertex_guard=guard)
+    hp = hj_family.build_Hprime(args.j, args.k, args.L, vertex_guard=guard)
     p = Fraction(1, 2 ** args.k)
     s_bf = shearer.independence_polynomial(h.graph, [p] * h.graph.n)
     r_bf = shearer.independence_polynomial(hp.graph, [p] * hp.graph.n)
-    _check_printable(f"s_{args.j} or r_{args.j}", s_rec, s_bf, r_rec, r_bf)
+    _check_printable(what, s_bf, r_bf)
     agree = (s_rec == s_bf) and (r_rec == r_bf)
     code = 0 if agree else EXIT_CERTIFICATION
     if args.format == "json":

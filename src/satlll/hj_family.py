@@ -139,18 +139,15 @@ def _check_params(k: int, L: int, j: int = 0):
         raise DomainError(f"j must be >= 0, got {j}")
 
 
-def _build(label: str, prime: bool, j: int, k: int, L: int, vertex_guard: int) -> HGraph:
-    """H_j's graph, or H'_j's if prime, or SizeGuardError past vertex_guard.
+def H_size(prime: bool, j: int, k: int, L: int, vertex_guard: int) -> int:
+    """|H'_j| if prime, else |H_j|, or SizeGuardError past vertex_guard.
 
-    |H_j| = (2L-2)(1 + (k-1)|H_{j-1}|) and |H'_j| = 1 + (k-1)|H_{j-1}|, none
-    at j = 0, are counted first.  The guard bounds the counting work: H_j and
-    H'_j have at least j vertices, and |H_i| at least doubles per level, so
-    counting stops once it is over the guard and too long to print (over 4
-    bits per allowed digit).  Both come from the formula of |H_j| / (2L-2)
-    stages, guarded by its own variable count, so only the vertex guard refuses.
+    |H_j| = (2L-2)(1 + (k-1)|H_{j-1}|), |H'_j| = 1 + (k-1)|H_{j-1}|, none at
+    j = 0.  Both have at least j vertices and |H_i| at least doubles per level,
+    so counting stops once over the guard and over 4 bits per printable digit.
     """
     _check_params(k, L, j)
-    label = f"{label}_{j}(k={k},L={L})"
+    label = ("H'" if prime else "H") + f"_{j}(k={k},L={L})"
     if j > vertex_guard:
         raise SizeGuardError(f"{label} has at least {j} vertices, guard is {vertex_guard}")
     n = 0  # |H_{j-1}|, or a lower bound once counting stops
@@ -162,6 +159,13 @@ def _build(label: str, prime: bool, j: int, k: int, L: int, vertex_guard: int) -
     if n > vertex_guard:
         raise SizeGuardError(f"{label} has {guard_count(n, vertex_guard)} vertices, "
                              f"guard is {vertex_guard}")
+    return n
+
+
+def _build(prime: bool, j: int, k: int, L: int, vertex_guard: int) -> HGraph:
+    """H_j's graph, or H'_j's if prime, from the formula of |H_j| / (2L-2)
+    stages: its clause guard is its variable count, so only H_size refuses."""
+    n = H_size(prime, j, k, L, vertex_guard)
     clauses = (2 * L - 2) * n if prime else n  # |H_j|
     formula = build_extremal_formula(k, L, clauses // (2 * L - 2), clauses * (k - 1) + 1)
     events = events_from_formula(formula)
@@ -175,14 +179,12 @@ def _build(label: str, prime: bool, j: int, k: int, L: int, vertex_guard: int) -
     return HGraph(lopsidependency_graph(events))
 
 
-def build_H(j: int, k: int, L: int,
-            vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H", False, j, k, L, vertex_guard)
+def build_H(j: int, k: int, L: int, vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
+    return _build(False, j, k, L, vertex_guard)
 
 
-def build_Hprime(j: int, k: int, L: int,
-                 vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
-    return _build("H'", True, j, k, L, vertex_guard)
+def build_Hprime(j: int, k: int, L: int, vertex_guard: int = DEFAULT_H_VERTEX_GUARD) -> HGraph:
+    return _build(True, j, k, L, vertex_guard)
 
 
 def recurrence_sr(j: int, k: int, L: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -21,7 +21,7 @@ from satlll.shearer import independence_polynomial, shearer_check
 
 from conftest import (MAX_ITER, MAX_STEPS, random_formula, random_graph,
                       random_low_occurrence_formula, random_probabilities)
-from oracles import (component_factorization, expansion_identity, h_vertex_count,
+from oracles import (clauses_of, component_factorization, expansion_identity, h_vertex_count,
                      independence_polynomial_bruteforce, isomorphic_by_placement,
                      validate_occurrences, verify_lopsidependency)
 
@@ -201,7 +201,8 @@ def test_criterion_10_moser_tardos_termination():
         values, stats = run_mt(events, formula.variable_count, SelectionRule.FIRST_INDEX,
                                seed + trial, MAX_STEPS)
         assert stats.terminated
-        assert all(any(values[abs(v) - 1] == (v > 0) for v in event) for event in events)
+        assert all(any(values[abs(v) - 1] == (v > 0) for v in clause)
+                   for clause in clauses_of(formula))
         successes += 1
     assert successes == 100
 

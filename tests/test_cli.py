@@ -24,7 +24,7 @@ from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dima
                               dimacs_import)
 
 from conftest import MAX_ITER, MAX_STEPS
-from oracles import assignment_line_by_format, h_vertex_count
+from oracles import assignment_line_by_format, clauses_of, h_vertex_count
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +232,16 @@ def test_a_guard_of_a_million_levels_stops_counting(capsys):
                                 "1000000 vertices, guard is 1000000\n")
 
 
+def test_hj_refuses_an_unprintable_width_before_building_its_formula(capsys):
+    # H_1 has 2 vertices at any k, but its formula has 2k literals and
+    # r_1 = 1 - 2^-k, so the length of r_1 refuses k before the formula is built.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hj", "--j", "1", "--k", "1000000", "--L", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (EXIT_GUARD, "", "error: s_1 or r_1 has more than 4300 "
+                                "digits, the int-string limit\n")
+
+
 @pytest.mark.parametrize("argv,variable", [(["--guard-vertices", "0"], None),
                                            (["--guard-clauses", "-1"], None),
                                            ([], "SATLLL_GUARD_VERTICES")])
@@ -369,7 +379,7 @@ def mt_output_per_variable(formula, seed, max_steps, json_format):
     values, stats = moser_tardos.run_mt(events, formula.variable_count, rule, seed, max_steps)
     assignment = {v: bool(values[v - 1]) for v in range(1, formula.variable_count + 1)}
     satisfies = stats.terminated and all(
-        any(assignment[abs(z)] == (z > 0) for z in event) for event in events)
+        any(assignment[abs(z)] == (z > 0) for z in clause) for clause in clauses_of(formula))
     if json_format:
         stats_json = {"total_resamples": sum(stats.per_event_resamples),
                       "per_event_resamples": list(stats.per_event_resamples),
