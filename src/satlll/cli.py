@@ -23,7 +23,7 @@ from itertools import chain
 from . import bounds as bounds_mod
 from . import hj_family, moser_tardos, sat_model, shearer
 from .errors import (CertificationError, DimacsError, DomainError,
-                     SatLllError, SizeGuardError)
+                     SatLllError, SizeGuardError, printable)
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 
 EXIT_DOMAIN = 3
@@ -162,13 +162,11 @@ def _probabilities(entries) -> list[Fraction]:
 
 
 def _check_printable(what: str, *values):
-    # str() refuses an integer over the int-string limit with ValueError, so
-    # refuse such output as a size guard instead; 8^limit < 10^limit is cheap.
-    limit = sys.get_int_max_str_digits()
+    # Refused as a size guard where str() would raise ValueError (the int-string limit).
     for value in map(Fraction, values):
-        for n in (abs(value.numerator), value.denominator):
-            if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
-                raise SizeGuardError(f"{what} has more than {limit} digits, the int-string limit")
+        if not (printable(value.numerator) and printable(value.denominator)):
+            limit = sys.get_int_max_str_digits()
+            raise SizeGuardError(f"{what} has more than {limit} digits, the int-string limit")
 
 
 def _printable_f_mt(k: int) -> int:
@@ -227,12 +225,14 @@ def cmd_check_shearer(args):
 
 
 def cmd_hj(args):
-    # H_size's vertex guard bounds the recurrence, which runs next.  At j = 1 it
-    # leaves k free (|H_j| >= 4k - 2 only from j = 2), so s_j and r_j, with
-    # r_1 = 1 - 2^-k, must print before the formulas' n*k literals are built.
-    # |H'_j| <= |H_j|, so build_Hprime's guard passes once H_size's does.
+    # H_size's guard bounds the recurrence but leaves k free at j = 1, where, in lowest
+    # terms, r_1 = (2^k - 1)/2^k and s_1 = odd/2^(k(L-1)-1) print iff their denominators
+    # do (never past 4 * limit bits).  |H'_j| <= |H_j|, so build_Hprime's guard passes.
     guard, what = args.guard_vertices, f"s_{args.j} or r_{args.j}"
     hj_family.H_size(False, args.j, args.k, args.L, guard)
+    if args.j == 1:
+        cap = 4 * sys.get_int_max_str_digits()
+        _check_printable(what, 1 << min(args.k, cap), 1 << min(args.k * (args.L - 1) - 1, cap))
     s, r = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = s[args.j], r[args.j]
     _check_printable(what, s_rec, r_rec)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all satlll modules."""
+"""Exception hierarchy shared by all satlll modules, and the printability rule."""
+
+import sys
 
 
 class SatLllError(Exception):
@@ -13,12 +15,16 @@ class SizeGuardError(SatLllError):
     """A configurable size guard (vertices, clauses, enumeration cap) was exceeded."""
 
 
+def printable(n: int) -> bool:
+    """True iff str() prints the int n: |n| < 10^limit, or the int-string limit is 0.
+    8^limit < 10^limit < 16^limit, so 10^limit is formed only at 3..4 * limit bits."""
+    limit, bits = sys.get_int_max_str_digits(), n.bit_length()
+    return not limit or bits <= 3 * limit or bits <= 4 * limit and abs(n) < 10 ** limit
+
+
 def guard_count(n: int, guard: int) -> str:
     """n, or "more than guard" when str() refuses n's digits (the int-string limit)."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"more than {guard}"
+    return str(n) if printable(n) else f"more than {guard}"
 
 
 class CertificationError(SatLllError):

@@ -98,13 +98,12 @@ When fact 4 finds no witness, the iteration itself decides:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Optional
 
-from .errors import CertificationError, DomainError, SizeGuardError, guard_count
+from .errors import CertificationError, DomainError, SizeGuardError, guard_count, printable
 from .events_graph import DepGraph, events_from_formula, lopsidependency_graph
 from .sat_model import build_extremal_formula
 
@@ -130,7 +129,7 @@ class FixedPointReport:
     threshold: float
 
 
-def _check_params(k: int, L: int, j: int = 0):
+def _check_params(k: int, L: int, j: int):
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if L < 2:
@@ -144,7 +143,7 @@ def H_size(prime: bool, j: int, k: int, L: int, vertex_guard: int) -> int:
 
     |H_j| = (2L-2)(1 + (k-1)|H_{j-1}|), |H'_j| = 1 + (k-1)|H_{j-1}|, none at
     j = 0.  Both have at least j vertices and |H_i| at least doubles per level,
-    so counting stops once over the guard and over 4 bits per printable digit.
+    so counting stops once over the guard and unprintable (the count only grows).
     """
     _check_params(k, L, j)
     label = ("H'" if prime else "H") + f"_{j}(k={k},L={L})"
@@ -153,7 +152,7 @@ def H_size(prime: bool, j: int, k: int, L: int, vertex_guard: int) -> int:
     n = 0  # |H_{j-1}|, or a lower bound once counting stops
     for _ in range(j - 1):
         n = 2 * (L - 1) * (1 + (k - 1) * n)
-        if n > vertex_guard and n.bit_length() > 4 * sys.get_int_max_str_digits() > 0:
+        if n > vertex_guard and not printable(n):
             break
     n = (1 if prime else 2 * L - 2) * (1 + (k - 1) * n) if j else 0
     if n > vertex_guard:
@@ -358,7 +357,7 @@ def fixed_point_iteration(k: int, L: int, max_iter: int, precision: int) -> Fixe
     than precision, until one certifies "violated"; an undecided comparison
     or max_iter steps give "inconclusive".
     """
-    _check_params(k, L)
+    _check_params(k, L, 0)
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     t = _fixed_point_witness(L - 1, k, precision)

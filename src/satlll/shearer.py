@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, printable
 from .events_graph import DepGraph
 
 ProbabilityVector = Sequence[Fraction]
@@ -86,16 +86,10 @@ def _check_probabilities(graph: DepGraph, p: ProbabilityVector) -> list[Fraction
     probs = [x if type(x) is Fraction else Fraction(x) for x in p]
     for i, x in enumerate(probs):
         if not 0 < x.numerator < x.denominator:
-            raise DomainError(f"{_entry(i, x)} must lie in the open interval (0,1)")
+            named = printable(x.numerator) and printable(x.denominator)  # str() prints x
+            entry = f"p[{i}]={x}" if named else f"p[{i}]"
+            raise DomainError(f"{entry} must lie in the open interval (0,1)")
     return probs
-
-
-def _entry(i: int, x: Fraction) -> str:
-    """p[i]=x, or p[i] alone when str() refuses x's digits (the int-string limit)."""
-    try:
-        return f"p[{i}]={x}"
-    except ValueError:
-        return f"p[{i}]"
 
 
 def _vertices(mask: int):

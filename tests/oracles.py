@@ -402,7 +402,7 @@ def g_function(a, k: int, L: int):
 
     Requires a > 2^{-1/(L-1)} so that the denominator base is positive.
     """
-    _check_params(k, L)
+    _check_params(k, L, 0)
     p = Fraction(1, 2 ** k)
     if isinstance(a, (Fraction, int)):
         a = Fraction(a)
@@ -573,7 +573,7 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int, precision:
     given, collects each a_j's iv enclosure so that a test can check that
     the production value lies inside it.
     """
-    _check_params(k, L)
+    _check_params(k, L, 0)
     t = hj_family._fixed_point_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(

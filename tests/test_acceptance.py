@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from satlll.bounds import (f_lll, f_mt, gap_inequality, harris_check,
                            harris_ksat_alpha)
@@ -254,3 +255,36 @@ def test_criterion_12_separation_on_an_explicit_formula(tmp_path, capsys):
     assert above.satisfied and above.margin == Fraction(1, 4000000000)
     assert not harris_check(events, [x * (1 - eps) for x in mu], p).satisfied
     report(12, "explicit 2-CNF: Shearer violated, resampling criterion satisfied")
+
+
+def biclique_events(k, s, t):
+    """The events of s clauses with literal +1 and t with -1, each other slot a
+    fresh variable: the lopsidependency graph is K_{s,t}."""
+    fresh = iter(range(2, 2 + (s + t) * (k - 1)))
+    clauses = [(sign, *(next(fresh) for _ in range(k - 1))) for sign in [1] * s + [-1] * t]
+    text = "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    return events_from_formula(dimacs_import(f"p cnf {1 + (s + t) * (k - 1)} {s + t}\n{text}"))
+
+
+@pytest.mark.parametrize("k,s,t", [(2, 2, 3), (3, 4, 7), (4, 9, 13), (5, 19, 25), (6, 37, 52)])
+def test_criterion_13_separation_on_bicliques(k, s, t):
+    # The smallest s + t per k at which Shearer fails at p = 2^-k, that is
+    # Z(K_{s,t}) = (1 - p)^s + (1 - p)^t - 1 <= 0, while Harris's criterion holds
+    # at its least solution mu+ = q(1 + t mu-), mu- = q(1 + s mu+), q = p/(1 - p).
+    p = Fraction(1, 2 ** k)
+    events = biclique_events(k, s, t)
+    graph = lopsidependency_graph(events)
+    assert sorted(graph.edges()) == [(u, v) for u in range(s) for v in range(s, s + t)]
+    verdict = shearer_check(graph, [p] * (s + t))
+    assert (verdict.satisfied, verdict.witness) == (False, ())
+    assert verdict.witness_value == (1 - p) ** s + (1 - p) ** t - 1
+    for smaller in ((s, t - 1), (s - 1, t)):
+        graph = lopsidependency_graph(biclique_events(k, *smaller))
+        assert shearer_check(graph, [p] * sum(smaller)).satisfied, smaller
+
+    q = p / (1 - p)
+    mu_plus = q * (1 + t * q) / (1 - q * q * s * t)
+    mu_minus = q * (1 + s * q) / (1 - q * q * s * t)
+    at_mu = harris_check(events, [mu_plus] * s + [mu_minus] * t, [p] * (s + t))
+    assert at_mu.satisfied and at_mu.margin == 0
+    report(13, f"K_{{{s},{t}}} at k={k}: Shearer violated, resampling criterion holds")

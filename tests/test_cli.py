@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from satlll import bounds, cli, hj_family, moser_tardos, shearer
 from satlll.cli import (DEFAULT_PRECISION, DEFAULT_VERTEX_GUARD, EXIT_CERTIFICATION,
                         EXIT_DIMACS, EXIT_DOMAIN, EXIT_GUARD, main)
-from satlll.errors import CertificationError, DomainError
+from satlll.errors import CertificationError, DomainError, printable
 from satlll.events_graph import DepGraph
 from satlll.events_graph import events_from_formula
 from satlll.sat_model import (DEFAULT_CLAUSE_GUARD, build_extremal_formula, dimacs_export,
@@ -240,6 +240,38 @@ def test_hj_refuses_an_unprintable_width_before_building_its_formula(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (EXIT_GUARD, "", "error: s_1 or r_1 has more than 4300 "
                                 "digits, the int-string limit\n")
+
+
+def test_hj_refuses_an_unprintable_first_level_before_its_recurrence(capsys, monkeypatch):
+    # |H_1| = 200 passes the guard at any k, and s_1 = odd/2^(k(L-1)-1) has a
+    # billion-bit denominator, so the refusal comes from the exponents alone.
+    monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--guard-vertices", "200", "hj", "--j", "1",
+                             "--k", "10000000", "--L", "101")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (EXIT_GUARD, "", "error: s_1 or r_1 has more than 4300 "
+                                "digits, the int-string limit\n")
+
+
+# 2^14284 has 4300 digits and 2^14285 has 4301: r_1 = (2^k - 1)/2^k prints up to
+# k = 14284 at L = 2, and s_1 = odd/2^(k(L-1)-1) up to k = 7142 at L = 3 and at
+# k = 2857 = 14285 / 5 at L = 6.
+@pytest.mark.parametrize("k,L,expected", [(14284, 2, 0), (14285, 2, EXIT_GUARD),
+                                          (7142, 3, 0), (7143, 3, EXIT_GUARD),
+                                          (2857, 6, 0), (2858, 6, EXIT_GUARD)])
+def test_hj_first_level_is_refused_exactly_where_it_stops_printing(capsys, monkeypatch,
+                                                                  k, L, expected):
+    if expected:
+        monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)
+    code, out, err = run_cli(capsys, "hj", "--j", "1", "--k", str(k), "--L", str(L))
+    assert code == expected
+    if expected:
+        assert (out, err) == ("", "error: s_1 or r_1 has more than 4300 digits, "
+                              "the int-string limit\n")
+    else:
+        assert err == "" and out.endswith("AGREE\n")
+        assert max(map(len, re.split(r"[ /]", out))) == 4300
 
 
 @pytest.mark.parametrize("argv,variable", [(["--guard-vertices", "0"], None),
@@ -559,6 +591,26 @@ def test_bounds_prints_the_last_printable_k(capsys):
 
 
 @pytest.mark.parametrize("limit", [640, 4300])  # CPython's least and default limits
+def test_printable_is_whether_str_prints(limit):
+    edges = [10 ** limit - 1, 10 ** limit, 8 ** limit - 1, 8 ** limit, 16 ** limit - 1,
+             16 ** limit, 2 ** (4 * limit + 1)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for n in edges + [-n for n in edges] + [0, 1, -1]:
+            try:
+                str(n)
+                prints = True
+            except ValueError:
+                prints = False
+            assert printable(n) == prints, n
+        sys.set_int_max_str_digits(0)
+        assert all(map(printable, edges))
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])  # CPython's least and default limits
 def test_f_mt_is_unprintable_from_four_times_the_limit(limit):
     # The refusal from k alone rests on F_MT(k) >= 10^limit for k >= 4 * limit.
     assert bounds.f_mt(4 * limit) >= 10 ** limit
@@ -629,7 +681,7 @@ def _build_nothing(*args, **kwargs):
 LONG_Q_GRAPH = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
                            "p": ["0." + "9" * 4000, "1/2", "0." + "9" * 4000]})
 # Guards on printed values that exist only once the work is done.
-GUARDS_AFTER_WORK = ("Q has", "s_1 or r_1 has")
+GUARDS_AFTER_WORK = ("Q has",)
 
 
 @pytest.mark.parametrize("argv,content,precision_env,expected,message", [
@@ -724,9 +776,11 @@ HUGE_PROBABILITY = "9" * 4300 + "e4300"
 @pytest.mark.parametrize("p,line", [
     ([HUGE_PROBABILITY], "error: p[0] must lie in the open interval (0,1)\n"),
     (["1/2", HUGE_PROBABILITY], "error: p[1] must lie in the open interval (0,1)\n"),
+    # -1/10^4300: a one-digit numerator over a 4301-digit denominator.
+    (["-1e-4300"], "error: p[0] must lie in the open interval (0,1)\n"),
     (["1/2", "3/2"], "error: p[1]=3/2 must lie in the open interval (0,1)\n"),
     (["0", "1/2"], "error: p[0]=0 must lie in the open interval (0,1)\n"),
-], ids=["huge-only", "huge-second", "printable", "zero"])
+], ids=["huge-only", "huge-second", "huge-denominator", "printable", "zero"])
 def test_out_of_range_probability_is_one_error_line(capsys, tmp_path, p, line):
     target = tmp_path / "graph.json"
     edges = [[0, 1]] if len(p) == 2 else []

@@ -130,7 +130,6 @@ KEPT_DEFAULTS = {
     "CertificationError.retry_precision": "raised both with and without a retry precision",
     "DimacsError.line": "raised both with and without a line number",
     "from_edges.payloads": "most graphs carry no payloads",
-    "_check_params.j": "fixed_point_iteration checks k and L, and has no j",
     "build_H.vertex_guard": "the benchmark builds H_j without a guard",
     "build_Hprime.vertex_guard": "the benchmark builds H'_j without a guard",
 }
@@ -162,3 +161,13 @@ def test_src_stats_prints_the_number_of_listed_defaults():
                             capture_output=True, text=True)
     figures = dict(line.split("\t") for line in result.stdout.splitlines())
     assert int(figures["defaulted_parameters"]) == len(KEPT_DEFAULTS)
+
+
+def test_the_int_string_limit_is_read_only_by_errors_and_cli():
+    # errors.printable is the one printability rule; cli reads the limit only
+    # for its work bounds and for the digit count in its refusal message.
+    def reads_limit(tree):
+        return any(getattr(node, "attr", getattr(node, "id", None)) == "get_int_max_str_digits"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name)))
+    readers = {path.stem for path in SOURCES if reads_limit(ast.parse(path.read_text()))}
+    assert readers == {"errors", "cli"}

@@ -49,8 +49,13 @@ inconclusive, and with --max-trajectory 0 and 2 at the violated (9, 22)
 and the converged (5, 2); then check-shearer on two graph files whose
 edges is an object and a string, which exit 3; then hj past the default
 vertex guard, on H_3 at (3, 3) (292 vertices), H_2 at (4, 5) and, with
---format json given after the subcommand, H_2 at (5, 4).  F_Shearer is
-taken at 256 bits, the CLI's default precision.
+--format json given after the subcommand, H_2 at (5, 4); then the int-string
+limit: hj at j = 1 with 4215-digit s_1 and r_1, (k, L) = (14000, 2) and
+(7000, 3), and past it, (14300, 2) refused on r_1 and (7200, 3) on s_1;
+check-shearer on two one-vertex graph files that exit 3, whose p is 4300
+nines (named) and 4300 nines times 10^4300 (too long to name); and hj at
+j = 1000000 under a guard of 1000000, whose count reads "more than".
+F_Shearer is taken at 256 bits, the CLI's default precision.
 Everything runs in tsv and in json.  The extremal files are read whole,
 and the SATLIB-style file and the eight small files line by line.  The
 SATLIB-style runs resample thousands of times, and seed 7 needs a second
@@ -99,6 +104,8 @@ HJ_GUARDED = [["hj", "--guard-vertices", "300", "--j", "3", "--k", "3", "--L", "
               ["hj", "--guard-vertices", "200", "--j", "2", "--k", "4", "--L", "5"],
               ["hj", "--guard-vertices", "200", "--format", "json",
                "--j", "2", "--k", "5", "--L", "4"]]
+# hj at j = 1 around the int-string limit: (k, L) printed, then refused.
+HJ_FIRST_LEVEL = [(14000, 2), (7000, 3), (14300, 2), (7200, 3)]
 # Printed by construct: no clause, one stage, wide clauses, and the largest formula.
 PRINTED = [(2, 2, 0), (2, 3, 1), (12, 3, 5), (9, 22, 200)]
 # Read only line by line: layouts no clean file has, and inputs that exit 6
@@ -301,6 +308,12 @@ def corpus():
         Path(name).write_text(json.dumps({"n": 2, "edges": edges, "p": ["1/3", "1/3"]}))
         commands.append(["check-shearer", "--graph", name])
     commands += HJ_GUARDED
+    commands += [["hj", "--j", "1", "--k", str(k), "--L", str(L)] for k, L in HJ_FIRST_LEVEL]
+    for name, entry in (("nines.json", "9" * 4300), ("nines_e.json", "9" * 4300 + "e4300")):
+        Path(name).write_text(json.dumps({"n": 1, "edges": [], "p": [entry]}))  # 3
+        commands.append(["check-shearer", "--graph", name])
+    commands.append(["--guard-vertices", "1000000", "hj", "--j", "1000000", "--k", "2",
+                     "--L", "2"])  # 4
     return commands
 
 
