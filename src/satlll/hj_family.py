@@ -46,10 +46,17 @@ and F_Shearer(k) = floor(max ell).  It is certified from three facts:
    e^{-d} >= 1 - d.  All of it runs on ints: with a = A/H, b = (A+2)/H,
    H = 2^h and M = N(k-1), Q(X) = (M(2H - X) + X) H^{k-1} - 2^k X^k is
    2^k H^k q_N(X/H), and with D = 2H - A and R = 2^k A^k - A H^{k-1},
-   d = 2 Q(A) / (D R).  u(a)^N, enclosed on the integers of fact 6, is
-   compared with 1/(2-a) = H / D and (1-d)/(2-a) = (D R - 2 Q(A)) H / (D^2 R)
-   by cross-multiplying, so no fraction is normalised; when neither test
-   holds, CertificationError is raised.
+   d = 2 Q(A) / (D R).  Q(X) > 0 iff (X/H)^{k-1} < (M(2H - X) + X) / (2^k X),
+   and a lies in the domain iff a^{k-1} > 2^{-k}, so each test of the bracket
+   compares a^{k-1} or b^{k-1} with a ratio of small ints: it is decided on
+   an enclosure of the power at h + 2 bits, and on the exact k h-bit ints
+   only where that enclosure straddles the ratio.  u(a)^N, enclosed on the
+   integers of fact 6, is compared with 1/(2-a) = H / D and
+   (1-d)/(2-a) = (D R - 2 Q(A)) H / (D^2 R) by cross-multiplying, so no
+   fraction is normalised.  d falls as a^{k-1} grows, so the second test
+   holds wherever it holds with a lower bound of a^{k-1} in Q(A) and R; that
+   bound is tried first, and the exact a^{k-1} only after it.  When neither
+   test holds, CertificationError is raised.
 
 Substituting t = 2 - a^{-(L-1)} turns the fixed point a = g(a) into
 phi_{L-1}(t) = 0, since g(a) = u(2 - a^{-(L-1)}).  So the same certificate
@@ -212,48 +219,46 @@ def _bits(n: int) -> list[int]:
     return [n >> i & 1 for i in range(n.bit_length() - 1)]
 
 
-def _powers(lo: int, hi: int, bits: list[int], P: int):
-    """(m, e) pairs with m * 2^e below (lo / 2^P)^n and above (hi / 2^P)^n,
-    for ints 0 <= lo <= hi and the n >= 1 with bits = _bits(n).
+def _power(x: int, bits: list[int], P: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2^e at most (x / 2^P)^n, or at least when up, for an
+    int x >= 0 and the n >= 1 with bits = _bits(n).
 
-    Square-and-multiply from the lowest bit, both ends in one loop: each
-    product is cut to P + 2 bits (one more when a cut rounds up), down for
-    the lower end and up for the upper one, and its exponent takes the rest.
-    The enclosures of fact 6 and u(a)^N in _phi_witness rest on both ends.
-    _newton and _shearer_estimate read only the lower end, and nothing rests
-    on that: the one's proposal is certified by an exact check, and the
-    other only picks probes (fact 5).
+    Square-and-multiply from the lowest bit: each product is cut to P + 2
+    bits (one more when a cut rounds up), down, or up when up, and its
+    exponent takes the rest.  When up, the product m and the square xs are
+    kept negated, so each floor shift rounds their magnitudes up, and x is
+    the square's magnitude.  _newton and _shearer_estimate take only the
+    lower end, and nothing rests on it: the one's proposal is certified by
+    an exact check, and the other only picks probes (fact 5).
     """
-    width = P + 2
-    m, e, n, f = 1, 0, 1, 0  # the products, m * 2^e and n * 2^f
-    x, g, y, h = lo, -P, hi, -P  # the squares, x * 2^g and y * 2^h
+    width, e, g = P + 2, 0, -P  # the product m * 2^e, the square x * 2^g
+    m, xs = (-1, -x) if up else (1, x)
     for bit in bits:
         if bit:
             m, e = m * x, e + g
             cut = m.bit_length() - width
             if cut > 0:
                 m, e = m >> cut, e + cut
-            n, f = n * y, f + h
-            cut = n.bit_length() - width
-            if cut > 0:
-                n, f = -(-n >> cut), f + cut
-        x, g = x * x, 2 * g
-        cut = x.bit_length() - width
+        xs, g = xs * x, 2 * g
+        cut = xs.bit_length() - width
         if cut > 0:
-            x, g = x >> cut, g + cut
-        y, h = y * y, 2 * h
-        cut = y.bit_length() - width
-        if cut > 0:
-            y, h = -(-y >> cut), h + cut
+            xs, g = xs >> cut, g + cut
+        x = -xs if up else xs
     m, e = m * x, e + g  # the top bit
     cut = m.bit_length() - width
     if cut > 0:
         m, e = m >> cut, e + cut
-    n, f = n * y, f + h
-    cut = n.bit_length() - width
-    if cut > 0:
-        n, f = -(-n >> cut), f + cut
-    return (m, e), (n, f)
+    return -m if up else m, e
+
+
+def _powers(lo: int, hi: int, bits: list[int], P: int):
+    """(m, e) pairs with m * 2^e below (lo / 2^P)^n and above (hi / 2^P)^n,
+    for ints 0 <= lo <= hi and the n >= 1 with bits = _bits(n), by _power.
+
+    u(a)^N in _phi_witness and the bracket's a^(k-1) and b^(k-1) rest on
+    both ends; _u_bounds, on fact 6's hot path, calls _power for each end.
+    """
+    return _power(lo, bits, P, False), _power(hi, bits, P, True)
 
 
 def _fixed(m: int, e: int, s: int) -> int:
@@ -298,8 +303,10 @@ def _u_bounds(lo: int, hi: int, k: int, k_bits: list[int], P: int):
     For 0 <= lo <= hi and k_bits = _bits(k - 1); u increases for t > 0, and
     lo' is -math.inf when lo = 0.
     """
-    q_lo, q_hi = _quotient(P - k, *_powers(lo, hi, k_bits, P))  # 2^{-k} / t^(k-1), over 2^P
-    return (1 << P) - q_hi, (1 << P) - q_lo
+    q_lo, q_hi = _quotient(P - k, _power(lo, k_bits, P, False),  # 2^{-k} / t^(k-1), over 2^P
+                           _power(hi, k_bits, P, True))
+    one = 1 << P
+    return one - q_hi, one - q_lo
 
 
 def _enclosures(k: int, N: int, P: int):
@@ -341,7 +348,7 @@ def _midpoint(lo: int, hi: int, P: int) -> float:
     It encloses nothing and no verdict is taken from it.
     """
     try:
-        return (lo / (1 << P) + hi / (1 << P)) / 2
+        return (lo / (scale := 1 << P) + hi / scale) / 2
     except OverflowError:  # a_j = 1 - 2^{-k} / base^{k-1} below -2^1024
         return -math.inf
 
@@ -385,19 +392,55 @@ def fixed_point_iteration(k: int, L: int, max_iter: int, precision: int) -> Fixe
     return FixedPointReport(tuple(trajectory), verdict, threshold)
 
 
+def _log_root(M: int, k: int, W: int) -> Optional[int]:
+    """T = t 2^W just above the root of q_N, M = N (k-1), from doubles, or None.
+
+    q_N(t) = 0 iff k ln(2t) = ln(2M - (M-1) t) = ln M + y with
+    y = ln(2 - wt), w = 1 - 1/M; ln M is math.log(M), so nothing overflows
+    past 2^1023.  As a function of y, k ln(2(2 - e^y) / w) - ln M - y is
+    concave and decreasing, so Newton's method from the y of t = 1/2, where
+    it is negative, descends onto its root; it stops once t moves by at most
+    2^-46.  The root is raised by 2^-40 of itself.  None when W <= 64, M = 1,
+    the descent does not settle in 64 steps or the raised root is not below 2.
+    """
+    if W <= 64 or M == 1:
+        return None
+    log_m = math.log(M)
+    w = 1 - math.exp(-log_m)  # 1 - 1/M; 1.0 past 2^53
+    y = math.log(2 - w / 2)  # t = 1/2
+    for _ in range(64):
+        r = math.exp(y)
+        step = (k * math.log(2 * (2 - r) / w) - log_m - y) / (-k * r / (2 - r) - 1)
+        y -= step
+        if r * abs(step) <= 2.0 ** -46:
+            break
+    else:
+        return None
+    t = (2 - math.exp(y)) / w * (1 + 2.0 ** -40)
+    return int(math.ldexp(t, 64)) << W - 64 if t < 2 else None
+
+
 def _newton(N: int, k: int, precision: int) -> int:
     """floor(t 2^h), h = precision // 2, for Newton's t = T / 2^W, W = precision + k,
-    near the root of q_N, N >= 1: not certified, as it rounds down with no bound kept."""
+    near the root of q_N, N >= 1: not certified, as it rounds down with no bound kept.
+
+    Each step takes the lower end of t^(k-1) alone (_power).
+    """
     W, M, k_bits = precision + k, N * (k - 1), _bits(k - 1)
     # Newton descends monotonically onto the root t* of the concave,
-    # decreasing q_N from any t >= t*: from t = 1 when q_N(1) <= 0, which
-    # is M + 1 <= 2^k for M = N (k-1), else from t = 2.  Stop once rounding
-    # halts it.  With pw = 2^(k+W) t^(k-1), 2^(k+W) q_N(t) is
+    # decreasing q_N from any t >= t*.  It starts from _log_root's t when
+    # this loop's own q there is <= 0, else from t = 1 when q_N(1) <= 0,
+    # which is M + 1 <= 2^k for M = N (k-1), else from t = 2.  Stop once
+    # rounding halts it.  With pw = 2^(k+W) t^(k-1), 2^(k+W) q_N(t) is
     # M (2^(W+1) - T) + T - T pw / 2^W and 2^(k+W) q_N'(t) is (1 - M) 2^W - k pw.
-    T = 1 << W if M + 1 <= 1 << k else 2 << W
-    for _ in range(k + precision):
-        pw = _fixed(*_powers(T, T, k_bits, W)[0], k + W)
+    descent = 1 << W if M + 1 <= 1 << k else 2 << W
+    T = _log_root(M, k, W) or descent
+    for i in range(k + precision):
+        pw = _fixed(*_power(T, k_bits, W, False), k + W)
         q = M * ((2 << W) - T) + T - (T * pw >> W)
+        if q > 0 and not i:  # the double lay below t*
+            T = descent
+            continue
         T_next = T - (q << W) // ((1 - M << W) - k * pw)
         if T_next >= T:
             break
@@ -405,23 +448,45 @@ def _newton(N: int, k: int, precision: int) -> int:
     return T >> W - precision // 2
 
 
-def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[int, int, int]:
-    """(A, Q(A), A^k), where a = A / H < b = (A + 2) / H, H = 2^(precision // 2),
-    bracket the maximizer of phi_N, N >= 1, in its domain (fact 3): A + 1 is
-    _newton's proposal, and CertificationError is raised unless A > 0,
-    2^k A^(k-1) > H^(k-1) and Q(A) > 0 >= Q(A + 2), all checked on ints."""
-    h, M, scale = precision // 2, N * (k - 1), 1 << precision // 2 * (k - 1)  # H^(k-1)
+def _side(X: int, k: int, h: int, num: int, den: int, power) -> int:
+    """The sign of (X / 2^h)^(k-1) - num / den, for ints X >= 0, num and den > 0.
 
-    def Q(X: int, X_k: int) -> int:  # 2^k H^k q_N(X / H), for X_k = X^(k-1)
-        return (M * ((2 << h) - X) + X) * scale - (X_k * X << k)
+    power is the _powers enclosure (low, high) of (X / 2^h)^(k-1); the
+    exact k h-bit ints are formed only when it straddles num / den.
+    """
+    low, high = power
+    if _compare(*low, num, den) > 0:
+        return 1
+    if _compare(*high, num, den) < 0:
+        return -1
+    exact = X ** (k - 1) * den - (num << h * (k - 1))
+    return (exact > 0) - (exact < 0)
 
+
+def _maximizer_bracket(N: int, k: int, precision: int) -> tuple[int, tuple[int, int]]:
+    """(A, low), where a = A / H < b = (A + 2) / H, H = 2^h, h = precision // 2,
+    bracket the maximizer of phi_N, N >= 1, in its domain (fact 3), and
+    low = (m, e) has m 2^e <= a^(k-1).
+
+    A + 1 is _newton's proposal, and CertificationError is raised unless
+    A > 0, 2^k a^(k-1) > 1 and Q(A) > 0 >= Q(A + 2).  Q(X) has the sign of
+    (M (2H - X) + X) / (2^k X) - (X / H)^(k-1), M = N (k-1), so each test
+    compares a^(k-1) or b^(k-1) with a fraction of small ints (_side), on
+    its _powers enclosure at h + 2 bits.
+    """
+    h, M, k_bits = precision // 2, N * (k - 1), _bits(k - 1)
     A = _newton(N, k, precision) - 1
-    A_k = A ** (k - 1) if A > 0 else 0
-    if not (A_k << k > scale and (Q_A := Q(A, A_k)) > 0 >= Q(A + 2, (A + 2) ** (k - 1))):
-        raise CertificationError(
-            f"no certified bracket of the maximizer of phi_{N} for k={k}: "
-            f"[{A / (1 << h)}, {(A + 2) / (1 << h)}]", retry_precision=2 * precision)
-    return A, Q_A, A_k * A
+    B = A + 2
+    if A > 0:
+        a_k = _powers(A, A, k_bits, h)
+        if (_side(A, k, h, 1, 1 << k, a_k) > 0
+                and _side(A, k, h, M * ((2 << h) - A) + A, A << k, a_k) < 0
+                and _side(B, k, h, M * ((2 << h) - B) + B, B << k,
+                          _powers(B, B, k_bits, h)) >= 0):
+            return A, a_k[0]
+    raise CertificationError(
+        f"no certified bracket of the maximizer of phi_{N} for k={k}: "
+        f"[{A / (1 << h)}, {B / (1 << h)}]", retry_precision=2 * precision)
 
 
 def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
@@ -430,17 +495,29 @@ def _phi_witness(N: int, k: int, precision: int) -> Optional[Fraction]:
     Certified by facts 2 and 3 of the module docstring on the bracket a < b:
     a is returned when (2-a) u(a)^N >= 1, which is phi_N(a) >= 0, and None
     when (2-a) u(a)^N < 1 - phi_N'(a)(b-a).  u(a)^N is enclosed as fact 6
-    encloses a_j^N, at P = precision + 8, so no logarithm is taken.
+    encloses a_j^N, at P = precision + 8, so no logarithm is taken.  With
+    z = a^(k-1), 1 - phi_N'(a)(b-a) increases with z, so the second test
+    is tried first on the bracket's lower end of z and only then on the
+    exact z = A^(k-1) / H^(k-1).
     """
-    A, Q_A, A_k = _maximizer_bracket(N, k, precision)
+    A, low = _maximizer_bracket(N, k, precision)
     h, P = precision // 2, precision + 8
-    D, R = (2 << h) - A, (A_k << k) - (A << h * (k - 1))  # (2-a) H, 2^k H^k (a^k - a / 2^k)
+    D, num = (2 << h) - A, N * (k - 1) * ((2 << h) - A) + A  # (2-a) H, (M (2-a) + a) H
     x = A << P - h  # a 2^P
     u_lo, u_hi = _u_bounds(x, x, k, _bits(k - 1), P)
-    low, high = _powers(max(u_lo, 0), u_hi, _bits(N), P)  # u(a)^N
-    if _compare(*low, 1 << h, D) >= 0:  # 1 / (2-a)
+    u_low, u_high = _powers(max(u_lo, 0), u_hi, _bits(N), P)  # u(a)^N
+    if _compare(*u_low, 1 << h, D) >= 0:  # 1 / (2-a)
         return Fraction(A, 1 << h)
-    if _compare(*high, D * R - 2 * Q_A << h, D * D * R) < 0:  # (1 - phi_N'(a)(b-a)) / (2-a)
+
+    def refuted(z_num: int, z_den: int) -> bool:  # at z = z_num / z_den, 2^k z > 1
+        # (1 - phi_N'(a)(b-a)) / (2-a) = (D R - 2 Q(A)) H / (D^2 R), with Q(A)
+        # and R both divided by H^(k-1) / z_den, which cancels
+        R = A * ((z_num << k) - z_den)
+        return _compare(*u_high, D * R - 2 * (num * z_den - (A * z_num << k)) << h, D * D * R) < 0
+
+    m, e = low
+    z_num, z_den = (m << e, 1) if e >= 0 else (m, 1 << -e)
+    if (z_num << k) > z_den and refuted(z_num, z_den) or refuted(A ** (k - 1), 1 << h * (k - 1)):
         return None
     raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",
                              retry_precision=2 * precision)
@@ -488,7 +565,8 @@ def _shearer_estimate(k: int) -> int:
     k up to 3000; a step above 1, or to where x = c / t^(k-1) exceeds 1/2,
     ends it early.  It runs on ints at W = 2k + 64 bits, t = T / 2^W, with
     ln u = ln(1 - x) = -2 atanh(x / (2-x)) and ln(2-t) = 2 atanh((1-t) / (3-t)).
-    x, about 2^{-k}, is taken from t^(k-1) to relative precision, so ln u
+    x, about 2^{-k}, is taken from the lower end of t^(k-1) (_power) to
+    relative precision, so ln u
     keeps about k + 64 bits, and psi is good to about 2^{-k-56}, far below
     the stopping step 2^{-k-32}: ln(2-t) is summed at k + 64 bits, as psi
     needs no more.  N < 2^k, so floor(N) is resolved.
@@ -497,7 +575,7 @@ def _shearer_estimate(k: int) -> int:
     one, c = 1 << W, 1 << W - k  # 1 and 2^{-k}, over 2^W
     T = one
     for _ in range(64):
-        m, e = _powers(T, T, k_bits, W)[0]  # t^(k-1) >= m 2^e
+        m, e = _power(T, k_bits, W, False)  # t^(k-1) >= m 2^e
         x = (1 << W - k - e) // m  # c / t^(k-1), over 2^W
         if x > one >> 1:
             break  # astray: keep n from the t before

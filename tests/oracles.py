@@ -456,6 +456,24 @@ def power_by_squaring(x: int, n: int, P: int, up: bool) -> tuple[int, int]:
             x, f = -(-x >> cut) if up else x >> cut, f + cut
 
 
+def newton_by_descent(N: int, k: int, precision: int) -> int:
+    """``hj_family._newton`` started where it fell back to before its start
+    from doubles: t = 1 when q_N(1) <= 0, that is M + 1 <= 2^k for
+    M = N (k-1), else t = 2.  Each power is ``power_by_squaring``'s lower end.
+    From t = 1 at N = 1 it walks about k ln 2 steps before it converges."""
+    W, M = precision + k, N * (k - 1)
+    T = 1 << W if M + 1 <= 1 << k else 2 << W
+    for _ in range(k + precision):
+        m, e = power_by_squaring(T, k - 1, W, False)
+        pw = m << e + k + W if e + k + W >= 0 else m >> -(e + k + W)  # 2^(k+W) t^(k-1)
+        q = M * ((2 << W) - T) + T - (T * pw >> W)
+        T_next = T - (q << W) // ((1 - M << W) - k * pw)
+        if T_next >= T:
+            break
+        T = T_next
+    return T >> W - precision // 2
+
+
 def q_polynomial(t, N: int, c, k: int):
     """q_N(t) = N c (k-1) (2-t) + c t - t^k, which has the sign of phi_N'(t)."""
     return N * c * (k - 1) * (2 - t) + c * t - t ** k
@@ -496,15 +514,16 @@ def phi_witness_by_fractions(N: int, k: int, precision: int) -> Optional[Fractio
     ``fraction_bracket`` on Newton's proposal, d = phi_N'(a)(b-a), 1 / (2-a) and
     (1 - d) / (2-a) reduced by gcds, and the same enclosure of u(a)^N."""
     a, b = fraction_bracket(hj_family._newton(N, k, precision), N, k, precision)
-    c = Fraction(1, 2 ** k)
-    d = q_polynomial(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)
     P = precision + 8
     x = int(a * (1 << P))
     u_lo, u_hi = hj_family._u_bounds(x, x, k, hj_family._bits(k - 1), P)
     low, high = hj_family._powers(max(u_lo, 0), u_hi, hj_family._bits(N), P)
-    lower, upper = 1 / (2 - a), (1 - d) / (2 - a)
+    lower = 1 / (2 - a)
     if hj_family._compare(*low, lower.numerator, lower.denominator) >= 0:
         return a
+    c = Fraction(1, 2 ** k)
+    d = q_polynomial(a, N, c, k) / ((2 - a) * (a ** k - c * a)) * (b - a)
+    upper = (1 - d) / (2 - a)
     if hj_family._compare(*high, upper.numerator, upper.denominator) < 0:
         return None
     raise CertificationError(f"max phi_{N} >= 0 for k={k} not certifiable at current precision",

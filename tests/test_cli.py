@@ -305,6 +305,16 @@ def test_fixedpoint_text(capsys):
     assert "step=3" in out
 
 
+def test_fixedpoint_converges_at_k_20000_within_seconds(capsys):
+    # phi_1's probe at k = 20000: Newton starts from a double near its root
+    # where it walked about 14 000 steps from t = 1, and the bracket is
+    # decided on 130-bit enclosures of powers that have 2.6 million bits.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fixedpoint", "--k", "20000", "--L", "2")
+    assert time.perf_counter() - start < 10
+    assert code == 0 and " verdict=converged step=None " in out
+
+
 @pytest.mark.parametrize("cap,length,truncated", [("0", 0, True), ("2", 2, True),
                                                    ("4", 4, False), ("1000", 4, False)])
 def test_fixedpoint_json_caps_the_trajectory(capsys, cap, length, truncated):

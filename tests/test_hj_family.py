@@ -24,8 +24,8 @@ from oracles import (a_b_sequence, enclosures_by_powers, fixed_point_bounds_by_i
                      fixed_point_iteration_by_intervals, fraction_bracket, g_function,
                      h_graph_by_recursion, h_vertex_count, induced_subgraph,
                      isomorphic_by_placement, maximizer_bracket_by_mpmath,
-                     phi_witness_by_fractions, phi_witness_by_intervals,
-                     power_by_squaring, q_polynomial,
+                     newton_by_descent, phi_witness_by_fractions,
+                     phi_witness_by_intervals, power_by_squaring, q_polynomial,
                      shearer_estimate_by_mpmath, shearer_upper_bound_by_bisection,
                      threshold_ell)
 
@@ -317,37 +317,125 @@ def test_power_loop_matches_single_end_runs():
 
 
 def bracket_as_fractions(N, k, precision):
-    """hj_family._maximizer_bracket's (a, b), after checking the two ints it
-    returns with them: Q(A) = 2^k H^k q_N(a) and A^k, H = 2^(precision // 2)."""
-    A, Q, A_k = hj_family._maximizer_bracket(N, k, precision)
-    H = 2 ** (precision // 2)
-    a = Fraction(A, H)
-    assert Q == 2 ** k * H ** k * q_polynomial(a, N, Fraction(1, 2 ** k), k), (N, k, precision)
-    assert A_k == A ** k, (N, k, precision)
-    return a, Fraction(A + 2, H)
+    """hj_family._maximizer_bracket's (a, b), after checking the lower end of
+    a^(k-1) it returns with them: square-and-multiply's at h = precision // 2."""
+    A, low = hj_family._maximizer_bracket(N, k, precision)
+    h = precision // 2
+    assert low == power_by_squaring(A, k - 1, h, False), (N, k, precision)
+    return Fraction(A, 2 ** h), Fraction(A + 2, 2 ** h)
+
+
+def straddled(A, N, k, h) -> int:
+    """How many of _maximizer_bracket's three tests at a = A / 2^h and
+    b = (A + 2) / 2^h its enclosures of a^(k-1) and b^(k-1) at h + 2 bits
+    leave to exact ints: the domain, Q(A) > 0 and Q(A + 2) <= 0."""
+    M, B = N * (k - 1), A + 2
+    tests = [(A, 1, 1 << k), (A, M * ((2 << h) - A) + A, A << k),
+             (B, M * ((2 << h) - B) + B, B << k)]
+    count = 0
+    for X, num, den in tests:
+        low, high = hj_family._powers(X, X, hj_family._bits(k - 1), h)
+        count += hj_family._compare(*low, num, den) <= 0 <= hj_family._compare(*high, num, den)
+    return count
 
 
 def test_maximizer_bracket_matches_mpmath_newton():
     # Newton on integers at precision + k bits against Newton on mpmath
     # floats at precision bits: the same brackets and the same refusals.
     # Near N = F_Shearer and F_MT at the working precisions (64 bits and
-    # up), where neither refuses, and for phi_1 and phi_2 at k = 60 and 100
-    # at 8 and 10 bits, where both refuse six.  The check on ints must also
-    # decide as the check on Fractions does on the same proposal.
+    # up), where neither refuses; for phi_1 and phi_2 at k = 60, 100 and
+    # 200 at 64 and 2k + 128 bits, where the descent from t = 1 is longest;
+    # and for phi_1 and phi_2 at k = 60 and 100 at 8 and 10 bits, where both
+    # refuse six.  The check on ints must also decide as the check on
+    # Fractions does on the same proposal, also where its enclosures leave
+    # a test to exact ints.
     cases = []
     for k in [*range(2, 41), 60, 100, 133, 137, 200]:
         F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k, DEFAULT_PRECISION)
         near = {N for N in (F - 1, F, f_mt(k), f_mt(k) + 1) if N >= 1}
         cases += [(N, k, bits) for bits in (64, 80, 128, 2 * k + 128) for N in near]
+    cases += [(N, k, bits) for k in (60, 100, 200) for bits in (64, 2 * k + 128) for N in (1, 2)]
     cases += [(N, k, bits) for k in (60, 100) for bits in (8, 10) for N in (1, 2)]
-    refused = 0
+    refused = exact = 0
     for N, k, bits in cases:
         got, expected = (outcome(route, N, k, bits)
                          for route in (bracket_as_fractions, maximizer_bracket_by_mpmath))
         assert got == expected, (N, k, bits)
         assert got == outcome(fraction_bracket, hj_family._newton(N, k, bits), N, k, bits)
         refused += got[0] is CertificationError
+        if got[0] is not CertificationError:
+            exact += straddled(int(got[0] * 2 ** (bits // 2)), N, k, bits // 2)
     assert refused == 6, refused
+    assert exact > 40, exact
+
+
+def test_side_falls_back_to_exact_ints():
+    # With an enclosure that holds every value, _side must decide each sign
+    # on exact ints, and with _powers' own enclosure it must decide the same.
+    rng = random.Random(38)
+    for _ in range(300):
+        k, h = rng.randrange(2, 40), rng.choice((4, 8, 32, 100))
+        X, den = rng.randrange(1, 3 << h), rng.randrange(1, 1 << 40)
+        exact_power = Fraction(X, 1 << h) ** (k - 1)
+        num = max(1, math.floor(exact_power * den) + rng.randrange(-2, 3))
+        expected = sign(exact_power - Fraction(num, den))
+        everything = (0, 0), (1, (k - 1) * (h + 2))  # [0, 2^((k-1)(h+2))]
+        assert hj_family._side(X, k, h, num, den, everything) == expected, (X, k, h, num, den)
+        power = hj_family._powers(X, X, hj_family._bits(k - 1), h)
+        assert hj_family._side(X, k, h, num, den, power) == expected, (X, k, h, num, den)
+
+
+def test_newton_matches_descent_from_one_or_two():
+    # _newton starts from _log_root's double, raised by 2^-40, where it used
+    # to start from t = 1 or 2: the proposals must be the same.  The double
+    # must lie above the root of q_N wherever it is given, so the loop never
+    # refuses it, and it must be given almost everywhere.
+    given = 0
+    for k in range(2, 61):
+        F = SHEARER_SAMPLES.get(k) or shearer_upper_bound(k, DEFAULT_PRECISION)
+        for N in {N for N in (1, 2, F - 1, F, f_mt(k), f_mt(k) + 1) if N >= 1}:
+            for bits in (64, 80, 128, 2 * k + 128):
+                assert hj_family._newton(N, k, bits) == newton_by_descent(N, k, bits), (N, k, bits)
+                W = bits + k
+                if (T := hj_family._log_root(N * (k - 1), k, W)) is not None:
+                    q = q_polynomial(Fraction(T, 1 << W), N, Fraction(1, 2 ** k), k)
+                    assert q <= 0, (N, k, bits)
+                    given += 1
+    assert given > 1200, given
+
+
+def test_bracket_and_witness_at_large_k_match_fractions():
+    # At k = 300 and 640, 2k + 128 bits, around F_Shearer and at F_MT: the
+    # bracket on enclosures and the phi test against the same tests on
+    # normalised Fractions, whose a^k has about 450 000 bits at k = 640.
+    kinds = Counter()
+    for k in (300, 640):
+        F, bits = shearer_upper_bound(k, DEFAULT_PRECISION), 2 * k + 128
+        for N in (F - 1, F, F + 1, f_mt(k)):
+            got = refusal(hj_family._phi_witness, N, k, bits)
+            assert got == refusal(phi_witness_by_fractions, N, k, bits), (N, k)
+            kinds["witness" if got is not None else "none"] += 1
+    assert kinds == {"witness": 2, "none": 6}, kinds
+
+
+def test_refutation_falls_back_to_exact_ints():
+    # Two probes at 12 bits whose refutation the lower end of a^(k-1) at
+    # h + 2 bits leaves open, and the exact a^(k-1) decides.
+    for N, k in ((4, 6), (40, 10)):
+        precision, h = 12, 6
+        assert hj_family._phi_witness(N, k, precision) is None
+        assert phi_witness_by_fractions(N, k, precision) is None
+        A, low = hj_family._maximizer_bracket(N, k, precision)
+        a, c = Fraction(A, 1 << h), Fraction(1, 2 ** k)
+
+        def bound(z):  # (1 - phi_N'(a)(b-a)) / (2-a) at a^(k-1) = z
+            q = N * c * (k - 1) * (2 - a) + c * a - a * z
+            return (1 - q / ((2 - a) * (a * z - c * a)) * Fraction(2, 1 << h)) / (2 - a)
+
+        P = precision + 8
+        u_lo, u_hi = hj_family._u_bounds(A << P - h, A << P - h, k, hj_family._bits(k - 1), P)
+        high = hj_family._powers(max(u_lo, 0), u_hi, hj_family._bits(N), P)[1]
+        assert compare(*high, bound(exact(low))) >= 0 > compare(*high, bound(a ** (k - 1)))
 
 
 def refusal(function, *args):

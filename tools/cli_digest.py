@@ -41,7 +41,10 @@ and fixedpoint at F_Shearer(200), whose phi probes need more than 256
 bits; inputs that exit with each of the codes 2 to 6; then fixedpoint at
 L = 2 and 3 for k = 5..20, which converge, fixedpoint at F_Shearer + 1 for
 k = 21..24, violated after 916 to 3353 steps, at --precision 64 and at the
-default, and table 640 640; then bounds for k = 2..60 at --precision 64
+default, table 640 640 and 1000 1000, whose brackets are decided on
+enclosures of powers of up to a million bits, and fixedpoint at L = 2 for
+k = 640 and 3000, whose phi_1 probes start Newton from a double far from
+t = 1; then bounds for k = 2..60 at --precision 64
 and 80, where the printed alpha rounds most coarsely, and bounds for
 k = 1045..1048, where the gap's rhs first prints inf (at 1047); then
 fixedpoint with --max-iter 0 and 5 at (9, 22) and (20, 19312), which end
@@ -296,7 +299,8 @@ def corpus():
     commands += [[*precision, "fixedpoint", "--k", str(k),
                   "--L", str(shearer_upper_bound(k, 256) + 1)]
                  for precision in (["--precision", "64"], []) for k in range(21, 25)]
-    commands.append(["table", "640", "640"])
+    commands += [["table", "640", "640"], ["table", "1000", "1000"]]
+    commands += [["fixedpoint", "--k", str(k), "--L", "2"] for k in (640, 3000)]
     commands += [["--precision", precision, "bounds", "--k", str(k)]
                  for precision in ("64", "80") for k in range(2, 61)]
     commands += [["bounds", "--k", str(k)] for k in range(1045, 1049)]  # rhs inf from 1047
