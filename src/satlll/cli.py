@@ -7,6 +7,11 @@ before it), else its SATLLL_* environment variable, else the default.
 Exit codes are distinct per error class: 0 success, 2 usage (argparse),
 3 domain error, 4 size-guard violation (or recursion too deep),
 5 certification failure, 6 DIMACS parse error.
+
+Plain argv (exact long flags, each with a value, around a command named
+exactly) is read directly, from tables built once from PARSER's own
+declarations, into the Namespace argparse would give (_plain_args); help,
+usage errors and every other argv still go through argparse.
 """
 
 from __future__ import annotations
@@ -225,14 +230,15 @@ def cmd_check_shearer(args):
 
 
 def cmd_hj(args):
-    # H_size's guard bounds the recurrence but leaves k free at j = 1, where, in lowest
-    # terms, r_1 = (2^k - 1)/2^k and s_1 = odd/2^(k(L-1)-1) print iff their denominators
-    # do (never past 4 * limit bits).  |H'_j| <= |H_j|, so build_Hprime's guard passes.
+    # H_size's guard bounds the levels but leaves k free, so the denominators of s_j and
+    # r_j, 2^σ_j and 2^ρ_j, are checked before the recurrence forms them (capped at
+    # 4 * limit bits, past which a power of 2 never prints), and the numerators after.
+    # |H'_j| <= |H_j|, so build_Hprime's guard passes.
     guard, what = args.guard_vertices, f"s_{args.j} or r_{args.j}"
     hj_family.H_size(False, args.j, args.k, args.L, guard)
-    if args.j == 1:
-        cap = 4 * sys.get_int_max_str_digits()
-        _check_printable(what, 1 << min(args.k, cap), 1 << min(args.k * (args.L - 1) - 1, cap))
+    cap = 4 * sys.get_int_max_str_digits()
+    sigma, rho = hj_family.denominator_exponents(args.j, args.k, args.L)
+    _check_printable(what, 1 << min(sigma, cap), 1 << min(rho, cap))
     s, r = hj_family.recurrence_sr(args.j, args.k, args.L)
     s_rec, r_rec = s[args.j], r[args.j]
     _check_printable(what, s_rec, r_rec)
@@ -413,8 +419,93 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _reader_tables(parser):
+    """What _plain_args reads, from parser's own declarations: the root's
+    options and defaults, the command's dest, and per command its options
+    (its own and the common ones), positionals, defaults, required options
+    and exclusive groups."""
+    def options(p):
+        # Exact long strings of one-value store actions; -h is left to argparse.
+        return {s: a for s, a in p._option_string_actions.items()
+                if s.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None}
+
+    def defaults(p):
+        # As parse_known_args fills a fresh namespace; a str default goes through its type.
+        return {**p._defaults,
+                **{a.dest: p._get_value(a, a.default) if isinstance(a.default, str) else a.default
+                   for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)}}
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {name: (options(p), [a for a in p._actions if not a.option_strings], defaults(p),
+                       {a.dest for a in p._actions if a.required and a.option_strings},
+                       [({a.dest for a in g._group_actions}, g.required)
+                        for g in p._mutually_exclusive_groups])
+                for name, p in sub.choices.items()}
+    return options(parser), defaults(parser), sub.dest, commands
+
+
+_COMMON, _ROOT_DEFAULTS, _COMMAND_DEST, _COMMANDS = _reader_tables(PARSER)
+
+
+def _read(action, value, into) -> bool:
+    """Store value under action's dest as argparse would; False where
+    argparse reads it otherwise (empty, "-" first, given twice) or refuses it."""
+    if not value or value[0] == "-" or action.dest in into:
+        return False
+    try:
+        value = action.type(value) if action.type else value
+    except ValueError:
+        return False
+    if action.choices is not None and value not in action.choices:
+        return False
+    into[action.dest] = value
+    return True
+
+
+def _plain_args(argv):
+    """The Namespace that PARSER.parse_args(argv) returns, or None.
+
+    Read directly, without argparse, is only this form: common long options
+    by their exact names, each with a value, then a command by its exact
+    name, then that command's long options by their exact names, each with
+    a value and none twice, and exactly its positionals, in any order; its
+    required options given and one of each required exclusive group.  Every
+    token is a str.  None for any other argv, so argparse reads it, refuses
+    it or prints help as it always has.
+    """
+    if any(type(token) is not str for token in argv):
+        return None
+    before, i, n = {}, 0, len(argv)
+    while i < n and argv[i] in _COMMON:
+        if i + 1 == n or not _read(_COMMON[argv[i]], argv[i + 1], before):
+            return None
+        i += 2
+    if i == n or argv[i] not in _COMMANDS:
+        return None
+    command = argv[i]
+    options, positionals, defaults, required, groups = _COMMANDS[command]
+    after, values = {}, []
+    i += 1
+    while i < n:
+        if argv[i] in options:
+            if i + 1 == n or not _read(options[argv[i]], argv[i + 1], after):
+                return None
+            i += 2
+        else:
+            values.append(argv[i])
+            i += 1
+    plain = (len(values) == len(positionals)
+             and all(_read(action, value, after) for action, value in zip(positionals, values))
+             and required <= after.keys()
+             and all(need <= len(dests & after.keys()) <= 1 for dests, need in groups))
+    # A common option given on both sides takes its value after the command.
+    return argparse.Namespace(**{**_ROOT_DEFAULTS, **before, _COMMAND_DEST: command,
+                                 **defaults, **after}) if plain else None
+
+
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or PARSER.parse_args(argv)
     try:
         _resolve_settings(args)
         code, output = args.func(args)

@@ -209,6 +209,27 @@ def recurrence_sr(j: int, k: int, L: int) -> tuple[tuple[Fraction, ...], tuple[F
     return tuple(s[1:]), tuple(r)
 
 
+def denominator_exponents(j: int, k: int, L: int) -> tuple[int, int]:
+    """(σ_j, ρ_j) with s_j = odd/2^σ_j and r_j = odd/2^ρ_j in lowest terms,
+    as recurrence_sr gives them, without forming either.
+
+    By induction from σ_{-1} = σ_0 = ρ_0 = 0, where s_{-1} = s_0 = r_0 = 1:
+    r_t's two terms are odd/2^e1 and odd/2^e2 with e1 = (k-1)σ_{t-1} and
+    e2 = k + (k-1)(L-1)(ρ_{t-1} + (k-1)σ_{t-2}), and s_t's are odd/2^f1 and
+    odd/2^f2 with f1 = (L-1)(ρ_t + (k-1)σ_{t-1}) - 1 and f2 = 2(k-1)(L-1)σ_{t-1}.
+    A difference of two such terms is odd/2^max when the exponents differ,
+    and they always do: e2 - e1 is k at t = 1 and, as σ_{t-1} is step t-1's
+    f1, 2k - 1 after, so f1 - f2 = (L-1)(e2 - e1) - 1 >= 1.  Hence ρ_t = e2
+    and σ_t = f1.
+    """
+    _check_params(k, L, j)
+    sigma_before, sigma, rho = 0, 0, 0  # σ_{t-2}, σ_{t-1}, ρ_{t-1}
+    for _ in range(j):
+        rho = k + (k - 1) * (L - 1) * (rho + (k - 1) * sigma_before)
+        sigma_before, sigma = sigma, (L - 1) * (rho + (k - 1) * sigma) - 1
+    return sigma, rho
+
+
 def _bits(n: int) -> list[int]:
     """The bit schedule of n >= 1 for _powers: its bits below the top one, lowest first.
 

@@ -242,15 +242,19 @@ def test_hj_refuses_an_unprintable_width_before_building_its_formula(capsys):
                                 "digits, the int-string limit\n")
 
 
-def test_hj_refuses_an_unprintable_first_level_before_its_recurrence(capsys, monkeypatch):
-    # |H_1| = 200 passes the guard at any k, and s_1 = odd/2^(k(L-1)-1) has a
-    # billion-bit denominator, so the refusal comes from the exponents alone.
+# |H_1| = 200 passes the guard at any k, and s_1 = odd/2^(k(L-1)-1) has a
+# billion-bit denominator; |H_2| = 3998 passes it at k = 1000, L = 2, and s_2 =
+# odd/2^1998000, where the recurrence would spend seconds forming s_2.  So the
+# refusal comes from the exponents alone.
+@pytest.mark.parametrize("guard,j,k,L", [(200, 1, 10000000, 101), (4000, 2, 1000, 2)])
+def test_hj_refuses_an_unprintable_level_before_its_recurrence(capsys, monkeypatch,
+                                                              guard, j, k, L):
     monkeypatch.setattr(hj_family, "recurrence_sr", _build_nothing)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "--guard-vertices", "200", "hj", "--j", "1",
-                             "--k", "10000000", "--L", "101")
+    code, out, err = run_cli(capsys, "--guard-vertices", str(guard), "hj", "--j", str(j),
+                             "--k", str(k), "--L", str(L))
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (EXIT_GUARD, "", "error: s_1 or r_1 has more than 4300 "
+    assert (code, out, err) == (EXIT_GUARD, "", f"error: s_{j} or r_{j} has more than 4300 "
                                 "digits, the int-string limit\n")
 
 
@@ -334,10 +338,12 @@ def test_fixedpoint_json_caps_the_trajectory(capsys, cap, length, truncated):
     assert payload["trajectory"] == list(whole[:length])
 
 
-def test_cli_defaults_are_the_ones_tests_pass_to_the_library():
-    fixedpoint = cli.PARSER.parse_args(["fixedpoint", "--k", "2", "--L", "2"])
+@pytest.mark.parametrize("read", [cli._plain_args, cli.PARSER.parse_args],
+                         ids=["reader", "argparse"])
+def test_cli_defaults_are_the_ones_tests_pass_to_the_library(read):
+    fixedpoint = read(["fixedpoint", "--k", "2", "--L", "2"])
     assert (fixedpoint.max_iter, fixedpoint.max_trajectory) == (MAX_ITER, 1000)
-    mt = cli.PARSER.parse_args(["mt", "--cnf", "x.cnf"])
+    mt = read(["mt", "--cnf", "x.cnf"])
     assert (mt.rule, mt.seed, mt.max_steps) == ("first-index", 0, MAX_STEPS)
 
 
@@ -676,6 +682,103 @@ def test_usage_error_exit_code(capsys):
         main(["no-such-command"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+# The argv shapes the benchmark's workloads run, with values of their kind.
+WORKLOAD_ARGV = [["table", "9", "9"], ["bounds", "--k", "9"],
+                 ["fixedpoint", "--k", "9", "--L", "22"],
+                 ["check-shearer", "--graph", "g.json"], ["check-shearer", "--cnf", "f.cnf"],
+                 ["hj", "--j", "2", "--k", "3", "--L", "2"],
+                 ["mt", "--cnf", "f.cnf", "--rule", "uniform-random", "--seed", "3"],
+                 ["construct", "--k", "9", "--L", "22", "--r", "3"]]
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGV + [
+    ["table", "5", "--precision", "64", "7"],  # a positional on each side of an option
+    ["--precision", "64", "bounds", "--k", "5", "--precision", "80"],  # the later one
+    ["bounds", "--k", " 5"], ["bounds", "--k", "5_0"], ["bounds", "--k", "\u0665"],  # int()
+    ["--out", "table", "--format", "json", "table", "1", "2"],
+    ["mt", "--cnf", "f.cnf"], ["check-shearer", "--guard-vertices", "9", "--graph", "a b"],
+])
+def test_plain_args_read_as_argparse_does(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None and plain == cli.PARSER.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["table"], ["table", "5"], ["table", "5", "6", "7"], ["no-such-command"],
+    ["--prec", "64", "bounds", "--k", "5"], ["bounds", "--k=5"],  # abbreviation, = form
+    ["bounds", "--k", "-3"], ["mt", "--cnf", "", "--seed", "1"], ["mt", "--cnf", "-"],
+    ["-h"], ["bounds", "-h"], ["bounds", "--help"], ["--", "bounds", "--k", "5"],
+    ["bounds", "--", "--k", "5"], ["bounds", "--k", "5", "--k", "6"],
+    ["--format", "json", "--format", "tsv", "bounds", "--k", "5"],
+    ["--k", "5", "bounds"], ["check-shearer", "--cnf", "a", "--graph", "b"],
+    ["check-shearer"], ["bounds", "--k", "5", "--no-such-flag", "1"], ["bounds", "--k"],
+    ["bounds", "--k", "x"], ["--format", "xml", "bounds", "--k", "5"],
+    ["mt", "--cnf", "f.cnf", "--rule", "none"], ["bounds", "--k", "5", "--L", "2"],
+    ["bounds", "--k", 5], ("bounds", "--k", "5", "extra"),
+])
+def test_plain_args_leave_every_other_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+# Plain forms to start from: each command with flags it reads, in any order.
+SHAPES = [("table", []), ("construct", ["--k", "--L", "--r"]), ("check-shearer", ["--cnf"]),
+          ("check-shearer", ["--graph"]), ("hj", ["--j", "--k", "--L"]),
+          ("fixedpoint", ["--k", "--L", "--max-iter"]),
+          ("fixedpoint", ["--k", "--L", "--max-trajectory"]),
+          ("mt", ["--cnf", "--rule", "--seed"]), ("mt", ["--cnf", "--max-steps"]),
+          ("bounds", ["--k"])]
+RULES = ["first-index", "uniform-random", "lowest-probability"]
+PATHS = ["f.cnf", "dir/g.json", "a b", "table"]
+# ints as int() reads them: signed, with "_", surrounded by spaces, in other digits.
+INTS = ["5", "12", "0", "+5", "-3", "1_000", " 5", "7 ", "\u0665", "\uff11\uff12", "-0"]
+VALUES = INTS + RULES + PATHS + ["tsv", "json", "", "-", "x", "5x", "1.5", "5__0", "_5"]
+GOOD_VALUES = {"--format": ["tsv", "json"], "--rule": RULES, "--cnf": PATHS, "--graph": PATHS,
+               "--out": PATHS}
+TOKENS = (SUBCOMMANDS + SHARED_FLAGS + sorted({flag for _, flags in SHAPES for flag in flags})
+          + ["--prec", "--form", "--guard-v", "--gr", "--c", "--max", "--max-s", "--ru"]
+          + ["--k=5", "--precision=64", "--cnf=f.cnf", "--format=json", "--rule=uniform-random"]
+          + ["-h", "--help", "--", "-k"] + VALUES)
+GOOD = {flag: st.sampled_from(GOOD_VALUES.get(flag, INTS)) for flag in TOKENS}
+ANY_VALUE, ANY_TOKEN, INT = map(st.sampled_from, (VALUES, TOKENS, INTS))
+
+
+@st.composite
+def near_plain_argv(draw):
+    """0-9 tokens: a plain form with each flag's value good for it or, one
+    time in four, any value, and a shared flag on either side; then up to
+    two tokens inserted or written over others."""
+    command, flags = draw(st.sampled_from(SHAPES))
+
+    def pair(flag):
+        return [flag, draw(ANY_VALUE if draw(st.integers(0, 3)) == 0 else GOOD[flag])]
+
+    before = [pair(flag) for flag in draw(st.lists(st.sampled_from(SHARED_FLAGS), max_size=1))]
+    after = [pair(flag) for flag in flags] + [[draw(INT)] for _ in range(2 * (command == "table"))]
+    after += [pair(flag) for flag in draw(st.lists(st.sampled_from(SHARED_FLAGS), max_size=1))]
+    argv = sum(before, []) + [command] + sum(draw(st.permutations(after)), [])
+    for _ in range(draw(st.integers(0, 2))):
+        i, token = draw(st.integers(0, len(argv))), draw(ANY_TOKEN)
+        if i < len(argv) and draw(st.booleans()):
+            argv[i] = token
+        else:
+            argv.insert(i, token)
+    return argv[:9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_plain_argv() | st.lists(ANY_TOKEN, max_size=9))
+def test_plain_args_equal_argparse_wherever_they_read(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.PARSER.parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"argparse refuses {argv} (exit {exc.code}), the reader does not")
+    assert parsed == plain
 
 
 K2_GRAPH = {"n": 2, "edges": [[0, 1]], "p": ["1/2", "1/2"]}

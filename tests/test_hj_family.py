@@ -14,8 +14,8 @@ from satlll.bounds import f_lll, f_mt
 from satlll.cli import DEFAULT_PRECISION
 from satlll.errors import CertificationError, DomainError, SizeGuardError
 from satlll.events_graph import DepGraph, events_from_formula, lopsidependency_graph
-from satlll.hj_family import (build_H, build_Hprime, fixed_point_iteration, recurrence_sr,
-                              shearer_upper_bound)
+from satlll.hj_family import (build_H, build_Hprime, denominator_exponents,
+                              fixed_point_iteration, recurrence_sr, shearer_upper_bound)
 from satlll.sat_model import DEFAULT_CLAUSE_GUARD, build_extremal_formula
 from satlll.shearer import independence_polynomial, shearer_check
 
@@ -108,6 +108,20 @@ def test_recurrence_matches_bruteforce(k, L, jmax):
     for j in range(jmax + 1):
         assert q_uniform(build_H(j, k, L), k) == s[j]
         assert q_uniform(build_Hprime(j, k, L), k) == r[j]
+
+
+
+# k = 2..6, L = 2..5 and j <= 4, less the five whose s_j has over 10^5 bits
+# of denominator (up to 1.5 million at (4, 6, 5), seconds of Fraction work).
+@pytest.mark.parametrize("k,L", [(k, L) for k in range(2, 7) for L in range(2, 6)])
+def test_denominator_exponents_match_the_recurrence(k, L):
+    for j in range(5):
+        sigma, rho = denominator_exponents(j, k, L)
+        if sigma > 100_000:
+            continue
+        s, r = recurrence_sr(j, k, L)
+        assert (s[j].denominator, r[j].denominator) == (1 << sigma, 1 << rho)
+        assert s[j].numerator % 2 == r[j].numerator % 2 == 1
 
 
 def test_g_at_one():

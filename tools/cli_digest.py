@@ -57,10 +57,17 @@ limit: hj at j = 1 with 4215-digit s_1 and r_1, (k, L) = (14000, 2) and
 (7000, 3), and past it, (14300, 2) refused on r_1 and (7200, 3) on s_1;
 check-shearer on two one-vertex graph files that exit 3, whose p is 4300
 nines (named) and 4300 nines times 10^4300 (too long to name); and hj at
-j = 1000000 under a guard of 1000000, whose count reads "more than".
+j = 1000000 under a guard of 1000000, whose count reads "more than"; then
+argv that only argparse reads, not the CLI's plain-argv reader: an
+abbreviated flag, a --flag=value, a negative value (exit 3), a flag given
+twice, an empty path, a command's flag before the command, both of
+--cnf and --graph, an unknown flag, -h and check-shearer -h (COLUMNS is
+set to 80, so help wraps alike on any terminal); and hj at j = 2 with
+k = 1000 under a guard of 4000, refused on s_2's 1998000-bit denominator.
 F_Shearer is taken at 256 bits, the CLI's default precision.
-Everything runs in tsv and in json.  The extremal files are read whole,
-and the SATLIB-style file and the eight small files line by line.  The
+Everything runs in tsv and in json (help, too, with --format json before
+-h).  The extremal files are read whole, and the SATLIB-style file and the
+eight small files line by line.  The
 SATLIB-style runs resample thousands of times, and seed 7 needs a second
 batch of words for the initial draw on every small formula.
 """
@@ -109,6 +116,13 @@ HJ_GUARDED = [["hj", "--guard-vertices", "300", "--j", "3", "--k", "3", "--L", "
                "--j", "2", "--k", "5", "--L", "4"]]
 # hj at j = 1 around the int-string limit: (k, L) printed, then refused.
 HJ_FIRST_LEVEL = [(14000, 2), (7000, 3), (14300, 2), (7200, 3)]
+# Read only by argparse: an abbreviation, the = form, a negative value, a repeat,
+# an empty path, a command's flag before it, an exclusive pair, an unknown flag, help.
+ARGPARSE_ONLY = [["--prec", "64", "bounds", "--k", "5"], ["bounds", "--k=5"],
+                 ["bounds", "--k", "-3"], ["bounds", "--k", "5", "--k", "6"],
+                 ["mt", "--cnf", "", "--seed", "1"], ["--k", "5", "bounds"],
+                 ["check-shearer", "--cnf", "a", "--graph", "b"],
+                 ["bounds", "--k", "5", "--no-such-flag", "1"], ["-h"], ["check-shearer", "-h"]]
 # Printed by construct: no clause, one stage, wide clauses, and the largest formula.
 PRINTED = [(2, 2, 0), (2, 3, 1), (12, 3, 5), (9, 22, 200)]
 # Read only line by line: layouts no clean file has, and inputs that exit 6
@@ -318,12 +332,16 @@ def corpus():
         commands.append(["check-shearer", "--graph", name])
     commands.append(["--guard-vertices", "1000000", "hj", "--j", "1000000", "--k", "2",
                      "--L", "2"])  # 4
+    commands += ARGPARSE_ONLY
+    commands.append(["--guard-vertices", "4000", "hj", "--j", "2", "--k", "1000",
+                     "--L", "2"])  # 4
     return commands
 
 
 def main():
     for variable in [v for v in os.environ if v.startswith("SATLLL_")]:
         del os.environ[variable]
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to it
     lines = []
     with tempfile.TemporaryDirectory() as directory:
         cwd = os.getcwd()
