@@ -8,10 +8,11 @@ Exit codes are distinct per error class: 0 success, 2 usage (argparse),
 3 domain error, 4 size-guard violation (or recursion too deep),
 5 certification failure, 6 DIMACS parse error.
 
-Plain argv (exact long flags, each with a value, around a command named
-exactly) is read directly, from tables built once from PARSER's own
+Plain argv (a command named exactly first, then exact long flags, each
+with a value) is read directly, from tables built once from PARSER's own
 declarations, into the Namespace argparse would give (_plain_args); help,
-usage errors and every other argv still go through argparse.
+usage errors and every other argv, a shared flag before the command among
+them, still go through argparse.
 """
 
 from __future__ import annotations
@@ -420,31 +421,27 @@ PARSER = build_parser()
 
 
 def _reader_tables(parser):
-    """What _plain_args reads, from parser's own declarations: the root's
-    options and defaults, the command's dest, and per command its options
-    (its own and the common ones), positionals, defaults, required options
-    and exclusive groups."""
-    def options(p):
+    """What _plain_args reads, from parser's own declarations: the command's
+    dest, and per command its options (its own and the common ones),
+    positionals, defaults as declared, required options and exclusive
+    groups.  The one str default, --rule's, has no type, so argparse stores
+    it as declared too."""
+    def tables(p):
         # Exact long strings of one-value store actions; -h is left to argparse.
-        return {s: a for s, a in p._option_string_actions.items()
-                if s.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None}
-
-    def defaults(p):
-        # As parse_known_args fills a fresh namespace; a str default goes through its type.
-        return {**p._defaults,
-                **{a.dest: p._get_value(a, a.default) if isinstance(a.default, str) else a.default
-                   for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)}}
+        options = {s: a for s, a in p._option_string_actions.items()
+                   if s.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None}
+        defaults = {**p._defaults, **{a.dest: a.default for a in p._actions
+                                      if argparse.SUPPRESS not in (a.dest, a.default)}}
+        return (options, [a for a in p._actions if not a.option_strings], defaults,
+                {a.dest for a in p._actions if a.required and a.option_strings},
+                [({a.dest for a in g._group_actions}, g.required)
+                 for g in p._mutually_exclusive_groups])
 
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    commands = {name: (options(p), [a for a in p._actions if not a.option_strings], defaults(p),
-                       {a.dest for a in p._actions if a.required and a.option_strings},
-                       [({a.dest for a in g._group_actions}, g.required)
-                        for g in p._mutually_exclusive_groups])
-                for name, p in sub.choices.items()}
-    return options(parser), defaults(parser), sub.dest, commands
+    return sub.dest, {name: tables(p) for name, p in sub.choices.items()}
 
 
-_COMMON, _ROOT_DEFAULTS, _COMMAND_DEST, _COMMANDS = _reader_tables(PARSER)
+_COMMAND_DEST, _COMMANDS = _reader_tables(PARSER)
 
 
 def _read(action, value, into) -> bool:
@@ -465,27 +462,19 @@ def _read(action, value, into) -> bool:
 def _plain_args(argv):
     """The Namespace that PARSER.parse_args(argv) returns, or None.
 
-    Read directly, without argparse, is only this form: common long options
-    by their exact names, each with a value, then a command by its exact
-    name, then that command's long options by their exact names, each with
-    a value and none twice, and exactly its positionals, in any order; its
-    required options given and one of each required exclusive group.  Every
-    token is a str.  None for any other argv, so argparse reads it, refuses
-    it or prints help as it always has.
+    Read directly, without argparse, is only this form: a command by its
+    exact name first, then that command's long options by their exact
+    names, each with a value and none twice, and exactly its positionals,
+    in any order; its required options given and one of each required
+    exclusive group.  Every token is a str.  None for any other argv (one
+    with a shared option before the command, too), so argparse reads it,
+    refuses it or prints help as it always has.
     """
-    if any(type(token) is not str for token in argv):
+    if any(type(token) is not str for token in argv) or not argv or argv[0] not in _COMMANDS:
         return None
-    before, i, n = {}, 0, len(argv)
-    while i < n and argv[i] in _COMMON:
-        if i + 1 == n or not _read(_COMMON[argv[i]], argv[i + 1], before):
-            return None
-        i += 2
-    if i == n or argv[i] not in _COMMANDS:
-        return None
-    command = argv[i]
+    command = argv[0]
     options, positionals, defaults, required, groups = _COMMANDS[command]
-    after, values = {}, []
-    i += 1
+    after, values, i, n = {}, [], 1, len(argv)
     while i < n:
         if argv[i] in options:
             if i + 1 == n or not _read(options[argv[i]], argv[i + 1], after):
@@ -498,9 +487,7 @@ def _plain_args(argv):
              and all(_read(action, value, after) for action, value in zip(positionals, values))
              and required <= after.keys()
              and all(need <= len(dests & after.keys()) <= 1 for dests, need in groups))
-    # A common option given on both sides takes its value after the command.
-    return argparse.Namespace(**{**_ROOT_DEFAULTS, **before, _COMMAND_DEST: command,
-                                 **defaults, **after}) if plain else None
+    return argparse.Namespace(**{_COMMAND_DEST: command, **defaults, **after}) if plain else None
 
 
 def main(argv=None) -> int:

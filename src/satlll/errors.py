@@ -36,13 +36,13 @@ class CertificationError(SatLllError):
     failed); it is None when the failure does not depend on precision.
     """
 
-    def __init__(self, message, retry_precision=None):
+    def __init__(self, message, retry_precision):
         super().__init__(message)
         self.retry_precision = retry_precision
 
 
 class DimacsError(SatLllError):
-    """Malformed DIMACS input.  The message starts with the 1-based line number when known."""
+    """Malformed DIMACS input; the message starts with its 1-based line, unless line is None."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line):
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -391,7 +391,8 @@ def fixed_point_iteration(k: int, L: int, max_iter: int, precision: int) -> Fixe
     t = _fixed_point_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
-            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
+            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0",
+            retry_precision=None)
     import mpmath  # for the printed threshold and c only, so off the import path
 
     with mpmath.mp.workprec(precision):  # printed only, so rounded to nearest

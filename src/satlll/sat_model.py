@@ -198,13 +198,13 @@ def _by_lines(text: str) -> Formula:
             clause = []
 
     if variable_count is None:
-        raise DimacsError("missing 'p cnf' header")
+        raise DimacsError("missing 'p cnf' header", line=None)
     if clause:
         raise DimacsError("unterminated clause at end of input", line=clause_line)
-    if declared_clauses != sum(widths.values()):
-        raise DimacsError(f"header declares {declared_clauses} clauses, found {sum(widths.values())}")
+    if declared_clauses != (found := sum(widths.values())):
+        raise DimacsError(f"header declares {declared_clauses} clauses, found {found}", line=None)
     if len(widths) > 1:
-        raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
+        raise DimacsError(f"non-uniform clause widths {sorted(widths)}", line=None)
     width = min(widths, default=EMPTY_WIDTH)
     if width < 2:
         raise DomainError(f"formula width must be >= 2, got {width}")

@@ -192,7 +192,7 @@ def shearer_check(graph: DepGraph, p: ProbabilityVector) -> ShearerVerdict:
                 break
         else:
             raise CertificationError("the suffix chain has Z <= 0 but no independent set "
-                                     "violates Shearer's condition")
+                                     "violates Shearer's condition", retry_precision=None)
         witness += (v,)
         numerator *= engine.numerators[v]
         region = child

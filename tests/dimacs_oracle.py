@@ -77,22 +77,24 @@ def oracle_dimacs_import(text: str, width: int | None = None):
                 pending.append(value)
 
     if variable_count is None:
-        raise DimacsError("missing 'p cnf' header")
+        raise DimacsError("missing 'p cnf' header", line=None)
     if pending:
         raise DimacsError("unterminated clause at end of input", line=pending_line)
     if declared_clauses is not None and declared_clauses != len(clauses):
         raise DimacsError(
-            f"header declares {declared_clauses} clauses, found {len(clauses)}")
+            f"header declares {declared_clauses} clauses, found {len(clauses)}", line=None)
 
     widths = {len(c.literals) for c in clauses}
     if width is None:
         if not clauses:
-            raise DimacsError("cannot infer width of an empty formula; pass width explicitly")
+            raise DimacsError("cannot infer width of an empty formula; pass width explicitly",
+                              line=None)
         if len(widths) > 1:
-            raise DimacsError(f"non-uniform clause widths {sorted(widths)}")
+            raise DimacsError(f"non-uniform clause widths {sorted(widths)}", line=None)
         width = len(clauses[0].literals)
     elif widths - {width}:
-        raise DimacsError(f"clause width mismatch: demanded {width}, found {sorted(widths)}")
+        raise DimacsError(f"clause width mismatch: demanded {width}, found {sorted(widths)}",
+                          line=None)
 
     # The old Formula's own checks, in its order.
     if width < 2:

@@ -596,7 +596,8 @@ def fixed_point_iteration_by_intervals(k: int, L: int, max_iter: int, precision:
     t = hj_family._fixed_point_witness(L - 1, k, precision)
     if t is not None and t > 1:
         raise CertificationError(
-            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0")
+            f"phi_{L - 1} witness t={float(t)} exceeds 1 for k={k}, so c > a_0",
+            retry_precision=None)
     threshold, c = fixed_point_bounds_by_intervals(t, L, precision)
     with interval_precision(precision):
         threshold_mid = midpoint_float(threshold)

@@ -258,6 +258,30 @@ def test_hj_refuses_an_unprintable_level_before_its_recurrence(capsys, monkeypat
                                 "digits, the int-string limit\n")
 
 
+@pytest.mark.parametrize("output_format", ["tsv", "json"])
+def test_hj_exits_5_when_recurrence_and_brute_force_disagree(capsys, monkeypatch,
+                                                             output_format):
+    recurrence = hj_family.recurrence_sr
+    (*_, s), (*_, r) = recurrence(2, 2, 2)
+    wrong = s + Fraction(1, 4)  # printable, and not s_2
+
+    def perturbed(j, k, L):
+        s_all, r_all = recurrence(j, k, L)
+        return s_all[:-1] + (wrong,), r_all
+
+    monkeypatch.setattr(hj_family, "recurrence_sr", perturbed)
+    code, out, err = run_cli(capsys, "--format", output_format, "hj", "--j", "2", "--k", "2",
+                             "--L", "2")
+    assert (code, err) == (EXIT_CERTIFICATION, "")
+    if output_format == "json":
+        assert json.loads(out) == {"j": 2, "k": 2, "L": 2, "s_recurrence": str(wrong),
+                                   "s_bruteforce": str(s), "r_recurrence": str(r),
+                                   "r_bruteforce": str(r), "agree": False}
+    else:
+        assert out == (f"s_2 = {wrong} (recurrence) = {s} (brute force)\n"
+                       f"r_2 = {r} (recurrence) = {r} (brute force)\nDISAGREE\n")
+
+
 # 2^14284 has 4300 digits and 2^14285 has 4301: r_1 = (2^k - 1)/2^k prints up to
 # k = 14284 at L = 2, and s_1 = odd/2^(k(L-1)-1) up to k = 7142 at L = 3 and at
 # k = 2857 = 14285 / 5 at L = 6.
@@ -695,9 +719,8 @@ WORKLOAD_ARGV = [["table", "9", "9"], ["bounds", "--k", "9"],
 
 @pytest.mark.parametrize("argv", WORKLOAD_ARGV + [
     ["table", "5", "--precision", "64", "7"],  # a positional on each side of an option
-    ["--precision", "64", "bounds", "--k", "5", "--precision", "80"],  # the later one
     ["bounds", "--k", " 5"], ["bounds", "--k", "5_0"], ["bounds", "--k", "\u0665"],  # int()
-    ["--out", "table", "--format", "json", "table", "1", "2"],
+    ["table", "--out", "table", "--format", "json", "1", "2"],  # a value named as a command
     ["mt", "--cnf", "f.cnf"], ["check-shearer", "--guard-vertices", "9", "--graph", "a b"],
 ])
 def test_plain_args_read_as_argparse_does(argv):
@@ -712,6 +735,8 @@ def test_plain_args_read_as_argparse_does(argv):
     ["-h"], ["bounds", "-h"], ["bounds", "--help"], ["--", "bounds", "--k", "5"],
     ["bounds", "--", "--k", "5"], ["bounds", "--k", "5", "--k", "6"],
     ["--format", "json", "--format", "tsv", "bounds", "--k", "5"],
+    ["--precision", "64", "bounds", "--k", "5", "--precision", "80"],  # a shared flag first
+    ["--out", "table", "--format", "json", "table", "1", "2"],
     ["--k", "5", "bounds"], ["check-shearer", "--cnf", "a", "--graph", "b"],
     ["check-shearer"], ["bounds", "--k", "5", "--no-such-flag", "1"], ["bounds", "--k"],
     ["bounds", "--k", "x"], ["--format", "xml", "bounds", "--k", "5"],
@@ -773,6 +798,7 @@ def test_plain_args_equal_argparse_wherever_they_read(argv):
     plain = cli._plain_args(argv)
     if plain is None:
         return
+    assert argv[0] in SUBCOMMANDS  # argparse reads anything before the command
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             parsed = cli.PARSER.parse_args(argv)

@@ -63,7 +63,17 @@ abbreviated flag, a --flag=value, a negative value (exit 3), a flag given
 twice, an empty path, a command's flag before the command, both of
 --cnf and --graph, an unknown flag, -h and check-shearer -h (COLUMNS is
 set to 80, so help wraps alike on any terminal); and hj at j = 2 with
-k = 1000 under a guard of 4000, refused on s_2's 1998000-bit denominator.
+k = 1000 under a guard of 4000, refused on s_2's 1998000-bit denominator;
+then one run for each refusal that no run above reaches: --guard-vertices
+0, --out into a missing directory, a --cnf file that is not UTF-8, mt
+--guard-clauses 3 on a file of 4 clauses, graph files whose p is
+["1e5000"], [true] or a string, whose n is -1, with an edge [true, 1] or
+[0, 5] at n = 3, or with 2 entries of p at n = 3, fixedpoint with
+--max-trajectory -1 and --max-iter -1, mt --max-steps -1, hj at j = 50
+under the default guard, construct past --guard-clauses 10, and mt on
+DIMACS files with a bad p line, a clause before the header, a bad token,
+no header, one clause fewer than declared, mixed widths, width 1, a
+negative variable count and a literal past 64 bits.
 F_Shearer is taken at 256 bits, the CLI's default precision.
 Everything runs in tsv and in json (help, too, with --format json before
 -h).  The extremal files are read whole, and the SATLIB-style file and the
@@ -123,6 +133,28 @@ ARGPARSE_ONLY = [["--prec", "64", "bounds", "--k", "5"], ["bounds", "--k=5"],
                  ["mt", "--cnf", "", "--seed", "1"], ["--k", "5", "bounds"],
                  ["check-shearer", "--cnf", "a", "--graph", "b"],
                  ["bounds", "--k", "5", "--no-such-flag", "1"], ["-h"], ["check-shearer", "-h"]]
+# Graph files refused with exit 3, each on one check that no other file reaches.
+BAD_GRAPHS = {
+    "exponent.json": {"n": 1, "edges": [], "p": ["1e5000"]},
+    "bool_p.json": {"n": 1, "edges": [], "p": [True]},
+    "negative_n.json": {"n": -1, "edges": [], "p": []},
+    "bool_edge.json": {"n": 2, "edges": [[True, 1]], "p": ["1/3", "1/3"]},
+    "p_string.json": {"n": 1, "edges": [], "p": "1/2"},
+    "far_edge.json": {"n": 3, "edges": [[0, 5]], "p": ["1/3"] * 3},
+    "short_p.json": {"n": 3, "edges": [], "p": ["1/3"] * 2},
+}
+# DIMACS files refused by the line reader's other checks: exit 6, or 3 for the last three.
+BAD_CNF = {
+    "bad_header.cnf": "p cnf x 1\n1 2 0\n",
+    "early.cnf": "1 2 0\np cnf 2 1\n",
+    "token.cnf": "p cnf 2 1\n1 x 0\n",
+    "headless.cnf": "c no header\n",
+    "short.cnf": "p cnf 3 2\n1 2 0\n",
+    "mixed.cnf": "p cnf 3 2\n1 2 0\n1 2 3 0\n",
+    "unit.cnf": "p cnf 2 1\n1 0\n",
+    "negative.cnf": "p cnf -1 0\n",
+    "huge.cnf": f"p cnf {2 ** 64} 1\n{2 ** 64} 1 0\n",
+}
 # Printed by construct: no clause, one stage, wide clauses, and the largest formula.
 PRINTED = [(2, 2, 0), (2, 3, 1), (12, 3, 5), (9, 22, 200)]
 # Read only line by line: layouts no clean file has, and inputs that exit 6
@@ -335,6 +367,24 @@ def corpus():
     commands += ARGPARSE_ONLY
     commands.append(["--guard-vertices", "4000", "hj", "--j", "2", "--k", "1000",
                      "--L", "2"])  # 4
+    Path("latin1.cnf").write_bytes(b"c caf\xe9\np cnf 2 1\n1 2 0\n")
+    Path("four.cnf").write_text("p cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
+    commands += [
+        ["bounds", "--k", "5", "--guard-vertices", "0"],
+        ["table", "2", "3", "--out", "missing/table.tsv"], ["mt", "--cnf", "latin1.cnf"],  # 3
+        ["mt", "--cnf", "four.cnf", "--guard-clauses", "3"],  # 4
+        ["fixedpoint", "--k", "5", "--L", "2", "--max-trajectory", "-1"],
+        ["fixedpoint", "--k", "5", "--L", "2", "--max-iter", "-1"],
+        ["mt", "--cnf", "four.cnf", "--max-steps", "-1"],  # 3
+        ["hj", "--j", "50", "--k", "2", "--L", "2"],
+        ["construct", "--guard-clauses", "10", "--k", "3", "--L", "2", "--r", "6"],  # 4
+    ]
+    for name, data in BAD_GRAPHS.items():
+        Path(name).write_text(json.dumps(data))
+        commands.append(["check-shearer", "--graph", name])
+    for name, text in BAD_CNF.items():
+        Path(name).write_text(text)
+        commands.append(["mt", "--cnf", name])
     return commands
 
 
